@@ -13,7 +13,6 @@
  *   --json <path>     structured result export (or RNR_JSON_OUT=<path>)
  *   --quiet           silence progress         (or RNR_PROGRESS=0)
  *   --trace-dir <p>   trace-store corpus dir   (or RNR_TRACE_DIR=<p>)
- *   --farm <socket>   run cells on a rnr_farmd (or RNR_FARM=<socket>)
  *
  * This header also hosts the bench-regression gate
  * (`micro_hotpath compare`, benchCompareMain below): it loads two
@@ -137,15 +136,10 @@ parseBenchArgs(int argc, char **argv, const std::string &label)
             setTraceDir(argv[++i]);
         } else if (arg.rfind("--trace-dir=", 0) == 0) {
             setTraceDir(arg.substr(12));
-        } else if (arg == "--farm" && i + 1 < argc) {
-            opts.farm = argv[++i];
-        } else if (arg.rfind("--farm=", 0) == 0) {
-            opts.farm = arg.substr(7);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--jobs <n>] [--json <path>] "
-                         "[--trace-dir <path>] [--farm <socket>] "
-                         "[--quiet]\n",
+                         "[--trace-dir <path>] [--quiet]\n",
                          argv[0]);
             std::exit(2);
         }

@@ -25,11 +25,11 @@
  * none: the identical loop with a disabled metrics-registry gate per
  * op (the nullptr a call site holds under RNR_METRICS=0) and a
  * below-threshold logEnabled() check per sweep — the exact shapes the
- * instrumented sites in src/harness and src/farm have, at the
+ * instrumented sites in src/harness and the stores have, at the
  * granularities they really run at.  Its rate must stay within noise
- * of none (docs/HARNESS.md §16); CI asserts the parity and the
+ * of none (docs/HARNESS.md §15); CI asserts the parity and the
  * compare gate pins both.  BM_DemandAccessAttribGated is the same
- * contract for the attribution layer (docs/HARNESS.md §18): the loop
+ * contract for the attribution layer (docs/HARNESS.md §17): the loop
  * with attachAttrib(nullptr) and a per-op null-collector gate, the
  * shape every cache/memory-system hook has when RNR_ATTRIB is off.
  *

@@ -29,7 +29,7 @@
  *
  *   trace_tools ckpt list|inspect|gc
  *       Checkpoint-store maintenance ($RNR_CKPT_DIR, docs/HARNESS.md
- *       section 17).  `list` summarises every snapshot (key, window,
+ *       section 16).  `list` summarises every snapshot (key, window,
  *       sections, size); `inspect <file.ckpt>` decodes one snapshot's
  *       header, section table and checksum; `gc` deletes corrupt
  *       snapshots and stale publish temp files, and with
@@ -61,19 +61,13 @@
  *       (harness/report.h).  Prefix defaults to $RNR_REPORT_OUT or
  *       "rnr_report"; honours --sample-cycles/--iterations/--cores.
  *
- *   trace_tools farm serve|submit|status|metrics|trace|drain
- *       Client and daemon of the simulation farm (docs/HARNESS.md
- *       sections 15-16).  `serve` runs rnr_farmd's loop in this
- *       binary; `submit` runs a small experiment batch on the daemon
- *       (or in-process with --local) and writes rnr-sweep JSON;
- *       `status` prints daemon-side queue depth and worker occupancy
- *       (--watch auto-refreshes with rate deltas); `metrics` scrapes
- *       the daemon's metrics registry as rnr-metrics-v1 JSON (or
- *       --prometheus text); `trace` runs a span-correlated batch and
- *       merges daemon spans + worker Perfetto traces into one
- *       timeline; `drain` asks the daemon to finish in-flight work
- *       and exit.  Every client subcommand exits 4 when it cannot
- *       reach the daemon socket.
+ *   trace_tools sweep [--app a] [--input i] [--prefetchers p,...]
+ *       Runs one workload under each listed prefetcher (default
+ *       none,nextline,stride,rnr) as one SweepRunner batch
+ *       ($RNR_JOBS threads) and prints a one-line summary; --json
+ *       writes the rnr-sweep export, --label names the batch,
+ *       --iterations/--cores shrink the cells.  An unknown prefetcher
+ *       or a bad argument is one line on stderr and exit 2.
  *
  *   trace_tools help [mode]
  *       This text, or one mode's usage.  Every mode also accepts
@@ -83,14 +77,12 @@
  *       trace_tools-modes markers, and a CI diff test keeps the two
  *       in sync (tests/tools/trace_tools_cli_test.cc).
  */
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include <algorithm>
@@ -98,10 +90,6 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/ckpt_store.h"
-#include "farm/farm_client.h"
-#include "farm/farm_server.h"
-#include "farm/farm_trace.h"
-#include "farm/farm_worker.h"
 #include "harness/metrics.h"
 #include "harness/report.h"
 #include "harness/runner.h"
@@ -659,68 +647,21 @@ attribCmd(const std::string &app, const std::string &input,
     return reconciled ? 0 : 1;
 }
 
-// ---- farm: client and daemon of the simulation farm ----
+// ---- sweep: an ad-hoc batch through SweepRunner ----
 
-/** Exit code for "cannot reach the daemon socket" — distinct from the
- *  generic 1 so scripts can tell "daemon not running" from "batch
- *  failed" (tests/tools/trace_tools_cli_test.cc pins it). */
-constexpr int kFarmConnectExit = 4;
-
+/** One workload under a comma-separated prefetcher list, run as one
+ *  sweep; the export is the same rnr-sweep JSON every bench writes. */
 int
-farmServe(int argc, char **argv)
+sweepCmd(int argc, char **argv)
 {
-    FarmOptions opts = FarmOptions::fromEnv();
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *v = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--socket" && v) {
-            opts.socket_path = v;
-            ++i;
-        } else if (arg == "--workers" && v && std::atoi(v) > 0) {
-            opts.workers = static_cast<unsigned>(std::atoi(v));
-            ++i;
-        } else if (arg == "--timeout-sec" && v && std::atof(v) > 0) {
-            opts.timeout_sec = std::atof(v);
-            ++i;
-        } else {
-            std::fprintf(stderr, "farm serve: bad argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    FarmServer server(opts);
-    std::string error;
-    if (!server.start(&error)) {
-        std::fprintf(stderr, "farm serve: %s\n", error.c_str());
-        return 1;
-    }
-    std::fprintf(stderr,
-                 "farm serve: listening on %s (%u workers, %.0fs cell "
-                 "timeout)\n",
-                 server.options().socket_path.c_str(),
-                 server.options().workers,
-                 server.options().timeout_sec);
-    return server.serve();
-}
-
-int
-farmSubmit(int argc, char **argv)
-{
-    std::string socket = FarmOptions::fromEnv().socket_path;
-    std::string json, label = "farm-submit";
+    std::string json, label = "sweep";
     std::string app = "pagerank", input = "urand";
     std::string prefetchers = "none,nextline,stride,rnr";
     unsigned iterations = 0, cores = 0;
-    bool local = false;
-    for (int i = 3; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         const char *v = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--local") {
-            local = true;
-        } else if (arg == "--socket" && v) {
-            socket = v;
-            ++i;
-        } else if (arg == "--json" && v) {
+        if (arg == "--json" && v) {
             json = v;
             ++i;
         } else if (arg == "--label" && v) {
@@ -742,7 +683,7 @@ farmSubmit(int argc, char **argv)
             cores = static_cast<unsigned>(std::atoi(v));
             ++i;
         } else {
-            std::fprintf(stderr, "farm submit: bad argument '%s'\n",
+            std::fprintf(stderr, "sweep: bad argument '%s'\n",
                          arg.c_str());
             return 2;
         }
@@ -760,7 +701,7 @@ farmSubmit(int argc, char **argv)
         try {
             cfg.prefetcher = prefetcherKindFromString(name);
         } catch (const std::exception &e) {
-            std::fprintf(stderr, "farm submit: %s\n", e.what());
+            std::fprintf(stderr, "sweep: %s\n", e.what());
             return 2;
         }
         if (iterations)
@@ -770,301 +711,25 @@ farmSubmit(int argc, char **argv)
         cells.push_back(cfg);
     }
     if (cells.empty()) {
-        std::fprintf(stderr, "farm submit: no cells\n");
+        std::fprintf(stderr, "sweep: no cells\n");
         return 2;
     }
 
     SweepOptions opts;
     opts.label = label;
     opts.json_out = json;
-    opts.farm = local ? "" : socket;
-#ifndef _WIN32
-    if (local) // --local means in-process even if $RNR_FARM is set
-        unsetenv("RNR_FARM");
-#endif
-
-    if (!local) {
-        // Probe the socket before building the sweep so a missing
-        // daemon is a typed one-liner + exit 4, not a mid-run throw.
-        FarmClient probe;
-        std::string error;
-        if (!probe.connect(socket, &error)) {
-            std::fprintf(stderr, "farm submit: %s\n", error.c_str());
-            return kFarmConnectExit;
-        }
-    }
-
     SweepRunner runner(opts);
     runner.add(cells);
     try {
         runner.run();
     } catch (const std::exception &e) {
-        std::fprintf(stderr, "farm submit: %s\n", e.what());
+        std::fprintf(stderr, "sweep: %s\n", e.what());
         return 1;
     }
     const SweepStats &st = runner.stats();
-    std::printf("farm submit: %zu cells, %zu simulated, %zu cached, "
-                "%zu poisoned\n",
-                st.cells, st.simulated, st.cache_hits, st.poisoned);
-    return st.poisoned > 0 ? 3 : 0;
-}
-
-int
-farmStatusOrDrain(int argc, char **argv, bool drain)
-{
-    std::string socket = FarmOptions::fromEnv().socket_path;
-    bool watch = false;
-    double interval = 2.0;
-    unsigned count = 0; // 0 = until interrupted
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *v = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--socket" && v) {
-            socket = v;
-            ++i;
-        } else if (!drain && arg == "--watch") {
-            watch = true;
-        } else if (!drain && arg == "--interval" && v &&
-                   std::atof(v) > 0) {
-            interval = std::atof(v);
-            ++i;
-        } else if (!drain && arg == "--count" && v && std::atoi(v) > 0) {
-            count = static_cast<unsigned>(std::atoi(v));
-            ++i;
-        } else {
-            std::fprintf(stderr, "farm %s: bad argument '%s'\n",
-                         drain ? "drain" : "status", arg.c_str());
-            return 2;
-        }
-    }
-    FarmClient client;
-    std::string error;
-    if (!client.connect(socket, &error)) {
-        std::fprintf(stderr, "farm %s: %s\n",
-                     drain ? "drain" : "status", error.c_str());
-        return kFarmConnectExit;
-    }
-    if (drain) {
-        if (!client.drain(&error)) {
-            std::fprintf(stderr, "farm drain: %s\n", error.c_str());
-            return 1;
-        }
-        std::printf("farm drain: daemon drained and exiting\n");
-        return 0;
-    }
-    FarmStatus prev;
-    bool have_prev = false;
-    for (unsigned tick = 0; !watch || count == 0 || tick < count;
-         ++tick) {
-        if (tick > 0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(interval));
-        FarmStatus st;
-        if (!client.status(st, &error)) {
-            std::fprintf(stderr, "farm status: %s\n", error.c_str());
-            return 1;
-        }
-        std::string line = formatFarmStatus(st);
-        if (have_prev) {
-            // Rate deltas against the previous tick, so a glance at
-            // the watch shows throughput, not just totals.
-            char delta[128];
-            std::snprintf(delta, sizeof(delta),
-                          " | +%llu done (%.1f/s), +%llu simulated, "
-                          "+%llu cached",
-                          static_cast<unsigned long long>(st.done -
-                                                          prev.done),
-                          static_cast<double>(st.done - prev.done) /
-                              interval,
-                          static_cast<unsigned long long>(
-                              st.simulated - prev.simulated),
-                          static_cast<unsigned long long>(st.cached -
-                                                          prev.cached));
-            line += delta;
-        }
-        std::printf("%s\n", line.c_str());
-        std::fflush(stdout);
-        if (!watch)
-            break;
-        prev = st;
-        have_prev = true;
-    }
+    std::printf("sweep: %zu cells, %zu simulated, %zu cached\n", st.cells,
+                st.simulated, st.cache_hits);
     return 0;
-}
-
-int
-farmMetricsCmd(int argc, char **argv)
-{
-    std::string socket = FarmOptions::fromEnv().socket_path;
-    bool prometheus = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *v = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--socket" && v) {
-            socket = v;
-            ++i;
-        } else if (arg == "--prometheus") {
-            prometheus = true;
-        } else {
-            std::fprintf(stderr, "farm metrics: bad argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    FarmClient client;
-    std::string error;
-    if (!client.connect(socket, &error)) {
-        std::fprintf(stderr, "farm metrics: %s\n", error.c_str());
-        return kFarmConnectExit;
-    }
-    std::string out;
-    if (!client.metrics(out, &error, prometheus)) {
-        std::fprintf(stderr, "farm metrics: %s\n", error.c_str());
-        return 1;
-    }
-    std::printf("%s", out.c_str());
-    if (out.empty() || out.back() != '\n')
-        std::printf("\n");
-    return 0;
-}
-
-int
-farmTraceCmd(int argc, char **argv)
-{
-    std::string socket = FarmOptions::fromEnv().socket_path;
-    std::string dir = "rnr_farm_trace";
-    std::string out = "rnr_farm_trace.json";
-    std::string app = "pagerank", input = "urand";
-    std::string prefetchers = "none,rnr";
-    unsigned iterations = 0, cores = 0;
-    bool merge_only = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *v = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--socket" && v) {
-            socket = v;
-            ++i;
-        } else if (arg == "--dir" && v) {
-            dir = v;
-            ++i;
-        } else if (arg == "--out" && v) {
-            out = v;
-            ++i;
-        } else if (arg == "--app" && v) {
-            app = v;
-            ++i;
-        } else if (arg == "--input" && v) {
-            input = v;
-            ++i;
-        } else if (arg == "--prefetchers" && v) {
-            prefetchers = v;
-            ++i;
-        } else if (arg == "--iterations" && v && std::atoi(v) > 0) {
-            iterations = static_cast<unsigned>(std::atoi(v));
-            ++i;
-        } else if (arg == "--cores" && v && std::atoi(v) > 0) {
-            cores = static_cast<unsigned>(std::atoi(v));
-            ++i;
-        } else if (arg == "--merge-only") {
-            merge_only = true;
-        } else {
-            std::fprintf(stderr, "farm trace: bad argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-
-    std::string error;
-    if (!merge_only) {
-        std::vector<ExperimentConfig> cells;
-        std::stringstream ss(prefetchers);
-        std::string name;
-        while (std::getline(ss, name, ',')) {
-            if (name.empty())
-                continue;
-            ExperimentConfig cfg;
-            cfg.app = app;
-            cfg.input = input;
-            try {
-                cfg.prefetcher = prefetcherKindFromString(name);
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "farm trace: %s\n", e.what());
-                return 2;
-            }
-            if (iterations)
-                cfg.iterations = iterations;
-            if (cores)
-                cfg.cores = cores;
-            cells.push_back(cfg);
-        }
-        if (cells.empty()) {
-            std::fprintf(stderr, "farm trace: no cells\n");
-            return 2;
-        }
-
-        FarmClient client;
-        if (!client.connect(socket, &error)) {
-            std::fprintf(stderr, "farm trace: %s\n", error.c_str());
-            return kFarmConnectExit;
-        }
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        // Absolute: the daemon and its workers append span artifacts
-        // from their own working directory.
-        dir = std::filesystem::absolute(dir, ec).string();
-        if (!client.submit(cells, {}, &error, dir)) {
-            std::fprintf(stderr, "farm trace: %s\n", error.c_str());
-            return 1;
-        }
-        std::size_t received = 0, poisoned = 0;
-        while (received < cells.size()) {
-            FarmClient::Reply reply;
-            if (!client.next(reply, &error)) {
-                std::fprintf(stderr, "farm trace: %s\n", error.c_str());
-                return 1;
-            }
-            if (reply.batch_done)
-                continue;
-            ++received;
-            if (reply.outcome.status == CellOutcome::Status::Poisoned)
-                ++poisoned;
-        }
-        std::printf("farm trace: %zu cells executed (%zu poisoned), "
-                    "span artifacts in %s\n",
-                    received, poisoned, dir.c_str());
-    }
-
-    if (!mergeFarmTrace(dir, out, &error)) {
-        std::fprintf(stderr, "farm trace: %s\n", error.c_str());
-        return 1;
-    }
-    std::printf("farm trace: wrote merged timeline %s "
-                "(load in ui.perfetto.dev)\n",
-                out.c_str());
-    return 0;
-}
-
-int
-farmMain(int argc, char **argv)
-{
-    const std::string sub = argc >= 3 ? argv[2] : "";
-    if (sub == "serve")
-        return farmServe(argc, argv);
-    if (sub == "submit")
-        return farmSubmit(argc, argv);
-    if (sub == "status")
-        return farmStatusOrDrain(argc, argv, false);
-    if (sub == "metrics")
-        return farmMetricsCmd(argc, argv);
-    if (sub == "trace")
-        return farmTraceCmd(argc, argv);
-    if (sub == "drain")
-        return farmStatusOrDrain(argc, argv, true);
-    std::fprintf(stderr,
-                 "usage: %s farm serve|submit|status|metrics|trace|"
-                 "drain [options]\n",
-                 argv[0]);
-    return 2;
 }
 
 // ---- Mode registry: one row per mode, shared by usage and `help` ----
@@ -1100,10 +765,11 @@ constexpr ModeHelp kModes[] = {
     {"report", "[app] [input] [out-prefix] [--sample-cycles <n>] "
                "[--iterations <n>] [--cores <n>]",
      "telemetry report: <prefix>.json + self-contained <prefix>.html"},
-    {"farm", "serve|submit|status|metrics|trace|drain "
-             "[--socket <path>] [options]",
-     "simulation farm: daemon, batches, status/metrics, span-merged "
-     "traces"},
+    {"sweep", "[--app <a>] [--input <i>] [--prefetchers <p,...>] "
+              "[--iterations <n>] [--cores <n>] [--json <path>] "
+              "[--label <l>]",
+     "run one workload under a prefetcher list as a sweep; writes "
+     "rnr-sweep JSON"},
     {"help", "[mode]",
      "print this overview, or one mode's usage"},
 };
@@ -1165,9 +831,6 @@ wantsHelp(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // The farm daemon execs this binary as a worker process; the hook
-    // is a no-op for every normal invocation (farm/farm_worker.h).
-    farmWorkerMaybeExec(argc, argv);
     if (argc >= 2) {
         // `help [mode]`, `--help` and `-h` all land here; a known mode
         // followed by --help/-h prints that mode's usage below.
@@ -1214,8 +877,8 @@ main(int argc, char **argv)
     }
     if (argc >= 3 && std::strcmp(argv[1], "stats") == 0)
         return stats(argv[2]);
-    if (argc >= 2 && std::strcmp(argv[1], "farm") == 0)
-        return farmMain(argc, argv);
+    if (argc >= 2 && std::strcmp(argv[1], "sweep") == 0)
+        return sweepCmd(argc, argv);
     if (argc >= 2 && std::strcmp(argv[1], "corpus") == 0)
         return corpus();
     if (argc >= 2 && std::strcmp(argv[1], "ckpt") == 0)

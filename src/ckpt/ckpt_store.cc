@@ -18,7 +18,7 @@ namespace ckpt {
 namespace {
 
 /** Null when RNR_METRICS=0; mirrors the store's own counters so one
- *  farm-wide scrape sees snapshot activity without a store handle. */
+ *  metricsJson() call sees snapshot activity without a store handle. */
 struct CkptMetrics {
     obs::Counter *warmups;
     obs::Counter *forks;
@@ -159,8 +159,8 @@ CheckpointStore::acquire(const std::string &key, std::uint64_t window,
             cv_.wait(lock);
             continue;
         }
-        // In-process owner; now contend with other *processes* (farm
-        // workers) for the same snapshot through an advisory flock.
+        // In-process owner; now contend with other *processes* sharing
+        // this store directory for the same snapshot through a flock.
         std::error_code ec;
         fs::create_directories(rootPath(), ec);
         auto fl = std::make_unique<FileLock>(produceLockPath(slot),

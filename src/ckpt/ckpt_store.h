@@ -1,14 +1,14 @@
 /**
  * @file
- * On-disk snapshot store shared by all benches and farm workers.
+ * On-disk snapshot store shared by all benches and processes.
  *
  * CheckpointStore gives rnr-ckpt-v1 snapshots (ckpt/checkpoint.h) the
  * same lifecycle TraceStore gives traces: keyed, persistent, shared and
  * safe.  The checkpoint-fork sweep leans on it — the shared warm-up of
  * a sweep runs once, publishes an input snapshot, and every other
  * config with the same ExperimentConfig::workloadKey() forks the
- * snapshot instead of regenerating, in-process and across farm worker
- * processes.
+ * snapshot instead of regenerating, in-process and across processes
+ * that share one store directory.
  *
  * Keying — the caller passes whatever key string identifies the
  * snapshot: workloadKey() for input snapshots (window 0), the full
@@ -24,8 +24,9 @@
  * Discipline (mirrors tracestore/trace_store.h):
  *  - single-flight production: concurrent experiments needing the same
  *    snapshot block on one producer — within a process via a condition
- *    variable, across processes (farm workers) via an advisory flock —
- *    so N workers warm up a shared workload once, not N times;
+ *    variable, across processes (bench binaries sharing one store
+ *    directory) via an advisory flock — so N of them warm up a shared
+ *    workload once, not N times;
  *  - atomic publish: blobs are written to a process-unique temp file
  *    and renamed into place (ckpt::writeSnapshotFile), so readers
  *    never observe a torn snapshot;
@@ -80,8 +81,8 @@ class CheckpointStore
      * Single-flight snapshot acquisition for (@p key, @p window).  A
      * valid snapshot returns Hit with the blob.  Otherwise the first
      * caller becomes the Owner (and must produce the snapshot);
-     * concurrent callers — threads of this process and other farm
-     * worker processes alike — block until the owner publishes (then
+     * concurrent callers — threads of this process and other processes
+     * sharing the store alike — block until the owner publishes (then
      * Hit) or abandons (then one waiter is promoted to Owner).  A
      * corrupt snapshot found here is quarantined and treated as a
      * miss; a header whose key differs (hash collision) is a plain

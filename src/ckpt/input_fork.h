@@ -9,7 +9,8 @@
  * generates natively and publishes an *input snapshot* (window 0,
  * Input section only) to the CheckpointStore; everyone else *forks*
  * it, from the in-process memo when the sweep shares this process and
- * from the snapshot file when it spans farm worker processes.
+ * from the snapshot file when it spans processes (bench binaries
+ * sharing one rnr_ckpt/ directory).
  *
  * The forked input is bit-identical to a generated one (the snapshot
  * carries the exact CSR arrays), so sweep JSON is byte-identical with

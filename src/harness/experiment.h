@@ -70,7 +70,7 @@ struct AttribOptions {
     std::size_t region_top_k = 0; ///< Regions kept exactly; 0 = default.
 };
 
-/** "none" / "window" / "window+pace" (sweep JSON, reports, farm). */
+/** "none" / "window" / "window+pace" (sweep JSON, reports). */
 const char *replayControlName(ReplayControlMode mode);
 
 /** Inverse of replayControlName(); false on an unknown name. */

@@ -2,17 +2,18 @@
  * @file
  * Advisory whole-file lock (flock) for cross-process publish discipline.
  *
- * The result cache and the trace store both follow "write a temp,
- * rename into place" — atomic against readers, but two *processes*
- * publishing concurrently could still duplicate work (both capture the
- * same workload) or lose each other's cache lines (both rewrite the
- * whole file).  Farm workers make that the common case, so both stores
- * now serialise their publish sections with an advisory flock(2) on a
- * sidecar lock file.
+ * The result cache, the trace store and the checkpoint store all follow
+ * "write a temp, rename into place" — atomic against readers, but two
+ * *processes* publishing concurrently could still duplicate work (both
+ * capture the same workload) or lose each other's cache lines (both
+ * rewrite the whole file).  Every bench binary run from one directory
+ * shares rnr_results.cache, rnr_traces/ and rnr_ckpt/ by default, so
+ * the stores serialise their publish sections with an advisory
+ * flock(2) on a sidecar lock file.
  *
  * Properties that make flock the right tool here:
- *  - released automatically when the process dies (SIGKILLed workers
- *    can never wedge the farm);
+ *  - released automatically when the process dies (a killed bench
+ *    can never wedge the stores);
  *  - advisory: a reader that ignores the lock still sees consistent
  *    data thanks to the atomic rename — the lock only prevents
  *    duplicated or lost *work*;

@@ -4,7 +4,7 @@
  *
  * The repository writes its JSON by hand so each format's field order
  * stays documented at the call site (sweep exports, run reports, Chrome
- * traces, the farm wire protocol).  What must NOT be hand-rolled per
+ * traces, metrics).  What must NOT be hand-rolled per
  * site is string escaping: three emitters grew three disagreeing
  * escapers (one complete, one partial, one absent), which is exactly
  * the kind of drift that corrupts a file the first time a path with a

@@ -30,7 +30,7 @@ namespace rnr {
 namespace {
 
 // JSON string escaping comes from harness/json_write.h (jsonEscape),
-// shared with the sweep exporter and the farm wire protocol.
+// shared with the sweep exporter.
 
 std::string
 htmlEscape(const std::string &s)

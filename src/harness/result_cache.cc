@@ -24,13 +24,11 @@ namespace {
 struct CacheMetrics {
     obs::Counter *hits;
     obs::Counter *misses;
-    obs::Counter *merges;
     CacheMetrics()
     {
         obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
         hits = reg.counter("rnr_cache_hits_total");
         misses = reg.counter("rnr_cache_misses_total");
-        merges = reg.counter("rnr_cache_merges_total");
     }
 };
 
@@ -163,9 +161,10 @@ ResultCache::rewriteFileLocked()
 {
     if (loaded_path_.empty())
         return;
-    // Serialise concurrent *processes* (farm workers, a warm daemon)
-    // through a sidecar flock, and fold in whatever they published
-    // since we loaded, so a whole-file rewrite never drops their lines.
+    // Serialise concurrent *processes* sharing this file (two bench
+    // binaries run from one directory) through a sidecar flock, and
+    // fold in whatever they published since we loaded, so a whole-file
+    // rewrite never drops their lines.
     // The lock degrades to a no-op where unsupported — then we are back
     // to the single-process guarantee, which the rename still provides.
     FileLock lock(loaded_path_ + ".lock", FileLock::Mode::Block);
@@ -240,16 +239,6 @@ ResultCache::store(const std::string &key, const ExperimentResult &r)
         return;
     lines_[key] = serialize(r);
     rewriteFileLocked();
-}
-
-void
-ResultCache::noteExternal(const std::string &key,
-                          const ExperimentResult &r)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    memo_[key] = r;
-    if (obs::Counter *c = cacheMetrics().merges)
-        c->add();
 }
 
 std::size_t

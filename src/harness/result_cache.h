@@ -17,7 +17,8 @@
  * previous file intact — the temp either carries every byte or is never
  * renamed.  Cross-process, the rewrite holds an advisory flock on
  * "<path>.lock" (harness/file_lock.h) and re-merges the on-disk file
- * first, so concurrent farm workers append to, never clobber, each
+ * first, so concurrent processes sharing one cache file (two bench
+ * binaries run from the same directory) append to, never clobber, each
  * other's results.  The loader tolerates corrupt lines: anything that
  * does not parse (including a torn final line from a pre-fsync crash)
  * is counted and skipped, never fatal.
@@ -53,14 +54,6 @@ class ResultCache
 
     /** Memoises @p r and, if persistence is enabled, rewrites the file. */
     void store(const std::string &key, const ExperimentResult &r);
-
-    /**
-     * Memo-only store for a result another *process* already persisted
-     * (a farm worker's, streamed back to the daemon): later lookups hit
-     * without re-reading the file, and the file — which that worker
-     * just rewrote under its flock — is not redundantly rewritten.
-     */
-    void noteExternal(const std::string &key, const ExperimentResult &r);
 
     /** Lines skipped by the loader because they failed to parse. */
     std::size_t corruptLinesSkipped() const;

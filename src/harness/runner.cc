@@ -566,7 +566,7 @@ runExperimentResumable(const ExperimentConfig &cfg, unsigned window)
 
     // One span covers the whole resumable operation, so the store's
     // own records (corrupt-snapshot drops, publish failures) correlate
-    // with the quarantine warnings below in a merged farm log.
+    // with the quarantine warnings below.
     obs::SpanScope span;
     const std::string key = cfg.key();
     for (int attempt = 0; attempt < 2; ++attempt) {

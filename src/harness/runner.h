@@ -130,7 +130,7 @@ runExperimentFromSnapshot(const ExperimentConfig &cfg,
  * CheckpointStore front door for full snapshots: restore-and-continue
  * when the store holds (cfg.key(), window), else simulate from the
  * start, snapshotting at @p window and publishing for the next caller
- * (single-flight across threads and farm worker processes).  A
+ * (single-flight across threads and processes sharing the store).  A
  * corrupt snapshot is quarantined and re-produced once before giving
  * up on the store.  RNR_CKPT=0 always simulates from the start.
  */

@@ -1,13 +1,13 @@
 #include "harness/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -26,11 +26,9 @@
 #endif
 
 #include "ckpt/ckpt_store.h"
-#include "farm/farm_client.h"
 #include "harness/json_parse.h"
 #include "harness/json_write.h"
 #include "harness/runner.h"
-#include "harness/scheduler.h"
 #include "obs/log.h"
 #include "tracestore/trace_store.h"
 
@@ -159,23 +157,16 @@ class ProgressReporter
     }
 
     void
-    finish(const SweepStats &stats, const SweepHostInfo &host,
-           const std::string &backend)
+    finish(const SweepStats &stats, const SweepHostInfo &host)
     {
         if (!enabled_ || total_ == 0)
             return;
         std::fprintf(stderr,
                      "%s[%s] done: %zu cells (%zu simulated, %zu "
-                     "cached, %zu duplicates folded) in %.1fs via %s\n",
+                     "cached, %zu duplicates folded) in %.1fs\n",
                      tty_ ? "\r" : "", label_.c_str(), stats.cells,
                      stats.simulated, stats.cache_hits,
-                     stats.duplicates, stats.elapsed_sec,
-                     backend.c_str());
-        if (stats.poisoned > 0)
-            std::fprintf(stderr,
-                         "[%s] WARNING: %zu cell(s) poisoned — their "
-                         "results are config-only placeholders\n",
-                         label_.c_str(), stats.poisoned);
+                     stats.duplicates, stats.elapsed_sec);
         // One line of trace-store accounting: how many of the
         // simulations above re-executed a workload natively (captures)
         // versus replaying the shared corpus (hits).
@@ -253,26 +244,6 @@ jsonHostEnabled(const SweepOptions &opts)
     return !(p && std::string(p) == "0");
 }
 
-std::string
-farmSocket(const SweepOptions &opts)
-{
-    if (!opts.farm.empty())
-        return opts.farm;
-    if (const char *p = std::getenv("RNR_FARM"))
-        return p;
-    return "";
-}
-
-std::unique_ptr<ExperimentBackend>
-makeBackend(const SweepOptions &opts)
-{
-    const std::string sock = farmSocket(opts);
-    if (!sock.empty())
-        return std::make_unique<FarmClientBackend>(sock);
-    return std::make_unique<InProcessBackend>(
-        SweepRunner::resolveJobs(opts));
-}
-
 } // namespace
 
 unsigned
@@ -292,19 +263,15 @@ SweepRunner::resolveJobs(const SweepOptions &opts)
 SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}
 
 void
-SweepRunner::add(const ExperimentConfig &cfg, int priority)
+SweepRunner::add(const ExperimentConfig &cfg)
 {
-    const std::string key = cfg.key();
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-        if (keys_[i] == key) {
-            ++stats_.duplicates;
-            priorities_[i] = std::max(priorities_[i], priority);
-            return;
-        }
+    std::string key = cfg.key();
+    if (std::find(keys_.begin(), keys_.end(), key) != keys_.end()) {
+        ++stats_.duplicates;
+        return;
     }
-    keys_.push_back(key);
+    keys_.push_back(std::move(key));
     cells_.push_back(cfg);
-    priorities_.push_back(priority);
 }
 
 void
@@ -322,11 +289,10 @@ SweepRunner::run()
     stats_.cells = total;
 
     std::vector<ExperimentResult> results(total);
-    std::size_t done = 0, simulated = 0, hits = 0, poisoned = 0;
-    std::mutex report_mu;
+    std::size_t done = 0, simulated = 0, hits = 0;
+    std::exception_ptr first_error;
+    std::mutex mu; // guards the tallies, the reporter and first_error
     ProgressReporter reporter(progressEnabled(opts_), opts_.label, total);
-
-    std::unique_ptr<ExperimentBackend> backend = makeBackend(opts_);
 
     // Snapshot the cumulative checkpoint counters so the sweep can
     // report its own delta (the store counts for the whole process).
@@ -336,43 +302,44 @@ SweepRunner::run()
     const std::uint64_t ckpt_forks0 = ckpt_store.forks();
     const std::uint64_t ckpt_restores0 = ckpt_store.restores();
 
-    // Called once per cell from an arbitrary backend thread.
-    auto on_done = [&](std::size_t i, CellOutcome out) {
-        std::lock_guard<std::mutex> lock(report_mu);
-        if (out.status == CellOutcome::Status::Poisoned) {
-            // The batch keeps going; the quarantined cell is visible as
-            // a config-only result (empty iterations) plus a warning.
-            results[i].config = cells_[i];
-            ++poisoned;
-            obs::LogLine(obs::LogLevel::Warn, "sweep")
-                .msg("cell poisoned")
-                .kv("label", opts_.label)
-                .kv("cell", keys_[i])
-                .kv("attempts", out.attempts)
-                .kv("why", out.error);
-        } else {
-            results[i] = std::move(out.result);
-            ++(out.was_cached ? hits : simulated);
+    // Each worker claims the next unclaimed cell until none are left.
+    // A throwing cell stops its own worker only; the rest drain the
+    // batch and the exception is rethrown after every thread joins.
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < total;) {
+            bool cached = false;
+            try {
+                results[i] = runExperiment(cells_[i], &cached);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mu);
+                if (!first_error)
+                    first_error = std::current_exception();
+                return;
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            ++(cached ? hits : simulated);
+            reporter.cellDone(++done, simulated, hits);
         }
-        ++done;
-        reporter.cellDone(done, simulated, hits);
     };
 
-    auto harvest = [&] {
-        std::lock_guard<std::mutex> lock(report_mu);
-        stats_.cache_hits = hits;
-        stats_.simulated = simulated;
-        stats_.poisoned = poisoned;
-        stats_.elapsed_sec = secondsSince(start);
-    };
-
-    try {
-        backend->run(cells_, priorities_, on_done);
-    } catch (...) {
-        harvest(); // keep stats truthful for whoever catches this
-        throw;
+    const unsigned jobs = static_cast<unsigned>(std::min<std::size_t>(
+        resolveJobs(opts_), std::max<std::size_t>(total, 1)));
+    if (jobs == 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(jobs);
+        for (unsigned t = 0; t < jobs; ++t)
+            pool.emplace_back(worker);
+        for (std::thread &t : pool)
+            t.join();
     }
-    harvest();
+    stats_.cache_hits = hits;
+    stats_.simulated = simulated;
+    stats_.elapsed_sec = secondsSince(start);
+    if (first_error)
+        std::rethrow_exception(first_error);
 
     SweepHostInfo host;
     host.wall_sec = stats_.elapsed_sec;
@@ -380,7 +347,7 @@ SweepRunner::run()
     host.ckpt_warmups = ckpt_store.warmups() - ckpt_warmups0;
     host.ckpt_forks = ckpt_store.forks() - ckpt_forks0;
     host.ckpt_restores = ckpt_store.restores() - ckpt_restores0;
-    reporter.finish(stats_, host, backend->name());
+    reporter.finish(stats_, host);
 
     const std::string json = jsonOutPath(opts_);
     if (!json.empty() &&

@@ -5,14 +5,12 @@
  * Every cell of the paper's evaluation matrix (workload x input x
  * prefetcher x RnR options) is an independent simulation, so a batch of
  * ExperimentConfig cells is embarrassingly parallel.  SweepRunner takes
- * such a batch, deduplicates it by ExperimentConfig::key(), and executes
- * the unique cells through an ExperimentBackend (harness/scheduler.h),
- * filling the shared result cache (harness/result_cache.h) as it goes.
- * Two backends exist: the default in-process thread pool, and — when
- * SweepOptions::farm / $RNR_FARM names a unix socket — a client that
- * submits the batch to a running rnr_farmd daemon (src/farm/), which
- * shards cells across worker *processes* so a crashing cell is
- * quarantined instead of taking the sweep down.  Concurrent requests
+ * such a batch, deduplicates it by ExperimentConfig::key(), and runs
+ * the unique cells on its own thread pool: each worker claims the next
+ * cell index from one atomic counter and calls runExperiment(), filling
+ * the shared result cache (harness/result_cache.h) as it goes.
+ * Scheduling order never affects results: every cell is an independent
+ * simulation and results are returned by index.  Concurrent requests
  * for the same key — within a sweep or from concurrent runExperiment()
  * callers — are single-flight: one simulation runs, everyone else waits
  * for its result.
@@ -29,7 +27,6 @@
  *   RNR_JOBS=<n>       worker threads (default hardware_concurrency())
  *   RNR_PROGRESS=0     silence the stderr progress reporter
  *   RNR_JSON_OUT=<p>   write the JSON export of every sweep to <p>
- *   RNR_FARM=<sock>    run cells on the rnr_farmd listening at <sock>
  *   RNR_JSON_HOST=0    omit the "host" object from the JSON export
  *                      (host cost varies run to run; omitting it makes
  *                      exports from different runs byte-comparable)
@@ -61,8 +58,6 @@ struct SweepOptions {
     std::string json_out;
     /** Label shown by the progress reporter ("Fig 6", ...). */
     std::string label = "sweep";
-    /** Farm daemon socket; empty = $RNR_FARM (empty = in-process). */
-    std::string farm;
     /** "host" object in the JSON export; -1 = $RNR_JSON_HOST (on). */
     int json_host = -1;
 };
@@ -73,7 +68,6 @@ struct SweepStats {
     std::size_t duplicates = 0; ///< configs folded away by key()
     std::size_t cache_hits = 0; ///< served from memo or file cache
     std::size_t simulated = 0;  ///< actually simulated this run
-    std::size_t poisoned = 0;   ///< quarantined by the farm (crash/hang)
     double elapsed_sec = 0;
 };
 
@@ -108,21 +102,16 @@ class SweepRunner
   public:
     explicit SweepRunner(SweepOptions opts = {});
 
-    /**
-     * Queues @p cfg; duplicates (by key()) are folded into one cell
-     * (which keeps the highest priority seen).  Higher-priority cells
-     * are scheduled first — useful to front-load the slow cells of a
-     * matrix so the tail of the sweep is short.
-     */
-    void add(const ExperimentConfig &cfg, int priority = 0);
+    /** Queues @p cfg; duplicates (by key()) are folded into one cell. */
+    void add(const ExperimentConfig &cfg);
     void add(const std::vector<ExperimentConfig> &cfgs);
 
     /**
      * Runs every queued cell to completion and returns their results
-     * in the order the cells were first add()ed.  Rethrows the first
-     * worker exception after all threads have joined (in-process
-     * backend); farm-poisoned cells instead yield a config-only result
-     * and bump stats().poisoned.  May be called once per runner.
+     * in the order the cells were first add()ed.  A cell that throws
+     * stops only its own worker; the others drain the batch, and once
+     * every thread has joined (stats() filled in) the first exception
+     * is rethrown.  May be called once per runner.
      */
     std::vector<ExperimentResult> run();
 
@@ -136,7 +125,6 @@ class SweepRunner
     SweepOptions opts_;
     std::vector<ExperimentConfig> cells_; ///< unique, insertion order
     std::vector<std::string> keys_;
-    std::vector<int> priorities_;
     SweepStats stats_;
 };
 

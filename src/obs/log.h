@@ -1,19 +1,20 @@
 /**
  * @file
- * Leveled structured (JSONL) logger shared by the harness and the farm.
+ * Leveled structured (JSONL) logger shared by the harness layers.
  *
- * Every record is one JSON object on one line, so a farm run's stderr —
- * daemon, workers and clients interleaved — stays machine-parseable:
+ * Every record is one JSON object on one line, so stderr — several
+ * threads, or several processes sharing one log file, interleaved —
+ * stays machine-parseable:
  *
- *   {"ts_us": 1723190400123456, "level": "warn", "comp": "farm",
- *    "pid": 4242, "msg": "poisoned cell", "cell": "pagerank/urand/...",
- *    "worker": 1, "attempts": 2}
+ *   {"ts_us": 1723190400123456, "level": "warn", "comp": "ckpt",
+ *    "pid": 4242, "msg": "dropping corrupt snapshot",
+ *    "path": "rnr_ckpt/...", "why": "checksum mismatch"}
  *
  * Environment:
  *   RNR_LOG        unset = stderr, "0" = off, any other value = append
- *                  to that file path (workers inherit it, so one file
- *                  collects the whole farm; lines are written atomically
- *                  under a mutex per process and O_APPEND across them).
+ *                  to that file path (child processes inherit it; lines
+ *                  are written atomically under a mutex per process and
+ *                  O_APPEND across them).
  *   RNR_LOG_LEVEL  debug | info | warn | error | off (default "info");
  *                  records below the threshold are dropped before any
  *                  formatting happens.
@@ -21,9 +22,9 @@
  * Usage (the level check is one relaxed atomic load; everything after
  * it only runs when the record will actually be written):
  *
- *   obs::LogLine(obs::LogLevel::Warn, "farm")
- *       .msg("poisoned cell")
- *       .kv("cell", key).kv("worker", idx).kv("attempts", attempts);
+ *   obs::LogLine(obs::LogLevel::Warn, "ckpt")
+ *       .msg("dropping corrupt snapshot")
+ *       .kv("path", path).kv("why", why);
  *
  * The progress reporter (docs/HARNESS.md §5) intentionally stays on its
  * own RNR_PROGRESS channel: progress is a human-facing live display,
@@ -94,8 +95,7 @@ class LogLine
 
 /**
  * Process-unique id (monotonic from 1) for correlating the log lines
- * of one multi-step operation — the logging counterpart of the farm's
- * per-cell span ids in daemon_spans.jsonl.
+ * of one multi-step operation.
  */
 std::uint64_t nextSpanId();
 

@@ -107,8 +107,9 @@ MetricsRegistry::resetForTest()
 }
 
 std::string
-metricsJsonFrom(const MetricsSnapshot &snap)
+metricsJson()
 {
+    const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
     std::ostringstream os;
     os << "{\"schema\": \"rnr-metrics-v1\", \"counters\": {";
     for (std::size_t i = 0; i < snap.counters.size(); ++i) {
@@ -141,47 +142,6 @@ metricsJsonFrom(const MetricsSnapshot &snap)
     }
     os << "}}";
     return os.str();
-}
-
-std::string
-metricsPrometheusTextFrom(const MetricsSnapshot &snap)
-{
-    std::ostringstream os;
-    for (const auto &[name, v] : snap.counters) {
-        os << "# TYPE " << name << " counter\n";
-        os << name << " " << jsonU64(v) << "\n";
-    }
-    for (const auto &[name, v] : snap.gauges) {
-        os << "# TYPE " << name << " gauge\n";
-        os << name << " " << v << "\n";
-    }
-    for (const MetricsSnapshot::Hist &h : snap.histograms) {
-        os << "# TYPE " << h.name << " histogram\n";
-        std::uint64_t cumulative = 0;
-        for (const auto &[le, count] : h.buckets) {
-            cumulative += count;
-            os << h.name << "_bucket{le=\"" << jsonU64(le) << "\"} "
-               << jsonU64(cumulative) << "\n";
-        }
-        os << h.name << "_bucket{le=\"+Inf\"} " << jsonU64(h.count)
-           << "\n";
-        os << h.name << "_sum " << jsonU64(h.sum) << "\n";
-        os << h.name << "_count " << jsonU64(h.count) << "\n";
-    }
-    return os.str();
-}
-
-std::string
-metricsJson()
-{
-    return metricsJsonFrom(MetricsRegistry::instance().snapshot());
-}
-
-std::string
-metricsPrometheusText()
-{
-    return metricsPrometheusTextFrom(
-        MetricsRegistry::instance().snapshot());
 }
 
 } // namespace obs

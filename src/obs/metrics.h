@@ -1,7 +1,7 @@
 /**
  * @file
  * Process-wide metrics registry: named counters, gauges and log2
- * histograms with lock-cheap bump paths and two expositions.
+ * histograms with lock-cheap bump paths and one JSON exposition.
  *
  * This is plumbing observability, distinct from src/harness/metrics.h
  * (which computes the *paper's* figures-of-merit: speedup, coverage,
@@ -19,11 +19,8 @@
  * sites cost one predictable branch (gated with the same micro_hotpath
  * A/B the tracing and telemetry layers use).
  *
- * Expositions (docs/HARNESS.md §16 lists every metric name):
- *   metricsJson()            rnr-metrics-v1 JSON (the farm `metrics`
- *                            request embeds this object verbatim)
- *   metricsPrometheusText()  Prometheus text format, histograms as
- *                            cumulative `_bucket{le="..."}` series
+ * metricsJson() renders the registry as rnr-metrics-v1 JSON
+ * (docs/HARNESS.md §15 lists every metric name).
  *
  * Naming follows Prometheus convention: `rnr_` prefix, `_total` suffix
  * on counters, base-unit suffix on histograms (`_us`).
@@ -165,14 +162,6 @@ class MetricsRegistry
 
 /** The registry as an rnr-metrics-v1 JSON object (one line, no \n). */
 std::string metricsJson();
-
-/** The registry in Prometheus text exposition format. */
-std::string metricsPrometheusText();
-
-/** Renders @p snap as metricsJson() would (exposed for the daemon,
- *  which snapshots once and serves either format from it). */
-std::string metricsJsonFrom(const MetricsSnapshot &snap);
-std::string metricsPrometheusTextFrom(const MetricsSnapshot &snap);
 
 } // namespace obs
 } // namespace rnr

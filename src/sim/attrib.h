@@ -47,7 +47,7 @@
  * Environment:
  *   RNR_ATTRIB=1  enable attribution (same gate the config flag sets)
  *
- * See docs/HARNESS.md section 18 for the full walkthrough.
+ * See docs/HARNESS.md section 17 for the full walkthrough.
  */
 #ifndef RNR_SIM_ATTRIB_H
 #define RNR_SIM_ATTRIB_H
@@ -282,9 +282,9 @@ std::string attribJson(const AttribBlob &blob);
 /**
  * Mirrors @p blob into the process-wide obs::MetricsRegistry (no-op
  * when RNR_METRICS=0): run totals accumulate into rnr_attrib_*_total
- * counters (farm-wide, across every attributed cell this process ran)
+ * counters (across every attributed cell this process ran)
  * and the table occupancies land in rnr_attrib_*_tracked gauges (last
- * harvested run).  docs/HARNESS.md §16 lists the names.
+ * harvested run).  docs/HARNESS.md §15 lists the names.
  */
 void publishAttribMetrics(const AttribBlob &blob);
 

@@ -32,7 +32,7 @@ namespace {
 constexpr char kManifestMagic[] = "rnr-tracestore-v1";
 
 /** Null when RNR_METRICS=0; mirrors the store's own counters so one
- *  farm-wide scrape sees corpus activity without a TraceStore handle. */
+ *  metricsJson() call sees corpus activity without a TraceStore handle. */
 struct StoreMetrics {
     obs::Counter *captures;
     obs::Counter *replays;
@@ -260,8 +260,8 @@ TraceStore::acquire(const std::string &wkey, Entry &out)
             cv_.wait(lock);
             continue;
         }
-        // In-process owner; now contend with other *processes* (farm
-        // workers) for the same entry through an advisory flock.
+        // In-process owner; now contend with other *processes* sharing
+        // this corpus directory for the same entry through a flock.
         std::error_code ec;
         fs::create_directories(rootPath(), ec);
         auto fl = std::make_unique<FileLock>(captureLockPath(wkey),

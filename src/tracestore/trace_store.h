@@ -24,10 +24,10 @@
  * Discipline (mirrors harness/result_cache.h):
  *  - single-flight capture: concurrent experiments sharing a workload
  *    key block on one capture instead of each re-executing — within a
- *    process via a condition variable, and across processes (farm
- *    workers) via an advisory flock on "<root>/<hash16>.lock"
- *    (harness/file_lock.h), so N workers capture a shared workload
- *    once, not N times;
+ *    process via a condition variable, and across processes (bench
+ *    binaries sharing one corpus directory) via an advisory flock on
+ *    "<root>/<hash16>.lock" (harness/file_lock.h), so N of them
+ *    capture a shared workload once, not N times;
  *  - atomic publish: captures write to a process-unique temp directory
  *    renamed into place, so readers never observe a torn entry and
  *    concurrent processes race benignly (first publisher wins);

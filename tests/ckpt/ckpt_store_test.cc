@@ -2,11 +2,13 @@
  * @file
  * CheckpointStore lifecycle tests: publish/hit, quarantine,
  * hash-collision-as-miss, abandon-promotes-a-waiter and single-flight
- * blocking across threads.
+ * blocking, both across threads and across processes (a fork()ed owner
+ * that publishes late, and one that is SIGKILLed before it publishes).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/ckpt_store.h"
+#include "forked_child.h"
 
 namespace rnr {
 namespace ckpt {
@@ -178,6 +181,83 @@ TEST_F(CkptStoreTest, AbandonPromotesAWaiter)
     store.abandon("key-f", 1);
     waiter.join();
     EXPECT_TRUE(promoted.load());
+}
+
+TEST_F(CkptStoreTest, OtherProcessOwnerPublishesThenWaiterHits)
+{
+    // Another process owns the snapshot: acquire() must block on its
+    // flock and then fork what it published, not warm up a second copy.
+    const std::vector<std::uint8_t> expected = makeBlob("key-p", 0, 5);
+    test::ForkedChild child([&](test::ForkedChild &self) {
+        CheckpointStore &store = CheckpointStore::instance();
+        std::vector<std::uint8_t> b;
+        if (store.acquire("key-p", 0, b) != CheckpointStore::Acquire::Owner)
+            return 1;
+        self.signalReady();
+        if (!self.awaitGo())
+            return 2;
+        return store.publish("key-p", 0, expected) ? 0 : 3;
+    });
+    ASSERT_TRUE(child.started());
+    ASSERT_TRUE(child.awaitReady());
+    // The child cannot publish before go(), so a Hit below proves that
+    // acquire() waited for it.
+    ASSERT_FALSE(fs::exists(CheckpointStore::snapshotPath("key-p", 0)));
+
+    std::atomic<bool> released{false};
+    std::thread releaser([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        released.store(true);
+        child.go();
+    });
+    CheckpointStore &store = CheckpointStore::instance();
+    std::vector<std::uint8_t> blob;
+    const CheckpointStore::Acquire got = store.acquire("key-p", 0, blob);
+    const bool blocked = released.load();
+    releaser.join();
+
+    EXPECT_EQ(child.wait(), 0);
+    EXPECT_EQ(got, CheckpointStore::Acquire::Hit);
+    EXPECT_TRUE(blocked) << "acquire returned before the owner published";
+    EXPECT_EQ(blob, expected);
+    EXPECT_EQ(store.saves(), 0u);
+}
+
+TEST_F(CkptStoreTest, SigkilledOwnerProcessReleasesTheSnapshot)
+{
+    // A process that dies mid-warm-up must not wedge the snapshot: its
+    // flock dies with it, the waiter becomes the owner and publishes.
+    test::ForkedChild child([](test::ForkedChild &self) {
+        std::vector<std::uint8_t> b;
+        if (CheckpointStore::instance().acquire("key-k", 3, b) !=
+            CheckpointStore::Acquire::Owner)
+            return 1;
+        self.signalReady();
+        self.awaitGo(); // never sent: the parent kills us first
+        return 2;
+    });
+    ASSERT_TRUE(child.started());
+    ASSERT_TRUE(child.awaitReady());
+
+    std::atomic<bool> killed{false};
+    std::thread killer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        killed.store(true);
+        child.kill();
+    });
+    CheckpointStore &store = CheckpointStore::instance();
+    std::vector<std::uint8_t> blob;
+    const CheckpointStore::Acquire got = store.acquire("key-k", 3, blob);
+    const bool blocked = killed.load();
+    killer.join();
+
+    EXPECT_EQ(child.wait(), 128 + SIGKILL);
+    ASSERT_EQ(got, CheckpointStore::Acquire::Owner);
+    EXPECT_TRUE(blocked) << "acquire returned while the owner was alive";
+    ASSERT_TRUE(store.publish("key-k", 3, makeBlob("key-k", 3, 8)));
+    EXPECT_EQ(store.acquire("key-k", 3, blob),
+              CheckpointStore::Acquire::Hit);
+    EXPECT_EQ(blob, makeBlob("key-k", 3, 8));
 }
 
 TEST_F(CkptStoreTest, DisabledStoreIsHonoured)

@@ -165,7 +165,7 @@ TEST_F(ForkSweepTest, WarmProcessRerunDoesZeroWarmups)
     EXPECT_EQ(store.warmups(), 1u);
     EXPECT_EQ(store.forks(), 2 * cfgs.size() - 1);
 
-    // Cold-memo rerun (a fresh farm worker): the snapshot alone
+    // Cold-memo rerun (as a fresh process would): the snapshot alone
     // serves the input — still zero warm-ups.
     ckpt::resetInputForkForTest();
     ResultCache::instance().clearForTest();

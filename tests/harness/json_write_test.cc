@@ -2,7 +2,7 @@
  * @file
  * Tests for the shared JSON writing helpers (harness/json_write.h) —
  * the single escaper used by the sweep export, the run report, trace
- * events and the farm wire protocol.  The escaping rules here are what
+ * events and the metrics exposition.  The escaping rules here are what
  * keeps those four emitters in agreement; a regression in any case
  * below would corrupt one of their outputs.
  */

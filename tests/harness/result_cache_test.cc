@@ -6,9 +6,8 @@
  *  - a torn final line (a crash between write and fsync under the old
  *    scheme) is skipped, never fatal, and never clobbers good lines;
  *  - a rewrite merges lines other processes published since this
- *    process loaded the file (the farm-worker discipline), so two
- *    writers append to, never erase, each other's results;
- *  - noteExternal() memoizes without rewriting the file.
+ *    process loaded the file, so two processes sharing one cache file
+ *    append to, never erase, each other's results.
  */
 #include <cstdio>
 #include <fstream>
@@ -154,23 +153,6 @@ TEST_F(ResultCacheFixture, RewriteMergesLinesPublishedByOtherProcesses)
         saw_foreign = saw_foreign || line == foreign_line;
     EXPECT_TRUE(saw_foreign)
         << "the foreign process's line was clobbered by the rewrite";
-}
-
-TEST_F(ResultCacheFixture, NoteExternalMemoizesWithoutRewritingTheFile)
-{
-    const ExperimentConfig cfg = tinyConfig();
-    ExperimentResult r = runExperimentUncached(cfg);
-    r.config = cfg;
-
-    ResultCache::instance().noteExternal(cfg.key(), r);
-    // Memo hit: no simulation, no file.
-    const std::uint64_t before = experimentsSimulated();
-    ExperimentResult hit;
-    ASSERT_TRUE(ResultCache::instance().lookup(cfg, hit));
-    EXPECT_EQ(experimentsSimulated(), before);
-    EXPECT_EQ(ResultCache::serialize(hit), ResultCache::serialize(r));
-    EXPECT_TRUE(cacheFileLines().empty())
-        << "noteExternal must not rewrite the file";
 }
 
 } // namespace

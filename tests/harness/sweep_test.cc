@@ -7,12 +7,15 @@
  *  - N distinct keys all complete and persist as N well-formed lines;
  *  - corrupt cache lines are skipped, never fatal;
  *  - RNR_JOBS=1 and RNR_JOBS=8 sweeps are bit-identical per cell;
+ *  - with more cells than threads every cell runs exactly once;
+ *  - a throwing cell is rethrown by run() after every thread joins;
  *  - the JSON export writes the whole batch.
  */
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -203,6 +206,58 @@ TEST_F(SweepFixture, JobCountDoesNotChangeResults)
         EXPECT_EQ(serial[i], parallel[i])
             << "cell " << cells[i].key()
             << " diverged between RNR_JOBS=1 and RNR_JOBS=8";
+}
+
+TEST_F(SweepFixture, MoreCellsThanThreadsEachRunExactlyOnce)
+{
+    setenv("RNR_CACHE", "0", 1);
+    ResultCache::instance().clearForTest();
+
+    std::vector<ExperimentConfig> cells;
+    for (std::uint32_t w : {16u, 32u, 64u, 128u, 256u, 512u})
+        cells.push_back(tinyConfig(PrefetcherKind::Rnr, w));
+
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.progress = 0;
+    SweepRunner runner(opts);
+    runner.add(cells);
+    const std::uint64_t before = experimentsSimulated();
+    const std::vector<ExperimentResult> results = runner.run();
+
+    EXPECT_EQ(experimentsSimulated(), before + cells.size())
+        << "every cell must be simulated once, none twice";
+    EXPECT_EQ(runner.stats().simulated, cells.size());
+    EXPECT_EQ(runner.stats().cache_hits, 0u);
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].config.key(), cells[i].key()) << i;
+        EXPECT_FALSE(results[i].iterations.empty()) << i;
+    }
+}
+
+TEST_F(SweepFixture, ThrowingCellIsRethrownAfterEveryThreadJoins)
+{
+    setenv("RNR_CACHE", "0", 1);
+    ResultCache::instance().clearForTest();
+
+    ExperimentConfig bad = tinyConfig();
+    bad.app = "no-such-app";
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.progress = 0;
+    SweepRunner runner(opts);
+    runner.add(bad);
+    runner.add(tinyConfig(PrefetcherKind::Stride));
+    runner.add(tinyConfig(PrefetcherKind::Rnr));
+
+    EXPECT_THROW(runner.run(), std::invalid_argument);
+    // The other worker kept draining the batch: both good cells ran,
+    // and stats() was filled in before the rethrow.
+    EXPECT_EQ(runner.stats().cells, 3u);
+    EXPECT_EQ(runner.stats().simulated, 2u);
+    EXPECT_EQ(runner.stats().cache_hits, 0u);
+    EXPECT_GT(runner.stats().elapsed_sec, 0.0);
 }
 
 TEST_F(SweepFixture, DuplicateConfigsFoldIntoOneCell)

@@ -16,8 +16,7 @@
  *  - `attrib` prints exactly one rnr-attrib-v1 JSON line on stdout and
  *    exits 0 only when the attribution totals reconciled with the
  *    IterStats counters;
- *  - `farm` subcommands that cannot reach the daemon socket print one
- *    typed line and exit 4 (kFarmConnectExit in trace_tools.cpp).
+ *  - `sweep` with an unknown prefetcher prints one line and exits 2.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -165,26 +164,15 @@ TEST(TraceToolsCli, HelpMarkdownMatchesReadme)
            "`trace_tools help --markdown` and paste between the markers";
 }
 
-TEST(TraceToolsCli, FarmConnectFailureExitsFourWithTypedError)
+TEST(TraceToolsCli, SweepUnknownPrefetcherExitsTwoWithOneLine)
 {
-    // No daemon can live at this socket: the parent dir is absent, so
-    // connect(2) fails ENOENT and the client renders the typed hint.
-    const CliResult r =
-        runTool("farm status --socket /nonexistent/rnr_cli_test.sock");
-    EXPECT_EQ(r.exit_code, 4) << r.output;
-    EXPECT_NE(r.output.find("no daemon socket at"), std::string::npos)
+    const CliResult r = runTool("sweep --prefetchers bogus");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    ASSERT_FALSE(r.output.empty());
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1)
+        << "expected exactly one line:\n"
         << r.output;
-    EXPECT_NE(r.output.find("is rnr_farmd running?"), std::string::npos)
-        << r.output;
-}
-
-TEST(TraceToolsCli, FarmMetricsConnectFailureExitsFour)
-{
-    const CliResult r =
-        runTool("farm metrics --socket /nonexistent/rnr_cli_test.sock");
-    EXPECT_EQ(r.exit_code, 4) << r.output;
-    EXPECT_NE(r.output.find("is rnr_farmd running?"), std::string::npos)
-        << r.output;
+    EXPECT_NE(r.output.find("bogus"), std::string::npos) << r.output;
 }
 
 /** Writes a minimal valid (or checksum-broken) snapshot to @p path. */

@@ -1,7 +1,9 @@
 /**
  * @file
  * TraceStore lifecycle tests: capture/publish/hit, abort, quarantine,
- * hash-collision-as-miss, cap eviction and single-flight blocking.
+ * hash-collision-as-miss, cap eviction and single-flight blocking, both
+ * across threads and across processes (a fork()ed owner that publishes
+ * late, and one that is SIGKILLed before it publishes).
  *
  * Every test repoints $RNR_TRACE_DIR at a fresh temp directory and calls
  * resetForTest() so counters start at zero and no in-flight state leaks
@@ -9,7 +11,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "forked_child.h"
 #include "sim/rng.h"
 #include "trace/trace_buffer.h"
 #include "tracestore/trace_file.h"
@@ -342,6 +347,91 @@ TEST_F(TraceStoreTest, SecondThreadBlocksUntilOwnerPublishesThenHits)
     EXPECT_EQ(waiter_result, TraceStore::Acquire::Hit);
     EXPECT_EQ(store.captures(), 1u);
     EXPECT_EQ(store.hits(), 1u);
+}
+
+TEST_F(TraceStoreTest, OtherProcessOwnerPublishesThenWaiterHits)
+{
+    // Another process (two bench binaries in one directory) owns the
+    // key: acquire() must block on its flock and then replay the entry
+    // it published, not capture a second copy.
+    const std::string wkey = "pagerank:u16:w4096:i1:n1";
+    test::ForkedChild child([&](test::ForkedChild &self) {
+        TraceStore &store = TraceStore::instance();
+        TraceStore::Entry e;
+        if (store.acquire(wkey, e) != TraceStore::Acquire::Owner)
+            return 1;
+        TraceStore::Capture cap = store.beginCapture(wkey, 1, 1);
+        self.signalReady();
+        if (!self.awaitGo() || !cap.add(0, 0, makeTrace(9, 200)))
+            return 2;
+        return cap.publish(11, 22) ? 0 : 3;
+    });
+    ASSERT_TRUE(child.started());
+    ASSERT_TRUE(child.awaitReady());
+    // The child cannot publish before go(), so a Hit below proves that
+    // acquire() waited for it.
+    ASSERT_TRUE(TraceStore::instance().listEntries().empty());
+
+    std::atomic<bool> released{false};
+    std::thread releaser([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        released.store(true);
+        child.go();
+    });
+    TraceStore::Entry entry;
+    const TraceStore::Acquire got =
+        TraceStore::instance().acquire(wkey, entry);
+    const bool blocked = released.load();
+    releaser.join();
+
+    EXPECT_EQ(child.wait(), 0);
+    EXPECT_EQ(got, TraceStore::Acquire::Hit);
+    EXPECT_TRUE(blocked) << "acquire returned before the owner published";
+    EXPECT_EQ(entry.records, 203u); // Init + AddrBaseSet + 200 + EndState
+    EXPECT_EQ(entry.input_bytes, 11u);
+    EXPECT_EQ(TraceStore::instance().captures(), 0u);
+    EXPECT_EQ(TraceStore::instance().hits(), 1u);
+}
+
+TEST_F(TraceStoreTest, SigkilledOwnerProcessReleasesTheKey)
+{
+    // A process that dies mid-capture must not wedge the key: its flock
+    // dies with it, the waiter becomes the owner and publishes.
+    const std::string wkey = "spcg:d8000:w4096:i1:n1";
+    test::ForkedChild child([&](test::ForkedChild &self) {
+        TraceStore &store = TraceStore::instance();
+        TraceStore::Entry e;
+        if (store.acquire(wkey, e) != TraceStore::Acquire::Owner)
+            return 1;
+        TraceStore::Capture cap = store.beginCapture(wkey, 1, 1);
+        cap.add(0, 0, makeTrace(4, 100));
+        self.signalReady();
+        self.awaitGo(); // never sent: the parent kills us first
+        return 2;
+    });
+    ASSERT_TRUE(child.started());
+    ASSERT_TRUE(child.awaitReady());
+
+    std::atomic<bool> killed{false};
+    std::thread killer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        killed.store(true);
+        child.kill();
+    });
+    TraceStore &store = TraceStore::instance();
+    TraceStore::Entry entry;
+    const TraceStore::Acquire got = store.acquire(wkey, entry);
+    const bool blocked = killed.load();
+    killer.join();
+
+    EXPECT_EQ(child.wait(), 128 + SIGKILL);
+    ASSERT_EQ(got, TraceStore::Acquire::Owner);
+    EXPECT_TRUE(blocked) << "acquire returned while the owner was alive";
+    TraceStore::Capture cap = store.beginCapture(wkey, 1, 1);
+    ASSERT_TRUE(bool(cap.add(0, 0, makeTrace(5, 100))));
+    ASSERT_TRUE(cap.publish(0, 0));
+    EXPECT_EQ(store.acquire(wkey, entry), TraceStore::Acquire::Hit);
+    EXPECT_EQ(store.listEntries().size(), 1u);
 }
 
 TEST_F(TraceStoreTest, HashNameIsStable16HexDigits)
