@@ -50,6 +50,16 @@
  *    inputs, so fork-rate / generate-rate is the per-cell warm-up
  *    speedup every forked sweep config enjoys (docs/PERF.md).
  *
+ * Two rows pin the held-out replay path (docs/PERF.md section 8):
+ *  - BM_TraceFileIngest: iteration 0 of the tracefile workload, i.e. a
+ *    v2 trace file of the hot slice decoded into a fresh TraceBuffer.
+ *    Items are records, so the rate is ingest throughput including the
+ *    buffer's allocation.
+ *  - BM_CacheAccess/llc: lookup, and insert on a miss, on a lone
+ *    Cache of the LLC's geometry (16 ways) over random blocks spanning
+ *    four times its lines, so three in four accesses miss and evict.
+ *    Items are accesses.
+ *
  * Run `micro_hotpath compare <baseline.json> <current.json>` to use the
  * binary as a regression gate instead (bench_util.h, benchCompareMain);
  * any other arguments go to google-benchmark as usual.
@@ -57,7 +67,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include "bench_util.h"
@@ -70,9 +82,12 @@
 #include "sim/attrib.h"
 #include "sim/config.h"
 #include "sim/kernel.h"
+#include "sim/rng.h"
 #include "sim/timeseries.h"
+#include "tracestore/trace_codec.h"
 #include "workloads/graph_gen.h"
 #include "workloads/pagerank.h"
+#include "workloads/trace_replay.h"
 
 namespace rnr {
 namespace {
@@ -385,6 +400,63 @@ BM_WarmupFork(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(inputs));
 }
 
+/** Iteration 0 of a one-core tracefile workload over the hot slice:
+ *  footer-sized buffer, every v2 block decoded into it.  Items are
+ *  records. */
+void
+BM_TraceFileIngest(benchmark::State &state)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "micro_hotpath.rnrt")
+            .string();
+    TraceBuffer trace;
+    for (const TraceRecord &rec : hotTrace())
+        trace.push(rec);
+    if (!writeTraceFileV2(path, trace)) {
+        state.SkipWithError("cannot write the trace file");
+        return;
+    }
+    WorkloadOptions opts;
+    opts.cores = 1;
+    TraceFileWorkload wl(path, opts);
+
+    std::uint64_t records = 0;
+    for (auto _ : state) {
+        std::vector<TraceBuffer> bufs(1);
+        wl.emitIteration(0, /*is_last=*/true, bufs);
+        benchmark::DoNotOptimize(bufs[0].records().data());
+        benchmark::ClobberMemory();
+        records += bufs[0].size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(records));
+    std::remove(path.c_str());
+}
+
+/** Lookup plus insert-on-miss on a Cache of the given geometry, over
+ *  random blocks spanning four times its lines.  Items are accesses. */
+void
+BM_CacheAccess(benchmark::State &state, CacheConfig cfg)
+{
+    Cache cache(cfg);
+    const std::uint64_t lines = cfg.size_bytes / kBlockSize;
+    Rng rng(7);
+    std::vector<Addr> blocks(std::size_t{1} << 20);
+    for (Addr &b : blocks)
+        b = rng.below(4 * lines);
+
+    Tick t = 0;
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        for (const Addr b : blocks) {
+            ++t;
+            if (!cache.access(b, t))
+                benchmark::DoNotOptimize(cache.insert(b, t, false, false));
+        }
+        accesses += blocks.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+}
+
 BENCHMARK_CAPTURE(BM_DemandAccess, none, PrefetcherKind::None)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DemandAccess, stream, PrefetcherKind::Stream)
@@ -399,6 +471,9 @@ BENCHMARK_CAPTURE(BM_Kernel, legacy, rnr::KernelMode::Legacy)
 BENCHMARK(BM_CheckpointSaveRestore)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CacheAccess, llc, MachineConfig::scaledDefault().llc)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace rnr

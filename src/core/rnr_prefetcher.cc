@@ -277,6 +277,7 @@ RnrPrefetcher::startReplay(Tick now)
     div_streamed_ = 0;
     last_window_ = 0;
     pf_status_.clear();
+    pf_issued_.clear();
     controller_.setWindowSize(arch_.window_size);
     emitRnr(TraceEventType::ReplayStart, now, seq_store_.size());
     controller_.beginReplay(&div_store_, seq_store_.size(), now);
@@ -357,8 +358,8 @@ RnrPrefetcher::issueEntries(std::uint64_t n, Tick now)
         const std::uint32_t window = static_cast<std::uint32_t>(
             issue_cursor_ / arch_.window_size);
         if (res.issued) {
-            pf_status_[blockNumber(vaddr)] =
-                {PfStatus::Pending, window, res.fill_time};
+            notePfIssue(blockNumber(vaddr),
+                        {PfStatus::Pending, window, res.fill_time});
             ++internal_.prefetch_count;
             if (tr_)
                 tr_->countWindowIssue(window);
@@ -366,6 +367,18 @@ RnrPrefetcher::issueEntries(std::uint64_t n, Tick now)
         ++issue_cursor_;
         --n;
     }
+}
+
+void
+RnrPrefetcher::notePfIssue(Addr block, const PfRecord &rec)
+{
+    pf_status_[block] = rec;
+    pf_issued_.push_back({block, rec.window});
+    // Windows follow the issue cursor, so this only swaps when a
+    // WindowSize.set moved them backwards mid-replay.
+    for (std::size_t i = pf_issued_.size() - 1;
+         i > 0 && pf_issued_.at(i - 1).window > rec.window; --i)
+        std::swap(pf_issued_.at(i - 1), pf_issued_.at(i));
 }
 
 void
@@ -378,26 +391,25 @@ RnrPrefetcher::sweepOutOfWindow(Tick now)
     if (cur == last_window_)
         return;
     last_window_ = cur;
-    std::erase_if(pf_status_, [&](const auto &kv) {
-        if (kv.second.window + 1 < cur) {
-            ++ctr_.pf_out_of_window;
-            if (at_)
-                at_->onRnrClass(RnrTimeliness::OutOfWindow,
-                                kv.second.window);
-            emitRnr(TraceEventType::PfOutOfWindow, now, 0,
-                    kv.second.window, kv.first);
-            return true;
-        }
-        return false;
-    });
+    while (!pf_issued_.empty() && pf_issued_.front().window + 1 < cur) {
+        const PfIssue e = pf_issued_.front();
+        pf_issued_.pop_front();
+        if (!liveRecord(e))
+            continue;
+        ++ctr_.pf_out_of_window;
+        if (at_)
+            at_->onRnrClass(RnrTimeliness::OutOfWindow, e.window);
+        emitRnr(TraceEventType::PfOutOfWindow, now, 0, e.window, e.block);
+        pf_status_.erase(e.block);
+    }
 }
 
 void
 RnrPrefetcher::onEvict(Addr block)
 {
-    auto it = pf_status_.find(block);
-    if (it != pf_status_.end() && it->second.status == PfStatus::Pending)
-        it->second.status = PfStatus::Evicted;
+    PfRecord *rec = pf_status_.find(block);
+    if (rec && rec->status == PfStatus::Pending)
+        rec->status = PfStatus::Evicted;
 }
 
 void
@@ -476,31 +488,27 @@ RnrPrefetcher::handleReplayAccess(const L2AccessInfo &info)
     ++internal_.cur_struct_read;
 
     // Classify the outcome of a prior replay prefetch of this block.
-    auto it = pf_status_.find(info.block);
-    if (it != pf_status_.end()) {
-        if (it->second.status == PfStatus::Evicted) {
+    if (const PfRecord *rec = pf_status_.find(info.block)) {
+        if (rec->status == PfStatus::Evicted) {
             ++ctr_.pf_early;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::Early,
-                                it->second.window);
-            emitRnr(TraceEventType::PfEarly, info.now, 0,
-                    it->second.window, info.block);
-        } else if (it->second.fill_time > info.now) {
+                at_->onRnrClass(RnrTimeliness::Early, rec->window);
+            emitRnr(TraceEventType::PfEarly, info.now, 0, rec->window,
+                    info.block);
+        } else if (rec->fill_time > info.now) {
             ++ctr_.pf_late;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::Late,
-                                it->second.window);
-            emitRnr(TraceEventType::PfLate, info.now, 0,
-                    it->second.window, info.block);
+                at_->onRnrClass(RnrTimeliness::Late, rec->window);
+            emitRnr(TraceEventType::PfLate, info.now, 0, rec->window,
+                    info.block);
         } else {
             ++ctr_.pf_ontime;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::OnTime,
-                                it->second.window);
-            emitRnr(TraceEventType::PfOntime, info.now, 0,
-                    it->second.window, info.block);
+                at_->onRnrClass(RnrTimeliness::OnTime, rec->window);
+            emitRnr(TraceEventType::PfOntime, info.now, 0, rec->window,
+                    info.block);
         }
-        pf_status_.erase(it);
+        pf_status_.erase(info.block);
     }
 
     const std::uint64_t n =

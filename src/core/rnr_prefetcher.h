@@ -21,12 +21,13 @@
 #define RNR_CORE_RNR_PREFETCHER_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/replay_control.h"
 #include "core/rnr_state.h"
 #include "prefetch/prefetcher.h"
+#include "sim/flat_map.h"
+#include "sim/ring.h"
 
 namespace rnr {
 
@@ -130,10 +131,14 @@ class RnrPrefetcher : public Prefetcher
         ar.scalar(seq_streamed_);
         ar.scalar(div_streamed_);
         ar.scalar(last_window_);
+        // The classification map travels as a count plus (block,
+        // record) pairs in issue order; loading rebuilds the issue FIFO
+        // from that order.
         std::uint64_t n = pf_status_.size();
         ar.scalar(n);
         if constexpr (Ar::kLoading) {
             pf_status_.clear();
+            pf_issued_.clear();
             if (!ckpt::checkCount(ar, n, 32))
                 return;
             for (std::uint64_t i = 0; i < n; ++i) {
@@ -141,12 +146,21 @@ class RnrPrefetcher : public Prefetcher
                 ar.scalar(block);
                 PfRecord rec{};
                 rec.visitState(ar);
-                pf_status_[block] = rec;
+                notePfIssue(block, rec);
             }
         } else {
-            for (auto &kv : pf_status_) {
-                ar.scalar(kv.first);
-                kv.second.visitState(ar);
+            FlatMap<Addr, bool> written;
+            for (std::size_t i = 0; i < pf_issued_.size(); ++i) {
+                const PfIssue &e = pf_issued_.at(i);
+                PfRecord *rec = liveRecord(e);
+                if (!rec)
+                    continue;
+                bool first = false;
+                written.emplace(e.block, first);
+                if (!first)
+                    continue;
+                ar.scalar(e.block);
+                rec->visitState(ar);
             }
         }
         ar.scalar(peak_seq_entries_);
@@ -165,9 +179,9 @@ class RnrPrefetcher : public Prefetcher
     enum class PfStatus : std::uint8_t { Pending, Evicted };
 
     struct PfRecord {
-        PfStatus status;
-        std::uint32_t window;
-        Tick fill_time;
+        PfStatus status = PfStatus::Pending;
+        std::uint32_t window = 0;
+        Tick fill_time = 0;
 
         template <class Ar>
         void
@@ -178,6 +192,27 @@ class RnrPrefetcher : public Prefetcher
             ar.scalar(fill_time);
         }
     };
+
+    /** One replay prefetch in issue order (see pf_issued_). */
+    struct PfIssue {
+        Addr block = 0;
+        std::uint32_t window = 0;
+    };
+
+    /** Records a replay prefetch of @p block in pf_status_ and at the
+     *  back of pf_issued_, which stays sorted by window: an issue whose
+     *  window is below the back's moves forward past it. */
+    void notePfIssue(Addr block, const PfRecord &rec);
+
+    /** @p e's record when it is still the live one for its block: not
+     *  consumed, retired, or overwritten by a re-issue in a later
+     *  window since. */
+    PfRecord *
+    liveRecord(const PfIssue &e)
+    {
+        PfRecord *rec = pf_status_.find(e.block);
+        return rec && rec->window == e.window ? rec : nullptr;
+    }
 
     void handleRecordAccess(const L2AccessInfo &info);
     void handleReplayAccess(const L2AccessInfo &info);
@@ -226,7 +261,12 @@ class RnrPrefetcher : public Prefetcher
     std::uint32_t last_window_ = 0;
 
     /** Timeliness classification of in-flight replay prefetches. */
-    std::unordered_map<Addr, PfRecord> pf_status_;
+    FlatMap<Addr, PfRecord> pf_status_;
+    /** Every replay prefetch of this pass in issue order, so the
+     *  out-of-window sweep pops expired windows off the front instead
+     *  of scanning the map.  Entries whose record is gone stay until
+     *  they reach the front. */
+    Ring<PfIssue> pf_issued_{1024};
 
     /** Peak metadata footprint across the whole run (Fig 13). */
     std::uint64_t peak_seq_entries_ = 0;

@@ -1,5 +1,6 @@
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rnr {
@@ -42,7 +43,8 @@ CacheCounters::CacheCounters(StatGroup &g)
 Cache::Cache(const CacheConfig &cfg)
     : cfg_(cfg),
       set_mask_(cfg.sets() - 1),
-      lines_(static_cast<std::size_t>(cfg.sets()) * cfg.ways),
+      tags_(static_cast<std::size_t>(cfg.sets()) * cfg.ways, kInvalidTag),
+      lines_(tags_.size()),
       mshr_(cfg.mshrs),
       pq_(cfg.prefetch_queue),
       stats_(cfg.name),
@@ -54,8 +56,8 @@ Cache::Cache(const CacheConfig &cfg)
 void
 Cache::reset()
 {
-    for (auto &line : lines_)
-        line = CacheLine{};
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(lines_.begin(), lines_.end(), CacheLine{});
     lru_clock_ = 0;
     mshr_.clear();
     pq_.clear();
@@ -75,10 +77,9 @@ Cache::setTrace(TraceCollector *tr, std::uint16_t track,
 std::size_t
 Cache::residentCount() const
 {
-    std::size_t n = 0;
-    for (const auto &line : lines_)
-        n += line.valid;
-    return n;
+    return static_cast<std::size_t>(
+        std::count_if(tags_.begin(), tags_.end(),
+                      [](Addr t) { return t != kInvalidTag; }));
 }
 
 } // namespace rnr

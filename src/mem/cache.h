@@ -26,34 +26,21 @@
 
 namespace rnr {
 
-/** One cache line's bookkeeping state. */
+/** One cache line's bookkeeping state.  Its tag and valid bit live in
+ *  the cache's tag array (Cache::tags_), so a lookup scans contiguous
+ *  tags instead of whole lines. */
 struct CacheLine {
-    Addr tag = 0;
     Tick fill_time = 0;      ///< Tick at which the data arrived.
     std::uint64_t lru = 0;   ///< Higher = more recently used.
     std::uint32_t site = 0;  ///< Attribution site id (sim/attrib.h).
     std::uint8_t rrpv = 3;   ///< SRRIP re-reference prediction value.
-    bool valid = false;
     bool dirty = false;
     bool prefetched = false; ///< Brought in by a prefetch...
     bool referenced = false; ///< ...and since touched by a demand access.
-
-    /** Field-wise (the struct has padding, so no pod() bulk path). */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        ar.scalar(tag);
-        ar.scalar(fill_time);
-        ar.scalar(lru);
-        ar.scalar(site);
-        ar.scalar(rrpv);
-        ar.scalar(valid);
-        ar.scalar(dirty);
-        ar.scalar(prefetched);
-        ar.scalar(referenced);
-    }
 };
+static_assert(sizeof(CacheLine) == 24,
+              "a line is 24 bytes beside its 8-byte tag; the tag array "
+              "replaces the line's tag and valid fields");
 
 /** What insert() displaced, so the caller can issue writebacks. */
 struct EvictResult {
@@ -118,10 +105,11 @@ class Cache
     access(Addr block, Tick now)
     {
         ++ctr_.accesses;
-        CacheLine *set = &lines_[setIndex(block) * cfg_.ways];
+        const std::size_t base = setIndex(block) * cfg_.ways;
+        const Addr *tags = &tags_[base];
         for (unsigned w = 0; w < cfg_.ways; ++w) {
-            CacheLine &line = set[w];
-            if (line.valid && line.tag == block) {
+            if (tags[w] == block) {
+                CacheLine &line = lines_[base + w];
                 line.lru = ++lru_clock_;
                 line.rrpv = 0; // SRRIP: proven reuse -> near re-reference
                 if (line.prefetched && !line.referenced) {
@@ -149,10 +137,11 @@ class Cache
     const CacheLine *
     peek(Addr block) const
     {
-        const CacheLine *set = &lines_[setIndex(block) * cfg_.ways];
+        const std::size_t base = setIndex(block) * cfg_.ways;
+        const Addr *tags = &tags_[base];
         for (unsigned w = 0; w < cfg_.ways; ++w) {
-            if (set[w].valid && set[w].tag == block)
-                return &set[w];
+            if (tags[w] == block)
+                return &lines_[base + w];
         }
         return nullptr;
     }
@@ -169,53 +158,74 @@ class Cache
     insert(Addr block, Tick fill_time, bool prefetched, bool dirty,
            std::uint32_t site = 0)
     {
-        CacheLine *set = &lines_[setIndex(block) * cfg_.ways];
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            CacheLine &line = set[w];
-            if (line.valid && line.tag == block) {
+        const std::size_t base = setIndex(block) * cfg_.ways;
+        Addr *tags = &tags_[base];
+        CacheLine *set = &lines_[base];
+
+        // One pass over the set finds everything victim selection can
+        // need: a resident copy, the first invalid way, the first
+        // least-recently-used way, and under SRRIP the first way
+        // predicted "distant" (rrpv >= 3) or, failing that, the first
+        // with the largest rrpv.
+        const unsigned ways = cfg_.ways;
+        const bool srrip = cfg_.replacement == ReplacementPolicy::Srrip;
+        unsigned invalid = ways, lru = 0, distant = ways, oldest = 0;
+        std::uint64_t min_lru = ~std::uint64_t{0};
+        std::uint8_t max_rrpv = 0;
+        for (unsigned w = 0; w < ways; ++w) {
+            const Addr tag = tags[w];
+            if (tag == block) {
                 // Re-insert of a resident block (e.g. prefetch raced a
                 // demand fill): refresh the fill time only if it
                 // arrives earlier.
+                CacheLine &line = set[w];
                 if (fill_time < line.fill_time)
                     line.fill_time = fill_time;
                 line.dirty = line.dirty || dirty;
                 return {};
             }
+            if (tag == kInvalidTag) {
+                if (invalid == ways)
+                    invalid = w;
+                continue;
+            }
+            const CacheLine &line = set[w];
+            if (line.lru < min_lru) {
+                min_lru = line.lru;
+                lru = w;
+            }
+            if (srrip) {
+                if (line.rrpv >= 3 && distant == ways)
+                    distant = w;
+                if (line.rrpv > max_rrpv) {
+                    max_rrpv = line.rrpv;
+                    oldest = w;
+                }
+            }
         }
 
-        // Victim selection: prefer an invalid way; otherwise the LRU
-        // line, or under SRRIP the first line predicted "distant"
-        // (rrpv == 3), ageing the set until one exists.
-        CacheLine *victim = nullptr;
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            if (!set[w].valid) {
-                victim = &set[w];
-                break;
+        // Prefer an invalid way; otherwise the LRU line, or under SRRIP
+        // the first distant line, ageing the set until one exists.
+        unsigned v = invalid;
+        if (v == ways && srrip) {
+            v = distant;
+            if (v == ways) {
+                const std::uint8_t age =
+                    static_cast<std::uint8_t>(3 - max_rrpv);
+                for (unsigned w = 0; w < ways; ++w)
+                    set[w].rrpv = static_cast<std::uint8_t>(set[w].rrpv +
+                                                            age);
+                v = oldest;
             }
+        } else if (v == ways) {
+            v = lru;
         }
-        if (!victim && cfg_.replacement == ReplacementPolicy::Srrip) {
-            for (;;) {
-                for (unsigned w = 0; w < cfg_.ways && !victim; ++w) {
-                    if (set[w].rrpv >= 3)
-                        victim = &set[w];
-                }
-                if (victim)
-                    break;
-                for (unsigned w = 0; w < cfg_.ways; ++w)
-                    ++set[w].rrpv;
-            }
-        } else if (!victim) {
-            victim = &set[0];
-            for (unsigned w = 0; w < cfg_.ways; ++w) {
-                if (set[w].lru < victim->lru)
-                    victim = &set[w];
-            }
-        }
+        CacheLine *victim = &set[v];
 
         EvictResult ev;
-        if (victim->valid) {
+        if (tags[v] != kInvalidTag) {
             ev.valid = true;
-            ev.block = victim->tag;
+            ev.block = tags[v];
             ev.dirty = victim->dirty;
             ev.prefetched_unused =
                 victim->prefetched && !victim->referenced;
@@ -225,18 +235,16 @@ class Cache
             if (ev.prefetched_unused) {
                 ++ctr_.prefetch_evicted_unused;
                 if (at_)
-                    at_->onEvictedUnused(victim->site, victim->tag);
+                    at_->onEvictedUnused(victim->site, ev.block);
             } else if (at_ && prefetched) {
                 // A prefetch displaced a line the demand stream owned
                 // (demand-filled, or a prefetch that proved useful):
                 // remember the victim so a re-miss charges pollution.
-                at_->onPrefetchEvictsDemand(at_core_, site,
-                                            victim->tag);
+                at_->onPrefetchEvictsDemand(at_core_, site, ev.block);
             }
         }
 
-        victim->tag = block;
-        victim->valid = true;
+        tags[v] = block;
         victim->dirty = dirty;
         victim->prefetched = prefetched;
         victim->referenced = false;
@@ -295,14 +303,41 @@ class Cache
     const CacheCounters &ctr() const { return ctr_; }
 
     /** Checkpoint visitor: line array, LRU clock, both MSHR files and
-     *  the stat group.  Geometry (cfg_, set_mask_) and trace routing
-     *  are configuration — the restore side rebuilds them and seq()
-     *  restores the same sets x ways count. */
+     *  the stat group.  Each line travels as (tag, fill_time, lru, site,
+     *  rrpv, valid, dirty, prefetched, referenced), an invalid line's
+     *  tag as 0.  Geometry (cfg_, set_mask_) and trace routing are
+     *  configuration: the restore side rebuilds them, and a line count
+     *  other than its sets x ways fails the load. */
     template <class Ar>
     void
     visitState(Ar &ar)
     {
-        ckpt::seq(ar, lines_);
+        std::uint64_t n = lines_.size();
+        ar.scalar(n);
+        if constexpr (Ar::kLoading) {
+            if (n != lines_.size()) {
+                ar.fail("cache " + cfg_.name + " holds " +
+                        std::to_string(lines_.size()) +
+                        " lines, snapshot " + std::to_string(n));
+                return;
+            }
+        }
+        for (std::size_t i = 0; i < lines_.size(); ++i) {
+            CacheLine &line = lines_[i];
+            bool valid = tags_[i] != kInvalidTag;
+            Addr tag = valid ? tags_[i] : 0;
+            ar.scalar(tag);
+            ar.scalar(line.fill_time);
+            ar.scalar(line.lru);
+            ar.scalar(line.site);
+            ar.scalar(line.rrpv);
+            ar.scalar(valid);
+            ar.scalar(line.dirty);
+            ar.scalar(line.prefetched);
+            ar.scalar(line.referenced);
+            if constexpr (Ar::kLoading)
+                tags_[i] = valid ? tag : kInvalidTag;
+        }
         ar.scalar(lru_clock_);
         mshr_.visitState(ar);
         pq_.visitState(ar);
@@ -310,11 +345,16 @@ class Cache
     }
 
   private:
+    /** Tag of an invalid way.  Block numbers are byte addresses shifted
+     *  right by kBlockBits, so none reaches it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+
     std::size_t setIndex(Addr block) const { return block & set_mask_; }
 
     CacheConfig cfg_;
     std::size_t set_mask_;
-    std::vector<CacheLine> lines_; ///< sets x ways, row-major.
+    std::vector<Addr> tags_;       ///< sets x ways, row-major.
+    std::vector<CacheLine> lines_; ///< Parallel to tags_.
     std::uint64_t lru_clock_ = 0;
     Mshr mshr_;
     Mshr pq_;

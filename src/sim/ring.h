@@ -59,6 +59,7 @@ class Ring
 
     /** i-th element from the front (0 <= i < size()); iteration. */
     const T &at(std::size_t i) const { return slots_[(head_ + i) & mask_]; }
+    T &at(std::size_t i) { return slots_[(head_ + i) & mask_]; }
 
     /** Checkpoint visitor: occupancy count + elements front-to-back.
      *  Loading refills through push_back, so capacity grows as needed

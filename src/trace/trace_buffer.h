@@ -24,12 +24,28 @@ class TraceBuffer
     push(const TraceRecord &rec)
     {
         records_.push_back(rec);
-        switch (rec.kind) {
-          case RecordKind::Load: ++loads_; break;
-          case RecordKind::Store: ++stores_; break;
-          case RecordKind::Control: ++controls_; break;
+        count(rec);
+    }
+
+    /**
+     * Bulk append: @p fill(std::vector<TraceRecord> &) appends records
+     * straight onto the record store (a block decoder writes into it
+     * with no staging copy), then the counters take one pass over what
+     * it added.  When @p fill returns false its partial append is
+     * dropped and false is returned.
+     */
+    template <typename Fill>
+    bool
+    appendWith(Fill &&fill)
+    {
+        const std::size_t first = records_.size();
+        if (!fill(records_)) {
+            records_.resize(first);
+            return false;
         }
-        instrs_ += rec.gap + (rec.kind != RecordKind::Control ? 1 : 0);
+        for (std::size_t i = first; i < records_.size(); ++i)
+            count(records_[i]);
+        return true;
     }
 
     void
@@ -63,6 +79,17 @@ class TraceBuffer
     std::uint64_t instructions() const { return instrs_; }
 
   private:
+    void
+    count(const TraceRecord &rec)
+    {
+        switch (rec.kind) {
+          case RecordKind::Load: ++loads_; break;
+          case RecordKind::Store: ++stores_; break;
+          case RecordKind::Control: ++controls_; break;
+        }
+        instrs_ += rec.gap + (rec.kind != RecordKind::Control ? 1 : 0);
+    }
+
     std::vector<TraceRecord> records_;
     std::uint64_t loads_ = 0;
     std::uint64_t stores_ = 0;

@@ -5,8 +5,8 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <unordered_map>
 
+#include "sim/flat_map.h"
 #include "tracestore/varint.h"
 
 namespace rnr {
@@ -45,22 +45,33 @@ get(std::istream &in, T &value)
 struct DeltaState {
     std::uint32_t prev_pc = 0;
     std::uint64_t last_mem_addr = 0;
-    std::unordered_map<std::uint32_t, std::uint64_t> site_last;
+    FlatMap<std::uint32_t, std::uint64_t> site_last;
 
-    std::uint64_t
-    baseFor(std::uint32_t pc) const
+    /** Sets @p base to the address @p pc's next record deltas against
+     *  and returns pc's last-address slot, which the caller overwrites
+     *  (one table probe per memory record). */
+    std::uint64_t &
+    site(std::uint32_t pc, std::uint64_t &base)
     {
-        const auto it = site_last.find(pc);
-        return it != site_last.end() ? it->second : last_mem_addr;
-    }
-
-    void
-    noteMem(std::uint32_t pc, std::uint64_t addr)
-    {
-        site_last[pc] = addr;
-        last_mem_addr = addr;
+        bool fresh = false;
+        std::uint64_t &last = site_last.emplace(pc, fresh);
+        base = fresh ? last_mem_addr : last;
+        return last;
     }
 };
+
+/** This thread's delta context, reset for a new block.  The pc table
+ *  is reused across blocks, so it grows to the widest block's site
+ *  count once and its per-block reset is O(1). */
+DeltaState &
+freshDeltaState()
+{
+    thread_local DeltaState st;
+    st.prev_pc = 0;
+    st.last_mem_addr = 0;
+    st.site_last.clear();
+    return st;
+}
 
 } // namespace
 
@@ -68,7 +79,7 @@ void
 encodeBlock(const TraceRecord *recs, std::size_t n,
             std::vector<std::uint8_t> &out)
 {
-    DeltaState st;
+    DeltaState &st = freshDeltaState();
     for (std::size_t i = 0; i < n; ++i) {
         const TraceRecord &r = recs[i];
         std::uint8_t tag = static_cast<std::uint8_t>(r.kind) & kKindMask;
@@ -86,9 +97,10 @@ encodeBlock(const TraceRecord *recs, std::size_t n,
             // access stream: store the address verbatim.
             putVarint(out, r.addr);
         } else {
-            const std::uint64_t base = st.baseFor(r.pc);
+            std::uint64_t base = 0;
+            std::uint64_t &last = st.site(r.pc, base);
             putVarint(out, zigzag(static_cast<std::int64_t>(r.addr - base)));
-            st.noteMem(r.pc, r.addr);
+            last = st.last_mem_addr = r.addr;
         }
         if (r.aux != 0)
             putVarint(out, r.aux);
@@ -101,7 +113,7 @@ decodeBlock(const std::uint8_t *payload, std::size_t payload_bytes,
 {
     const std::uint8_t *p = payload;
     const std::uint8_t *end = payload + payload_bytes;
-    DeltaState st;
+    DeltaState &st = freshDeltaState();
     for (std::size_t i = 0; i < expected_records; ++i) {
         if (p == end)
             return false;
@@ -134,9 +146,10 @@ decodeBlock(const std::uint8_t *payload, std::size_t payload_bytes,
         if (kind == RecordKind::Control) {
             r.addr = v;
         } else {
-            r.addr = st.baseFor(r.pc) +
-                     static_cast<std::uint64_t>(unzigzag(v));
-            st.noteMem(r.pc, r.addr);
+            std::uint64_t base = 0;
+            std::uint64_t &last = st.site(r.pc, base);
+            r.addr = base + static_cast<std::uint64_t>(unzigzag(v));
+            last = st.last_mem_addr = r.addr;
         }
         if (tag & kAuxFlag) {
             if (!getVarint(p, end, r.aux))
@@ -309,7 +322,9 @@ readTraceFileV2Stats(const std::string &path, TraceFileStats &stats,
     if (!get(in, block_count))
         return TraceIoResult::fail(TraceIoStatus::BadFooter,
                                    "cannot read block count");
-    if (block_count * 16 > static_cast<std::uint64_t>(file_size))
+    // Each index entry takes 16 bytes; divide rather than multiply so a
+    // crafted count cannot wrap past the check.
+    if (block_count > static_cast<std::uint64_t>(file_size) / 16)
         return TraceIoResult::fail(TraceIoStatus::BadFooter,
                                    "implausible block count");
     std::vector<TraceBlockIndexEntry> idx(

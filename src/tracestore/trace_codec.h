@@ -49,6 +49,11 @@ constexpr std::uint32_t kTraceFormatVersionV2 = 2;
 /** Records per block unless the writer overrides it. */
 constexpr std::uint32_t kDefaultBlockRecords = 4096;
 
+/** Fewest bytes a v2 record encodes to: the tag, gap, pc delta and
+ *  address each take at least one.  file bytes / this bounds the record
+ *  count of any v1 or v2 file whatever its footer claims. */
+constexpr std::uint64_t kMinEncodedRecordBytes = 4;
+
 /** Per-kind summary carried by the v2 footer (decode-free). */
 struct TraceFileStats {
     std::uint64_t records = 0;

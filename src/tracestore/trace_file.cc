@@ -13,11 +13,7 @@ readAnyTraceFile(const std::string &path, TraceBuffer &buf)
     StreamingTraceReader reader;
     if (TraceIoResult r = reader.open(path); !r)
         return r;
-    while (!reader.done())
-        buf.push(reader.take());
-    if (reader.error())
-        return reader.errorResult();
-    return TraceIoResult::ok();
+    return reader.readAll(buf);
 }
 
 TraceIoResult

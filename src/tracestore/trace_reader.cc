@@ -65,7 +65,7 @@ StreamingTraceReader::failStream(TraceIoStatus status, std::string detail)
 }
 
 bool
-StreamingTraceReader::refillV1()
+StreamingTraceReader::refillV1(std::vector<TraceRecord> &out)
 {
     if (v1_remaining_ == 0)
         return false;
@@ -84,14 +84,14 @@ StreamingTraceReader::refillV1()
         }
         r.kind = static_cast<RecordKind>(kind);
         r.ctrl = static_cast<RnrOp>(ctrl);
-        block_.push_back(r);
+        out.push_back(r);
     }
     v1_remaining_ -= n;
     return true;
 }
 
 bool
-StreamingTraceReader::refillV2()
+StreamingTraceReader::refillV2(std::vector<TraceRecord> &out)
 {
     std::uint32_t payload_bytes = 0, record_count = 0;
     if (!get(in_, payload_bytes) || !get(in_, record_count)) {
@@ -114,7 +114,7 @@ StreamingTraceReader::refillV2()
         return false;
     }
     if (!decodeBlock(payload_.data(), payload_.size(), record_count,
-                     block_)) {
+                     out)) {
         failStream(TraceIoStatus::CorruptBlock,
                    "payload of " + std::to_string(payload_bytes) +
                        " bytes failed to decode");
@@ -124,15 +124,35 @@ StreamingTraceReader::refillV2()
 }
 
 bool
+StreamingTraceReader::refillInto(std::vector<TraceRecord> &out)
+{
+    const bool refilled = version_ == kTraceFormatVersionV2
+                              ? refillV2(out)
+                              : refillV1(out);
+    if (!refilled)
+        exhausted_ = true;
+    return refilled;
+}
+
+bool
 StreamingTraceReader::refill()
 {
     block_.clear();
     pos_ = 0;
-    const bool refilled = version_ == kTraceFormatVersionV2 ? refillV2()
-                                                            : refillV1();
-    if (!refilled)
-        exhausted_ = true;
-    return refilled;
+    return refillInto(block_);
+}
+
+TraceIoResult
+StreamingTraceReader::readAll(TraceBuffer &buf)
+{
+    const std::size_t before = buf.size();
+    while (!exhausted_ &&
+           buf.appendWith([this](std::vector<TraceRecord> &out) {
+               return refillInto(out);
+           })) {
+    }
+    delivered_ += buf.size() - before;
+    return error_ ? error_result_ : TraceIoResult::ok();
 }
 
 bool

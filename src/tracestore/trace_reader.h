@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/trace_buffer.h"
 #include "trace/trace_source.h"
 #include "tracestore/trace_codec.h"
 
@@ -46,6 +47,14 @@ class StreamingTraceReader final : public TraceSource
     /** Zero-copy: the rest of the decoded block is one run. */
     const TraceRecord *takeBlock(std::size_t &n) override;
 
+    /**
+     * Decodes every remaining block of a freshly opened reader straight
+     * onto the end of @p buf: no per-record take(), no staging copy.
+     * Returns the first error; the records of the blocks before it stay
+     * in @p buf.
+     */
+    TraceIoResult readAll(TraceBuffer &buf);
+
     /** Set when a block failed to decode mid-stream (see file docs). */
     bool error() const { return error_; }
 
@@ -57,8 +66,11 @@ class StreamingTraceReader final : public TraceSource
 
   private:
     bool refill();
-    bool refillV1();
-    bool refillV2();
+    /** Appends the next block to @p out; false at the end or on error
+     *  (both mark the reader exhausted). */
+    bool refillInto(std::vector<TraceRecord> &out);
+    bool refillV1(std::vector<TraceRecord> &out);
+    bool refillV2(std::vector<TraceRecord> &out);
     void failStream(TraceIoStatus status, std::string detail);
 
     std::ifstream in_;

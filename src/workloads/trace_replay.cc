@@ -24,6 +24,11 @@ perCorePath(const std::string &prefix, unsigned core)
     return prefix + ".c" + std::to_string(core) + ".rnrt";
 }
 
+/** Most RnR control records emitIteration() adds around a file in one
+ *  iteration: init, AddrBase.set, WindowSize.set, enable and start on
+ *  iteration 0, then disable, end-state and RnR.end on the last. */
+constexpr std::size_t kMaxControlRecords = 8;
+
 } // namespace
 
 unsigned
@@ -53,6 +58,12 @@ TraceFileWorkload::TraceFileWorkload(std::string input, WorkloadOptions opts)
         const std::string path = corePath(c);
         if (TraceIoResult r = readAnyTraceFileStats(path, stats); !r)
             throw std::runtime_error(path + ": " + r.message());
+        // The footer sizes the buffer; the file's bytes cap it, so a
+        // footer that lies cannot drive the allocation.
+        reserve_.push_back(
+            std::min(stats.records,
+                     traceFileSizeBytes(path) / kMinEncodedRecordBytes) +
+            kMaxControlRecords);
         if (stats.loads + stats.stores > 0) {
             if (!have_mem || stats.min_addr < min_addr)
                 min_addr = stats.min_addr;
@@ -80,6 +91,8 @@ TraceFileWorkload::emitIteration(unsigned iter, bool is_last,
 {
     retargetAll(bufs);
     for (unsigned c = 0; c < opts_.cores; ++c) {
+        // Sized once, so iteration 0 never regrows a ~50 MB buffer.
+        bufs[c].reserve(reserve_[c]);
         RnrRuntime &rt = *runtimes_[c];
         if (iter == 0) {
             rt.init(span_bytes_);

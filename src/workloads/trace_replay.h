@@ -56,6 +56,9 @@ class TraceFileWorkload : public Workload
     bool single_file_ = false;
     std::uint64_t span_bytes_ = 0; ///< Observed address span of the trace.
     Addr base_addr_ = 0;           ///< Lowest load/store address.
+    /** Per-core buffer capacity: the file's records plus the control
+     *  records emitIteration() adds around them. */
+    std::vector<std::size_t> reserve_;
 };
 
 } // namespace rnr

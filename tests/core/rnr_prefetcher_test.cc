@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ckpt/serde.h"
 #include "core/rnr_prefetcher.h"
 #include "test_util.h"
 
@@ -253,6 +254,90 @@ TEST_F(RnrFixture, TimelinessClassificationCountsOnTime)
         read(kTarget + Addr(o) * kBlockSize);
     EXPECT_GT(pf->stats().get("pf_ontime"), 0u);
     EXPECT_EQ(pf->stats().get("pf_early"), 0u);
+}
+
+/** One core's memory system and RnR prefetcher, driven by hand. */
+struct RnrRig {
+    RnrRig() : ms(test::tinyMachine())
+    {
+        RnrPrefetcher::Options opts;
+        opts.window_size = 4;
+        pf = std::make_unique<RnrPrefetcher>(opts);
+        ms.setPrefetcher(0, pf.get());
+    }
+
+    void
+    ctl(RnrOp op, Addr p0 = 0, std::uint64_t p1 = 0)
+    {
+        pf->onControl(TraceRecord::control(op, p0, p1), t);
+    }
+
+    void
+    read(Addr a)
+    {
+        ms.demandAccess(0, a, false, 1, t);
+        t += 800;
+    }
+
+    std::vector<std::uint8_t>
+    snapshot()
+    {
+        ckpt::Ser s;
+        ms.visitState(s);
+        pf->saveState(s);
+        s.scalar(t);
+        return s.take();
+    }
+
+    void
+    restore(const std::vector<std::uint8_t> &blob)
+    {
+        ckpt::Deser d(blob);
+        ms.visitState(d);
+        pf->loadState(d);
+        d.scalar(t);
+        ASSERT_TRUE(d.ok());
+    }
+
+    MemorySystem ms;
+    std::unique_ptr<RnrPrefetcher> pf;
+    Tick t = 0;
+};
+
+TEST(RnrTimeliness, MidReplaySnapshotContinuesIdentically)
+{
+    // Record 96 misses (24 windows of 4), then replay while demanding
+    // only every third block: most replay prefetches are never consumed
+    // and must retire as out-of-window.  A mid-replay snapshot, loaded
+    // into a fresh rig, must continue exactly like the original.
+    constexpr Addr kBase = 0x100000;
+    RnrRig a;
+    a.ctl(RnrOp::Init, 0x70000000, 0x71000000);
+    a.ctl(RnrOp::AddrBaseSet, kBase, 1 << 16);
+    a.ctl(RnrOp::AddrEnable, kBase);
+    a.ctl(RnrOp::Start);
+    for (unsigned o = 0; o < 96; ++o)
+        a.read(kBase + Addr(o) * kBlockSize);
+    a.ms.l2(0).reset();
+    a.ms.l1d(0).reset();
+    a.ctl(RnrOp::Replay);
+
+    RnrRig b;
+    for (unsigned o = 0; o < 96; o += 3) {
+        if (o == 48) {
+            b.restore(a.snapshot());
+            EXPECT_GT(a.pf->stats().get("pf_out_of_window"), 0u);
+        }
+        a.read(kBase + Addr(o) * kBlockSize);
+        if (o >= 48)
+            b.read(kBase + Addr(o) * kBlockSize);
+    }
+    for (const char *name : {"pf_ontime", "pf_early", "pf_late",
+                             "pf_out_of_window"})
+        EXPECT_EQ(a.pf->stats().get(name), b.pf->stats().get(name))
+            << name;
+    EXPECT_GT(a.pf->stats().get("pf_out_of_window"), 0u);
+    EXPECT_EQ(a.snapshot(), b.snapshot());
 }
 
 } // namespace

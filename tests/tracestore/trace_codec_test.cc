@@ -2,8 +2,9 @@
  * @file
  * v2 codec tests: randomized round-trips (including control markers and
  * pathological address deltas), block-boundary sizes, the decode-free
- * stats footer, corruption/truncation reporting, and v1 backward
- * compatibility through the version-dispatching readers.
+ * stats footer, corruption/truncation reporting, crafted footers, v1
+ * backward compatibility through the version-dispatching readers, and
+ * the in-place bulk ingest the tracefile workload sizes from the footer.
  */
 #include <gtest/gtest.h>
 
@@ -14,11 +15,13 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/serde.h"
 #include "sim/rng.h"
 #include "trace/trace_io.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_file.h"
 #include "tracestore/trace_reader.h"
+#include "workloads/trace_replay.h"
 
 namespace rnr {
 namespace {
@@ -307,6 +310,180 @@ TEST(TraceCodec, StreamingReaderDeliversBlockByBlock)
     }
     EXPECT_EQ(n, buf.size());
     EXPECT_FALSE(reader.error());
+    std::remove(path.c_str());
+}
+
+/** Overwrites sizeof(T) bytes of @p path at @p offset. */
+template <typename T>
+void
+patchFile(const std::string &path, std::uint64_t offset, T value)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char *>(&value), sizeof(value));
+    ASSERT_TRUE(f.good());
+}
+
+template <typename T>
+T
+peekFile(const std::string &path, std::uint64_t offset)
+{
+    std::ifstream f(path, std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(offset));
+    T value{};
+    f.read(reinterpret_cast<char *>(&value), sizeof(value));
+    return value;
+}
+
+/** File offset of the v2 footer (its u64 block count). */
+std::uint64_t
+footerOffset(const std::string &path)
+{
+    return peekFile<std::uint64_t>(path, traceFileSizeBytes(path) - 16);
+}
+
+TEST(TraceCodec, HugeFooterBlockCountFailsTypedWithoutThrowing)
+{
+    const std::string path = tmpPath("codec_huge_blocks.rnrt");
+    ASSERT_TRUE(writeTraceFileV2(path, fuzzTrace(41, 5000)));
+    const std::uint64_t footer = footerOffset(path);
+    // 2^60 x 16 wraps to 0 and 2^60 + 1 to 16 in 64 bits, which a
+    // multiplied plausibility check would accept.
+    for (std::uint64_t count :
+         {std::uint64_t{1} << 60, (std::uint64_t{1} << 60) + 1,
+          ~std::uint64_t{0}}) {
+        patchFile(path, footer, count);
+        TraceFileStats stats;
+        TraceIoResult r;
+        EXPECT_NO_THROW(r = readTraceFileV2Stats(path, stats)) << count;
+        EXPECT_EQ(r.status, TraceIoStatus::BadFooter) << count;
+        EXPECT_NO_THROW(r = readAnyTraceFileStats(path, stats)) << count;
+        EXPECT_EQ(r.status, TraceIoStatus::BadFooter) << count;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceCodec, LyingFooterRecordCountCannotInflateTheIngestReserve)
+{
+    const std::string path = tmpPath("codec_lying_footer.rnrt");
+    const TraceBuffer trace = fuzzTrace(43, 10000);
+    ASSERT_TRUE(writeTraceFileV2(path, trace));
+    const std::uint64_t file_bytes = traceFileSizeBytes(path);
+
+    // Claim ~2^32 records more than the file holds, keeping the index
+    // and the stats consistent so the footer reader accepts the lie.
+    const std::uint64_t footer = footerOffset(path);
+    const std::uint64_t blocks = peekFile<std::uint64_t>(path, footer);
+    const std::uint64_t claimed = trace.size() - 4096 + 0xffffffffull;
+    patchFile(path, footer + 8 + 12, std::uint32_t{0xffffffff});
+    patchFile(path, footer + 8 + 16 * blocks, claimed);
+    TraceFileStats stats;
+    ASSERT_TRUE(readAnyTraceFileStats(path, stats));
+    ASSERT_EQ(stats.records, claimed);
+
+    // The block headers still tell the truth: a valid parse, with the
+    // buffer reserved from the file's size instead of the footer.
+    WorkloadOptions opts;
+    opts.cores = 1;
+    TraceFileWorkload wl(path, opts);
+    std::vector<TraceBuffer> bufs(1);
+    ASSERT_NO_THROW(wl.emitIteration(0, /*is_last=*/true, bufs));
+    EXPECT_EQ(bufs[0].size(), trace.size() + 7); // + init ... RnR.end
+    EXPECT_LE(bufs[0].capacity(), file_bytes / kMinEncodedRecordBytes + 8);
+
+    // A block header that lies as well is a typed decode error.
+    patchFile(path, 16 + 4, std::uint32_t{0xffffffff});
+    TraceBuffer buf;
+    const TraceIoResult r = readAnyTraceFile(path, buf);
+    EXPECT_EQ(r.status, TraceIoStatus::CorruptBlock) << r.message();
+    EXPECT_THROW(wl.emitIteration(1, true, bufs), std::runtime_error);
+    std::remove(path.c_str());
+}
+
+TEST(TraceCodec, EncodedBytesAreUnchanged)
+{
+    // FNV-1a digests of encodeBlock output as first committed.  Stored
+    // traces are decoded with today's decoder, so any change here
+    // orphans every trace store on disk.
+    auto digest = [](const TraceBuffer &buf) {
+        std::vector<std::uint8_t> payload;
+        encodeBlock(buf.records().data(), buf.size(), payload);
+        return ckpt::fnv1a64(payload.data(), payload.size());
+    };
+    EXPECT_EQ(digest(fuzzTrace(1, 3000)), 0xbf63bf6582b009aeull);
+
+    // One block with 4096 distinct access sites, each seen twice.
+    TraceBuffer wide;
+    for (std::uint32_t i = 0; i < 8192; ++i) {
+        const std::uint32_t site = (i % 4096) * 2654435761u;
+        wide.push(TraceRecord::load(0x10000000 + i * 72, site, i % 5));
+    }
+    EXPECT_EQ(digest(wide), 0x7094610658db1070ull);
+    std::vector<std::uint8_t> payload;
+    encodeBlock(wide.records().data(), wide.size(), payload);
+    std::vector<TraceRecord> back;
+    ASSERT_TRUE(decodeBlock(payload.data(), payload.size(), wide.size(),
+                            back));
+    for (std::size_t i = 0; i < back.size(); ++i)
+        ASSERT_EQ(back[i].addr, wide.records()[i].addr) << i;
+}
+
+/** The per-record ingest readAnyTraceFile ran before blocks decoded in
+ *  place: the reference the bulk path must match. */
+TraceIoResult
+perRecordIngest(const std::string &path, TraceBuffer &buf)
+{
+    StreamingTraceReader reader;
+    if (TraceIoResult r = reader.open(path); !r)
+        return r;
+    while (!reader.done())
+        buf.push(reader.take());
+    return reader.error() ? reader.errorResult() : TraceIoResult::ok();
+}
+
+TEST(TraceIngest, BulkIngestMatchesThePerRecordLoop)
+{
+    const std::string path = tmpPath("ingest_bulk.rnrt");
+    for (std::uint32_t block : {17u, kDefaultBlockRecords}) {
+        for (std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{4096}, std::size_t{10001}}) {
+            const TraceBuffer trace = fuzzTrace(n + block, n);
+            for (bool v1 : {false, true}) {
+                ASSERT_TRUE(v1 ? writeTraceFile(path, trace)
+                               : writeTraceFileV2(path, trace, block));
+                // Both append after a record already in the buffer.
+                TraceBuffer bulk, loop;
+                bulk.push(TraceRecord::control(RnrOp::Replay));
+                loop.push(TraceRecord::control(RnrOp::Replay));
+                ASSERT_TRUE(readAnyTraceFile(path, bulk));
+                ASSERT_TRUE(perRecordIngest(path, loop));
+                expectSameRecords(loop, bulk);
+                EXPECT_EQ(bulk.loads(), loop.loads());
+                EXPECT_EQ(bulk.stores(), loop.stores());
+                EXPECT_EQ(bulk.controls(), loop.controls());
+                EXPECT_EQ(bulk.instructions(), loop.instructions());
+            }
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceIngest, TracefileBufferIsSizedOnceFromTheFooter)
+{
+    const std::string path = tmpPath("ingest_sized.rnrt");
+    const TraceBuffer trace = fuzzTrace(47, 30000);
+    ASSERT_TRUE(writeTraceFileV2(path, trace));
+
+    WorkloadOptions opts;
+    opts.cores = 1;
+    opts.window_size = 64; // the most control records an iteration adds
+    TraceFileWorkload wl(path, opts);
+    std::vector<TraceBuffer> bufs(1);
+    wl.emitIteration(0, /*is_last=*/true, bufs);
+    // Records plus the 8 control records around them, in one
+    // allocation: no doubling left capacity behind.
+    EXPECT_EQ(bufs[0].size(), trace.size() + 8);
+    EXPECT_LE(bufs[0].capacity(), trace.size() + 8);
     std::remove(path.c_str());
 }
 
