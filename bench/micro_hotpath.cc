@@ -38,12 +38,7 @@
  * kernel (sim/kernel.h), so the batched-vs-legacy speedup is the
  * headline number of docs/PERF.md and the pair CI gates together.
  *
- * The checkpoint subsystem (src/ckpt) adds three rows:
- *  - BM_CheckpointSaveRestore: the full rnr-ckpt-v1 roundtrip on a
- *    warmed one-core System — serialize every cache/TLB/DRAM/core and
- *    the prefetcher, checksum, parse, load it all back.  Items are
- *    snapshot *bytes*, so the rate is codec throughput and bounds how
- *    often window-boundary snapshots are affordable.
+ * The checkpoint subsystem (src/ckpt) adds two rows:
  *  - BM_WarmupGenerate vs BM_WarmupFork: the sweep warm-up A/B —
  *    native urand graph synthesis against decoding the published
  *    input snapshot the checkpoint-fork sweep shares.  Items are
@@ -284,61 +279,6 @@ BM_Kernel(benchmark::State &state, KernelMode mode)
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 
-/**
- * Full-state snapshot roundtrip (src/ckpt): serialize a warmed System
- * and its prefetcher into an rnr-ckpt-v1 blob, checksum it, parse it
- * back and load every field.  Items are snapshot bytes — the rate is
- * the codec's save+restore throughput, which bounds how often the
- * resumable runner can afford window-boundary snapshots.
- */
-void
-BM_CheckpointSaveRestore(benchmark::State &state)
-{
-    static const TraceBuffer &buf = *[] {
-        static TraceBuffer b;
-        for (const TraceRecord &rec : hotTrace())
-            b.push(rec);
-        return &b;
-    }();
-    MachineConfig mcfg = MachineConfig::scaledDefault();
-    mcfg.cores = 1;
-    System sys(mcfg, KernelMode::Batched);
-    std::unique_ptr<Prefetcher> pf =
-        createPrefetcher(PrefetcherKind::Stream);
-    sys.mem().setPrefetcher(0, pf.get());
-    // One warm pass so the snapshot carries populated caches, TLBs,
-    // DRAM bookkeeping and live prefetcher state — what a real
-    // window-boundary capture serializes (the workload itself is
-    // fast-forwarded natively on restore, never serialized).
-    (void)sys.run({&buf});
-
-    std::uint64_t bytes = 0;
-    for (auto _ : state) {
-        ckpt::SnapshotWriter w(
-            ckpt::SnapshotHeader{"bench", "bench-full", 1});
-        sys.visitState(w.section(ckpt::SectionId::System));
-        pf->saveState(w.section(ckpt::SectionId::Prefetchers));
-        std::vector<std::uint8_t> blob = w.finish();
-
-        ckpt::SnapshotReader reader;
-        if (!reader.parse(blob).ok()) {
-            state.SkipWithError("snapshot failed to parse");
-            break;
-        }
-        ckpt::Deser sys_d = reader.section(ckpt::SectionId::System);
-        sys.visitState(sys_d);
-        ckpt::Deser pf_d = reader.section(ckpt::SectionId::Prefetchers);
-        pf->loadState(pf_d);
-        if (!sys_d.ok() || !pf_d.ok()) {
-            state.SkipWithError("snapshot failed to load");
-            break;
-        }
-        benchmark::DoNotOptimize(blob.data());
-        bytes += blob.size();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(bytes));
-}
-
 /** The sweep warm-up's native side: synthesize the urand graph the
  *  way the first config of a workload key must.  Items are inputs. */
 void
@@ -468,7 +408,6 @@ BENCHMARK_CAPTURE(BM_Kernel, batched, rnr::KernelMode::Batched)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Kernel, legacy, rnr::KernelMode::Legacy)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CheckpointSaveRestore)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);

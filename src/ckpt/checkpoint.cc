@@ -20,7 +20,7 @@ const char *
 toString(SectionId id)
 {
     switch (id) {
-#define RNR_CKPT_SECTION_NAME(name, value)                                    \
+#define RNR_CKPT_SECTION_NAME(name, value, retired)                           \
     case SectionId::name:                                                     \
         return #name;
         RNR_CKPT_SECTIONS(RNR_CKPT_SECTION_NAME)
@@ -29,11 +29,24 @@ toString(SectionId id)
     return "?";
 }
 
+bool
+sectionRetired(SectionId id)
+{
+    switch (id) {
+#define RNR_CKPT_SECTION_RETIRED(name, value, retired)                        \
+    case SectionId::name:                                                     \
+        return retired;
+        RNR_CKPT_SECTIONS(RNR_CKPT_SECTION_RETIRED)
+#undef RNR_CKPT_SECTION_RETIRED
+    }
+    return false;
+}
+
 const std::vector<SectionId> &
 allSectionIds()
 {
     static const std::vector<SectionId> ids = {
-#define RNR_CKPT_SECTION_ID(name, value) SectionId::name,
+#define RNR_CKPT_SECTION_ID(name, value, retired) SectionId::name,
         RNR_CKPT_SECTIONS(RNR_CKPT_SECTION_ID)
 #undef RNR_CKPT_SECTION_ID
     };

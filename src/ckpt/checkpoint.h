@@ -3,22 +3,14 @@
  * `rnr-ckpt-v1` snapshot codec: a versioned, checksummed container of
  * named sections, each an exact-u64 archive (ckpt/serde.h).
  *
- * Two snapshot flavours share the format:
- *
- *  - *input snapshots* (window 0, full_key empty, Input section only) —
- *    the serialized generated workload input (CSR graph / matrix),
- *    keyed by ExperimentConfig::workloadKey().  This is the
- *    checkpoint-fork sweep's unit of sharing: the warm-up (input
- *    generation) runs once, every other config of the same workload key
- *    forks the snapshot instead.
- *
- *  - *full snapshots* (window k >= 1, full_key set) — the complete
- *    simulation state at an iteration boundary: every cache, MSHR,
- *    DRAM queue, TLB, core, prefetcher (including the whole RnR
- *    tables/FSM) plus the harness's per-iteration results so far.
- *    Restoring and continuing is bit-identical to the uninterrupted
- *    run (tests/ckpt/checkpoint_test.cc enforces it for both
- *    RNR_KERNEL modes).
+ * The snapshots written are *input snapshots* (window 0, full_key
+ * empty, Input section only): the serialized generated workload input
+ * (CSR graph / matrix), keyed by ExperimentConfig::workloadKey().  This
+ * is the checkpoint-fork sweep's unit of sharing: the warm-up (input
+ * generation) runs once, every other config of the same workload key
+ * forks the snapshot instead.  The header's full_key and window fields
+ * stay in the format so files written with them still parse and
+ * inspect.
  *
  * Wire layout (all integers 8 LE bytes, strings length-prefixed):
  *
@@ -39,7 +31,6 @@
 #define RNR_CKPT_CHECKPOINT_H
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,37 +40,31 @@
 namespace rnr {
 namespace ckpt {
 
-/** Thrown by restore paths when a snapshot fails to decode; the
- *  caller quarantines the snapshot and re-produces it (mirrors the
- *  trace store's corrupt-entry handling). */
-struct CorruptSnapshot : std::runtime_error {
-    explicit CorruptSnapshot(const CkptIoResult &r)
-        : std::runtime_error(r.message()), status(r.status)
-    {
-    }
-    CkptIoStatus status;
-};
-
-/** X-macro over the section registry: X(name, id).  Ids are wire ABI —
- *  append only.  toString()/sectionName() and the SnapshotCoversEvery-
- *  Section test iterate this list, so adding a section updates the
- *  enum, the names and the coverage assertion in one edit. */
+/** X-macro over the section registry: X(name, id, retired).  Ids are
+ *  wire ABI — append only, and a retired id is never reused: it keeps
+ *  its name so older files still inspect, but nothing writes it.
+ *  toString(), sectionRetired() and the SnapshotCoversEverySection test
+ *  iterate this list, so adding a section updates the enum, the names
+ *  and the coverage assertion in one edit. */
 #define RNR_CKPT_SECTIONS(X)                                                  \
-    X(Meta, 1)        /* kernel mode, cores, total iterations        */       \
-    X(Input, 2)       /* generated workload input (CSR arrays)       */       \
-    X(Workload, 3)    /* workload-held replay state (reserved)       */       \
-    X(System, 4)      /* cores + caches + TLBs + DRAM (System tree)  */       \
-    X(Prefetchers, 5) /* per-core prefetcher state (virtual pairs)   */       \
-    X(Harness, 6)     /* per-iteration IterStats booked so far       */
+    X(Meta, 1, true)        /* whole-machine snapshot metadata        */      \
+    X(Input, 2, false)      /* generated workload input (CSR arrays)  */      \
+    X(Workload, 3, true)    /* workload-held replay state (never used) */     \
+    X(System, 4, true)      /* whole-machine cores/caches/TLBs/DRAM   */      \
+    X(Prefetchers, 5, true) /* whole-machine prefetcher state         */      \
+    X(Harness, 6, true)     /* whole-machine IterStats booked so far  */
 
 enum class SectionId : std::uint64_t {
-#define RNR_CKPT_SECTION_ENUM(name, id) name = id,
+#define RNR_CKPT_SECTION_ENUM(name, id, retired) name = id,
     RNR_CKPT_SECTIONS(RNR_CKPT_SECTION_ENUM)
 #undef RNR_CKPT_SECTION_ENUM
 };
 
 /** "Meta", "Input", ... (registry spelling); "?" when unknown. */
 const char *toString(SectionId id);
+
+/** True for an id that nothing writes any more (kept for old files). */
+bool sectionRetired(SectionId id);
 
 /** Every registered section id, in X-macro order. */
 const std::vector<SectionId> &allSectionIds();
@@ -113,8 +98,8 @@ struct SnapshotInfo {
  * Assembles a snapshot: open sections one at a time, write fields into
  * the returned Ser, then finish() to get the checksummed blob.
  *
- *     SnapshotWriter w({wkey, key, 2});
- *     sys.visitState(w.section(SectionId::System));
+ *     SnapshotWriter w({wkey, "", 0});
+ *     graph.visitState(w.section(SectionId::Input));
  *     std::vector<std::uint8_t> blob = w.finish();
  */
 class SnapshotWriter

@@ -23,7 +23,6 @@ struct CkptMetrics {
     obs::Counter *warmups;
     obs::Counter *forks;
     obs::Counter *saves;
-    obs::Counter *restores;
     obs::Counter *quarantines;
     CkptMetrics()
     {
@@ -31,7 +30,6 @@ struct CkptMetrics {
         warmups = reg.counter("rnr_ckpt_warmups_total");
         forks = reg.counter("rnr_ckpt_forks_total");
         saves = reg.counter("rnr_ckpt_saves_total");
-        restores = reg.counter("rnr_ckpt_restores_total");
         quarantines = reg.counter("rnr_ckpt_quarantines_total");
     }
 };
@@ -56,8 +54,9 @@ produceLockPath(const std::string &slot)
     return CheckpointStore::rootPath() + "/" + slot + ".lock";
 }
 
-/** The header key a snapshot is addressed by: the full key when set,
- *  else the workload key (input snapshots). */
+/** The header key a snapshot is addressed by: the full key when set
+ *  (files from the retired whole-machine snapshots), else the workload
+ *  key (input snapshots). */
 const std::string &
 addressKey(const SnapshotHeader &h)
 {
@@ -238,14 +237,6 @@ CheckpointStore::abandon(const std::string &key, std::uint64_t window)
     releaseOwnership(slotName(key, window));
 }
 
-bool
-CheckpointStore::tryLoad(const std::string &key, std::uint64_t window,
-                         std::vector<std::uint8_t> &blob)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return openSnapshotLocked(key, window, blob);
-}
-
 void
 CheckpointStore::invalidate(const std::string &key, std::uint64_t window)
 {
@@ -279,13 +270,6 @@ CheckpointStore::saves() const
 }
 
 std::uint64_t
-CheckpointStore::restores() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return restores_;
-}
-
-std::uint64_t
 CheckpointStore::quarantines() const
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -311,21 +295,12 @@ CheckpointStore::noteFork()
 }
 
 void
-CheckpointStore::noteRestore()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ++restores_;
-    if (obs::Counter *c = ckptMetrics().restores)
-        c->add();
-}
-
-void
 CheckpointStore::resetForTest()
 {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_.clear();
     locks_.clear();
-    warmups_ = forks_ = saves_ = restores_ = quarantines_ = 0;
+    warmups_ = forks_ = saves_ = quarantines_ = 0;
 }
 
 } // namespace ckpt

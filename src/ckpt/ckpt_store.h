@@ -11,10 +11,9 @@
  * that share one store directory.
  *
  * Keying — the caller passes whatever key string identifies the
- * snapshot: workloadKey() for input snapshots (window 0), the full
- * key() for mid-run full snapshots (prefetcher state is config
- * specific).  Files are content-addressed by an FNV-1a64 hash of the
- * key; the snapshot header stores the full key so a hash collision
+ * snapshot together with a window (the input fork passes workloadKey()
+ * and window 0).  Files are content-addressed by an FNV-1a64 hash of
+ * the key; the snapshot header stores the key so a hash collision
  * reads as a miss, never as wrong data.
  *
  * Layout under rootPath() ($RNR_CKPT_DIR, default "rnr_ckpt"):
@@ -99,11 +98,6 @@ class CheckpointStore
     /** Owner abort: releases ownership so a waiter can produce. */
     void abandon(const std::string &key, std::uint64_t window);
 
-    /** Non-blocking lookup: fills @p blob iff a validated snapshot
-     *  for (@p key, @p window) exists.  Quarantines corrupt files. */
-    bool tryLoad(const std::string &key, std::uint64_t window,
-                 std::vector<std::uint8_t> &blob);
-
     /** Quarantines the (@p key, @p window) snapshot (corrupt at a
      *  deeper layer than the container, e.g. a section that fails to
      *  decode): the file is removed and the counter bumped. */
@@ -113,14 +107,12 @@ class CheckpointStore
     std::uint64_t warmups() const;     ///< Snapshots produced natively.
     std::uint64_t forks() const;       ///< Runs served from a snapshot.
     std::uint64_t saves() const;       ///< Snapshots published.
-    std::uint64_t restores() const;    ///< Full snapshots restored.
     std::uint64_t quarantines() const; ///< Corrupt snapshots removed.
 
     /** Warm-up/fork accounting hooks for the runner (the store cannot
      *  see an in-process memo hit, so the runner reports both). */
     void noteWarmup();
     void noteFork();
-    void noteRestore();
 
     /** Resets counters and in-flight state (tests that repoint
      *  $RNR_CKPT_DIR mid-process). */
@@ -143,7 +135,6 @@ class CheckpointStore
     std::uint64_t warmups_ = 0;
     std::uint64_t forks_ = 0;
     std::uint64_t saves_ = 0;
-    std::uint64_t restores_ = 0;
     std::uint64_t quarantines_ = 0;
 };
 

@@ -20,10 +20,9 @@
  *
  * One field list drives both directions — save and load cannot drift
  * apart, which is the whole point (the same trick as the
- * RNR_ITER_STAT_FIELDS X-macro, applied to binary state).  Components
- * that sit behind a virtual interface (Prefetcher) project the visitor
- * through `saveState(Ser&)`/`loadState(Deser&)` using
- * RNR_CKPT_DEFINE_STATE below.
+ * RNR_ITER_STAT_FIELDS X-macro, applied to binary state).  The RnR
+ * prefetcher's context-switch state and the generated workload inputs
+ * (Graph, SparseMatrix) are the visitors in use.
  *
  * A failed read (truncated input) latches an error: every subsequent
  * scalar yields zero and the caller checks `deser.ok()` once at the
@@ -280,7 +279,10 @@ class Deser
                  std::to_string(pos_) + " of " + std::to_string(n_));
             return false;
         }
-        std::memcpy(out, p_ + pos_, n);
+        // A zero-length read may come with the null data() of an empty
+        // vector or string, which memcpy must not see.
+        if (n != 0)
+            std::memcpy(out, p_ + pos_, n);
         pos_ += n;
         return true;
     }
@@ -305,8 +307,8 @@ class Deser
 };
 
 /** Archives one value through whichever protocol it supports: scalars
- *  via scalar(), anything else via its own visitState().  Lets generic
- *  containers (Ring<T>) hold both plain ticks and visitor structs. */
+ *  via scalar(), anything else via its own visitState().  Lets seq()
+ *  hold both plain values and visitor structs. */
 template <class Ar, typename T>
 void
 visitValue(Ar &ar, T &v)
@@ -362,8 +364,7 @@ seq(Ar &ar, std::vector<T> &v)
 }
 
 /** Scalar list field (std::list order preserved): u64 count + elements
- *  front-to-back.  Used for the LRU/FIFO order lists that accompany the
- *  prefetchers' hash tables. */
+ *  front-to-back, e.g. the LRU/FIFO order list beside a hash table. */
 template <class Ar, class List>
 void
 scalarList(Ar &ar, List &l)
@@ -388,8 +389,8 @@ scalarList(Ar &ar, List &l)
 /** Scalar-keyed map field: u64 count + (key, value) scalar pairs in the
  *  map's iteration order.  Loading rebuilds via operator[], so the
  *  restored map has identical contents; hash-map iteration order may
- *  differ from the original, which is fine for key-only lookups (every
- *  serialized map in the simulator is one). */
+ *  differ from the original, which is fine for maps used only for key
+ *  lookups. */
 template <class Ar, class Map>
 void
 kvMap(Ar &ar, Map &m)
@@ -417,27 +418,5 @@ kvMap(Ar &ar, Map &m)
 
 } // namespace ckpt
 } // namespace rnr
-
-/**
- * Declares the concrete save/load pair on a class whose state lives in
- * a `template <class Ar> void visitState(Ar&)` member.  Virtual
- * components (Prefetcher hierarchy) add `override`.
- */
-#define RNR_CKPT_DECLARE_STATE()                                             \
-    void saveState(::rnr::ckpt::Ser &ar) const;                              \
-    void loadState(::rnr::ckpt::Deser &ar)
-
-#define RNR_CKPT_DECLARE_STATE_OVERRIDE()                                    \
-    void saveState(::rnr::ckpt::Ser &ar) const override;                     \
-    void loadState(::rnr::ckpt::Deser &ar) override
-
-/** Defines the pair declared above, forwarding both directions to the
- *  one shared visitState so the field lists cannot diverge. */
-#define RNR_CKPT_DEFINE_STATE(Class)                                         \
-    void Class::saveState(::rnr::ckpt::Ser &ar) const                        \
-    {                                                                        \
-        const_cast<Class *>(this)->visitState(ar);                           \
-    }                                                                        \
-    void Class::loadState(::rnr::ckpt::Deser &ar) { visitState(ar); }
 
 #endif // RNR_CKPT_SERDE_H

@@ -540,6 +540,4 @@ RnrPrefetcher::onAccess(const L2AccessInfo &info)
     }
 }
 
-RNR_CKPT_DEFINE_STATE(RnrPrefetcher)
-
 } // namespace rnr

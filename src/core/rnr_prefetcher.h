@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ckpt/serde.h"
 #include "core/replay_control.h"
 #include "core/rnr_state.h"
 #include "prefetch/prefetcher.h"
@@ -105,13 +106,12 @@ class RnrPrefetcher : public Prefetcher
     /** Bytes of state to save on a context switch (Section IV-C). */
     static std::uint64_t contextSwitchBytes();
 
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
     /**
-     * Full-model checkpoint visitor: architectural registers, internal
-     * registers, replay controller, both metadata tables (their memory
-     * contents live here, not in the cache model), replay cursors and
-     * the timeliness-classification map.  After loading mid-replay
+     * Context-switch state visitor (ckpt::runSwitchStorm, Fig 15):
+     * issue counters, architectural registers, internal registers,
+     * replay controller, both metadata tables (their memory contents
+     * live here, not in the cache model), replay cursors and the
+     * timeliness-classification map.  After loading mid-replay
      * state, the controller's division-table pointer is re-armed to
      * this instance's div_store_ — pointers do not travel.
      */
@@ -119,7 +119,7 @@ class RnrPrefetcher : public Prefetcher
     void
     visitState(Ar &ar)
     {
-        visitBaseState(ar);
+        stats_.visitState(ar);
         arch_.visitState(ar);
         internal_.visitState(ar);
         controller_.visitState(ar);

@@ -23,11 +23,9 @@
 #ifndef RNR_CPU_CORE_H
 #define RNR_CPU_CORE_H
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
-#include "ckpt/serde.h"
 #include "mem/memory_system.h"
 #include "sim/config.h"
 #include "sim/kernel.h"
@@ -114,45 +112,10 @@ class CoreModel
      */
     void syncTo(Tick t);
 
-    /**
-     * Checkpoint visitor: clocks, ROB/LSQ contents and retirement
-     * bookkeeping.  Checkpoints are taken at iteration boundaries, so
-     * the staged batched-kernel run must be fully drained — asserted on
-     * save, and cleared on load (the resumed run re-stages from its own
-     * trace source, which the harness re-materialises per iteration).
-     */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        assert(run_pos_ >= run_len_ && "checkpoint inside a staged run");
-        if constexpr (Ar::kLoading) {
-            run_ = nullptr;
-            run_pos_ = run_len_ = 0;
-        }
-        ar.scalar(issue_clock_);
-        ar.scalar(issued_this_cycle_);
-        ar.scalar(retire_clock_);
-        rob_.visitState(ar);
-        ar.scalar(rob_slots_);
-        lsq_.visitState(ar);
-        ar.scalar(instrs_);
-        ar.scalar(last_completion_);
-        stats_.visitState(ar);
-    }
-
   private:
     struct RobEntry {
         Tick completion = 0;
         std::uint32_t slots = 0;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(completion);
-            ar.scalar(slots);
-        }
     };
 
     /** The timing model for one record; shared by both kernels. */

@@ -90,18 +90,6 @@ class System
      *  observed at the L2s or the prefetchers (sim/attrib.h). */
     void attachAttrib(AttribCollector *at) { mem_.attachAttrib(at); }
 
-    /** Checkpoint visitor: every core, then the memory hierarchy.
-     *  Prefetchers attach from outside (System does not own them) and
-     *  get their own snapshot section via the virtual state pair. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        for (auto &c : cores_)
-            c->visitState(ar);
-        mem_.visitState(ar);
-    }
-
   private:
     /** Shared interleaving driver; feeds were set by the run() overload. */
     IterationResult drive();

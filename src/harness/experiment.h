@@ -32,7 +32,7 @@ struct TelemetryBlob;
  * observation-only (a traced run's counters are bit-identical to an
  * untraced run's), so the results are interchangeable cache-wise.  The
  * flip side: runExperiment() may satisfy a traced config from the cache
- * without simulating, producing no events — call runExperimentTraced()
+ * without simulating, producing no events — call runExperimentUncached()
  * when events are the point.
  */
 struct TraceOptions {

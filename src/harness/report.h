@@ -11,7 +11,7 @@
  * no-prefetcher baseline, and per-cell host profiling (wall clock, peak
  * RSS, result-cache / trace-store hit state).
  *
- * Report generation always simulates (runExperimentInstrumented with a
+ * Report generation always simulates (runExperimentUncached with a
  * live sampler) — a result-cache hit would carry no telemetry — but the
  * trace store still accelerates it: every cell of one workload replays
  * the same captured trace.

@@ -8,15 +8,12 @@
 #include <set>
 #include <stdexcept>
 
-#include "ckpt/checkpoint.h"
-#include "ckpt/ckpt_store.h"
 #include "ckpt/input_fork.h"
 #include "cpu/system.h"
 #include "harness/result_cache.h"
 #include "obs/log.h"
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
-#include "sim/kernel.h"
 #include "sim/timeseries.h"
 #include "tracestore/trace_reader.h"
 #include "tracestore/trace_store.h"
@@ -58,8 +55,7 @@ struct Sim {
     ExperimentResult result;
     SystemCounters before;
 
-    Sim(const ExperimentConfig &cfg, TraceCollector *tr,
-        TelemetrySampler *tm, AttribCollector *at = nullptr)
+    Sim(const ExperimentConfig &cfg, const Probes &probes)
         : sys(machineFor(cfg)), wl(makeWorkload(cfg))
     {
         RnrPrefetcher::Options rnr_opts;
@@ -72,12 +68,12 @@ struct Sim {
             prefetchers.back()->configureFor(*wl, c);
             sys.mem().setPrefetcher(c, prefetchers.back().get());
         }
-        if (tr)
-            sys.attachTrace(tr);
-        if (tm)
-            sys.attachTelemetry(tm);
-        if (at)
-            sys.attachAttrib(at);
+        if (probes.trace)
+            sys.attachTrace(probes.trace);
+        if (probes.telemetry)
+            sys.attachTelemetry(probes.telemetry);
+        if (probes.attrib)
+            sys.attachAttrib(probes.attrib);
 
         result.config = cfg;
         result.input_bytes = wl->inputBytes();
@@ -127,12 +123,11 @@ struct Sim {
  * the in-progress store entry.
  */
 ExperimentResult
-runMaterialized(const ExperimentConfig &cfg, TraceCollector *tr,
-                TelemetrySampler *tm, AttribCollector *at,
+runMaterialized(const ExperimentConfig &cfg, const Probes &probes,
                 TraceStore::Capture *cap)
 {
     g_simulated.fetch_add(1);
-    Sim sim(cfg, tr, tm, at);
+    Sim sim(cfg, probes);
 
     std::vector<TraceBuffer> bufs(cfg.cores);
     for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
@@ -167,12 +162,11 @@ runMaterialized(const ExperimentConfig &cfg, TraceCollector *tr,
  * fails mid-stream.
  */
 ExperimentResult
-runFromStore(const ExperimentConfig &cfg, TraceCollector *tr,
-             TelemetrySampler *tm, AttribCollector *at,
+runFromStore(const ExperimentConfig &cfg, const Probes &probes,
              const TraceStore::Entry &entry)
 {
     g_simulated.fetch_add(1);
-    Sim sim(cfg, tr, tm, at);
+    Sim sim(cfg, probes);
 
     for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
         // Advance workload-held replay state (e.g. PageRank's p_curr
@@ -204,8 +198,7 @@ runFromStore(const ExperimentConfig &cfg, TraceCollector *tr,
  * quarantined and recaptured once before giving up on the store.
  */
 ExperimentResult
-runWithTraceStore(const ExperimentConfig &cfg, TraceCollector *tr,
-                  TelemetrySampler *tm, AttribCollector *at)
+runWithTraceStore(const ExperimentConfig &cfg, const Probes &probes)
 {
     TraceStore &store = TraceStore::instance();
     const std::string wkey = cfg.workloadKey();
@@ -214,7 +207,7 @@ runWithTraceStore(const ExperimentConfig &cfg, TraceCollector *tr,
         TraceStore::Entry entry;
         if (store.acquire(wkey, entry) == TraceStore::Acquire::Hit) {
             try {
-                return runFromStore(cfg, tr, tm, at, entry);
+                return runFromStore(cfg, probes, entry);
             } catch (const CorruptTraceEntry &e) {
                 obs::LogLine(obs::LogLevel::Warn, "tracestore")
                     .msg("replay failed; quarantining and recapturing")
@@ -227,105 +220,13 @@ runWithTraceStore(const ExperimentConfig &cfg, TraceCollector *tr,
         // Owner: run natively, encoding each iteration as it finishes.
         TraceStore::Capture cap =
             store.beginCapture(wkey, cfg.iterations, cfg.cores);
-        ExperimentResult r = runMaterialized(cfg, tr, tm, at, &cap);
+        ExperimentResult r = runMaterialized(cfg, probes, &cap);
         cap.publish(r.input_bytes, r.target_bytes);
         return r;
     }
     // Two corrupt replays in a row: something is systematically wrong
     // with this entry's environment; simulate without the store.
-    return runMaterialized(cfg, tr, tm, at, nullptr);
-}
-
-// ---- Full-state checkpoint capture / restore (src/ckpt) ----
-
-/** Serializes the complete simulation state of @p sim after @p window
- *  finished iterations into an rnr-ckpt-v1 blob. */
-std::vector<std::uint8_t>
-snapshotSim(const ExperimentConfig &cfg, Sim &sim, unsigned window)
-{
-    ckpt::SnapshotWriter w(
-        ckpt::SnapshotHeader{cfg.workloadKey(), cfg.key(), window});
-    {
-        // Echo only: restoring under the other RNR_KERNEL mode is
-        // legal (the kernels are bit-identical by contract); inspect
-        // just shows which mode captured.
-        ckpt::Ser &s = w.section(ckpt::SectionId::Meta);
-        s.scalar(std::uint64_t{
-            kernelModeFromEnv() == KernelMode::Legacy ? 1u : 0u});
-        s.scalar(std::uint64_t{cfg.cores});
-        s.scalar(std::uint64_t{cfg.iterations});
-    }
-    sim.sys.visitState(w.section(ckpt::SectionId::System));
-    {
-        ckpt::Ser &s = w.section(ckpt::SectionId::Prefetchers);
-        for (auto &p : sim.prefetchers)
-            p->saveState(s);
-    }
-    {
-        ckpt::Ser &s = w.section(ckpt::SectionId::Harness);
-        s.scalar(sim.result.input_bytes);
-        s.scalar(sim.result.target_bytes);
-        s.scalar(std::uint64_t{sim.result.iterations.size()});
-        for (IterStats &it : sim.result.iterations) {
-#define RNR_CKPT_ITER_FIELD(type, name) s.scalar(it.name);
-            RNR_ITER_STAT_FIELDS(RNR_CKPT_ITER_FIELD)
-#undef RNR_CKPT_ITER_FIELD
-        }
-    }
-    return w.finish();
-}
-
-/** Rebuilds @p sim to the snapshot's state: native workload
- *  fast-forward plus section loads.  Throws CorruptSnapshot when any
- *  section fails to decode. */
-void
-restoreSim(const ExperimentConfig &cfg, Sim &sim,
-           const ckpt::SnapshotReader &reader)
-{
-    const unsigned window =
-        static_cast<unsigned>(reader.header().window);
-
-    // Fast-forward the workload natively through the checkpointed
-    // iterations: re-running the numerics leaves the workload (and
-    // its RnR runtime staging) in exactly the checkpoint-time state
-    // for any workload type.  The emitted records are discarded — the
-    // System/Prefetchers sections stand in for simulating them.
-    std::vector<TraceBuffer> bufs(cfg.cores);
-    for (unsigned iter = 0; iter < window; ++iter)
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
-
-    ckpt::Deser sys = reader.section(ckpt::SectionId::System);
-    sim.sys.visitState(sys);
-    if (!sys.ok())
-        throw ckpt::CorruptSnapshot(sys.result());
-
-    ckpt::Deser pf = reader.section(ckpt::SectionId::Prefetchers);
-    for (auto &p : sim.prefetchers)
-        p->loadState(pf);
-    if (!pf.ok())
-        throw ckpt::CorruptSnapshot(pf.result());
-
-    ckpt::Deser h = reader.section(ckpt::SectionId::Harness);
-    h.scalar(sim.result.input_bytes);
-    h.scalar(sim.result.target_bytes);
-    std::uint64_t n = 0;
-    h.scalar(n);
-    sim.result.iterations.clear();
-    if (ckpt::checkCount(h, n, 8)) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            IterStats it;
-#define RNR_CKPT_ITER_FIELD(type, name) h.scalar(it.name);
-            RNR_ITER_STAT_FIELDS(RNR_CKPT_ITER_FIELD)
-#undef RNR_CKPT_ITER_FIELD
-            sim.result.iterations.push_back(it);
-        }
-    }
-    if (!h.ok())
-        throw ckpt::CorruptSnapshot(h.result());
-
-    // The restored stats make a fresh capture equal the
-    // checkpoint-time one, so iteration deltas continue seamlessly.
-    sim.before = SystemCounters::capture(sim.sys);
+    return runMaterialized(cfg, probes, nullptr);
 }
 
 } // namespace
@@ -364,85 +265,71 @@ makeWorkload(const ExperimentConfig &cfg)
 }
 
 ExperimentResult
-runExperimentAttributed(const ExperimentConfig &cfg, TraceCollector *tr,
-                        TelemetrySampler *tm, AttribCollector *at)
+runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
 {
-    // The tracefile app already replays from disk; storing it again
-    // would only duplicate the file.
-    ExperimentResult r =
-        (TraceStore::enabled() && cfg.app != "tracefile")
-            ? runWithTraceStore(cfg, tr, tm, at)
-            : runMaterialized(cfg, tr, tm, at, nullptr);
-    if (tm)
-        r.telemetry = std::make_shared<TelemetryBlob>(tm->harvest());
-    if (at) {
-        auto blob = std::make_shared<AttribBlob>(at->harvest());
-        publishAttribMetrics(*blob);
-        r.attrib = std::move(blob);
+    // A probe the caller passed rides along as given; a missing one is
+    // built here when cfg or the environment asks for it.
+    Probes probes = given;
+    std::unique_ptr<TraceCollector> own_tr;
+    if (!probes.trace && (cfg.trace.enabled || traceEnvEnabled())) {
+        own_tr = std::make_unique<TraceCollector>(cfg.cores,
+                                                  cfg.trace.ring_capacity);
+        probes.trace = own_tr.get();
     }
-    return r;
-}
-
-ExperimentResult
-runExperimentInstrumented(const ExperimentConfig &cfg, TraceCollector *tr,
-                          TelemetrySampler *tm)
-{
-    return runExperimentAttributed(cfg, tr, tm, nullptr);
-}
-
-ExperimentResult
-runExperimentTraced(const ExperimentConfig &cfg, TraceCollector *tr)
-{
-    return runExperimentInstrumented(cfg, tr, nullptr);
-}
-
-ExperimentResult
-runExperimentUncached(const ExperimentConfig &cfg)
-{
-    const bool want_trace = cfg.trace.enabled || traceEnvEnabled();
-    const bool want_samples =
-        cfg.telemetry.enabled || telemetryEnvSampleCycles() > 0;
-    const bool want_attrib = cfg.attrib.enabled || attribEnvEnabled();
-    if (!want_trace && !want_samples && !want_attrib)
-        return runExperimentInstrumented(cfg, nullptr, nullptr);
-
-    std::unique_ptr<TelemetrySampler> tm;
-    if (want_samples)
-        tm = std::make_unique<TelemetrySampler>(
+    std::unique_ptr<TelemetrySampler> own_tm;
+    if (!probes.telemetry &&
+        (cfg.telemetry.enabled || telemetryEnvSampleCycles() > 0)) {
+        own_tm = std::make_unique<TelemetrySampler>(
             telemetrySampleCycles(cfg.telemetry.sample_cycles));
-    std::unique_ptr<AttribCollector> at;
-    if (want_attrib)
-        at = std::make_unique<AttribCollector>(
+        probes.telemetry = own_tm.get();
+    }
+    std::unique_ptr<AttribCollector> own_at;
+    if (!probes.attrib && (cfg.attrib.enabled || attribEnvEnabled())) {
+        own_at = std::make_unique<AttribCollector>(
             cfg.attrib.site_top_k != 0
                 ? cfg.attrib.site_top_k
                 : AttribCollector::kDefaultSiteTopK,
             cfg.attrib.region_top_k != 0
                 ? cfg.attrib.region_top_k
                 : AttribCollector::kDefaultRegionTopK);
-    if (!want_trace)
-        return runExperimentAttributed(cfg, nullptr, tm.get(), at.get());
+        probes.attrib = own_at.get();
+    }
 
-    TraceCollector tr(cfg.cores, cfg.trace.ring_capacity);
-    ExperimentResult result =
-        runExperimentAttributed(cfg, &tr, tm.get(), at.get());
+    // The tracefile app already replays from disk; storing it again
+    // would only duplicate the file.
+    ExperimentResult r =
+        (TraceStore::enabled() && cfg.app != "tracefile")
+            ? runWithTraceStore(cfg, probes)
+            : runMaterialized(cfg, probes, nullptr);
+    if (probes.telemetry)
+        r.telemetry =
+            std::make_shared<TelemetryBlob>(probes.telemetry->harvest());
+    if (probes.attrib) {
+        auto blob = std::make_shared<AttribBlob>(probes.attrib->harvest());
+        publishAttribMetrics(*blob);
+        r.attrib = std::move(blob);
+    }
+    if (!own_tr)
+        return r;
 
-    // Sinks.  Caveat for parallel sweeps: every traced cell writes the
-    // same RNR_TRACE_OUT path (atomically; last writer wins) — tracing
-    // is meant for single-cell runs, not whole sweeps.
+    // Sinks, for a collector built here only: a caller-owned one is the
+    // caller's to read.  Caveat for parallel sweeps: every traced cell
+    // writes the same RNR_TRACE_OUT path (atomically; last writer wins)
+    // — tracing is meant for single-cell runs, not whole sweeps.
     const std::string out = !cfg.trace.json_out.empty()
                                 ? cfg.trace.json_out
                                 : traceEnvOutPath();
-    if (!out.empty() && !writeChromeTrace(out, tr))
+    if (!out.empty() && !writeChromeTrace(out, *own_tr))
         obs::LogLine(obs::LogLevel::Error, "trace")
             .msg("failed to write trace")
             .kv("path", out);
     if (traceEnvReportEnabled()) {
         const std::string report =
-            formatReplayDiagnostics(buildReplayDiagnostics(tr));
+            formatReplayDiagnostics(buildReplayDiagnostics(*own_tr));
         std::fprintf(stderr, "[%s] replay windows:\n%s", cfg.key().c_str(),
                      report.c_str());
     }
-    return result;
+    return r;
 }
 
 ExperimentResult
@@ -496,107 +383,6 @@ std::uint64_t
 experimentsSimulated()
 {
     return g_simulated.load();
-}
-
-ExperimentResult
-runExperimentCheckpointed(const ExperimentConfig &cfg, unsigned window,
-                          std::vector<std::uint8_t> &snapshot_out)
-{
-    if (window == 0 || window >= cfg.iterations)
-        throw std::invalid_argument(
-            "checkpoint window must be in [1, iterations)");
-    g_simulated.fetch_add(1);
-    Sim sim(cfg, nullptr, nullptr);
-
-    std::vector<TraceBuffer> bufs(cfg.cores);
-    for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
-        std::vector<const TraceBuffer *> ptrs;
-        for (auto &b : bufs)
-            ptrs.push_back(&b);
-        sim.recordIteration(sim.sys.run(ptrs));
-        if (iter + 1 == window)
-            snapshot_out = snapshotSim(cfg, sim, window);
-    }
-    return sim.finish(cfg);
-}
-
-ExperimentResult
-runExperimentFromSnapshot(const ExperimentConfig &cfg,
-                          const std::vector<std::uint8_t> &snapshot)
-{
-    ckpt::SnapshotReader reader;
-    if (ckpt::CkptIoResult r = reader.parse(snapshot); !r.ok())
-        throw ckpt::CorruptSnapshot(r);
-    if (reader.header().full_key != cfg.key())
-        throw ckpt::CorruptSnapshot(ckpt::CkptIoResult::fail(
-            ckpt::CkptIoStatus::KeyMismatch,
-            "snapshot belongs to \"" + reader.header().full_key + "\""));
-    const unsigned window =
-        static_cast<unsigned>(reader.header().window);
-    if (window == 0 || window >= cfg.iterations)
-        throw ckpt::CorruptSnapshot(ckpt::CkptIoResult::fail(
-            ckpt::CkptIoStatus::BadSection,
-            "window " + std::to_string(window) + " outside [1, " +
-                std::to_string(cfg.iterations) + ")"));
-
-    g_simulated.fetch_add(1);
-    Sim sim(cfg, nullptr, nullptr);
-    restoreSim(cfg, sim, reader);
-    ckpt::CheckpointStore::instance().noteRestore();
-
-    std::vector<TraceBuffer> bufs(cfg.cores);
-    for (unsigned iter = window; iter < cfg.iterations; ++iter) {
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
-        std::vector<const TraceBuffer *> ptrs;
-        for (auto &b : bufs)
-            ptrs.push_back(&b);
-        sim.recordIteration(sim.sys.run(ptrs));
-    }
-    return sim.finish(cfg);
-}
-
-ExperimentResult
-runExperimentResumable(const ExperimentConfig &cfg, unsigned window)
-{
-    ckpt::CheckpointStore &store = ckpt::CheckpointStore::instance();
-    std::vector<std::uint8_t> blob;
-    if (!ckpt::CheckpointStore::enabled())
-        return runExperimentCheckpointed(cfg, window, blob);
-
-    // One span covers the whole resumable operation, so the store's
-    // own records (corrupt-snapshot drops, publish failures) correlate
-    // with the quarantine warnings below.
-    obs::SpanScope span;
-    const std::string key = cfg.key();
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        if (store.acquire(key, window, blob) ==
-            ckpt::CheckpointStore::Acquire::Hit) {
-            try {
-                return runExperimentFromSnapshot(cfg, blob);
-            } catch (const ckpt::CorruptSnapshot &e) {
-                obs::LogLine(obs::LogLevel::Warn, "ckpt")
-                    .msg("restore failed; quarantining and re-running")
-                    .kv("key", key)
-                    .kv("why", e.what());
-                store.invalidate(key, window);
-                continue;
-            }
-        }
-        // Owner: simulate from the start, snapshotting at the window.
-        ExperimentResult r;
-        try {
-            r = runExperimentCheckpointed(cfg, window, blob);
-        } catch (...) {
-            store.abandon(key, window);
-            throw;
-        }
-        store.publish(key, window, blob);
-        return r;
-    }
-    // Two corrupt restores in a row: run straight through without
-    // touching the store again.
-    return runExperimentCheckpointed(cfg, window, blob);
 }
 
 ExperimentResult

@@ -180,19 +180,14 @@ class ProgressReporter
                          static_cast<unsigned long long>(ts.hits()),
                          TraceStore::rootPath().c_str());
         // One line of checkpoint accounting: how many inputs this sweep
-        // warmed up natively versus forked from a shared snapshot (and
-        // how many full snapshots it resumed from mid-run).
+        // warmed up natively versus forked from a shared snapshot.
         if (ckpt::CheckpointStore::enabled() &&
-            (host.ckpt_warmups + host.ckpt_forks + host.ckpt_restores) >
-                0)
+            (host.ckpt_warmups + host.ckpt_forks) > 0)
             std::fprintf(
-                stderr,
-                "[%s] ckpt: %llu warm-ups, %llu forks, %llu restores "
-                "from %s\n",
+                stderr, "[%s] ckpt: %llu warm-ups, %llu forks from %s\n",
                 label_.c_str(),
                 static_cast<unsigned long long>(host.ckpt_warmups),
                 static_cast<unsigned long long>(host.ckpt_forks),
-                static_cast<unsigned long long>(host.ckpt_restores),
                 ckpt::CheckpointStore::rootPath().c_str());
         // And one of host accounting: what the batch cost this process.
         // Peak RSS is cumulative (a high-water mark), so it bounds, not
@@ -300,7 +295,6 @@ SweepRunner::run()
         ckpt::CheckpointStore::instance();
     const std::uint64_t ckpt_warmups0 = ckpt_store.warmups();
     const std::uint64_t ckpt_forks0 = ckpt_store.forks();
-    const std::uint64_t ckpt_restores0 = ckpt_store.restores();
 
     // Each worker claims the next unclaimed cell until none are left.
     // A throwing cell stops its own worker only; the rest drain the
@@ -346,7 +340,6 @@ SweepRunner::run()
     host.peak_rss_bytes = hostPeakRssBytes();
     host.ckpt_warmups = ckpt_store.warmups() - ckpt_warmups0;
     host.ckpt_forks = ckpt_store.forks() - ckpt_forks0;
-    host.ckpt_restores = ckpt_store.restores() - ckpt_restores0;
     reporter.finish(stats_, host);
 
     const std::string json = jsonOutPath(opts_);
@@ -382,8 +375,7 @@ writeResultsJson(const std::string &path,
         os << "  \"host\": {\"wall_sec\": " << wall
            << ", \"peak_rss_bytes\": " << host->peak_rss_bytes
            << ", \"ckpt_warmups\": " << host->ckpt_warmups
-           << ", \"ckpt_forks\": " << host->ckpt_forks
-           << ", \"ckpt_restores\": " << host->ckpt_restores << "},\n";
+           << ", \"ckpt_forks\": " << host->ckpt_forks << "},\n";
     }
     os << "  \"cells\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -448,8 +440,6 @@ readResultsJson(const std::string &path, std::vector<ExperimentResult> &out,
                 host->ckpt_warmups = v->asU64();
             if (const JsonValue *v = h->find("ckpt_forks"))
                 host->ckpt_forks = v->asU64();
-            if (const JsonValue *v = h->find("ckpt_restores"))
-                host->ckpt_restores = v->asU64();
         }
 
     const JsonValue *cells = doc.find("cells");

@@ -32,7 +32,7 @@
  *                      exports from different runs byte-comparable)
  *   RNR_CKPT=0         disable checkpoint-fork input sharing (src/ckpt/);
  *                      every cell then generates its input natively
- *   RNR_CKPT_DIR=<d>   where input/full snapshots live (default rnr_ckpt)
+ *   RNR_CKPT_DIR=<d>   where input snapshots live (default rnr_ckpt)
  *
  * See docs/HARNESS.md for the JSON schema and a usage walkthrough.
  */
@@ -83,10 +83,9 @@ struct SweepHostInfo {
     /** Checkpoint-fork accounting for this sweep (deltas of the
      *  CheckpointStore counters across run()): how many inputs were
      *  generated natively (warm-ups) versus forked from a shared
-     *  snapshot, and how many full snapshots were resumed. */
+     *  snapshot. */
     std::uint64_t ckpt_warmups = 0;
     std::uint64_t ckpt_forks = 0;
-    std::uint64_t ckpt_restores = 0;
 };
 
 /**

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/serde.h"
 #include "mem/mshr.h"
 #include "sim/attrib.h"
 #include "sim/config.h"
@@ -301,48 +300,6 @@ class Cache
     const StatGroup &stats() const { return stats_; }
     CacheCounters &ctr() { return ctr_; }
     const CacheCounters &ctr() const { return ctr_; }
-
-    /** Checkpoint visitor: line array, LRU clock, both MSHR files and
-     *  the stat group.  Each line travels as (tag, fill_time, lru, site,
-     *  rrpv, valid, dirty, prefetched, referenced), an invalid line's
-     *  tag as 0.  Geometry (cfg_, set_mask_) and trace routing are
-     *  configuration: the restore side rebuilds them, and a line count
-     *  other than its sets x ways fails the load. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        std::uint64_t n = lines_.size();
-        ar.scalar(n);
-        if constexpr (Ar::kLoading) {
-            if (n != lines_.size()) {
-                ar.fail("cache " + cfg_.name + " holds " +
-                        std::to_string(lines_.size()) +
-                        " lines, snapshot " + std::to_string(n));
-                return;
-            }
-        }
-        for (std::size_t i = 0; i < lines_.size(); ++i) {
-            CacheLine &line = lines_[i];
-            bool valid = tags_[i] != kInvalidTag;
-            Addr tag = valid ? tags_[i] : 0;
-            ar.scalar(tag);
-            ar.scalar(line.fill_time);
-            ar.scalar(line.lru);
-            ar.scalar(line.site);
-            ar.scalar(line.rrpv);
-            ar.scalar(valid);
-            ar.scalar(line.dirty);
-            ar.scalar(line.prefetched);
-            ar.scalar(line.referenced);
-            if constexpr (Ar::kLoading)
-                tags_[i] = valid ? tag : kInvalidTag;
-        }
-        ar.scalar(lru_clock_);
-        mshr_.visitState(ar);
-        pq_.visitState(ar);
-        stats_.visitState(ar);
-    }
 
   private:
     /** Tag of an invalid way.  Block numbers are byte addresses shifted

@@ -18,7 +18,6 @@
 #include <deque>
 #include <vector>
 
-#include "ckpt/serde.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 #include "sim/trace_event.h"
@@ -106,59 +105,15 @@ class Dram
         return read_inflight_.empty() ? kTickMax : read_inflight_.front();
     }
 
-    /** Checkpoint visitor: bank/channel cursors, the in-flight read
-     *  heap (vector order preserved, so heap shape round-trips), the
-     *  write queue and the stat group. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        ckpt::seq(ar, banks_);
-        ar.pod(channel_free_);
-        ar.pod(read_inflight_);
-        std::uint64_t wq = write_queue_.size();
-        ar.scalar(wq);
-        if constexpr (Ar::kLoading) {
-            write_queue_.clear();
-            if (!ckpt::checkCount(ar, wq, 16))
-                return;
-            for (std::uint64_t i = 0; i < wq; ++i) {
-                PendingWrite w{};
-                w.visitState(ar);
-                write_queue_.push_back(w);
-            }
-        } else {
-            for (auto &w : write_queue_)
-                w.visitState(ar);
-        }
-        stats_.visitState(ar);
-    }
-
   private:
     struct Bank {
         Tick next_free = 0;
         std::uint64_t open_row = ~0ull;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(next_free);
-            ar.scalar(open_row);
-        }
     };
 
     struct PendingWrite {
         Addr addr;
         ReqOrigin origin;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(addr);
-            ar.scalar(origin);
-        }
     };
 
     unsigned channelOf(Addr addr) const;

@@ -117,23 +117,6 @@ class MemorySystem
     void attachAttrib(AttribCollector *at);
     AttribCollector *attrib() { return at_; }
 
-    /** Checkpoint visitor: every owned cache level, the per-core TLBs
-     *  and the DRAM model.  Attached prefetchers are NOT walked here —
-     *  they are not owned, and the snapshot codec gives them their own
-     *  section (they sit behind a virtual saveState/loadState pair). */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            l1d_[c]->visitState(ar);
-            l2_[c]->visitState(ar);
-            tlb_[c]->visitState(ar);
-        }
-        llc_->visitState(ar);
-        dram_.visitState(ar);
-    }
-
   private:
     /** Shared LLC + DRAM access; returns fill-complete tick. */
     Tick accessShared(Addr block, Tick now, ReqOrigin origin);

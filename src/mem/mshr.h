@@ -22,7 +22,6 @@
 #include <cassert>
 #include <vector>
 
-#include "ckpt/serde.h"
 #include "sim/trace_event.h"
 #include "sim/types.h"
 
@@ -37,17 +36,6 @@ class Mshr
         Tick fill;         ///< Tick at which the fill arrives.
         bool prefetch;     ///< Entry was allocated by a prefetch.
         std::uint32_t site; ///< Attribution site id (sim/attrib.h).
-
-        /** Field-wise (the struct has padding, so no pod() bulk path). */
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(block);
-            ar.scalar(fill);
-            ar.scalar(prefetch);
-            ar.scalar(site);
-        }
     };
 
     explicit Mshr(unsigned capacity) : capacity_(capacity) {}
@@ -134,17 +122,6 @@ class Mshr
     {
         entries_.clear();
         next_fill_ = kTickMax;
-    }
-
-    /** Checkpoint visitor: outstanding entries + the next-event cursor.
-     *  Capacity and trace routing are configuration, re-established by
-     *  construction on the restore side. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        ckpt::seq(ar, entries_);
-        ar.scalar(next_fill_);
     }
 
   private:

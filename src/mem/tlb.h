@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "ckpt/serde.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -63,17 +62,6 @@ class Tlb
 
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
-
-    /** Checkpoint visitor: both tag arrays plus the stat group.  The
-     *  geometry (sizes, masks) is configuration, rebuilt on restore. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        ar.pod(dtlb_);
-        ar.pod(stlb_);
-        stats_.visitState(ar);
-    }
 
   private:
     /** @p mask is size-1 for power-of-two arrays, 0 otherwise. */

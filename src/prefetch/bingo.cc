@@ -103,6 +103,4 @@ BingoPrefetcher::onAccess(const L2AccessInfo &info)
     }
 }
 
-RNR_CKPT_DEFINE_STATE(BingoPrefetcher)
-
 } // namespace rnr

@@ -28,36 +28,6 @@ class BingoPrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "bingo"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        std::uint64_t n = active_.size();
-        ar.scalar(n);
-        if constexpr (Ar::kLoading) {
-            active_.clear();
-            if (!ckpt::checkCount(ar, n, 40))
-                return;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Addr region = 0;
-                ar.scalar(region);
-                Generation gen{};
-                gen.visitState(ar);
-                active_[region] = gen;
-            }
-        } else {
-            for (auto &kv : active_) {
-                ar.scalar(kv.first);
-                kv.second.visitState(ar);
-            }
-        }
-        ckpt::scalarList(ar, active_order_);
-        ckpt::kvMap(ar, history_);
-        ckpt::scalarList(ar, history_order_);
-    }
 
   private:
     struct Generation {
@@ -65,16 +35,6 @@ class BingoPrefetcher : public Prefetcher
         unsigned trigger_offset = 0;
         Addr trigger_block = 0;
         std::uint64_t footprint = 0;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(trigger_pc);
-            ar.scalar(trigger_offset);
-            ar.scalar(trigger_block);
-            ar.scalar(footprint);
-        }
     };
 
     /** Commits a finished generation's footprint into the history. */

@@ -51,6 +51,4 @@ DominoPrefetcher::onAccess(const L2AccessInfo &info)
         index_.clear();
 }
 
-RNR_CKPT_DEFINE_STATE(DominoPrefetcher)
-
 } // namespace rnr

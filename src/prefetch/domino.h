@@ -28,19 +28,6 @@ class DominoPrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "domino"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ckpt::seq(ar, history_);
-        ar.scalar(head_);
-        ckpt::kvMap(ar, index_);
-        ar.scalar(prev_miss_);
-        ar.scalar(have_prev_);
-    }
 
   private:
     static std::uint64_t
@@ -52,14 +39,6 @@ class DominoPrefetcher : public Prefetcher
     struct Node {
         Addr block = 0;
         bool valid = false;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(block);
-            ar.scalar(valid);
-        }
     };
 
     std::vector<Node> history_;

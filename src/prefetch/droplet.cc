@@ -90,6 +90,4 @@ DropletPrefetcher::onAccess(const L2AccessInfo &info)
         launchIndirect(info.block, info.now, info.pc);
 }
 
-RNR_CKPT_DEFINE_STATE(DropletPrefetcher)
-
 } // namespace rnr

@@ -46,18 +46,6 @@ class DropletPrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "droplet"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    /** hint_ is deliberately absent: it holds a workload-owned closure
-     *  that configureFor() re-establishes on the restored instance. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ar.scalar(next_stream_block_);
-        ar.pod(filter_);
-    }
 
   private:
     bool inEdgeRange(Addr vaddr) const;

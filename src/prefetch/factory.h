@@ -86,24 +86,6 @@ class CombinedPrefetcher : public Prefetcher
 
     RnrPrefetcher &rnr() { return *rnr_; }
 
-    /** Composite snapshot: own stats, then each child's full state in
-     *  declaration order (children carry their own virtual pairs). */
-    void
-    saveState(ckpt::Ser &ar) const override
-    {
-        Prefetcher::saveState(ar);
-        rnr_->saveState(ar);
-        stream_->saveState(ar);
-    }
-
-    void
-    loadState(ckpt::Deser &ar) override
-    {
-        Prefetcher::loadState(ar);
-        rnr_->loadState(ar);
-        stream_->loadState(ar);
-    }
-
   private:
     std::unique_ptr<RnrPrefetcher> rnr_;
     std::unique_ptr<Prefetcher> stream_;

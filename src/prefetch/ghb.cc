@@ -43,6 +43,4 @@ GhbPrefetcher::onAccess(const L2AccessInfo &info)
     head_ = (head_ + 1) % buffer_.size();
 }
 
-RNR_CKPT_DEFINE_STATE(GhbPrefetcher)
-
 } // namespace rnr

@@ -28,30 +28,11 @@ class GhbPrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "ghb"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ckpt::seq(ar, buffer_);
-        ar.scalar(head_);
-        ckpt::kvMap(ar, index_);
-    }
 
   private:
     struct Node {
         Addr block = 0;
         bool valid = false;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(block);
-            ar.scalar(valid);
-        }
     };
 
     std::vector<Node> buffer_;

@@ -122,6 +122,4 @@ ImpPrefetcher::onAccess(const L2AccessInfo &info)
         train(info.vaddr);
 }
 
-RNR_CKPT_DEFINE_STATE(ImpPrefetcher)
-
 } // namespace rnr

@@ -59,22 +59,6 @@ class ImpPrefetcher : public Prefetcher
 
     bool patternConfirmed() const { return confirmed_; }
     std::int64_t coefficient() const { return coeff_; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    /** sniffer_ is deliberately absent: it holds a workload-owned
-     *  closure that configureFor() re-establishes after a restore. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ar.scalar(coeff_);
-        ar.scalar(base_);
-        ar.scalar(confirmed_);
-        ar.pod(recent_values_);
-        ar.scalar(recent_head_);
-        ckpt::kvMap(ar, candidates_);
-    }
 
   private:
     bool inIndexRange(Addr vaddr) const;

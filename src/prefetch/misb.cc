@@ -93,6 +93,4 @@ MisbPrefetcher::onAccess(const L2AccessInfo &info)
     training_[info.pc] = info.block;
 }
 
-RNR_CKPT_DEFINE_STATE(MisbPrefetcher)
-
 } // namespace rnr

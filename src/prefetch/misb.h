@@ -35,28 +35,6 @@ class MisbPrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "misb"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    /** The on-chip metadata cache maps key -> LRU-list iterator, which
-     *  cannot travel through an archive; only the LRU list itself is
-     *  serialized and the iterator map is rebuilt from it on load. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ckpt::kvMap(ar, training_);
-        ckpt::kvMap(ar, ps_map_);
-        ckpt::kvMap(ar, sp_map_);
-        ckpt::kvMap(ar, stream_alloc_);
-        ar.scalar(next_stream_base_);
-        ckpt::scalarList(ar, meta_lru_);
-        if constexpr (Ar::kLoading) {
-            meta_cache_.clear();
-            for (auto it = meta_lru_.begin(); it != meta_lru_.end(); ++it)
-                meta_cache_[*it] = it;
-        }
-    }
 
   private:
     static constexpr std::uint64_t kStreamStride = 1u << 20;

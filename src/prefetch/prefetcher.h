@@ -15,7 +15,6 @@
 
 #include <string>
 
-#include "ckpt/serde.h"
 #include "sim/stats.h"
 #include "sim/trace_event.h"
 #include "sim/types.h"
@@ -157,32 +156,7 @@ class Prefetcher
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
-    /**
-     * Snapshot projection of the per-class visitState through the
-     * virtual interface — the snapshot codec holds Prefetcher*, not
-     * concrete types.  Concrete classes with learned state declare the
-     * pair with RNR_CKPT_DECLARE_STATE_OVERRIDE() and define it with
-     * RNR_CKPT_DEFINE_STATE(Class); the default covers stateless
-     * prefetchers (Null, NextLine), whose only mutable state is the
-     * issue-outcome counters in stats_.
-     */
-    virtual void
-    saveState(ckpt::Ser &ar) const
-    {
-        const_cast<StatGroup &>(stats_).visitState(ar);
-    }
-    virtual void loadState(ckpt::Deser &ar) { stats_.visitState(ar); }
-
   protected:
-    /** Base-state fragment for derived visitState bodies: the shared
-     *  issue counters.  Call first so every class's wire layout starts
-     *  identically. */
-    template <class Ar>
-    void
-    visitBaseState(Ar &ar)
-    {
-        stats_.visitState(ar);
-    }
     /** Asks the attached L2 to fetch @p vaddr's block (into the L2).
      *  @param site attribution site id of this decision — the trigger
      *  PC for pattern prefetchers, attribRnrSite(core) for the RnR

@@ -100,6 +100,4 @@ StemsPrefetcher::onAccess(const L2AccessInfo &info)
     head_ = (head_ + 1) % temporal_.size();
 }
 
-RNR_CKPT_DEFINE_STATE(StemsPrefetcher)
-
 } // namespace rnr

@@ -33,36 +33,12 @@ class StemsPrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "stems"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ckpt::seq(ar, temporal_);
-        ar.scalar(head_);
-        ckpt::kvMap(ar, index_);
-        ckpt::kvMap(ar, patterns_);
-        ckpt::scalarList(ar, pattern_order_);
-        ar.scalar(open_region_);
-        ar.scalar(open_footprint_);
-    }
 
   private:
     struct TemporalNode {
         Addr region = 0;
         std::uint32_t trigger_pc = 0;
         bool valid = false;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(region);
-            ar.scalar(trigger_pc);
-            ar.scalar(valid);
-        }
     };
 
     void patternInsert(Addr region, std::uint64_t footprint);

@@ -72,6 +72,4 @@ StreamPrefetcher::onAccess(const L2AccessInfo &info)
     }
 }
 
-RNR_CKPT_DEFINE_STATE(StreamPrefetcher)
-
 } // namespace rnr

@@ -36,16 +36,6 @@ class StreamPrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "stream"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ckpt::seq(ar, streams_);
-        ar.scalar(lru_clock_);
-    }
 
   private:
     struct Stream {
@@ -54,17 +44,6 @@ class StreamPrefetcher : public Prefetcher
         int confidence = 0;
         std::uint64_t lru = 0;
         bool valid = false;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(last_block);
-            ar.scalar(cursor);
-            ar.scalar(confidence);
-            ar.scalar(lru);
-            ar.scalar(valid);
-        }
     };
 
     Stream *findStream(Addr block);

@@ -50,6 +50,4 @@ StridePrefetcher::onAccess(const L2AccessInfo &info)
     e.last_block = info.block;
 }
 
-RNR_CKPT_DEFINE_STATE(StridePrefetcher)
-
 } // namespace rnr

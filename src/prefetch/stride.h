@@ -23,15 +23,6 @@ class StridePrefetcher : public Prefetcher
 
     void onAccess(const L2AccessInfo &info) override;
     std::string name() const override { return "stride"; }
-    RNR_CKPT_DECLARE_STATE_OVERRIDE();
-
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        visitBaseState(ar);
-        ckpt::seq(ar, table_);
-    }
 
   private:
     struct Entry {
@@ -40,17 +31,6 @@ class StridePrefetcher : public Prefetcher
         std::int64_t stride = 0;
         int confidence = 0;
         bool valid = false;
-
-        template <class Ar>
-        void
-        visitState(Ar &ar)
-        {
-            ar.scalar(pc);
-            ar.scalar(last_block);
-            ar.scalar(stride);
-            ar.scalar(confidence);
-            ar.scalar(valid);
-        }
     };
 
     Entry &slot(std::uint32_t pc);

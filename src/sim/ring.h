@@ -14,10 +14,7 @@
 #define RNR_SIM_RING_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
-
-#include "ckpt/serde.h"
 
 namespace rnr {
 
@@ -60,30 +57,6 @@ class Ring
     /** i-th element from the front (0 <= i < size()); iteration. */
     const T &at(std::size_t i) const { return slots_[(head_ + i) & mask_]; }
     T &at(std::size_t i) { return slots_[(head_ + i) & mask_]; }
-
-    /** Checkpoint visitor: occupancy count + elements front-to-back.
-     *  Loading refills through push_back, so capacity grows as needed
-     *  and the restored ring drains identically to the original. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        std::uint64_t n = size();
-        ar.scalar(n);
-        if constexpr (Ar::kLoading) {
-            clear();
-            if (!ckpt::checkCount(ar, n, 8))
-                return;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                T v{};
-                ckpt::visitValue(ar, v);
-                push_back(v);
-            }
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i)
-                ckpt::visitValue(ar, const_cast<T &>(at(i)));
-        }
-    }
 
   private:
     void

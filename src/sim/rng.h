@@ -57,14 +57,6 @@ class Rng
         return static_cast<double>(next64() >> 11) * 0x1.0p-53;
     }
 
-    /** Checkpoint visitor: the whole generator is one u64 of state. */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        ar.scalar(state_);
-    }
-
   private:
     std::uint64_t state_;
 };

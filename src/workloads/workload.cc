@@ -20,11 +20,12 @@ Workload::retargetAll(std::vector<TraceBuffer> &bufs)
 {
     assert(bufs.size() == opts_.cores);
     for (unsigned c = 0; c < opts_.cores; ++c) {
-        // Sample the last iteration's size before clearing: callers
-        // commonly pass the same buffers every iteration.
-        if (const TraceBuffer *prev = tracers_[c]->buffer())
-            if (prev->size() > 0)
-                prev_records_[c] = prev->size();
+        // Sample the last iteration's size before clearing when the
+        // caller passes the same buffers again (the runner does).  A
+        // different buffer means the old one may already be freed, so
+        // it is never read.
+        if (tracers_[c]->buffer() == &bufs[c] && bufs[c].size() > 0)
+            prev_records_[c] = bufs[c].size();
         bufs[c].clear();
         bufs[c].reserve(prev_records_[c]);
         tracers_[c]->retarget(&bufs[c]);

@@ -89,18 +89,6 @@ TEST_F(CkptStoreTest, PublishThenHitRoundTrips)
     store.abandon("key-a", 3);
 }
 
-TEST_F(CkptStoreTest, TryLoadDoesNotTakeOwnership)
-{
-    CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob;
-    EXPECT_FALSE(store.tryLoad("key-b", 0, blob));
-
-    ASSERT_EQ(store.acquire("key-b", 0, blob),
-              CheckpointStore::Acquire::Owner);
-    ASSERT_TRUE(store.publish("key-b", 0, makeBlob("key-b", 0, 5)));
-    EXPECT_TRUE(store.tryLoad("key-b", 0, blob));
-}
-
 TEST_F(CkptStoreTest, CorruptSnapshotIsQuarantined)
 {
     CheckpointStore &store = CheckpointStore::instance();

@@ -171,7 +171,6 @@ TEST_F(ForkSweepTest, WarmProcessRerunDoesZeroWarmups)
     ResultCache::instance().clearForTest();
     (void)runSweep(cfgs, SweepOptions{});
     EXPECT_EQ(store.warmups(), 1u);
-    EXPECT_EQ(store.restores(), 0u); // input forks are not restores
 }
 
 TEST_F(ForkSweepTest, CorruptInputSnapshotRegeneratesBitIdentically)

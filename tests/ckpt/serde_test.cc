@@ -76,17 +76,29 @@ TEST(CkptSerde, PodAndStringRoundTrip)
     Ser s;
     std::vector<std::uint16_t> v = {1, 2, 65535};
     std::string name = "rnr-ckpt";
+    // Zero-length payloads: the empty vector's data() may be null.
+    std::vector<std::uint64_t> empty_v;
+    std::string empty_name;
     s.pod(v);
     s.str(name);
+    s.pod(empty_v);
+    s.str(empty_name);
 
     Deser de(s.buffer());
     std::vector<std::uint16_t> v2;
     std::string name2;
+    std::vector<std::uint64_t> empty_v2 = {7};
+    std::string empty_name2 = "stale";
     de.pod(v2);
     de.str(name2);
+    de.pod(empty_v2);
+    de.str(empty_name2);
     EXPECT_TRUE(de.ok());
+    EXPECT_EQ(de.remaining(), 0u);
     EXPECT_EQ(v2, v);
     EXPECT_EQ(name2, name);
+    EXPECT_TRUE(empty_v2.empty());
+    EXPECT_TRUE(empty_name2.empty());
 }
 
 struct Pair {

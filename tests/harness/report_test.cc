@@ -59,12 +59,12 @@ TEST_F(ReportFixture, SampledRunIsBitIdenticalToUnsampled)
     const ExperimentConfig cfg = rnrConfig();
 
     const ExperimentResult plain =
-        runExperimentInstrumented(cfg, nullptr, nullptr);
+        runExperimentUncached(cfg);
 
     TelemetrySampler tm(256); // aggressive period: ~32x denser than the
                               // default, to maximise observable skew
     const ExperimentResult sampled =
-        runExperimentInstrumented(cfg, nullptr, &tm);
+        runExperimentUncached(cfg, {.telemetry = &tm});
 
     ASSERT_EQ(sampled.iterations.size(), plain.iterations.size());
     for (std::size_t i = 0; i < plain.iterations.size(); ++i) {
@@ -92,7 +92,7 @@ TEST_F(ReportFixture, BlobCarriesTheReplayLaneAndMemorySeries)
 
     TelemetrySampler tm(512);
     const ExperimentResult r =
-        runExperimentInstrumented(cfg, nullptr, &tm);
+        runExperimentUncached(cfg, {.telemetry = &tm});
     ASSERT_NE(r.telemetry, nullptr);
     const TelemetryBlob &blob = *r.telemetry;
 

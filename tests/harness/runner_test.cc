@@ -5,6 +5,9 @@
 #include "cpu/system.h"
 #include "harness/runner.h"
 #include "harness/system_counters.h"
+#include "sim/attrib.h"
+#include "sim/timeseries.h"
+#include "sim/trace_event.h"
 
 namespace rnr {
 namespace {
@@ -135,6 +138,50 @@ TEST_F(RunnerFixture, RnrRunRecordsMetadata)
     EXPECT_GT(r.div_table_bytes, 0u);
     EXPECT_GT(r.first().rnr_recorded, 0u);
     EXPECT_GT(r.steady().pf_issued, 0u);
+}
+
+TEST_F(RunnerFixture, AllThreeProbesAtOnceLeaveCountersBitIdentical)
+{
+    // The plain run must build no probe of its own from the environment.
+    unsetenv("RNR_TRACE");
+    unsetenv("RNR_SAMPLE_CYCLES");
+    unsetenv("RNR_ATTRIB");
+    ExperimentConfig cfg;
+    cfg.app = "pagerank";
+    cfg.input = "amazon";
+    cfg.iterations = 2;
+    cfg.cores = 2;
+    cfg.prefetcher = PrefetcherKind::Rnr;
+    const ExperimentResult plain = runExperimentUncached(cfg);
+
+    TraceCollector tr(cfg.cores, 4096);
+    TelemetrySampler tm(512);
+    AttribCollector at;
+    const ExperimentResult probed = runExperimentUncached(
+        cfg, {.trace = &tr, .telemetry = &tm, .attrib = &at});
+
+    ASSERT_EQ(plain.iterations.size(), probed.iterations.size());
+    for (std::size_t i = 0; i < plain.iterations.size(); ++i) {
+#define RNR_CHECK_FIELD(type, name)                                          \
+    EXPECT_EQ(plain.iterations[i].name, probed.iterations[i].name)           \
+        << "field " #name " iteration " << i;
+        RNR_ITER_STAT_FIELDS(RNR_CHECK_FIELD)
+#undef RNR_CHECK_FIELD
+    }
+    EXPECT_EQ(plain.seq_table_bytes, probed.seq_table_bytes);
+    EXPECT_EQ(plain.div_table_bytes, probed.div_table_bytes);
+
+    // Each instrument harvested something; the plain run carries none.
+    EXPECT_GT(tr.eventsTotal(), 0u);
+    EXPECT_FALSE(buildReplayDiagnostics(tr).windows.empty());
+    ASSERT_NE(probed.telemetry, nullptr);
+    EXPECT_GT(probed.telemetry->samples_taken, 0u);
+    EXPECT_FALSE(probed.telemetry->series.empty());
+    ASSERT_NE(probed.attrib, nullptr);
+    EXPECT_GT(probed.attrib->totals.issued, 0u);
+    EXPECT_FALSE(probed.attrib->sites.empty());
+    EXPECT_EQ(plain.telemetry, nullptr);
+    EXPECT_EQ(plain.attrib, nullptr);
 }
 
 TEST_F(RunnerFixture, TypedDeltaMatchesHandComputedStringDelta)

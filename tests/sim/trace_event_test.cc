@@ -238,9 +238,10 @@ struct TracedRunFixture : ::testing::Test {
 TEST_F(TracedRunFixture, TracedRunIsBitIdenticalToUntraced)
 {
     const ExperimentConfig cfg = rnrConfig();
-    const ExperimentResult plain = runExperimentTraced(cfg, nullptr);
+    const ExperimentResult plain = runExperimentUncached(cfg);
     TraceCollector tr(cfg.cores, 4096);
-    const ExperimentResult traced = runExperimentTraced(cfg, &tr);
+    const ExperimentResult traced =
+        runExperimentUncached(cfg, {.trace = &tr});
 
     EXPECT_GT(tr.eventsTotal(), 0u) << "collector saw no events";
     ASSERT_EQ(plain.iterations.size(), traced.iterations.size());
@@ -260,7 +261,8 @@ TEST_F(TracedRunFixture, ReportReconcilesExactlyWithIterationCounters)
     const ExperimentConfig cfg = rnrConfig();
     // Tiny rings force heavy wrap; the report must stay exact anyway.
     TraceCollector tr(cfg.cores, 64);
-    const ExperimentResult res = runExperimentTraced(cfg, &tr);
+    const ExperimentResult res =
+        runExperimentUncached(cfg, {.trace = &tr});
     EXPECT_GT(tr.eventsOverwritten(), 0u)
         << "rings never wrapped; grow the workload or shrink the rings";
 
@@ -298,7 +300,7 @@ TEST_F(TracedRunFixture, RnrLifecycleLandsOnTheRnrTrack)
     // Large enough that the rnr track (~125k events for this config)
     // never wraps; the busier core/mem tracks are allowed to.
     TraceCollector tr(cfg.cores, 1u << 17);
-    runExperimentTraced(cfg, &tr);
+    runExperimentUncached(cfg, {.trace = &tr});
 
     bool saw_record_start = false, saw_replay_start = false;
     bool saw_window_open = false, saw_meta_refill = false;
