@@ -45,11 +45,14 @@
  *    inputs, so fork-rate / generate-rate is the per-cell warm-up
  *    speedup every forked sweep config enjoys (docs/PERF.md).
  *
- * Two rows pin the held-out replay path (docs/PERF.md section 8):
+ * Three rows pin the replay path (docs/PERF.md sections 8 and 9):
  *  - BM_TraceFileIngest: iteration 0 of the tracefile workload, i.e. a
  *    v2 trace file of the hot slice decoded into a fresh TraceBuffer.
  *    Items are records, so the rate is ingest throughput including the
  *    buffer's allocation.
+ *  - BM_TraceDecode: the same file drained by StreamingTraceReader::
+ *    takeBlock(), one decoded block resident, as every replay cell
+ *    streams it.  Items are records.
  *  - BM_CacheAccess/llc: lookup, and insert on a miss, on a lone
  *    Cache of the LLC's geometry (16 ways) over random blocks spanning
  *    four times its lines, so three in four accesses miss and evict.
@@ -65,6 +68,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -80,6 +84,7 @@
 #include "sim/rng.h"
 #include "sim/timeseries.h"
 #include "tracestore/trace_codec.h"
+#include "tracestore/trace_reader.h"
 #include "workloads/graph_gen.h"
 #include "workloads/pagerank.h"
 #include "workloads/trace_replay.h"
@@ -340,11 +345,10 @@ BM_WarmupFork(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(inputs));
 }
 
-/** Iteration 0 of a one-core tracefile workload over the hot slice:
- *  footer-sized buffer, every v2 block decoded into it.  Items are
- *  records. */
-void
-BM_TraceFileIngest(benchmark::State &state)
+/** Writes the hot slice as a v2 trace file; returns its path, or ""
+ *  (and skips @p state) when it cannot be written. */
+std::string
+writeHotTraceFile(benchmark::State &state)
 {
     const std::string path =
         (std::filesystem::temp_directory_path() / "micro_hotpath.rnrt")
@@ -354,8 +358,20 @@ BM_TraceFileIngest(benchmark::State &state)
         trace.push(rec);
     if (!writeTraceFileV2(path, trace)) {
         state.SkipWithError("cannot write the trace file");
-        return;
+        return "";
     }
+    return path;
+}
+
+/** Iteration 0 of a one-core tracefile workload over the hot slice:
+ *  footer-sized buffer, every v2 block decoded into it.  Items are
+ *  records. */
+void
+BM_TraceFileIngest(benchmark::State &state)
+{
+    const std::string path = writeHotTraceFile(state);
+    if (path.empty())
+        return;
     WorkloadOptions opts;
     opts.cores = 1;
     TraceFileWorkload wl(path, opts);
@@ -367,6 +383,38 @@ BM_TraceFileIngest(benchmark::State &state)
         benchmark::DoNotOptimize(bufs[0].records().data());
         benchmark::ClobberMemory();
         records += bufs[0].size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(records));
+    std::remove(path.c_str());
+}
+
+/** The same file drained block by block through
+ *  StreamingTraceReader::takeBlock(), one decoded block resident: the
+ *  decode every trace-store and tracefile replay runs.  Items are
+ *  records. */
+void
+BM_TraceDecode(benchmark::State &state)
+{
+    const std::string path = writeHotTraceFile(state);
+    if (path.empty())
+        return;
+
+    std::uint64_t records = 0;
+    for (auto _ : state) {
+        StreamingTraceReader reader;
+        if (!reader.open(path)) {
+            state.SkipWithError("cannot open the trace file");
+            break;
+        }
+        std::size_t n = 0;
+        while (const TraceRecord *run = reader.takeBlock(n)) {
+            benchmark::DoNotOptimize(run);
+            records += n;
+        }
+        if (reader.error()) {
+            state.SkipWithError("trace file failed to decode");
+            break;
+        }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(records));
     std::remove(path.c_str());
@@ -411,6 +459,7 @@ BENCHMARK_CAPTURE(BM_Kernel, legacy, rnr::KernelMode::Legacy)
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CacheAccess, llc, MachineConfig::scaledDefault().llc)
     ->Unit(benchmark::kMillisecond);
 

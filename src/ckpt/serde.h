@@ -306,19 +306,6 @@ class Deser
     std::string error_;
 };
 
-/** Archives one value through whichever protocol it supports: scalars
- *  via scalar(), anything else via its own visitState().  Lets seq()
- *  hold both plain values and visitor structs. */
-template <class Ar, typename T>
-void
-visitValue(Ar &ar, T &v)
-{
-    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>)
-        ar.scalar(v);
-    else
-        v.visitState(ar);
-}
-
 /**
  * Validates a just-read element count against the bytes actually left
  * in the archive (each element costs at least @p min_bytes_per_elem),
@@ -341,79 +328,6 @@ checkCount(Ar &ar, std::uint64_t n, std::size_t min_bytes_per_elem)
     (void)ar;
     (void)n;
     return true;
-}
-
-/** Element-wise vector field: u64 count + one visitValue per element.
- *  For element types with padding or their own visitState — the
- *  padding-free bulk alternative is Ser/Deser::pod(). */
-template <class Ar, typename T>
-void
-seq(Ar &ar, std::vector<T> &v)
-{
-    std::uint64_t n = v.size();
-    ar.scalar(n);
-    if constexpr (Ar::kLoading) {
-        if (!checkCount(ar, n, 8)) {
-            v.clear();
-            return;
-        }
-        v.assign(static_cast<std::size_t>(n), T{});
-    }
-    for (auto &e : v)
-        visitValue(ar, e);
-}
-
-/** Scalar list field (std::list order preserved): u64 count + elements
- *  front-to-back, e.g. the LRU/FIFO order list beside a hash table. */
-template <class Ar, class List>
-void
-scalarList(Ar &ar, List &l)
-{
-    std::uint64_t n = l.size();
-    ar.scalar(n);
-    if constexpr (Ar::kLoading) {
-        l.clear();
-        if (!checkCount(ar, n, 8))
-            return;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            typename List::value_type v{};
-            ar.scalar(v);
-            l.push_back(v);
-        }
-    } else {
-        for (auto &v : l)
-            ar.scalar(v);
-    }
-}
-
-/** Scalar-keyed map field: u64 count + (key, value) scalar pairs in the
- *  map's iteration order.  Loading rebuilds via operator[], so the
- *  restored map has identical contents; hash-map iteration order may
- *  differ from the original, which is fine for maps used only for key
- *  lookups. */
-template <class Ar, class Map>
-void
-kvMap(Ar &ar, Map &m)
-{
-    std::uint64_t n = m.size();
-    ar.scalar(n);
-    if constexpr (Ar::kLoading) {
-        m.clear();
-        if (!checkCount(ar, n, 16))
-            return;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            typename Map::key_type k{};
-            typename Map::mapped_type v{};
-            ar.scalar(k);
-            ar.scalar(v);
-            m[k] = v;
-        }
-    } else {
-        for (auto &kv : m) {
-            ar.scalar(kv.first);
-            ar.scalar(kv.second);
-        }
-    }
 }
 
 } // namespace ckpt

@@ -37,9 +37,10 @@ std::mutex g_inflight_mu;
 std::condition_variable g_inflight_cv;
 std::set<std::string> g_inflight;
 
-/** Thrown by the replay path when a stored trace fails mid-stream; the
- *  caller quarantines the entry and recaptures. */
-struct CorruptTraceEntry : std::runtime_error {
+/** Thrown when a trace file fails to open or decode while streaming.
+ *  The store path quarantines the entry and recaptures; a tracefile
+ *  cell lets it propagate, because the file is the user's. */
+struct TraceStreamError : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
@@ -117,10 +118,10 @@ struct Sim {
 };
 
 /**
- * Executes the workload natively and simulates from the materialised
- * buffers (the legacy path, and the store's capture path).  When
- * @p cap is non-null every iteration's buffers are also encoded into
- * the in-progress store entry.
+ * Executes a native workload and simulates from the materialised
+ * buffers (store off, and the store's capture path).  When @p cap is
+ * non-null every iteration's buffers are also encoded into the
+ * in-progress store entry.
  */
 ExperimentResult
 runMaterialized(const ExperimentConfig &cfg, const Probes &probes,
@@ -155,41 +156,63 @@ runMaterialized(const ExperimentConfig &cfg, const Probes &probes,
 }
 
 /**
- * Simulates from a validated store entry: each core streams its
- * compressed per-iteration trace block-by-block; the workload is still
- * constructed (prefetcher hints read its structures) but its expensive
- * emitIteration() never runs.  Throws CorruptTraceEntry when a file
- * fails mid-stream.
+ * Simulates every iteration from per-core streams, one decoded block
+ * resident per core.  @p open(workload, iter) returns the iteration's
+ * per-core sources; each must expose error()/errorResult() for a block
+ * that failed mid-stream, which throws TraceStreamError.
  */
+template <typename Open>
 ExperimentResult
-runFromStore(const ExperimentConfig &cfg, const Probes &probes,
-             const TraceStore::Entry &entry)
+runStreamed(const ExperimentConfig &cfg, const Probes &probes, Open open)
 {
     g_simulated.fetch_add(1);
     Sim sim(cfg, probes);
 
     for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
-        // Advance workload-held replay state (e.g. PageRank's p_curr
-        // base swap) that emitIteration() would have performed.
-        sim.wl->beginReplayIteration(iter);
-
-        std::vector<StreamingTraceReader> readers(cfg.cores);
+        auto streams = open(*sim.wl, iter);
         std::vector<TraceSource *> sources;
-        sources.reserve(cfg.cores);
-        for (unsigned c = 0; c < cfg.cores; ++c) {
-            const std::string path = entry.tracePath(iter, c);
-            if (TraceIoResult r = readers[c].open(path); !r)
-                throw CorruptTraceEntry(path + ": " + r.message());
-            sources.push_back(&readers[c]);
-        }
+        sources.reserve(streams.size());
+        for (auto &s : streams)
+            sources.push_back(&s);
         const IterationResult run = sim.sys.runStreaming(sources);
-        for (unsigned c = 0; c < cfg.cores; ++c)
-            if (readers[c].error())
-                throw CorruptTraceEntry(
-                    readers[c].errorResult().message());
+        for (const auto &s : streams)
+            if (s.error())
+                throw TraceStreamError(s.errorResult().message());
         sim.recordIteration(run);
     }
     return sim.finish(cfg);
+}
+
+/** Simulates from a validated store entry.  The workload is still
+ *  constructed (prefetcher hints read its structures), but its
+ *  expensive emitIteration() never runs. */
+ExperimentResult
+runFromStore(const ExperimentConfig &cfg, const Probes &probes,
+             const TraceStore::Entry &entry)
+{
+    return runStreamed(cfg, probes, [&](Workload &wl, unsigned iter) {
+        // Advance workload-held replay state (e.g. PageRank's p_curr
+        // base swap) that emitIteration() would have performed.
+        wl.beginReplayIteration(iter);
+        std::vector<StreamingTraceReader> readers(cfg.cores);
+        for (unsigned c = 0; c < cfg.cores; ++c) {
+            const std::string path = entry.tracePath(iter, c);
+            if (TraceIoResult r = readers[c].open(path); !r)
+                throw TraceStreamError(path + ": " + r.message());
+        }
+        return readers;
+    });
+}
+
+/** Replays the tracefile app's per-core files, streamed every
+ *  iteration with its RnR control records around them. */
+ExperimentResult
+runTraceFile(const ExperimentConfig &cfg, const Probes &probes)
+{
+    return runStreamed(cfg, probes, [&](Workload &wl, unsigned iter) {
+        return dynamic_cast<TraceFileWorkload &>(wl).openIteration(
+            iter, iter + 1 == cfg.iterations);
+    });
 }
 
 /**
@@ -208,7 +231,7 @@ runWithTraceStore(const ExperimentConfig &cfg, const Probes &probes)
         if (store.acquire(wkey, entry) == TraceStore::Acquire::Hit) {
             try {
                 return runFromStore(cfg, probes, entry);
-            } catch (const CorruptTraceEntry &e) {
+            } catch (const TraceStreamError &e) {
                 obs::LogLine(obs::LogLevel::Warn, "tracestore")
                     .msg("replay failed; quarantining and recapturing")
                     .kv("workload", wkey)
@@ -297,10 +320,10 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
 
     // The tracefile app already replays from disk; storing it again
     // would only duplicate the file.
-    ExperimentResult r =
-        (TraceStore::enabled() && cfg.app != "tracefile")
-            ? runWithTraceStore(cfg, probes)
-            : runMaterialized(cfg, probes, nullptr);
+    ExperimentResult r = cfg.app == "tracefile" ? runTraceFile(cfg, probes)
+                         : TraceStore::enabled()
+                             ? runWithTraceStore(cfg, probes)
+                             : runMaterialized(cfg, probes, nullptr);
     if (probes.telemetry)
         r.telemetry =
             std::make_shared<TelemetryBlob>(probes.telemetry->harvest());

@@ -18,14 +18,6 @@ put(std::ofstream &out, T value)
     out.write(reinterpret_cast<const char *>(&value), sizeof(value));
 }
 
-template <typename T>
-bool
-get(std::ifstream &in, T &value)
-{
-    in.read(reinterpret_cast<char *>(&value), sizeof(value));
-    return static_cast<bool>(in);
-}
-
 } // namespace
 
 const char *
@@ -88,53 +80,6 @@ writeTraceFile(const std::string &path, const TraceBuffer &buf)
     out.flush();
     if (!out)
         return TraceIoResult::fail(TraceIoStatus::WriteFailed, path, errno);
-    return TraceIoResult::ok();
-}
-
-TraceIoResult
-readTraceFile(const std::string &path, TraceBuffer &buf)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return TraceIoResult::fail(TraceIoStatus::OpenFailed, path, errno);
-    char magic[8];
-    in.read(magic, sizeof(magic));
-    if (!in)
-        return TraceIoResult::fail(TraceIoStatus::Truncated,
-                                   "file shorter than the 8-byte magic");
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return TraceIoResult::fail(TraceIoStatus::BadMagic,
-                                   "expected RNRTRACE");
-    std::uint32_t version = 0, reserved = 0;
-    std::uint64_t count = 0;
-    if (!get(in, version))
-        return TraceIoResult::fail(TraceIoStatus::Truncated,
-                                   "missing version field");
-    if (version != kTraceFormatVersion)
-        return TraceIoResult::fail(
-            TraceIoStatus::BadVersion,
-            "version " + std::to_string(version) +
-                (version == 2 ? "; use readAnyTraceFile for v2 files"
-                              : ""));
-    if (!get(in, reserved) || !get(in, count))
-        return TraceIoResult::fail(TraceIoStatus::Truncated,
-                                   "missing header fields");
-
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceRecord r;
-        std::uint8_t kind = 0, ctrl = 0;
-        std::uint16_t padding = 0;
-        if (!get(in, r.addr) || !get(in, r.aux) || !get(in, r.pc) ||
-            !get(in, r.gap) || !get(in, kind) || !get(in, ctrl) ||
-            !get(in, padding))
-            return TraceIoResult::fail(
-                TraceIoStatus::Truncated,
-                "record " + std::to_string(i) + " of " +
-                    std::to_string(count));
-        r.kind = static_cast<RecordKind>(kind);
-        r.ctrl = static_cast<RnrOp>(ctrl);
-        buf.push(r);
-    }
     return TraceIoResult::ok();
 }
 

@@ -13,16 +13,16 @@
  * u32 gap, u8 kind, u8 ctrl, u16 padding (28 bytes/record).
  *
  * The compressed v2 format (delta+varint blocks with a stats footer)
- * lives in tracestore/trace_codec.h; readAnyTraceFile() in
- * tracestore/trace_file.h dispatches on the version field so both
- * formats stay readable.  writeTraceFile() here deliberately keeps
- * emitting v1 — tests and the `trace_tools stats` compression report
- * depend on a stable uncompressed baseline.
+ * lives in tracestore/trace_codec.h.  Both formats are read by one
+ * decoder, StreamingTraceReader (tracestore/trace_reader.h), and
+ * readAnyTraceFile() in tracestore/trace_file.h.  writeTraceFile()
+ * here deliberately keeps emitting v1 — tests and the `trace_tools
+ * stats` compression report depend on a stable uncompressed baseline.
  *
  * Every reader and writer reports *why* it failed through TraceIoResult
  * (bad magic vs. version vs. truncation vs. errno) instead of a bare
- * bool; TraceIoResult converts to bool so `if (!readTraceFile(...))`
- * call sites keep working.
+ * bool; TraceIoResult converts to bool so `if (!readAnyTraceFile(...))`
+ * call sites read naturally.
  */
 #ifndef RNR_TRACE_TRACE_IO_H
 #define RNR_TRACE_TRACE_IO_H
@@ -53,7 +53,7 @@ const char *toString(TraceIoStatus status);
 
 /**
  * Outcome of a trace-file read or write.  Converts to bool (true = Ok)
- * so legacy `if (!readTraceFile(...))` call sites keep compiling; the
+ * so `if (!readAnyTraceFile(...))` call sites stay short; the
  * status/detail are what `trace_tools inspect` and the trace store's
  * corrupt-entry skip path print.
  */
@@ -75,13 +75,6 @@ struct TraceIoResult {
 /** Writes @p buf to @p path in v1 format. */
 TraceIoResult writeTraceFile(const std::string &path,
                              const TraceBuffer &buf);
-
-/**
- * Reads a v1 trace file into @p buf (appending).  A v2 file yields
- * BadVersion — use readAnyTraceFile (tracestore/trace_file.h) to
- * accept both formats.
- */
-TraceIoResult readTraceFile(const std::string &path, TraceBuffer &buf);
 
 } // namespace rnr
 

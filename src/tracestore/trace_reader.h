@@ -2,21 +2,24 @@
  * @file
  * Streaming trace-file reader: a TraceSource over a v1 or v2 file.
  *
- * The replay path feeds each simulated core straight from disk,
- * block-by-block, so a multi-million-record iteration never has to be
- * resident in memory (the materialised std::vector<TraceBuffer> path
- * needed 32 bytes per record per core).  Peak memory per open reader is
- * one decoded block (block_records x 32 B, 128 KiB at the default) plus
- * the undecoded payload buffer.
+ * Both replay paths feed each simulated core straight from disk,
+ * block-by-block: trace-store replay, and the tracefile app (which
+ * wraps a reader between its injected RnR control records, see
+ * workloads/trace_replay.h).  A multi-million-record iteration
+ * therefore never has to be resident in memory (the materialised
+ * std::vector<TraceBuffer> path needs 32 bytes per record per core).
+ * Peak memory per open reader is one decoded block (block_records x
+ * 32 B, 128 KiB at the default) plus the undecoded payload buffer.
  *
  * v2 files stream natively (each block self-describes); v1 files are
  * chunked into kDefaultBlockRecords-sized batches on the fly, so the
  * reader is format-transparent to the core model.
  *
  * Errors surface two ways: open() returns the TraceIoResult, and a
- * corrupt block discovered mid-stream flips error() — the runner treats
- * that as a corrupt store entry (quarantine + recapture) because the
- * simulation that consumed the earlier blocks is already tainted.
+ * corrupt block discovered mid-stream flips error().  The simulation
+ * that consumed the earlier blocks is already tainted, so the runner
+ * throws it away: a store entry is quarantined and recaptured, a
+ * tracefile cell fails with an error naming the file.
  */
 #ifndef RNR_TRACESTORE_TRACE_READER_H
 #define RNR_TRACESTORE_TRACE_READER_H

@@ -85,15 +85,14 @@ TraceFileWorkload::corePath(unsigned core) const
     return single_file_ ? input_ : perCorePath(input_, core);
 }
 
-void
-TraceFileWorkload::emitIteration(unsigned iter, bool is_last,
-                                 std::vector<TraceBuffer> &bufs)
+std::vector<TraceFileStream>
+TraceFileWorkload::openIteration(unsigned iter, bool is_last)
 {
-    retargetAll(bufs);
+    std::vector<TraceFileStream> streams(opts_.cores);
     for (unsigned c = 0; c < opts_.cores; ++c) {
-        // Sized once, so iteration 0 never regrows a ~50 MB buffer.
-        bufs[c].reserve(reserve_[c]);
+        TraceFileStream &s = streams[c];
         RnrRuntime &rt = *runtimes_[c];
+        rt.retarget(&s.prologue_);
         if (iter == 0) {
             rt.init(span_bytes_);
             rt.addrBaseSet(base_addr_, span_bytes_);
@@ -104,14 +103,76 @@ TraceFileWorkload::emitIteration(unsigned iter, bool is_last,
         } else {
             rt.replay();
         }
-        if (TraceIoResult r = readAnyTraceFile(corePath(c), bufs[c]); !r)
-            throw std::runtime_error(corePath(c) + ": " + r.message());
+        rt.retarget(&s.epilogue_);
         if (is_last) {
             rt.addrDisable(base_addr_);
             rt.endState();
             rt.end();
         }
+        // The streams are the caller's: the tracer must not keep
+        // pointing into them.
+        rt.retarget(nullptr);
+        if (TraceIoResult r = s.reader_.open(corePath(c)); !r)
+            throw std::runtime_error(corePath(c) + ": " + r.message());
     }
+    return streams;
+}
+
+void
+TraceFileWorkload::emitIteration(unsigned iter, bool is_last,
+                                 std::vector<TraceBuffer> &bufs)
+{
+    std::vector<TraceFileStream> streams = openIteration(iter, is_last);
+    for (unsigned c = 0; c < opts_.cores; ++c) {
+        TraceFileStream &s = streams[c];
+        bufs[c].clear();
+        // Sized once, so iteration 0 never regrows a ~50 MB buffer.
+        bufs[c].reserve(reserve_[c]);
+        for (const TraceRecord &rec : s.prologue_.records())
+            bufs[c].push(rec);
+        if (TraceIoResult r = s.reader_.readAll(bufs[c]); !r)
+            throw std::runtime_error(corePath(c) + ": " + r.message());
+        for (const TraceRecord &rec : s.epilogue_.records())
+            bufs[c].push(rec);
+    }
+}
+
+bool
+TraceFileStream::done()
+{
+    for (; part_ != kEnd; ++part_, pos_ = 0) {
+        const TraceBuffer *buf = bufferPart();
+        if (buf ? pos_ < buf->size() : !reader_.done())
+            return false;
+    }
+    return true;
+}
+
+TraceRecord
+TraceFileStream::take()
+{
+    if (const TraceBuffer *buf = bufferPart())
+        return buf->records()[pos_++];
+    return reader_.take();
+}
+
+const TraceRecord *
+TraceFileStream::takeBlock(std::size_t &n)
+{
+    for (; part_ != kEnd; ++part_, pos_ = 0) {
+        if (const TraceBuffer *buf = bufferPart()) {
+            if (pos_ < buf->size()) {
+                const TraceRecord *run = buf->records().data() + pos_;
+                n = buf->size() - pos_;
+                pos_ = buf->size();
+                return run;
+            }
+        } else if (const TraceRecord *run = reader_.takeBlock(n)) {
+            return run;
+        }
+    }
+    n = 0;
+    return nullptr;
 }
 
 } // namespace rnr

@@ -16,6 +16,12 @@
  * the file's observed address span + start on iteration 0, replay
  * afterwards, teardown at the end), so the RnR prefetcher drives a
  * foreign trace exactly as it drives the native kernels.
+ *
+ * openIteration() is the one place that injection happens: it hands
+ * each core a TraceFileStream (prologue, the file streamed block by
+ * block, epilogue), which the runner simulates with one decoded block
+ * resident per core.  emitIteration() drains the same streams into
+ * whole buffers for callers that want them materialised.
  */
 #ifndef RNR_WORKLOADS_TRACE_REPLAY_H
 #define RNR_WORKLOADS_TRACE_REPLAY_H
@@ -23,9 +29,49 @@
 #include <string>
 #include <vector>
 
+#include "trace/trace_source.h"
+#include "tracestore/trace_reader.h"
 #include "workloads/workload.h"
 
 namespace rnr {
+
+/**
+ * One core's records of one tracefile iteration: the RnR control
+ * records injected before the file (prologue), the file itself read
+ * block by block, then the records injected after it (epilogue, last
+ * iteration only).  takeBlock() is zero-copy in all three parts.
+ */
+class TraceFileStream final : public TraceSource
+{
+  public:
+    bool done() override;
+    TraceRecord take() override;
+    const TraceRecord *takeBlock(std::size_t &n) override;
+
+    /** Set when a block of the file failed to decode mid-stream. */
+    bool error() const { return reader_.error(); }
+    const TraceIoResult &errorResult() const { return reader_.errorResult(); }
+
+  private:
+    friend class TraceFileWorkload;
+
+    enum Part : unsigned { kPrologue, kFile, kEpilogue, kEnd };
+
+    /** The prologue or epilogue while it is the current part. */
+    const TraceBuffer *
+    bufferPart() const
+    {
+        return part_ == kPrologue   ? &prologue_
+               : part_ == kEpilogue ? &epilogue_
+                                    : nullptr;
+    }
+
+    unsigned part_ = kPrologue; ///< The part being drained.
+    std::size_t pos_ = 0;       ///< Next record of a buffer part.
+    TraceBuffer prologue_;
+    StreamingTraceReader reader_;
+    TraceBuffer epilogue_;
+};
 
 class TraceFileWorkload : public Workload
 {
@@ -44,6 +90,19 @@ class TraceFileWorkload : public Workload
     static unsigned detectCores(const std::string &input);
 
     std::string name() const override { return "tracefile"; }
+
+    /**
+     * Opens iteration @p iter: emits the RnR control records around
+     * each core's file and opens the file.  Returns one stream per core
+     * yielding exactly the records emitIteration() puts in that core's
+     * buffer.  Call once per iteration, in order, like emitIteration()
+     * (iteration 0 allocates the RnR metadata regions).  Throws
+     * std::runtime_error naming the file when one cannot be opened.
+     */
+    std::vector<TraceFileStream> openIteration(unsigned iter, bool is_last);
+
+    /** Drains openIteration() into whole per-core buffers, each sized
+     *  once from its file's footer. */
     void emitIteration(unsigned iter, bool is_last,
                        std::vector<TraceBuffer> &bufs) override;
     std::uint64_t inputBytes() const override { return span_bytes_; }

@@ -3,15 +3,22 @@
  * End-to-end trace-store harness tests: streaming replay must be
  * bit-identical to the materialised path, a sweep must capture each
  * workload exactly once (and zero times when warm), and a trace file on
- * disk must run as a workload ("tracefile" app).
+ * disk must run as a workload ("tracefile" app), streamed with results
+ * identical to materialising it.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 
+#include "cpu/system.h"
 #include "harness/runner.h"
+#include "harness/system_counters.h"
+#include "prefetch/factory.h"
+#include "sim/rng.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_store.h"
 #include "workloads/trace_replay.h"
@@ -97,8 +104,110 @@ class TraceReplayHarnessTest : public ::testing::Test
         expectSameResult(warm, off, "warm-replay vs store-off");
     }
 
+    /** Writes a 4-core `<prefix>.c<K>.rnrt` set of @p records v2
+     *  records per core (a gather over a 4 MiB region plus a walk of
+     *  an index array) and returns the prefix. */
+    std::string
+    writeFourCoreFiles(std::size_t records)
+    {
+        fs::create_directories(root_);
+        const std::string prefix = (fs::path(root_) / "held").string();
+        for (unsigned c = 0; c < 4; ++c) {
+            Rng rng(31 + c);
+            TraceBuffer buf;
+            for (std::size_t i = 0; i < records; ++i) {
+                if (i % 3 == 0)
+                    buf.push(TraceRecord::load(
+                        0x1000000 + 8 * (c * records + i), 11, 1));
+                else
+                    buf.push(TraceRecord::load(
+                        0x2000000 + 64 * rng.below(1 << 16), 12, 3));
+            }
+            const std::string path =
+                prefix + ".c" + std::to_string(c) + ".rnrt";
+            EXPECT_TRUE(bool(writeTraceFileV2(path, buf)));
+        }
+        return prefix;
+    }
+
     std::string root_;
 };
+
+ExperimentConfig
+tracefileCell(const std::string &prefix)
+{
+    ExperimentConfig cfg;
+    cfg.app = "tracefile";
+    cfg.input = prefix;
+    cfg.cores = 4;
+    cfg.iterations = 3;
+    cfg.prefetcher = PrefetcherKind::Rnr;
+    return cfg;
+}
+
+/** The tracefile cell @p cfg simulated by hand: every iteration
+ *  materialised by emitIteration() and run by System::run(). */
+ExperimentResult
+materializedTraceFileRun(const ExperimentConfig &cfg)
+{
+    WorkloadOptions opts;
+    opts.cores = cfg.cores;
+    opts.window_size = cfg.window_size;
+    TraceFileWorkload wl(cfg.input, opts);
+
+    MachineConfig mcfg = MachineConfig::scaledDefault();
+    mcfg.cores = cfg.cores;
+    System sys(mcfg);
+    RnrPrefetcher::Options rnr_opts;
+    rnr_opts.control = cfg.control;
+    rnr_opts.window_size = cfg.window_size;
+    std::vector<std::unique_ptr<Prefetcher>> prefetchers;
+    for (unsigned c = 0; c < cfg.cores; ++c) {
+        prefetchers.push_back(createPrefetcher(cfg.prefetcher, rnr_opts));
+        prefetchers.back()->configureFor(wl, c);
+        sys.mem().setPrefetcher(c, prefetchers.back().get());
+    }
+
+    ExperimentResult r;
+    r.input_bytes = wl.inputBytes();
+    r.target_bytes = wl.targetBytes();
+    SystemCounters before = SystemCounters::capture(sys);
+    std::vector<TraceBuffer> bufs(cfg.cores);
+    for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
+        wl.emitIteration(iter, iter + 1 == cfg.iterations, bufs);
+        std::vector<const TraceBuffer *> ptrs;
+        for (const TraceBuffer &b : bufs)
+            ptrs.push_back(&b);
+        const IterationResult run = sys.run(ptrs);
+        const SystemCounters after = SystemCounters::capture(sys);
+        IterStats it = after.delta(before);
+        it.cycles = run.cycles();
+        it.instructions = run.instructions;
+        r.iterations.push_back(it);
+        before = after;
+    }
+    for (unsigned c = 0; c < cfg.cores; ++c)
+        if (RnrPrefetcher *p = asRnr(sys.mem().prefetcher(c))) {
+            r.seq_table_bytes += p->seqTableBytes();
+            r.div_table_bytes += p->divTableBytes();
+        }
+    return r;
+}
+
+/** Runs @p run and requires a std::runtime_error whose message names
+ *  @p path. */
+template <typename Run>
+void
+expectErrorNaming(Run run, const std::string &path)
+{
+    try {
+        run();
+        ADD_FAILURE() << "no error for " << path;
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+}
 
 TEST_F(TraceReplayHarnessTest, StreamingReplayMatchesMaterializedPageRank)
 {
@@ -223,6 +332,59 @@ TEST_F(TraceReplayHarnessTest, TraceFileRunsAsAWorkload)
 
     // The tracefile app bypasses the store (it IS a trace already).
     EXPECT_EQ(TraceStore::instance().captures(), 0u);
+}
+
+TEST_F(TraceReplayHarnessTest, StreamedTraceFileMatchesMaterializedRun)
+{
+    // Three blocks and a partial one per core, so every iteration
+    // crosses block boundaries mid-interleave.
+    const ExperimentConfig cfg = tracefileCell(writeFourCoreFiles(15000));
+    const ExperimentResult streamed = runExperimentUncached(cfg);
+    const ExperimentResult reference = materializedTraceFileRun(cfg);
+
+    expectSameResult(streamed, reference, "streamed vs materialised");
+    EXPECT_GT(streamed.seq_table_bytes, 0u);
+    EXPECT_GT(streamed.steady().pf_issued, 0u);
+    EXPECT_EQ(TraceStore::instance().captures(), 0u);
+}
+
+TEST_F(TraceReplayHarnessTest, TraceFileDecodeErrorNamesTheFile)
+{
+    const ExperimentConfig cfg = tracefileCell(writeFourCoreFiles(15000));
+    const std::string victim = cfg.input + ".c2.rnrt";
+    const std::string saved = root_ + "/saved.rnrt";
+    fs::copy_file(victim, saved);
+
+    // A block header that lies, footer intact: the workload constructs
+    // and the error surfaces mid-stream, after iteration 0's first block.
+    TraceFileStats stats;
+    std::vector<TraceBlockIndexEntry> index;
+    ASSERT_TRUE(bool(readTraceFileV2Stats(victim, stats, &index)));
+    ASSERT_GE(index.size(), 2u);
+    {
+        std::fstream f(victim,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(index[1].offset + 4));
+        const std::uint32_t lie = ~std::uint32_t{0};
+        f.write(reinterpret_cast<const char *>(&lie), sizeof(lie));
+    }
+    expectErrorNaming([&] { runExperimentUncached(cfg); }, victim);
+
+    // Truncated: the file is the user's, so nothing is quarantined or
+    // retried behind their back; the cell fails naming it.
+    fs::copy_file(saved, victim, fs::copy_options::overwrite_existing);
+    fs::resize_file(victim, fs::file_size(victim) / 3);
+    expectErrorNaming([&] { runExperimentUncached(cfg); }, victim);
+
+    // The cached entry point must not leave the failed key in flight:
+    // once the file is restored, the same key simulates.
+    expectErrorNaming([&] { runExperiment(cfg); }, victim);
+    fs::copy_file(saved, victim, fs::copy_options::overwrite_existing);
+    bool cached = true;
+    const ExperimentResult healed = runExperiment(cfg, &cached);
+    EXPECT_FALSE(cached);
+    expectSameResult(healed, materializedTraceFileRun(cfg),
+                     "retry vs materialised");
 }
 
 TEST_F(TraceReplayHarnessTest, WorkloadKeyExcludesSimulationDimensions)

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/trace_io.h"
+#include "tracestore/trace_file.h"
 
 namespace rnr {
 namespace {
@@ -28,7 +29,7 @@ TEST_F(TraceIoFixture, RoundTripPreservesEveryField)
     ASSERT_TRUE(writeTraceFile(path, original));
 
     TraceBuffer loaded;
-    ASSERT_TRUE(readTraceFile(path, loaded));
+    ASSERT_TRUE(readAnyTraceFile(path, loaded));
     ASSERT_EQ(loaded.size(), original.size());
     EXPECT_EQ(loaded.loads(), original.loads());
     EXPECT_EQ(loaded.stores(), original.stores());
@@ -52,7 +53,7 @@ TEST_F(TraceIoFixture, EmptyTraceRoundTrips)
     TraceBuffer empty, loaded;
     const std::string path = tmpPath("empty.rnrt");
     ASSERT_TRUE(writeTraceFile(path, empty));
-    ASSERT_TRUE(readTraceFile(path, loaded));
+    ASSERT_TRUE(readAnyTraceFile(path, loaded));
     EXPECT_TRUE(loaded.empty());
     std::remove(path.c_str());
 }
@@ -60,7 +61,7 @@ TEST_F(TraceIoFixture, EmptyTraceRoundTrips)
 TEST_F(TraceIoFixture, MissingFileFails)
 {
     TraceBuffer buf;
-    EXPECT_FALSE(readTraceFile(tmpPath("does-not-exist.rnrt"), buf));
+    EXPECT_FALSE(readAnyTraceFile(tmpPath("does-not-exist.rnrt"), buf));
 }
 
 TEST_F(TraceIoFixture, BadMagicRejected)
@@ -71,7 +72,7 @@ TEST_F(TraceIoFixture, BadMagicRejected)
         out << "NOTATRACEFILE_____________";
     }
     TraceBuffer buf;
-    EXPECT_FALSE(readTraceFile(path, buf));
+    EXPECT_FALSE(readAnyTraceFile(path, buf));
     std::remove(path.c_str());
 }
 
@@ -92,7 +93,7 @@ TEST_F(TraceIoFixture, TruncatedFileRejected)
                   static_cast<std::streamsize>(bytes.size() - 13));
     }
     TraceBuffer buf;
-    EXPECT_FALSE(readTraceFile(path, buf));
+    EXPECT_FALSE(readAnyTraceFile(path, buf));
     std::remove(path.c_str());
 }
 

@@ -3,8 +3,9 @@
  * v2 codec tests: randomized round-trips (including control markers and
  * pathological address deltas), block-boundary sizes, the decode-free
  * stats footer, corruption/truncation reporting, crafted footers, v1
- * backward compatibility through the version-dispatching readers, and
- * the in-place bulk ingest the tracefile workload sizes from the footer.
+ * backward compatibility through the version-dispatching readers, the
+ * in-place bulk ingest the tracefile workload sizes from the footer,
+ * and the per-core streams it replays from.
  */
 #include <gtest/gtest.h>
 
@@ -485,6 +486,83 @@ TEST(TraceIngest, TracefileBufferIsSizedOnceFromTheFooter)
     EXPECT_EQ(bufs[0].size(), trace.size() + 8);
     EXPECT_LE(bufs[0].capacity(), trace.size() + 8);
     std::remove(path.c_str());
+}
+
+/** Drains @p s by take(), or by takeBlock() runs when @p by_block. */
+TraceBuffer
+drain(TraceSource &s, bool by_block)
+{
+    TraceBuffer out;
+    if (!by_block) {
+        while (!s.done())
+            out.push(s.take());
+        return out;
+    }
+    std::size_t n = 0;
+    while (const TraceRecord *run = s.takeBlock(n))
+        for (std::size_t i = 0; i < n; ++i)
+            out.push(run[i]);
+    return out;
+}
+
+TEST(TraceIngest, StreamYieldsExactlyTheEmittedBuffer)
+{
+    // Three per-core files of 0, 1 and 10001 records, as v1 and as v2
+    // in two block sizes.  Three workloads walk iterations 0 (record),
+    // 1 (replay) and 2 (replay + teardown) in step: one materialises,
+    // the others drain openIteration()'s streams record by record and
+    // run by run.  Every iteration must yield the same records.
+    const std::string prefix = tmpPath("ingest_stream");
+    const std::size_t sizes[] = {0, 1, 10001};
+    struct Format {
+        bool v1;
+        std::uint32_t block;
+    };
+    for (const Format f : {Format{true, kDefaultBlockRecords},
+                           Format{false, 17},
+                           Format{false, kDefaultBlockRecords}}) {
+        for (unsigned c = 0; c < 3; ++c) {
+            const std::string path =
+                prefix + ".c" + std::to_string(c) + ".rnrt";
+            const TraceBuffer trace = fuzzTrace(90 + c, sizes[c]);
+            ASSERT_TRUE(f.v1 ? writeTraceFile(path, trace)
+                             : writeTraceFileV2(path, trace, f.block));
+        }
+        for (std::uint32_t window : {0u, 64u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "v1=" << f.v1 << " block=" << f.block
+                         << " window=" << window);
+            WorkloadOptions opts;
+            opts.cores = 3;
+            opts.window_size = window;
+            TraceFileWorkload emitted(prefix, opts);
+            TraceFileWorkload by_record(prefix, opts);
+            TraceFileWorkload by_block(prefix, opts);
+            std::vector<TraceBuffer> bufs(3);
+            for (unsigned iter = 0; iter < 3; ++iter) {
+                const bool last = iter == 2;
+                emitted.emitIteration(iter, last, bufs);
+                std::vector<TraceFileStream> rec =
+                    by_record.openIteration(iter, last);
+                std::vector<TraceFileStream> blk =
+                    by_block.openIteration(iter, last);
+                ASSERT_EQ(rec.size(), 3u);
+                ASSERT_EQ(blk.size(), 3u);
+                for (unsigned c = 0; c < 3; ++c) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "iter " << iter << " core " << c);
+                    expectSameRecords(bufs[c], drain(rec[c], false));
+                    expectSameRecords(bufs[c], drain(blk[c], true));
+                    EXPECT_FALSE(rec[c].error());
+                    EXPECT_FALSE(blk[c].error());
+                    EXPECT_TRUE(rec[c].done());
+                    EXPECT_TRUE(blk[c].done());
+                }
+            }
+        }
+    }
+    for (unsigned c = 0; c < 3; ++c)
+        std::remove((prefix + ".c" + std::to_string(c) + ".rnrt").c_str());
 }
 
 TEST(TraceBufferMemory, MemoryBytesTracksRecordCount)
