@@ -269,10 +269,12 @@ loadBenchRates(const JsonValue &doc)
 
 /**
  * `compare <baseline.json> <current.json> [--max-regress <pct>]`:
- * exits 0 when every benchmark present in both files is within
+ * exits 0 when every baseline benchmark is in the run and within
  * @c max_regress percent of the baseline rate (default 15), 1 when any
- * regressed beyond it, 2 on usage/parse errors or no common benchmarks.
- * Faster-than-baseline results always pass (the gate is one-sided).
+ * regressed beyond it or is absent from the run (a deleted or renamed
+ * benchmark must not drop out of the gate unnoticed), 2 on usage/parse
+ * errors or no common benchmarks.  Faster-than-baseline results always
+ * pass (the gate is one-sided).
  */
 inline int
 benchCompareMain(int argc, char **argv)
@@ -319,10 +321,15 @@ benchCompareMain(int argc, char **argv)
 
     std::size_t common = 0;
     int failures = 0;
+    int missing = 0;
     for (const auto &b : base) {
         const auto it = cur.find(b.first);
-        if (it == cur.end())
+        if (it == cur.end()) {
+            std::fprintf(stderr, "compare: %s: in baseline, absent from the "
+                                 "run\n", b.first.c_str());
+            ++missing;
             continue;
+        }
         ++common;
         const double delta_pct =
             (b.second - it->second) / b.second * 100.0;
@@ -341,13 +348,17 @@ benchCompareMain(int argc, char **argv)
                      base_path, cur_path);
         return 2;
     }
-    if (failures) {
+    if (failures)
         std::fprintf(stderr,
                      "compare: %d of %zu benchmarks regressed more "
                      "than %.1f%%\n",
                      failures, common, max_regress);
+    if (missing)
+        std::fprintf(stderr,
+                     "compare: %d baseline benchmarks absent from the run\n",
+                     missing);
+    if (failures || missing)
         return 1;
-    }
     std::fprintf(stderr,
                  "compare: all %zu benchmarks within %.1f%% of "
                  "baseline\n",

@@ -33,10 +33,9 @@
  * with attachAttrib(nullptr) and a per-op null-collector gate, the
  * shape every cache/memory-system hook has when RNR_ATTRIB is off.
  *
- * BM_Kernel/{batched,legacy} measure the full stack instead — trace
- * feed, CoreModel inner loop, memory system — under each simulation
- * kernel (sim/kernel.h), so the batched-vs-legacy speedup is the
- * headline number of docs/PERF.md and the pair CI gates together.
+ * BM_Kernel measures the full stack instead — trace feed, CoreModel
+ * inner loop, memory system — on one core, so the compare gate covers
+ * the core model as well as the memory path (docs/PERF.md §3).
  *
  * The checkpoint subsystem (src/ckpt) adds two rows:
  *  - BM_WarmupGenerate vs BM_WarmupFork: the sweep warm-up A/B —
@@ -80,7 +79,6 @@
 #include "prefetch/factory.h"
 #include "sim/attrib.h"
 #include "sim/config.h"
-#include "sim/kernel.h"
 #include "sim/rng.h"
 #include "sim/timeseries.h"
 #include "tracestore/trace_codec.h"
@@ -149,7 +147,7 @@ BM_DemandAccessSampled(benchmark::State &state)
         createPrefetcher(PrefetcherKind::None);
     ms.setPrefetcher(0, pf.get());
 
-    // The core model normally drives sampling from step(); here the
+    // The core model normally drives sampling from stepRun(); here the
     // bench plays that role, offering the clock once per op like a
     // one-op cycle batch would.
     TelemetrySampler tm(kDefaultSampleCycles);
@@ -254,13 +252,13 @@ BM_DemandAccessAttribGated(benchmark::State &state)
 }
 
 /**
- * Whole-kernel A/B: a one-core System consumes the hot trace through
- * CoreModel under the requested kernel mode.  Items are trace records
- * (mem ops), so the rate is directly comparable to BM_DemandAccess —
- * the delta between them is what the core-side loop costs.
+ * Whole stack: a one-core System consumes the hot trace through
+ * CoreModel.  Items are trace records (mem ops), so the rate is
+ * directly comparable to BM_DemandAccess — the delta between them is
+ * what the core-side loop costs.
  */
 void
-BM_Kernel(benchmark::State &state, KernelMode mode)
+BM_Kernel(benchmark::State &state)
 {
     static const TraceBuffer &buf = *[] {
         static TraceBuffer b;
@@ -270,7 +268,7 @@ BM_Kernel(benchmark::State &state, KernelMode mode)
     }();
     MachineConfig mcfg = MachineConfig::scaledDefault();
     mcfg.cores = 1;
-    System sys(mcfg, mode);
+    System sys(mcfg);
     std::unique_ptr<Prefetcher> pf =
         createPrefetcher(PrefetcherKind::None);
     sys.mem().setPrefetcher(0, pf.get());
@@ -452,10 +450,7 @@ BENCHMARK_CAPTURE(BM_DemandAccess, stream, PrefetcherKind::Stream)
 BENCHMARK(BM_DemandAccessSampled)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessObsGated)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessAttribGated)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Kernel, batched, rnr::KernelMode::Batched)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Kernel, legacy, rnr::KernelMode::Legacy)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Kernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);

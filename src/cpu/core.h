@@ -9,16 +9,13 @@
  * MSHR file and the DRAM queues, exactly the resources ChampSim bounds it
  * with).  Retirement is in order.
  *
- * Two inner loops exist (sim/kernel.h).  The batched kernel stages a
- * whole trace block via TraceSource::takeBlock() and executes it as a
- * tight run — one virtual call per ~4096 records instead of two per
- * record (done() + take()), with the ROB/LSQ on masked rings instead of
- * deques.  The legacy kernel is the seed per-record path, kept behind
- * RNR_KERNEL=legacy as the bit-identical reference.  Both funnel every
- * record through the same execute() body, so the timing model itself
- * has exactly one definition.  This runs at tens of millions of trace
- * records per second, which is what lets the benches sweep the paper's
- * full prefetcher x input matrix.
+ * The inner loop stages a whole trace block via TraceSource::takeBlock()
+ * and executes it as a tight run — one virtual call per ~4096 records
+ * instead of two per record (done() + take()), with the ROB/LSQ on
+ * masked rings.  stepRun() is the one execution entry point and
+ * execute() the one definition of the timing model.  This runs at tens
+ * of millions of trace records per second, which is what lets the
+ * benches sweep the paper's full prefetcher x input matrix.
  */
 #ifndef RNR_CPU_CORE_H
 #define RNR_CPU_CORE_H
@@ -28,7 +25,6 @@
 
 #include "mem/memory_system.h"
 #include "sim/config.h"
-#include "sim/kernel.h"
 #include "sim/ring.h"
 #include "sim/stats.h"
 #include "trace/trace_buffer.h"
@@ -40,8 +36,7 @@ namespace rnr {
 class CoreModel
 {
   public:
-    CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms,
-              KernelMode kernel = kernelModeFromEnv());
+    CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms);
 
     /** Points the core at a materialised trace (wrapped in an internal
      *  BufferSource); position resets, the clock does not. */
@@ -60,20 +55,14 @@ class CoreModel
 
     /**
      * Registers this core's milli-IPC rate series with @p tm (null =
-     * detach) and makes step() offer the local clock to the sampler —
+     * detach) and makes stepRun() offer the local clock to the sampler —
      * the cores collectively drive the whole machine's sampling, since
      * System::drive() interleaves them in local-time order.
      */
     void attachTelemetry(TelemetrySampler *tm);
 
-    /** True when the feed is exhausted (may decode the next block). */
-    bool
-    done()
-    {
-        if (run_pos_ < run_len_)
-            return false; // staged records remain (batched kernel)
-        return doneSlow();
-    }
+    /** True when the feed is exhausted (may stage the next block). */
+    bool done() { return run_pos_ >= run_len_ && !refillRun(); }
 
     /** Current issue-stage time; the System schedules on this. */
     Tick time() const { return issue_clock_; }
@@ -84,17 +73,14 @@ class CoreModel
      */
     Tick finishTime() const;
 
-    /** Processes the next trace record. */
-    void step();
-
     /**
-     * Batched entry point: processes up to @p max_records records from
-     * the staged run (refilling it from the source at block boundaries)
-     * and returns how many were executed — 0 means the feed is
-     * exhausted.  One call touches at most one staged run, so a driver
-     * that wants exactly N records loops until its quota is consumed;
-     * System::drive() relies on this to keep the multi-core interleave
-     * identical to the legacy kernel's.
+     * Processes up to @p max_records records from the staged run
+     * (refilling it from the source at block boundaries) and returns
+     * how many were executed — 0 means the feed is exhausted.  One call
+     * touches at most one staged run, so a driver that wants exactly N
+     * records loops until its quota is consumed; System::drive() relies
+     * on this to keep the multi-core interleave independent of where
+     * the source's blocks end.
      */
     std::size_t stepRun(std::size_t max_records);
 
@@ -103,7 +89,6 @@ class CoreModel
 
     std::uint64_t instructionsRetired() const { return instrs_; }
     unsigned id() const { return id_; }
-    KernelMode kernel() const { return kernel_; }
     StatGroup &stats() { return stats_; }
 
     /**
@@ -118,13 +103,11 @@ class CoreModel
         std::uint32_t slots = 0;
     };
 
-    /** The timing model for one record; shared by both kernels. */
+    /** The timing model for one record. */
     void execute(const TraceRecord &rec);
 
     /** Stages the source's next run; false when the feed is dry. */
     bool refillRun();
-
-    bool doneSlow();
 
     void advanceIssue(std::uint64_t instr_count);
     void reserveRobSlots(std::uint32_t slots);
@@ -133,13 +116,12 @@ class CoreModel
     unsigned id_;
     CoreConfig cfg_;
     MemorySystem *ms_;
-    KernelMode kernel_;
     TraceSource *src_ = nullptr;
     BufferSource buffer_source_; ///< Backs setTrace(); src_ points here.
     TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
     TelemetrySampler *tm_ = nullptr; ///< Null unless sampling is enabled.
 
-    /** Staged run (batched kernel): a view into the source's storage,
+    /** Staged run: a view into the source's storage,
      *  valid until the next takeBlock() on that source. */
     const TraceRecord *run_ = nullptr;
     std::size_t run_pos_ = 0;

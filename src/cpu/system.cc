@@ -5,12 +5,10 @@
 
 namespace rnr {
 
-System::System(const MachineConfig &cfg, KernelMode kernel)
-    : cfg_(cfg), mem_(cfg)
+System::System(const MachineConfig &cfg) : cfg_(cfg), mem_(cfg)
 {
     for (unsigned c = 0; c < cfg.cores; ++c)
-        cores_.push_back(
-            std::make_unique<CoreModel>(c, cfg.core, &mem_, kernel));
+        cores_.push_back(std::make_unique<CoreModel>(c, cfg.core, &mem_));
 }
 
 IterationResult
@@ -49,9 +47,9 @@ System::drive()
         instrs_before += core->instructionsRetired();
 
     if (cores_.size() == 1) {
-        // One core needs no interleaving: drain it run by run.  Under
-        // the batched kernel each stepRun() call executes a whole
-        // staged block with no scheduling checks in between.
+        // One core needs no interleaving: drain it run by run, each
+        // stepRun() call a whole staged block with no scheduling checks
+        // in between.
         CoreModel &core = *cores_[0];
         while (core.stepRun(static_cast<std::size_t>(-1)) != 0) {
         }
@@ -61,7 +59,7 @@ System::drive()
         // far ahead.  The quota loop below consumes exactly kBatch
         // records per pick even when a staged run ends mid-quantum, so
         // the interleave — and therefore the shared LLC/DRAM request
-        // order — is identical under both kernels.
+        // order — does not depend on where the source's blocks end.
         constexpr std::size_t kBatch = 8;
         for (;;) {
             CoreModel *next = nullptr;

@@ -5,7 +5,11 @@
  * Owns the cores and the memory system, and interleaves trace execution
  * across cores in local-time order so that shared resources (LLC, DRAM)
  * observe a near-globally-ordered request stream — the same effect as
- * ChampSim's lockstep O(1)-cycle loop at a fraction of the cost.
+ * ChampSim's lockstep O(1)-cycle loop at a fraction of the cost.  The
+ * interleave advances in fixed 8-record quanta, so it — and every
+ * counter — is independent of where a trace source's blocks end: an
+ * in-memory buffer and a store entry's 4096-record blocks give the
+ * same results.
  */
 #ifndef RNR_CPU_SYSTEM_H
 #define RNR_CPU_SYSTEM_H
@@ -16,7 +20,6 @@
 #include "cpu/core.h"
 #include "mem/memory_system.h"
 #include "sim/config.h"
-#include "sim/kernel.h"
 #include "trace/trace_buffer.h"
 
 namespace rnr {
@@ -34,11 +37,7 @@ struct IterationResult {
 class System
 {
   public:
-    /** @p kernel picks the core inner loop (default: RNR_KERNEL env);
-     *  see sim/kernel.h.  Both kernels are bit-identical by contract —
-     *  the legacy one exists as the verification reference. */
-    explicit System(const MachineConfig &cfg,
-                    KernelMode kernel = kernelModeFromEnv());
+    explicit System(const MachineConfig &cfg);
 
     MemorySystem &mem() { return mem_; }
     CoreModel &core(unsigned i) { return *cores_[i]; }
@@ -76,7 +75,7 @@ class System
 
     /** Fans @p tm out the same way (null = detach): the hierarchy and
      *  the prefetchers register their probes, the cores drive the
-     *  sampling from their step() clocks. */
+     *  sampling from their stepRun() clocks. */
     void
     attachTelemetry(TelemetrySampler *tm)
     {

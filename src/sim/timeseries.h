@@ -188,7 +188,7 @@ struct TelemetryBlob {
  * their probes/histograms at attach time, so the harness never needs
  * per-component wiring knowledge.
  *
- * Sampling is driven from CoreModel::step(): every core offers its
+ * Sampling is driven from CoreModel::stepRun(): every core offers its
  * local clock through maybeSample(), and the sampler fires once the
  * clock passes the next sample point.  Cores are interleaved in local-
  * time order by System::drive(), so the offered clocks are near-

@@ -14,7 +14,7 @@
  * refill an internal block on the way); take() requires !done() and
  * consumes exactly one record.
  *
- * The batched kernel (sim/kernel.h) pulls whole runs instead via
+ * The core model (cpu/core.h) pulls whole runs instead via
  * takeBlock(): the source hands back a pointer into its own storage
  * (zero-copy for BufferSource and StreamingTraceReader) and marks that
  * run consumed.  take() and takeBlock() may be interleaved freely; both

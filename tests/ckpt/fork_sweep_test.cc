@@ -45,7 +45,6 @@ class ForkSweepTest : public ::testing::Test
         setenv("RNR_CACHE", "0", 1);
         setenv("RNR_TRACE_STORE", "0", 1);
         setenv("RNR_PROGRESS", "0", 1);
-        unsetenv("RNR_KERNEL");
         unsetenv("RNR_JSON_OUT");
         ckpt::CheckpointStore::instance().resetForTest();
         ckpt::resetInputForkForTest();

@@ -36,7 +36,7 @@ TEST_F(CoreFixture, GapAdvancesIssueClockAtIssueWidth)
     TraceRecord r = TraceRecord::load(0x1000, 1, /*gap=*/39);
     trace.push(r);
     core.setTrace(&trace);
-    core.step();
+    core.stepRun(1);
     // 39 gap instructions + 1 load = 40 instructions at 4-wide = 10 cyc.
     EXPECT_EQ(core.time(), 10u);
     EXPECT_EQ(core.instructionsRetired(), 40u);
@@ -49,9 +49,9 @@ TEST_F(CoreFixture, LoadsOverlapInsideTheWindow)
     trace.push(TraceRecord::load(0x10000, 1, 0));
     trace.push(TraceRecord::load(0x20000, 2, 0));
     core.setTrace(&trace);
-    core.step();
+    core.stepRun(1);
     const Tick t_after_first = core.time();
-    core.step();
+    core.stepRun(1);
     EXPECT_LE(core.time(), t_after_first + 1);
     // Both are in flight; the finish time covers the slower one.
     EXPECT_GT(core.finishTime(), core.time());
@@ -87,7 +87,7 @@ TEST_F(CoreFixture, StoresDoNotBlockRetirement)
     trace.push(TraceRecord::store(0x50000, 1, 0));
     trace.push(TraceRecord::load(0x50040, 2, 0));
     core.setTrace(&trace);
-    core.step();
+    core.stepRun(1);
     // The store completed immediately from the core's perspective.
     EXPECT_LE(core.time(), 2u);
     EXPECT_EQ(core.stats().get("stores"), 1u);
@@ -131,7 +131,7 @@ TEST_F(CoreFixture, FinishTimeCoversOutstandingLoads)
 {
     trace.push(TraceRecord::load(0x70000, 1, 0));
     core.setTrace(&trace);
-    core.step();
+    core.stepRun(1);
     EXPECT_GE(core.finishTime(), core.time());
     EXPECT_GT(core.finishTime(), 10u); // DRAM latency outstanding
 }
