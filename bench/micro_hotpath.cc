@@ -44,7 +44,7 @@
  *    inputs, so fork-rate / generate-rate is the per-cell warm-up
  *    speedup every forked sweep config enjoys (docs/PERF.md).
  *
- * Three rows pin the replay path (docs/PERF.md sections 8 and 9):
+ * Four rows pin the trace path (docs/PERF.md sections 8 to 10):
  *  - BM_TraceFileIngest: iteration 0 of the tracefile workload, i.e. a
  *    v2 trace file of the hot slice decoded into a fresh TraceBuffer.
  *    Items are records, so the rate is ingest throughput including the
@@ -52,6 +52,9 @@
  *  - BM_TraceDecode: the same file drained by StreamingTraceReader::
  *    takeBlock(), one decoded block resident, as every replay cell
  *    streams it.  Items are records.
+ *  - BM_TraceEncode: the same records encoded block by block through
+ *    TraceFileWriter into a discard stream, as every capture and
+ *    store-off cell encodes them.  Items are records.
  *  - BM_CacheAccess/llc: lookup, and insert on a miss, on a lone
  *    Cache of the LLC's geometry (16 ways) over random blocks spanning
  *    four times its lines, so three in four accesses miss and evict.
@@ -83,6 +86,7 @@
 #include "sim/timeseries.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_reader.h"
+#include "tracestore/trace_writer.h"
 #include "workloads/graph_gen.h"
 #include "workloads/pagerank.h"
 #include "workloads/trace_replay.h"
@@ -418,6 +422,33 @@ BM_TraceDecode(benchmark::State &state)
     std::remove(path.c_str());
 }
 
+/** The BM_TraceFileIngest records encoded through TraceFileWriter into
+ *  a discard stream, a kDefaultBlockRecords block per write() as a
+ *  Tracer hands them over: the encode every capture and store-off cell
+ *  runs.  Items are records. */
+void
+BM_TraceEncode(benchmark::State &state)
+{
+    const std::vector<TraceRecord> &trace = hotTrace();
+    std::uint64_t records = 0;
+    for (auto _ : state) {
+        TraceFileWriter w;
+        w.openDiscard();
+        for (std::size_t first = 0; first < trace.size();
+             first += kDefaultBlockRecords)
+            w.write(trace.data() + first,
+                    std::min<std::size_t>(kDefaultBlockRecords,
+                                          trace.size() - first));
+        if (!w.close()) {
+            state.SkipWithError("encode failed");
+            break;
+        }
+        benchmark::DoNotOptimize(w.bytesWritten());
+        records += trace.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+
 /** Lookup plus insert-on-miss on a Cache of the given geometry, over
  *  random blocks spanning four times its lines.  Items are accesses. */
 void
@@ -455,6 +486,7 @@ BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceEncode)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CacheAccess, llc, MachineConfig::scaledDefault().llc)
     ->Unit(benchmark::kMillisecond);
 

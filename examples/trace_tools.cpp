@@ -6,8 +6,10 @@
  *   trace_tools capture <app> <input> <iteration> <out-prefix>
  *       Emits one compressed (v2) .rnrt file per core for the given
  *       algorithm iteration (0 = the record iteration with RnR setup
- *       calls).  Pass --v1 for the uncompressed legacy format.  Files
- *       are named <prefix>.c<K>.rnrt, which is exactly the layout
+ *       calls).  Each core's records stream into its file a block at
+ *       a time, so no iteration is held in memory.  Pass --v1 for the
+ *       uncompressed legacy format (written from whole buffers).
+ *       Files are named <prefix>.c<K>.rnrt, which is exactly the layout
  *       `trace_tools simulate <prefix>` consumes.
  *
  *   trace_tools convert <champsim.trace> <out.rnrt>
@@ -102,6 +104,7 @@
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_file.h"
 #include "tracestore/trace_store.h"
+#include "tracestore/trace_writer.h"
 #include "workloads/trace_replay.h"
 
 using namespace rnr;
@@ -115,6 +118,11 @@ v1FileBytes(std::uint64_t records)
     return 24 + records * 28; // header + packed records
 }
 
+/** Drops every record: the iterations before the captured one. */
+struct DiscardSink final : TraceSink {
+    void write(const TraceRecord *, std::size_t) override {}
+};
+
 int
 capture(const std::string &app, const std::string &input, unsigned iter,
         const std::string &prefix, bool v1)
@@ -123,30 +131,58 @@ capture(const std::string &app, const std::string &input, unsigned iter,
     cfg.app = app;
     cfg.input = input;
     std::unique_ptr<Workload> wl = makeWorkload(cfg);
+    const unsigned cores = wl->cores();
 
-    std::vector<TraceBuffer> bufs(wl->cores());
-    for (unsigned it = 0; it <= iter; ++it) {
-        for (auto &b : bufs)
-            b.clear();
-        wl->emitIteration(it, false, bufs);
+    DiscardSink discard;
+    for (unsigned it = 0; it < iter; ++it)
+        wl->emitIteration(it, false,
+                          std::vector<TraceSink *>(cores, &discard));
+
+    std::vector<std::string> paths;
+    for (unsigned c = 0; c < cores; ++c)
+        paths.push_back(prefix + ".c" + std::to_string(c) + ".rnrt");
+    // v2 streams each core's records into its file a block at a time;
+    // the v1 format puts the record count first, so it is written from
+    // whole buffers.
+    std::vector<TraceFileStats> stats(cores);
+    std::vector<TraceIoResult> written(cores);
+    if (v1) {
+        std::vector<TraceBuffer> bufs;
+        wl->emitIteration(iter, false, bufs);
+        for (unsigned c = 0; c < cores; ++c) {
+            written[c] = writeTraceFile(paths[c], bufs[c]);
+            stats[c].records = bufs[c].size();
+            stats[c].instructions = bufs[c].instructions();
+            stats[c].raw_bytes = bufs[c].memoryBytes();
+        }
+    } else {
+        std::vector<TraceFileWriter> writers(cores);
+        std::vector<TraceSink *> sinks;
+        for (unsigned c = 0; c < cores; ++c) {
+            written[c] = writers[c].open(paths[c]);
+            sinks.push_back(&writers[c]);
+        }
+        wl->emitIteration(iter, false, sinks);
+        for (unsigned c = 0; c < cores; ++c) {
+            const TraceIoResult closed = writers[c].close();
+            if (written[c])
+                written[c] = closed;
+            stats[c] = writers[c].stats();
+        }
     }
-    for (unsigned c = 0; c < wl->cores(); ++c) {
-        const std::string path = prefix + ".c" + std::to_string(c) +
-                                 ".rnrt";
-        const TraceIoResult r = v1 ? writeTraceFile(path, bufs[c])
-                                   : writeTraceFileV2(path, bufs[c]);
-        if (!r) {
-            std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
-                         r.message().c_str());
+    for (unsigned c = 0; c < cores; ++c) {
+        if (!written[c]) {
+            std::fprintf(stderr, "failed to write %s: %s\n",
+                         paths[c].c_str(), written[c].message().c_str());
             return 1;
         }
-        const std::uint64_t disk = traceFileSizeBytes(path);
-        std::printf("wrote %s (%zu records, %llu instructions, "
+        const std::uint64_t disk = traceFileSizeBytes(paths[c]);
+        std::printf("wrote %s (%llu records, %llu instructions, "
                     "%.1f KiB in memory -> %.1f KiB on disk)\n",
-                    path.c_str(), bufs[c].size(),
-                    static_cast<unsigned long long>(
-                        bufs[c].instructions()),
-                    static_cast<double>(bufs[c].memoryBytes()) / 1024.0,
+                    paths[c].c_str(),
+                    static_cast<unsigned long long>(stats[c].records),
+                    static_cast<unsigned long long>(stats[c].instructions),
+                    static_cast<double>(stats[c].raw_bytes) / 1024.0,
                     static_cast<double>(disk) / 1024.0);
     }
     return 0;

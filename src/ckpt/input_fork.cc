@@ -107,6 +107,10 @@ forkInput(const ExperimentConfig &cfg, std::uint64_t tag,
             Input forked;
             std::string why;
             if (decodeInput(blob, tag, cfg.input, forked, why)) {
+                // Free the snapshot bytes before the memo's copy is made
+                // below: a fork then holds two copies of the input at
+                // most, not three.
+                std::vector<std::uint8_t>().swap(blob);
                 store.noteFork();
                 std::lock_guard<std::mutex> lock(g_memo_mu);
                 return memo.emplace(cfg.input, std::move(forked))

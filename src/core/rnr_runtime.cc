@@ -10,9 +10,9 @@ RnrRuntime::RnrRuntime(Tracer *tracer, AddressSpace *space, std::string tag,
 }
 
 void
-RnrRuntime::retarget(TraceBuffer *buf)
+RnrRuntime::retarget(TraceSink *sink)
 {
-    tracer_->retarget(buf);
+    tracer_->retarget(sink);
 }
 
 void

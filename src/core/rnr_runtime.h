@@ -68,8 +68,8 @@ class RnrRuntime
     Addr seqTableBase() const { return seq_base_; }
     Addr divTableBase() const { return div_base_; }
 
-    /** Redirects the underlying tracer (per-iteration buffers). */
-    void retarget(TraceBuffer *buf);
+    /** Redirects the underlying tracer (Tracer::retarget). */
+    void retarget(TraceSink *sink);
 
   private:
     Tracer *tracer_;

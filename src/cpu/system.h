@@ -54,8 +54,9 @@ class System
     /**
      * Streaming variant: every core pulls from its TraceSource (one per
      * core, caller-owned, alive for the duration of the call).  This is
-     * how the trace store replays compressed trace files without
-     * materialising an iteration's records per core.  (Named rather
+     * how every runner cell is simulated, from compressed trace files
+     * or in-memory segments, without materialising an iteration's
+     * records per core.  (Named rather
      * than overloaded: a braced list of TraceBuffer pointers would
      * otherwise match both signatures via vector's iterator-pair
      * constructor.)

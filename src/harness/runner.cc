@@ -16,6 +16,7 @@
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
 #include "tracestore/trace_reader.h"
+#include "tracestore/trace_segment.h"
 #include "tracestore/trace_store.h"
 #include "workloads/graph_gen.h"
 #include "workloads/hyperanf.h"
@@ -37,17 +38,18 @@ std::mutex g_inflight_mu;
 std::condition_variable g_inflight_cv;
 std::set<std::string> g_inflight;
 
-/** Thrown when a trace file fails to open or decode while streaming.
- *  The store path quarantines the entry and recaptures; a tracefile
- *  cell lets it propagate, because the file is the user's. */
+/** Thrown when trace bytes fail to write, open or decode.  A store
+ *  replay quarantines the entry and recaptures; a capture is aborted
+ *  and the cell reruns store-off; a tracefile cell lets it propagate,
+ *  because the file is the user's. */
 struct TraceStreamError : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
 /**
- * Machine + workload + prefetchers for one experiment, shared by the
- * capture (materialised) and replay (streaming) paths so they simulate
- * byte-identically.
+ * Machine + workload + prefetchers for one experiment, shared by every
+ * path (capture, replay, store-off, tracefile), all of which simulate
+ * through runStreamed().
  */
 struct Sim {
     System sys;
@@ -118,44 +120,6 @@ struct Sim {
 };
 
 /**
- * Executes a native workload and simulates from the materialised
- * buffers (store off, and the store's capture path).  When @p cap is
- * non-null every iteration's buffers are also encoded into the
- * in-progress store entry.
- */
-ExperimentResult
-runMaterialized(const ExperimentConfig &cfg, const Probes &probes,
-                TraceStore::Capture *cap)
-{
-    g_simulated.fetch_add(1);
-    Sim sim(cfg, probes);
-
-    std::vector<TraceBuffer> bufs(cfg.cores);
-    for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
-        // No clear here: retargetAll() clears, and first samples each
-        // buffer's size so it can reserve the next iteration's records.
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
-
-        for (unsigned c = 0; cap && c < cfg.cores; ++c)
-            if (TraceIoResult r = cap->add(iter, c, bufs[c]); !r) {
-                // Capture is best-effort: keep simulating, drop the
-                // half-written entry (the destructor aborts it).
-                obs::LogLine(obs::LogLevel::Warn, "tracestore")
-                    .msg("capture failed")
-                    .kv("workload", cfg.workloadKey())
-                    .kv("why", r.message());
-                cap = nullptr;
-            }
-
-        std::vector<const TraceBuffer *> ptrs;
-        for (auto &b : bufs)
-            ptrs.push_back(&b);
-        sim.recordIteration(sim.sys.run(ptrs));
-    }
-    return sim.finish(cfg);
-}
-
-/**
  * Simulates every iteration from per-core streams, one decoded block
  * resident per core.  @p open(workload, iter) returns the iteration's
  * per-core sources; each must expose error()/errorResult() for a block
@@ -204,6 +168,63 @@ runFromStore(const ExperimentConfig &cfg, const Probes &probes,
     });
 }
 
+/** Emits iteration @p iter of @p wl into one sink per core. */
+template <typename Sink>
+void
+emitInto(Workload &wl, const ExperimentConfig &cfg, unsigned iter,
+         std::vector<Sink> &sinks)
+{
+    std::vector<TraceSink *> ptrs;
+    for (Sink &s : sinks)
+        ptrs.push_back(&s);
+    wl.emitIteration(iter, iter + 1 == cfg.iterations, ptrs);
+}
+
+/**
+ * Executes a native workload, encoding every iteration into the
+ * capture's files as it is emitted, then simulating it from those files
+ * exactly as runFromStore() will replay them.  A write that fails
+ * throws TraceStreamError.
+ */
+ExperimentResult
+runCapture(const ExperimentConfig &cfg, const Probes &probes,
+           TraceStore::Capture &cap)
+{
+    return runStreamed(cfg, probes, [&](Workload &wl, unsigned iter) {
+        std::vector<TraceFileWriter> writers(cfg.cores);
+        for (unsigned c = 0; c < cfg.cores; ++c)
+            if (TraceIoResult r = cap.open(iter, c, writers[c]); !r)
+                throw TraceStreamError("capture: " + r.message());
+        emitInto(wl, cfg, iter, writers);
+        std::vector<StreamingTraceReader> readers(cfg.cores);
+        for (unsigned c = 0; c < cfg.cores; ++c) {
+            if (TraceIoResult r = cap.close(writers[c]); !r)
+                throw TraceStreamError("capture: " + r.message());
+            const std::string path = cap.tracePath(iter, c);
+            if (TraceIoResult r = readers[c].open(path); !r)
+                throw TraceStreamError(path + ": " + r.message());
+        }
+        return readers;
+    });
+}
+
+/** Executes a native workload without the store: every iteration is
+ *  encoded into one in-memory segment per core, then simulated from
+ *  the segments. */
+ExperimentResult
+runStoreOff(const ExperimentConfig &cfg, const Probes &probes)
+{
+    return runStreamed(cfg, probes, [&](Workload &wl, unsigned iter) {
+        std::vector<SegmentSink> segments(cfg.cores);
+        emitInto(wl, cfg, iter, segments);
+        std::vector<SegmentSource> sources;
+        sources.reserve(cfg.cores);
+        for (SegmentSink &seg : segments)
+            sources.emplace_back(seg.release());
+        return sources;
+    });
+}
+
 /** Replays the tracefile app's per-core files, streamed every
  *  iteration with its RnR control records around them. */
 ExperimentResult
@@ -240,16 +261,27 @@ runWithTraceStore(const ExperimentConfig &cfg, const Probes &probes)
                 continue;
             }
         }
-        // Owner: run natively, encoding each iteration as it finishes.
+        // Owner: run natively, encoding each iteration as it is emitted.
         TraceStore::Capture cap =
             store.beginCapture(wkey, cfg.iterations, cfg.cores);
-        ExperimentResult r = runMaterialized(cfg, probes, &cap);
-        cap.publish(r.input_bytes, r.target_bytes);
-        return r;
+        try {
+            ExperimentResult r = runCapture(cfg, probes, cap);
+            cap.publish(r.input_bytes, r.target_bytes);
+            return r;
+        } catch (const TraceStreamError &e) {
+            // Capture is best-effort: drop the half-written entry (the
+            // Capture's destructor aborts it) and rerun without it.
+            obs::LogLine(obs::LogLevel::Warn, "tracestore")
+                .msg("capture failed; simulating without the store")
+                .kv("workload", wkey)
+                .kv("why", e.what());
+            break;
+        }
     }
-    // Two corrupt replays in a row: something is systematically wrong
-    // with this entry's environment; simulate without the store.
-    return runMaterialized(cfg, probes, nullptr);
+    // A failed capture, or two corrupt replays in a row: something is
+    // systematically wrong with this entry's environment; simulate
+    // without the store.
+    return runStoreOff(cfg, probes);
 }
 
 } // namespace
@@ -323,7 +355,7 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
     ExperimentResult r = cfg.app == "tracefile" ? runTraceFile(cfg, probes)
                          : TraceStore::enabled()
                              ? runWithTraceStore(cfg, probes)
-                             : runMaterialized(cfg, probes, nullptr);
+                             : runStoreOff(cfg, probes);
     if (probes.telemetry)
         r.telemetry =
             std::make_shared<TelemetryBlob>(probes.telemetry->harvest());

@@ -2,9 +2,11 @@
  * @file
  * A per-core, per-iteration container of trace records.
  *
- * Workloads fill one TraceBuffer per core per iteration; the System then
- * drives every core through its buffer.  Buffers are plain vectors with a
- * few convenience counters so tests can assert on trace shape.
+ * A TraceBuffer is the materialising TraceSink: it keeps every record a
+ * Tracer hands it, so Workload::emitIteration() can drain a whole
+ * iteration into one buffer per core for tests, tools and System::run().
+ * Buffers are plain vectors with a few convenience counters so tests can
+ * assert on trace shape.
  */
 #ifndef RNR_TRACE_TRACE_BUFFER_H
 #define RNR_TRACE_TRACE_BUFFER_H
@@ -13,11 +15,12 @@
 #include <vector>
 
 #include "trace/record.h"
+#include "trace/trace_sink.h"
 
 namespace rnr {
 
 /** Growable record container with summary counters. */
-class TraceBuffer
+class TraceBuffer final : public TraceSink
 {
   public:
     void
@@ -25,6 +28,15 @@ class TraceBuffer
     {
         records_.push_back(rec);
         count(rec);
+    }
+
+    /** Appends a block of records (the Tracer's flush). */
+    void
+    write(const TraceRecord *recs, std::size_t n) override
+    {
+        records_.insert(records_.end(), recs, recs + n);
+        for (std::size_t i = 0; i < n; ++i)
+            count(recs[i]);
     }
 
     /**

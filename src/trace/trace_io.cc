@@ -9,8 +9,6 @@ namespace rnr {
 
 namespace {
 
-constexpr char kMagic[8] = {'R', 'N', 'R', 'T', 'R', 'A', 'C', 'E'};
-
 template <typename T>
 void
 put(std::ofstream &out, T value)
@@ -64,7 +62,7 @@ writeTraceFile(const std::string &path, const TraceBuffer &buf)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         return TraceIoResult::fail(TraceIoStatus::OpenFailed, path, errno);
-    out.write(kMagic, sizeof(kMagic));
+    out.write(kTraceFileMagic, sizeof(kTraceFileMagic));
     put<std::uint32_t>(out, kTraceFormatVersion);
     put<std::uint32_t>(out, 0); // reserved
     put<std::uint64_t>(out, buf.size());

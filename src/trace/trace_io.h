@@ -33,6 +33,9 @@
 
 namespace rnr {
 
+/** First 8 bytes of every trace file, v1 and v2. */
+constexpr char kTraceFileMagic[8] = {'R', 'N', 'R', 'T', 'R', 'A', 'C', 'E'};
+
 /** Current v1 trace-file format version written by writeTraceFile(). */
 constexpr std::uint32_t kTraceFormatVersion = 1;
 

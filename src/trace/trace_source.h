@@ -6,9 +6,11 @@
  * multi-million-record iteration therefore had to be resident in memory
  * per core before simulation could start.  TraceSource abstracts the
  * feed so a core can equally pull records from an in-memory buffer
- * (BufferSource, the capture path) or block-by-block from a compressed
- * v2 trace file (tracestore/trace_reader.h, the replay path) with only
- * one decoded block resident per core.
+ * (BufferSource, System::run()) or block-by-block from compressed v2
+ * bytes — a trace file (tracestore/trace_reader.h: store capture and
+ * replay, tracefile cells) or an in-memory segment
+ * (tracestore/trace_segment.h: store-off cells) — with only one decoded
+ * block resident per core.
  *
  * The contract is single-pass: done() may be called repeatedly (and may
  * refill an internal block on the way); take() requires !done() and
@@ -34,9 +36,9 @@ namespace rnr {
 class TraceSource
 {
   public:
-    /** Run length the default takeBlock() stages at a time; matches the
-     *  trace store's kDefaultBlockRecords (128 KiB of records). */
-    static constexpr std::size_t kMaxBlockRecords = 4096;
+    /** Run length the default takeBlock() stages at a time (128 KiB of
+     *  records). */
+    static constexpr std::size_t kMaxBlockRecords = kDefaultBlockRecords;
 
     virtual ~TraceSource() = default;
 

@@ -13,6 +13,7 @@
 #define RNR_TRACE_TRACER_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,11 +54,21 @@ class AddressSpace
 /**
  * Per-core trace emitter.  Plain-instruction work between memory ops is
  * accumulated with instr() and attached as the gap of the next record.
+ *
+ * Records are staged in a fixed block of kDefaultBlockRecords.  A full
+ * block goes to the sink at once; flush() hands over the partial one
+ * (Workload::emitIteration() flushes at the end of every iteration), so
+ * no tracer ever holds more than one block, whatever the sink does.
  */
 class Tracer
 {
   public:
-    explicit Tracer(TraceBuffer *buf) : buf_(buf) {}
+    explicit Tracer(TraceSink *sink = nullptr)
+        : block_(static_cast<TraceRecord *>(
+              ::operator new(kDefaultBlockRecords * sizeof(TraceRecord)))),
+          sink_(sink)
+    {
+    }
 
     /** Accounts @p n untraced instructions of compute. */
     void instr(std::uint32_t n) { gap_ += n; }
@@ -65,13 +76,13 @@ class Tracer
     void
     load(Addr a, std::uint32_t pc)
     {
-        buf_->push(TraceRecord::load(a, pc, takeGap()));
+        push(TraceRecord::load(a, pc, takeGap()));
     }
 
     void
     store(Addr a, std::uint32_t pc)
     {
-        buf_->push(TraceRecord::store(a, pc, takeGap()));
+        push(TraceRecord::store(a, pc, takeGap()));
     }
 
     /** Emits an RnR software-interface record (Table I call). */
@@ -80,20 +91,59 @@ class Tracer
     {
         TraceRecord r = TraceRecord::control(op, payload0, payload1);
         r.gap = takeGap();
-        buf_->push(r);
+        push(r);
     }
 
-    TraceBuffer *buffer() { return buf_; }
-
-    /** Redirects subsequent records to @p buf (per-iteration buffers). */
+    /** Passes ready-made records to the sink as they are, gaps
+     *  included, after the staged ones (a trace file replayed as a
+     *  workload); the run is not restaged. */
     void
-    retarget(TraceBuffer *buf)
+    write(const TraceRecord *recs, std::size_t n)
     {
-        buf_ = buf;
+        flush();
+        if (sink_)
+            sink_->write(recs, n);
+    }
+
+    /** Hands the staged records to the sink (none is a no-op).  With
+     *  no sink attached they are dropped. */
+    void
+    flush()
+    {
+        if (staged_ != 0 && sink_)
+            sink_->write(block_.get(), staged_);
+        staged_ = 0;
+    }
+
+    /** Flushes into the current sink, then sends subsequent records to
+     *  @p sink (null = detach); a pending gap is dropped. */
+    void
+    retarget(TraceSink *sink)
+    {
+        flush();
+        sink_ = sink;
+        gap_ = 0;
+    }
+
+    /** Drops the staged records and detaches without flushing, for an
+     *  iteration abandoned by an exception: the sink may be gone. */
+    void
+    abandon()
+    {
+        staged_ = 0;
+        sink_ = nullptr;
         gap_ = 0;
     }
 
   private:
+    void
+    push(const TraceRecord &r)
+    {
+        block_.get()[staged_++] = r;
+        if (staged_ == kDefaultBlockRecords)
+            flush();
+    }
+
     std::uint32_t
     takeGap()
     {
@@ -102,7 +152,16 @@ class Tracer
         return g;
     }
 
-    TraceBuffer *buf_;
+    struct FreeBlock {
+        void operator()(TraceRecord *p) const { ::operator delete(p); }
+    };
+
+    /** Uninitialised storage for one block, so only the pages a tracer
+     *  writes become resident (a trace file's tracer writes a few RnR
+     *  calls a core). */
+    std::unique_ptr<TraceRecord, FreeBlock> block_;
+    std::size_t staged_ = 0;
+    TraceSink *sink_;
     std::uint32_t gap_ = 0;
 };
 

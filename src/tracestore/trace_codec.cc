@@ -7,25 +7,16 @@
 #include <istream>
 
 #include "sim/flat_map.h"
+#include "tracestore/trace_writer.h"
 #include "tracestore/varint.h"
 
 namespace rnr {
 
 namespace {
 
-constexpr char kMagic[8] = {'R', 'N', 'R', 'T', 'R', 'A', 'C', 'E'};
-constexpr char kFooterMagic[8] = {'R', 'N', 'R', 'T', 'F', 'T', 'R', '1'};
-
 // Tag byte: bits 0-1 = RecordKind, bit 2 = aux field present.
 constexpr std::uint8_t kKindMask = 0x03;
 constexpr std::uint8_t kAuxFlag = 0x04;
-
-template <typename T>
-void
-put(std::ostream &out, T value)
-{
-    out.write(reinterpret_cast<const char *>(&value), sizeof(value));
-}
 
 template <typename T>
 bool
@@ -160,86 +151,30 @@ decodeBlock(const std::uint8_t *payload, std::size_t payload_bytes,
     return p == end; // trailing garbage = corrupt
 }
 
+void
+encodeFramedBlock(const TraceRecord *recs, std::size_t n,
+                  std::vector<std::uint8_t> &out)
+{
+    const std::size_t at = out.size();
+    out.resize(at + 8);
+    encodeBlock(recs, n, out);
+    const std::uint32_t payload_bytes =
+        static_cast<std::uint32_t>(out.size() - at - 8);
+    const std::uint32_t record_count = static_cast<std::uint32_t>(n);
+    std::memcpy(out.data() + at, &payload_bytes, 4);
+    std::memcpy(out.data() + at + 4, &record_count, 4);
+}
+
 TraceIoResult
 writeTraceFileV2(const std::string &path, const TraceBuffer &buf,
                  std::uint32_t block_records)
 {
-    if (block_records == 0)
-        block_records = kDefaultBlockRecords;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return TraceIoResult::fail(TraceIoStatus::OpenFailed, path, errno);
-    out.write(kMagic, sizeof(kMagic));
-    put<std::uint32_t>(out, kTraceFormatVersionV2);
-    put<std::uint32_t>(out, block_records);
-
-    TraceFileStats stats;
-    stats.records = buf.size();
-    stats.loads = buf.loads();
-    stats.stores = buf.stores();
-    stats.controls = buf.controls();
-    stats.instructions = buf.instructions();
-    stats.raw_bytes = buf.memoryBytes();
-    bool have_mem = false;
-
-    std::vector<TraceBlockIndexEntry> index;
-    std::vector<std::uint8_t> payload;
-    const std::vector<TraceRecord> &recs = buf.records();
-    for (std::size_t first = 0; first < recs.size();
-         first += block_records) {
-        const std::size_t n =
-            std::min<std::size_t>(block_records, recs.size() - first);
-        payload.clear();
-        encodeBlock(recs.data() + first, n, payload);
-
-        TraceBlockIndexEntry e;
-        e.offset = static_cast<std::uint64_t>(out.tellp());
-        e.payload_bytes = static_cast<std::uint32_t>(payload.size());
-        e.record_count = static_cast<std::uint32_t>(n);
-        index.push_back(e);
-
-        put<std::uint32_t>(out, e.payload_bytes);
-        put<std::uint32_t>(out, e.record_count);
-        out.write(reinterpret_cast<const char *>(payload.data()),
-                  static_cast<std::streamsize>(payload.size()));
-
-        for (std::size_t i = first; i < first + n; ++i) {
-            const TraceRecord &r = recs[i];
-            if (r.kind == RecordKind::Control)
-                continue;
-            if (!have_mem || r.addr < stats.min_addr)
-                stats.min_addr = r.addr;
-            if (!have_mem || r.addr > stats.max_addr)
-                stats.max_addr = r.addr;
-            have_mem = true;
-        }
-    }
-    // Terminator lets a sequential reader stop without the footer.
-    put<std::uint32_t>(out, 0);
-    put<std::uint32_t>(out, 0);
-
-    const std::uint64_t footer_offset =
-        static_cast<std::uint64_t>(out.tellp());
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(index.size()));
-    for (const TraceBlockIndexEntry &e : index) {
-        put<std::uint64_t>(out, e.offset);
-        put<std::uint32_t>(out, e.payload_bytes);
-        put<std::uint32_t>(out, e.record_count);
-    }
-    put<std::uint64_t>(out, stats.records);
-    put<std::uint64_t>(out, stats.loads);
-    put<std::uint64_t>(out, stats.stores);
-    put<std::uint64_t>(out, stats.controls);
-    put<std::uint64_t>(out, stats.instructions);
-    put<std::uint64_t>(out, stats.min_addr);
-    put<std::uint64_t>(out, stats.max_addr);
-    put<std::uint64_t>(out, stats.raw_bytes);
-    put<std::uint64_t>(out, footer_offset);
-    out.write(kFooterMagic, sizeof(kFooterMagic));
-    out.flush();
-    if (!out)
-        return TraceIoResult::fail(TraceIoStatus::WriteFailed, path, errno);
-    return TraceIoResult::ok();
+    TraceFileWriter w(block_records);
+    if (TraceIoResult r = w.open(path); !r)
+        return r;
+    if (!buf.empty())
+        w.write(buf.records().data(), buf.size());
+    return w.close();
 }
 
 TraceIoResult
@@ -250,7 +185,7 @@ readV2FileHeader(std::istream &in, std::uint32_t &block_records)
     if (!in)
         return TraceIoResult::fail(TraceIoStatus::Truncated,
                                    "file shorter than the 8-byte magic");
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(magic, kTraceFileMagic, sizeof(kTraceFileMagic)) != 0)
         return TraceIoResult::fail(TraceIoStatus::BadMagic,
                                    "expected RNRTRACE");
     std::uint32_t version = 0;
@@ -277,7 +212,7 @@ probeTraceFileVersion(const std::string &path, std::uint32_t &version)
     if (!in)
         return TraceIoResult::fail(TraceIoStatus::Truncated,
                                    "file shorter than the 8-byte magic");
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(magic, kTraceFileMagic, sizeof(kTraceFileMagic)) != 0)
         return TraceIoResult::fail(TraceIoStatus::BadMagic,
                                    "expected RNRTRACE");
     if (!get(in, version))
@@ -310,7 +245,7 @@ readTraceFileV2Stats(const std::string &path, TraceFileStats &stats,
         !in.read(fmagic, sizeof(fmagic)))
         return TraceIoResult::fail(TraceIoStatus::BadFooter,
                                    "cannot read footer trailer");
-    if (std::memcmp(fmagic, kFooterMagic, sizeof(kFooterMagic)) != 0)
+    if (std::memcmp(fmagic, kTraceFooterMagic, sizeof(kTraceFooterMagic)) != 0)
         return TraceIoResult::fail(TraceIoStatus::BadFooter,
                                    "footer magic missing (truncated "
                                    "write?)");

@@ -40,14 +40,16 @@
 #include <vector>
 
 #include "trace/trace_io.h"
+#include "trace/trace_sink.h"
 
 namespace rnr {
 
 /** Version tag of the compressed block format. */
 constexpr std::uint32_t kTraceFormatVersionV2 = 2;
 
-/** Records per block unless the writer overrides it. */
-constexpr std::uint32_t kDefaultBlockRecords = 4096;
+/** Last 8 bytes of a complete v2 file. */
+constexpr char kTraceFooterMagic[8] = {'R', 'N', 'R', 'T',
+                                       'F', 'T', 'R', '1'};
 
 /** Fewest bytes a v2 record encodes to: the tag, gap, pc delta and
  *  address each take at least one.  file bytes / this bounds the record
@@ -81,6 +83,15 @@ void encodeBlock(const TraceRecord *recs, std::size_t n,
                  std::vector<std::uint8_t> &out);
 
 /**
+ * Appends one framed block to @p out: u32 payload_bytes, u32
+ * record_count, then encodeBlock() of the @p n records.  The unit both
+ * a v2 file (TraceFileWriter) and an in-memory segment (SegmentSink)
+ * are made of.
+ */
+void encodeFramedBlock(const TraceRecord *recs, std::size_t n,
+                       std::vector<std::uint8_t> &out);
+
+/**
  * Decodes a block payload of exactly @p expected_records records into
  * @p out (appended).  Returns false if the payload is malformed or its
  * length disagrees with the record count.
@@ -89,7 +100,8 @@ bool decodeBlock(const std::uint8_t *payload, std::size_t payload_bytes,
                  std::size_t expected_records,
                  std::vector<TraceRecord> &out);
 
-/** Writes @p buf to @p path in v2 format. */
+/** Writes @p buf to @p path in v2 format (a TraceFileWriter fed the
+ *  whole buffer, tracestore/trace_writer.h). */
 TraceIoResult writeTraceFileV2(
     const std::string &path, const TraceBuffer &buf,
     std::uint32_t block_records = kDefaultBlockRecords);

@@ -20,7 +20,7 @@ namespace rnr {
  * Reads a v1 or v2 trace file onto the end of @p buf, decoding each
  * block straight into it.  Growth is the caller's to avoid: reserve
  * @p buf from readAnyTraceFileStats() (clamped by
- * kMinEncodedRecordBytes) first, as TraceFileWorkload::emitIteration
+ * kMinEncodedRecordBytes) first, as TraceFileWorkload::recordsHint()
  * does.
  */
 TraceIoResult readAnyTraceFile(const std::string &path, TraceBuffer &buf);

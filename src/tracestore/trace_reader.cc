@@ -8,8 +8,6 @@ namespace rnr {
 
 namespace {
 
-constexpr char kMagic[8] = {'R', 'N', 'R', 'T', 'R', 'A', 'C', 'E'};
-
 template <typename T>
 bool
 get(std::istream &in, T &value)
@@ -24,16 +22,18 @@ TraceIoResult
 StreamingTraceReader::open(const std::string &path)
 {
     path_ = path;
-    in_.open(path, std::ios::binary);
+    in_.open(path, std::ios::binary | std::ios::ate);
     if (!in_)
         return TraceIoResult::fail(TraceIoStatus::OpenFailed, path, errno);
+    file_bytes_ = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
 
     char magic[8];
     in_.read(magic, sizeof(magic));
     if (!in_)
         return TraceIoResult::fail(TraceIoStatus::Truncated,
                                    "file shorter than the 8-byte magic");
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(magic, kTraceFileMagic, sizeof(kTraceFileMagic)) != 0)
         return TraceIoResult::fail(TraceIoStatus::BadMagic,
                                    "expected RNRTRACE");
     if (!get(in_, version_))
@@ -105,6 +105,16 @@ StreamingTraceReader::refillV2(std::vector<TraceRecord> &out)
         failStream(TraceIoStatus::CorruptBlock,
                    "implausible record count " +
                        std::to_string(record_count));
+        return false;
+    }
+    // Bound the allocation by the bytes the file has left, so a lying
+    // payload_bytes field cannot drive it.
+    const std::streamoff at = in_.tellg();
+    if (at < 0 ||
+        payload_bytes > file_bytes_ - static_cast<std::uint64_t>(at)) {
+        failStream(TraceIoStatus::Truncated,
+                   "payload of " + std::to_string(payload_bytes) +
+                       " bytes overruns the file");
         return false;
     }
     payload_.resize(payload_bytes);

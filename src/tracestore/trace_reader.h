@@ -2,14 +2,15 @@
  * @file
  * Streaming trace-file reader: a TraceSource over a v1 or v2 file.
  *
- * Both replay paths feed each simulated core straight from disk,
- * block-by-block: trace-store replay, and the tracefile app (which
- * wraps a reader between its injected RnR control records, see
+ * Every file-backed cell feeds each simulated core straight from disk,
+ * block-by-block: trace-store replay, a capture (which reads back the
+ * files it has just written), and the tracefile app (which wraps a
+ * reader between its injected RnR control records, see
  * workloads/trace_replay.h).  A multi-million-record iteration
- * therefore never has to be resident in memory (the materialised
- * std::vector<TraceBuffer> path needs 32 bytes per record per core).
- * Peak memory per open reader is one decoded block (block_records x
- * 32 B, 128 KiB at the default) plus the undecoded payload buffer.
+ * therefore never has to be resident in memory (a TraceBuffer needs
+ * 32 bytes per record per core).  Peak memory per open reader is one
+ * decoded block (block_records x 32 B, 128 KiB at the default) plus
+ * the undecoded payload buffer.
  *
  * v2 files stream natively (each block self-describes); v1 files are
  * chunked into kDefaultBlockRecords-sized batches on the fly, so the
@@ -19,7 +20,8 @@
  * corrupt block discovered mid-stream flips error().  The simulation
  * that consumed the earlier blocks is already tainted, so the runner
  * throws it away: a store entry is quarantined and recaptured, a
- * tracefile cell fails with an error naming the file.
+ * capture is aborted and the cell rerun without the store, a tracefile
+ * cell fails with an error naming the file.
  */
 #ifndef RNR_TRACESTORE_TRACE_READER_H
 #define RNR_TRACESTORE_TRACE_READER_H
@@ -78,6 +80,7 @@ class StreamingTraceReader final : public TraceSource
 
     std::ifstream in_;
     std::string path_;
+    std::uint64_t file_bytes_ = 0;
     std::uint32_t version_ = 0;
     std::uint32_t block_records_ = kDefaultBlockRecords;
     std::uint64_t v1_remaining_ = 0; ///< Records left (v1 only).

@@ -56,6 +56,13 @@ storeMetrics()
 }
 
 std::string
+entryTracePath(const std::string &dir, unsigned iter, unsigned core)
+{
+    return dir + "/it" + std::to_string(iter) + ".c" +
+           std::to_string(core) + ".rnrt";
+}
+
+std::string
 manifestPath(const std::string &dir)
 {
     return dir + "/manifest";
@@ -180,8 +187,7 @@ TraceStore::capBytes()
 std::string
 TraceStore::Entry::tracePath(unsigned iter, unsigned core) const
 {
-    return dir + "/it" + std::to_string(iter) + ".c" +
-           std::to_string(core) + ".rnrt";
+    return entryTracePath(dir, iter, core);
 }
 
 bool
@@ -347,17 +353,39 @@ TraceStore::Capture::~Capture()
     store_->releaseOwnership(wkey_);
 }
 
+std::string
+TraceStore::Capture::tracePath(unsigned iter, unsigned core) const
+{
+    return entryTracePath(tmp_dir_, iter, core);
+}
+
+TraceIoResult
+TraceStore::Capture::open(unsigned iter, unsigned core, TraceFileWriter &w)
+{
+    if (!open_)
+        return TraceIoResult::fail(TraceIoStatus::OpenFailed, tmp_dir_);
+    return w.open(tracePath(iter, core));
+}
+
+TraceIoResult
+TraceStore::Capture::close(TraceFileWriter &w)
+{
+    TraceIoResult r = w.close();
+    records_ += w.stats().records;
+    raw_bytes_ += w.stats().raw_bytes;
+    return r;
+}
+
 TraceIoResult
 TraceStore::Capture::add(unsigned iter, unsigned core,
                          const TraceBuffer &buf)
 {
-    if (!open_)
-        return TraceIoResult::fail(TraceIoStatus::OpenFailed, tmp_dir_);
-    const std::string path = tmp_dir_ + "/it" + std::to_string(iter) +
-                             ".c" + std::to_string(core) + ".rnrt";
-    records_ += buf.size();
-    raw_bytes_ += buf.memoryBytes();
-    return writeTraceFileV2(path, buf);
+    TraceFileWriter w;
+    if (TraceIoResult r = open(iter, core, w); !r)
+        return r;
+    if (!buf.empty())
+        w.write(buf.records().data(), buf.size());
+    return close(w);
 }
 
 bool

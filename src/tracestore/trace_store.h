@@ -37,7 +37,8 @@
  *    each publish (never the entry just written).
  *
  * Environment:
- *   RNR_TRACE_STORE=0     disable the store (materialised legacy path)
+ *   RNR_TRACE_STORE=0     disable the store (each cell streams its
+ *                         iterations through in-memory segments)
  *   RNR_TRACE_DIR=<path>  move the corpus (default "rnr_traces")
  *   RNR_TRACE_CAP_MB=<n>  evict oldest entries beyond n MiB (0 = off)
  */
@@ -56,6 +57,7 @@
 #include "harness/file_lock.h"
 #include "trace/trace_buffer.h"
 #include "trace/trace_io.h"
+#include "tracestore/trace_writer.h"
 
 namespace rnr {
 
@@ -109,12 +111,13 @@ class TraceStore
     /**
      * In-progress capture for a workload key this caller owns (via
      * acquire() returning Owner).  Trace files are encoded into a
-     * temp directory as iterations finish; publish() writes the
-     * manifest, renames the directory into place, logs the
-     * raw-vs-compressed ratio, applies the size cap and wakes
-     * waiters.  Destruction without publish() aborts: the temp
-     * directory is removed and ownership released so a waiter can
-     * recapture.
+     * temp directory while iterations are emitted: open() points a
+     * TraceFileWriter at an (iteration, core) file, close() finishes
+     * it and books its records.  publish() writes the manifest,
+     * renames the directory into place, logs the raw-vs-compressed
+     * ratio, applies the size cap and wakes waiters.  Destruction
+     * without publish() aborts: the temp directory is removed and
+     * ownership released so a waiter can recapture.
      */
     class Capture
     {
@@ -123,7 +126,20 @@ class TraceStore
         Capture &operator=(Capture &&) = delete;
         ~Capture();
 
-        /** Encodes @p buf as the (iter, core) trace of this entry. */
+        /** Opens @p w on the (iter, core) trace file of this entry. */
+        TraceIoResult open(unsigned iter, unsigned core,
+                           TraceFileWriter &w);
+
+        /** Closes @p w (opened by open()) and books its records into
+         *  the manifest; returns the file's first write error. */
+        TraceIoResult close(TraceFileWriter &w);
+
+        /** Where the (iter, core) trace file is written until
+         *  publish(): readable once close() has returned Ok. */
+        std::string tracePath(unsigned iter, unsigned core) const;
+
+        /** Encodes @p buf as the (iter, core) trace of this entry
+         *  (open(), one write, close()). */
         TraceIoResult add(unsigned iter, unsigned core,
                           const TraceBuffer &buf);
 

@@ -89,10 +89,8 @@ HyperAnfWorkload::neighbourhoodFunction() const
 }
 
 void
-HyperAnfWorkload::emitIteration(unsigned iter, bool is_last,
-                                std::vector<TraceBuffer> &bufs)
+HyperAnfWorkload::emit(unsigned iter, bool is_last)
 {
-    retargetAll(bufs);
 
     for (unsigned c = 0; c < opts_.cores; ++c) {
         RnrRuntime &rt = *runtimes_[c];

@@ -26,8 +26,6 @@ class HyperAnfWorkload : public Workload
                      std::uint64_t seed = 42);
 
     std::string name() const override { return "hyperanf"; }
-    void emitIteration(unsigned iter, bool is_last,
-                       std::vector<TraceBuffer> &bufs) override;
     std::uint64_t inputBytes() const override;
     std::uint64_t targetBytes() const override;
     DropletHint dropletHint(unsigned core) const override;
@@ -38,6 +36,9 @@ class HyperAnfWorkload : public Workload
     double neighbourhoodFunction() const;
     /** Sketches that changed during the last iteration. */
     std::uint64_t lastChanged() const { return last_changed_; }
+
+  protected:
+    void emit(unsigned iter, bool is_last) override;
 
   private:
     enum Site : std::uint32_t {

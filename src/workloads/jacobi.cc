@@ -64,10 +64,8 @@ JacobiWorkload::impSniffer(unsigned core) const
 }
 
 void
-JacobiWorkload::emitIteration(unsigned iter, bool is_last,
-                              std::vector<TraceBuffer> &bufs)
+JacobiWorkload::emit(unsigned iter, bool is_last)
 {
-    retargetAll(bufs);
     const std::uint32_t n = A_.n;
     const Addr cur_base = x_base_[cur_];
     const Addr next_base = x_base_[cur_ ^ 1];

@@ -25,8 +25,6 @@ class JacobiWorkload : public Workload
     JacobiWorkload(SparseMatrix matrix, WorkloadOptions opts);
 
     std::string name() const override { return "jacobi"; }
-    void emitIteration(unsigned iter, bool is_last,
-                       std::vector<TraceBuffer> &bufs) override;
     std::uint64_t inputBytes() const override;
     std::uint64_t targetBytes() const override;
     IndexSniffer impSniffer(unsigned core) const override;
@@ -35,6 +33,9 @@ class JacobiWorkload : public Workload
     double lastDelta() const { return last_delta_; }
     const std::vector<double> &solution() const { return x_[cur_]; }
     const SparseMatrix &matrix() const { return A_; }
+
+  protected:
+    void emit(unsigned iter, bool is_last) override;
 
   private:
     enum Site : std::uint32_t {

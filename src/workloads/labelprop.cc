@@ -77,10 +77,8 @@ LabelPropWorkload::distinctLabels() const
 }
 
 void
-LabelPropWorkload::emitIteration(unsigned iter, bool is_last,
-                                 std::vector<TraceBuffer> &bufs)
+LabelPropWorkload::emit(unsigned iter, bool is_last)
 {
-    retargetAll(bufs);
 
     for (unsigned c = 0; c < opts_.cores; ++c) {
         RnrRuntime &rt = *runtimes_[c];

@@ -27,8 +27,6 @@ class LabelPropWorkload : public Workload
     LabelPropWorkload(Graph graph, WorkloadOptions opts);
 
     std::string name() const override { return "labelprop"; }
-    void emitIteration(unsigned iter, bool is_last,
-                       std::vector<TraceBuffer> &bufs) override;
     std::uint64_t inputBytes() const override;
     std::uint64_t targetBytes() const override;
     DropletHint dropletHint(unsigned core) const override;
@@ -40,6 +38,9 @@ class LabelPropWorkload : public Workload
     /** Number of distinct labels (components) currently present. */
     std::uint64_t distinctLabels() const;
     const Graph &inGraph() const { return in_graph_; }
+
+  protected:
+    void emit(unsigned iter, bool is_last) override;
 
   private:
     enum Site : std::uint32_t {

@@ -85,10 +85,8 @@ PageRankWorkload::impSniffer(unsigned core) const
 }
 
 void
-PageRankWorkload::emitIteration(unsigned iter, bool is_last,
-                                std::vector<TraceBuffer> &bufs)
+PageRankWorkload::emit(unsigned iter, bool is_last)
 {
-    retargetAll(bufs);
     const std::uint32_t V = in_graph_.num_vertices;
     const Addr cur_base = value_base_[cur_];
     const Addr next_base = value_base_[cur_ ^ 1];

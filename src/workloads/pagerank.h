@@ -30,8 +30,6 @@ class PageRankWorkload : public Workload
                      double alpha = 0.85);
 
     std::string name() const override { return "pagerank"; }
-    void emitIteration(unsigned iter, bool is_last,
-                       std::vector<TraceBuffer> &bufs) override;
     std::uint64_t inputBytes() const override;
     std::uint64_t targetBytes() const override;
     DropletHint dropletHint(unsigned core) const override;
@@ -52,6 +50,9 @@ class PageRankWorkload : public Workload
     double lastDiff() const { return last_diff_; }
     const Graph &inGraph() const { return in_graph_; }
     const Partitioning &partitioning() const { return parts_; }
+
+  protected:
+    void emit(unsigned iter, bool is_last) override;
 
   private:
     /** Access-site ids ("PCs") for the tracer. */

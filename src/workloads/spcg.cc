@@ -64,10 +64,8 @@ SpcgWorkload::impSniffer(unsigned core) const
 }
 
 void
-SpcgWorkload::emitIteration(unsigned iter, bool is_last,
-                            std::vector<TraceBuffer> &bufs)
+SpcgWorkload::emit(unsigned iter, bool is_last)
 {
-    retargetAll(bufs);
     const std::uint32_t n = A_.n;
 
     for (unsigned c = 0; c < opts_.cores; ++c) {

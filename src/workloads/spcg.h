@@ -28,8 +28,6 @@ class SpcgWorkload : public Workload
     SpcgWorkload(SparseMatrix matrix, WorkloadOptions opts);
 
     std::string name() const override { return "spcg"; }
-    void emitIteration(unsigned iter, bool is_last,
-                       std::vector<TraceBuffer> &bufs) override;
     std::uint64_t inputBytes() const override;
     std::uint64_t targetBytes() const override;
     IndexSniffer impSniffer(unsigned core) const override;
@@ -38,6 +36,9 @@ class SpcgWorkload : public Workload
     double residualNorm2() const { return rr_; }
     const std::vector<double> &solution() const { return x_; }
     const SparseMatrix &matrix() const { return A_; }
+
+  protected:
+    void emit(unsigned iter, bool is_last) override;
 
   private:
     enum Site : std::uint32_t {

@@ -24,7 +24,7 @@ perCorePath(const std::string &prefix, unsigned core)
     return prefix + ".c" + std::to_string(core) + ".rnrt";
 }
 
-/** Most RnR control records emitIteration() adds around a file in one
+/** Most RnR control records emit() adds around a file in one
  *  iteration: init, AddrBase.set, WindowSize.set, enable and start on
  *  iteration 0, then disable, end-state and RnR.end on the last. */
 constexpr std::size_t kMaxControlRecords = 8;
@@ -58,9 +58,9 @@ TraceFileWorkload::TraceFileWorkload(std::string input, WorkloadOptions opts)
         const std::string path = corePath(c);
         if (TraceIoResult r = readAnyTraceFileStats(path, stats); !r)
             throw std::runtime_error(path + ": " + r.message());
-        // The footer sizes the buffer; the file's bytes cap it, so a
-        // footer that lies cannot drive the allocation.
-        reserve_.push_back(
+        // The footer sizes a drained buffer; the file's bytes cap it, so
+        // a footer that lies cannot drive the allocation.
+        records_hint_.push_back(
             std::min(stats.records,
                      traceFileSizeBytes(path) / kMinEncodedRecordBytes) +
             kMaxControlRecords);
@@ -85,33 +85,47 @@ TraceFileWorkload::corePath(unsigned core) const
     return single_file_ ? input_ : perCorePath(input_, core);
 }
 
+void
+TraceFileWorkload::emitPrologue(unsigned core, unsigned iter)
+{
+    RnrRuntime &rt = *runtimes_[core];
+    if (iter == 0) {
+        rt.init(span_bytes_);
+        rt.addrBaseSet(base_addr_, span_bytes_);
+        if (opts_.window_size)
+            rt.windowSizeSet(opts_.window_size);
+        rt.addrEnable(base_addr_);
+        rt.start();
+    } else {
+        rt.replay();
+    }
+}
+
+void
+TraceFileWorkload::emitEpilogue(unsigned core, bool is_last)
+{
+    RnrRuntime &rt = *runtimes_[core];
+    if (is_last) {
+        rt.addrDisable(base_addr_);
+        rt.endState();
+        rt.end();
+    }
+}
+
 std::vector<TraceFileStream>
 TraceFileWorkload::openIteration(unsigned iter, bool is_last)
 {
     std::vector<TraceFileStream> streams(opts_.cores);
     for (unsigned c = 0; c < opts_.cores; ++c) {
         TraceFileStream &s = streams[c];
-        RnrRuntime &rt = *runtimes_[c];
-        rt.retarget(&s.prologue_);
-        if (iter == 0) {
-            rt.init(span_bytes_);
-            rt.addrBaseSet(base_addr_, span_bytes_);
-            if (opts_.window_size)
-                rt.windowSizeSet(opts_.window_size);
-            rt.addrEnable(base_addr_);
-            rt.start();
-        } else {
-            rt.replay();
-        }
-        rt.retarget(&s.epilogue_);
-        if (is_last) {
-            rt.addrDisable(base_addr_);
-            rt.endState();
-            rt.end();
-        }
+        Tracer &t = *tracers_[c];
+        t.retarget(&s.prologue_);
+        emitPrologue(c, iter);
+        t.retarget(&s.epilogue_);
+        emitEpilogue(c, is_last);
         // The streams are the caller's: the tracer must not keep
         // pointing into them.
-        rt.retarget(nullptr);
+        t.retarget(nullptr);
         if (TraceIoResult r = s.reader_.open(corePath(c)); !r)
             throw std::runtime_error(corePath(c) + ": " + r.message());
     }
@@ -119,21 +133,19 @@ TraceFileWorkload::openIteration(unsigned iter, bool is_last)
 }
 
 void
-TraceFileWorkload::emitIteration(unsigned iter, bool is_last,
-                                 std::vector<TraceBuffer> &bufs)
+TraceFileWorkload::emit(unsigned iter, bool is_last)
 {
-    std::vector<TraceFileStream> streams = openIteration(iter, is_last);
     for (unsigned c = 0; c < opts_.cores; ++c) {
-        TraceFileStream &s = streams[c];
-        bufs[c].clear();
-        // Sized once, so iteration 0 never regrows a ~50 MB buffer.
-        bufs[c].reserve(reserve_[c]);
-        for (const TraceRecord &rec : s.prologue_.records())
-            bufs[c].push(rec);
-        if (TraceIoResult r = s.reader_.readAll(bufs[c]); !r)
+        emitPrologue(c, iter);
+        StreamingTraceReader reader;
+        if (TraceIoResult r = reader.open(corePath(c)); !r)
             throw std::runtime_error(corePath(c) + ": " + r.message());
-        for (const TraceRecord &rec : s.epilogue_.records())
-            bufs[c].push(rec);
+        std::size_t n = 0;
+        while (const TraceRecord *run = reader.takeBlock(n))
+            tracers_[c]->write(run, n);
+        if (reader.error())
+            throw std::runtime_error(reader.errorResult().message());
+        emitEpilogue(c, is_last);
     }
 }
 

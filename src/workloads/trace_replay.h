@@ -17,11 +17,12 @@
  * afterwards, teardown at the end), so the RnR prefetcher drives a
  * foreign trace exactly as it drives the native kernels.
  *
- * openIteration() is the one place that injection happens: it hands
- * each core a TraceFileStream (prologue, the file streamed block by
- * block, epilogue), which the runner simulates with one decoded block
- * resident per core.  emitIteration() drains the same streams into
- * whole buffers for callers that want them materialised.
+ * emitPrologue()/emitEpilogue() are the one place that injection
+ * happens.  openIteration() hands each core a TraceFileStream
+ * (prologue, the file streamed block by block, epilogue), which the
+ * runner simulates with one decoded block resident per core;
+ * emitIteration() sends the same records through the core's tracer
+ * into whatever sinks the caller passes.
  */
 #ifndef RNR_WORKLOADS_TRACE_REPLAY_H
 #define RNR_WORKLOADS_TRACE_REPLAY_H
@@ -94,30 +95,41 @@ class TraceFileWorkload : public Workload
     /**
      * Opens iteration @p iter: emits the RnR control records around
      * each core's file and opens the file.  Returns one stream per core
-     * yielding exactly the records emitIteration() puts in that core's
-     * buffer.  Call once per iteration, in order, like emitIteration()
+     * yielding exactly the records emitIteration() sends that core's
+     * sink.  Call once per iteration, in order, like emitIteration()
      * (iteration 0 allocates the RnR metadata regions).  Throws
      * std::runtime_error naming the file when one cannot be opened.
      */
     std::vector<TraceFileStream> openIteration(unsigned iter, bool is_last);
 
-    /** Drains openIteration() into whole per-core buffers, each sized
-     *  once from its file's footer. */
-    void emitIteration(unsigned iter, bool is_last,
-                       std::vector<TraceBuffer> &bufs) override;
     std::uint64_t inputBytes() const override { return span_bytes_; }
     std::uint64_t targetBytes() const override { return span_bytes_; }
 
+    /** The file's records plus the control records around them, so a
+     *  drained buffer is sized once from the footer. */
+    std::size_t
+    recordsHint(unsigned core) const override
+    {
+        return records_hint_[core];
+    }
+
+  protected:
+    /** Streams each core's file between its control records; throws
+     *  std::runtime_error naming a file that fails to open or decode. */
+    void emit(unsigned iter, bool is_last) override;
+
   private:
     std::string corePath(unsigned core) const;
+    /** Core @p core's control records before its file. */
+    void emitPrologue(unsigned core, unsigned iter);
+    /** Core @p core's control records after its file. */
+    void emitEpilogue(unsigned core, bool is_last);
 
     std::string input_;
     bool single_file_ = false;
     std::uint64_t span_bytes_ = 0; ///< Observed address span of the trace.
     Addr base_addr_ = 0;           ///< Lowest load/store address.
-    /** Per-core buffer capacity: the file's records plus the control
-     *  records emitIteration() adds around them. */
-    std::vector<std::size_t> reserve_;
+    std::vector<std::size_t> records_hint_; ///< Per core.
 };
 
 } // namespace rnr

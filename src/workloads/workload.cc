@@ -4,11 +4,10 @@
 
 namespace rnr {
 
-Workload::Workload(WorkloadOptions opts)
-    : opts_(opts), prev_records_(opts.cores, 0)
+Workload::Workload(WorkloadOptions opts) : opts_(opts)
 {
     for (unsigned c = 0; c < opts_.cores; ++c) {
-        tracers_.push_back(std::make_unique<Tracer>(nullptr));
+        tracers_.push_back(std::make_unique<Tracer>());
         runtimes_.push_back(std::make_unique<RnrRuntime>(
             tracers_.back().get(), &space_, "core" + std::to_string(c),
             opts_.use_rnr));
@@ -16,20 +15,37 @@ Workload::Workload(WorkloadOptions opts)
 }
 
 void
-Workload::retargetAll(std::vector<TraceBuffer> &bufs)
+Workload::emitIteration(unsigned iter, bool is_last,
+                        const std::vector<TraceSink *> &sinks)
 {
-    assert(bufs.size() == opts_.cores);
-    for (unsigned c = 0; c < opts_.cores; ++c) {
-        // Sample the last iteration's size before clearing when the
-        // caller passes the same buffers again (the runner does).  A
-        // different buffer means the old one may already be freed, so
-        // it is never read.
-        if (tracers_[c]->buffer() == &bufs[c] && bufs[c].size() > 0)
-            prev_records_[c] = bufs[c].size();
-        bufs[c].clear();
-        bufs[c].reserve(prev_records_[c]);
-        tracers_[c]->retarget(&bufs[c]);
+    assert(sinks.size() == opts_.cores);
+    for (unsigned c = 0; c < opts_.cores; ++c)
+        tracers_[c]->retarget(sinks[c]);
+    try {
+        emit(iter, is_last);
+    } catch (...) {
+        for (auto &t : tracers_)
+            t->abandon();
+        throw;
     }
+    // Flush the partial last blocks and detach: the sinks are the
+    // caller's and may not outlive this call.
+    for (auto &t : tracers_)
+        t->retarget(nullptr);
+}
+
+void
+Workload::emitIteration(unsigned iter, bool is_last,
+                        std::vector<TraceBuffer> &bufs)
+{
+    bufs.resize(opts_.cores);
+    std::vector<TraceSink *> sinks;
+    for (unsigned c = 0; c < opts_.cores; ++c) {
+        bufs[c].clear();
+        bufs[c].reserve(recordsHint(c));
+        sinks.push_back(&bufs[c]);
+    }
+    emitIteration(iter, is_last, sinks);
 }
 
 } // namespace rnr

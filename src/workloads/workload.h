@@ -5,8 +5,9 @@
  * A workload owns the input data, the simulated address-space layout, a
  * per-core Tracer and a per-core RnrRuntime.  emitIteration() runs one
  * algorithm iteration natively (producing real numerical results) while
- * emitting the memory trace each core's slice generates, including the
- * RnR API calls at the positions Algorithm 1 places them:
+ * emitting the memory trace each core's slice generates into that core's
+ * TraceSink, a block at a time, including the RnR API calls at the
+ * positions Algorithm 1 places them:
  *
  *   iteration 0:        init / AddrBase.set / enable / start  -> Record
  *   iterations 1..n-1:  replay (+ base swap where applicable) -> Replay
@@ -49,12 +50,31 @@ class Workload
     virtual std::string name() const = 0;
 
     /**
-     * Emits the trace of iteration @p iter into @p bufs (one per core),
-     * running the real computation as a side effect.
+     * Emits the trace of iteration @p iter, core c's records into
+     * @p sinks[c], running the real computation as a side effect.  Each
+     * core's tracer hands its sink full kDefaultBlockRecords blocks as
+     * they fill and the partial last one before this returns, so nothing
+     * here holds more than one block per core.
      * @param is_last emit the RnR teardown calls at the iteration end.
      */
-    virtual void emitIteration(unsigned iter, bool is_last,
-                               std::vector<TraceBuffer> &bufs) = 0;
+    void emitIteration(unsigned iter, bool is_last,
+                       const std::vector<TraceSink *> &sinks);
+
+    /** emitIteration() drained into one whole buffer per core; @p bufs
+     *  is resized to cores() and cleared first (capacity is kept, so
+     *  reusing the buffers across iterations does not regrow them),
+     *  then reserved to recordsHint(). */
+    void emitIteration(unsigned iter, bool is_last,
+                       std::vector<TraceBuffer> &bufs);
+
+    /** Records core @p core emits per iteration when the workload knows
+     *  it before emitting (0 = unknown). */
+    virtual std::size_t
+    recordsHint(unsigned core) const
+    {
+        (void)core;
+        return 0;
+    }
 
     /** Bytes of all input arrays (off-chip traffic / Fig 13 basis). */
     virtual std::uint64_t inputBytes() const = 0;
@@ -97,22 +117,15 @@ class Workload
     const WorkloadOptions &options() const { return opts_; }
 
   protected:
-    /**
-     * Points every tracer at this iteration's buffers.
-     *
-     * Also clears each buffer and reserves it to the record count of the
-     * iteration the tracer emitted last — successive iterations of these
-     * SPMD kernels trace nearly identical record counts, so the first
-     * push after iteration 0 never reallocates mid-trace.
-     */
-    void retargetAll(std::vector<TraceBuffer> &bufs);
+    /** The workload's iteration: emits core c's records through
+     *  tracers_[c] (and runtimes_[c]), which emitIteration() has pointed
+     *  at the caller's sinks. */
+    virtual void emit(unsigned iter, bool is_last) = 0;
 
     WorkloadOptions opts_;
     AddressSpace space_;
     std::vector<std::unique_ptr<Tracer>> tracers_;
     std::vector<std::unique_ptr<RnrRuntime>> runtimes_;
-    /** Per-core record count of the previously emitted iteration. */
-    std::vector<std::size_t> prev_records_;
 };
 
 } // namespace rnr

@@ -23,6 +23,7 @@ struct RuntimeFixture : ::testing::Test {
 TEST_F(RuntimeFixture, InitAllocatesMetadataAndEmitsControl)
 {
     rt.init(1 << 20);
+    tracer.flush();
     ASSERT_EQ(buf.controls(), 1u);
     EXPECT_EQ(rec(0).ctrl, RnrOp::Init);
     EXPECT_EQ(rec(0).addr, rt.seqTableBase());
@@ -46,6 +47,7 @@ TEST_F(RuntimeFixture, TableICallsEmitMatchingOps)
     rt.addrDisable(0x1000);
     rt.endState();
     rt.end();
+    tracer.flush();
     const std::vector<RnrOp> expect = {
         RnrOp::Init,     RnrOp::AddrBaseSet, RnrOp::AddrEnable,
         RnrOp::WindowSizeSet, RnrOp::Start,  RnrOp::Replay,
@@ -69,6 +71,7 @@ TEST_F(RuntimeFixture, DisabledRuntimeIsInert)
     off.start();
     off.replay();
     off.end();
+    tracer.flush();
     EXPECT_TRUE(buf.empty());
     EXPECT_EQ(space.find("rnr_seq_off"), nullptr);
 }
@@ -79,6 +82,7 @@ TEST_F(RuntimeFixture, RetargetMovesSubsequentRecords)
     rt.init(4096);
     rt.retarget(&other);
     rt.start();
+    tracer.flush();
     EXPECT_EQ(buf.controls(), 1u);
     EXPECT_EQ(other.controls(), 1u);
 }

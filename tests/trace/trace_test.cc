@@ -36,6 +36,8 @@ TEST(TracerTest, GapAttachesToNextRecord)
     t.instr(2);
     t.load(0x100, 1);
     t.store(0x200, 2);
+    EXPECT_TRUE(b.empty()); // staged until the block fills or flushes
+    t.flush();
     ASSERT_EQ(b.size(), 2u);
     EXPECT_EQ(b.records()[0].gap, 7u);
     EXPECT_EQ(b.records()[1].gap, 0u);
@@ -46,6 +48,7 @@ TEST(TracerTest, ControlCarriesPayloads)
     TraceBuffer b;
     Tracer t(&b);
     t.control(RnrOp::AddrBaseSet, 0xABC0, 4096);
+    t.flush();
     ASSERT_EQ(b.size(), 1u);
     const TraceRecord &r = b.records()[0];
     EXPECT_EQ(r.kind, RecordKind::Control);
@@ -61,6 +64,7 @@ TEST(TracerTest, RetargetSwitchesBufferAndDropsGap)
     t.instr(9);
     t.retarget(&b2);
     t.load(0x100, 1);
+    t.flush();
     EXPECT_TRUE(b1.empty());
     ASSERT_EQ(b2.size(), 1u);
     EXPECT_EQ(b2.records()[0].gap, 0u); // pending gap was discarded
