@@ -1,8 +1,8 @@
 /**
  * @file
  * Fig 16 (extension): checkpoint-fork sweep speedup.  A sweep over N
- * prefetcher configs sharing one workloadKey() pays the input warm-up
- * once and forks it into every other cell (src/ckpt/); this harness
+ * prefetcher configs on one input pays the input warm-up once and
+ * forks it into every other cell (src/ckpt/); this harness
  * times that against a plain sweep where every cell generates its
  * input natively, and prints the warm-up/fork accounting alongside.
  */

@@ -44,6 +44,10 @@
  *    inputs, so fork-rate / generate-rate is the per-cell warm-up
  *    speedup every forked sweep config enjoys (docs/PERF.md).
  *
+ * BM_WorkloadBuild pins the workload-build layer: PageRank's partition,
+ * relabel and transpose of the com-orkut graph, which every cell runs
+ * after its input fork.  Items are edges (docs/PERF.md section 11).
+ *
  * Four rows pin the trace path (docs/PERF.md sections 8 to 10):
  *  - BM_TraceFileIngest: iteration 0 of the tracefile workload, i.e. a
  *    v2 trace file of the hot slice decoded into a fresh TraceBuffer.
@@ -74,7 +78,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "ckpt/checkpoint.h"
+#include "ckpt/input_fork.h"
 #include "cpu/system.h"
 #include "mem/memory_system.h"
 #include "obs/log.h"
@@ -287,7 +291,7 @@ BM_Kernel(benchmark::State &state)
 }
 
 /** The sweep warm-up's native side: synthesize the urand graph the
- *  way the first config of a workload key must.  Items are inputs. */
+ *  way the first config on an input must.  Items are inputs. */
 void
 BM_WarmupGenerate(benchmark::State &state)
 {
@@ -301,43 +305,21 @@ BM_WarmupGenerate(benchmark::State &state)
 }
 
 /** The warm-up's forked side: decode the published input snapshot
- *  instead of regenerating — what every other config of the workload
- *  key pays under RNR_CKPT=1.  Same items as BM_WarmupGenerate, so
- *  the rate ratio is the per-cell warm-up speedup. */
+ *  instead of regenerating — what every other config on the same input
+ *  pays under RNR_CKPT=1.  Same items as BM_WarmupGenerate, so the
+ *  rate ratio is the per-cell warm-up speedup. */
 void
 BM_WarmupFork(benchmark::State &state)
 {
-    // The exact blob the warm-up publishes: tag+name prefix, then the
-    // CSR arrays (mirrors src/ckpt/input_fork.cc's encodeInput).
-    static const std::vector<std::uint8_t> &blob = *[] {
-        static std::vector<std::uint8_t> b;
-        Graph g = makeGraphInput("urand").graph;
-        ckpt::SnapshotWriter w(ckpt::SnapshotHeader{"bench", "", 0});
-        ckpt::Ser &s = w.section(ckpt::SectionId::Input);
-        std::uint64_t tag = 1;
-        s.scalar(tag);
-        std::string name = "urand";
-        s.str(name);
-        g.visitState(s);
-        b = w.finish();
-        return &b;
-    }();
+    // The exact blob the warm-up publishes.
+    static const std::vector<std::uint8_t> blob =
+        ckpt::encodeInputSnapshot("bench", "urand",
+                                  makeGraphInput("urand").graph);
 
     std::uint64_t inputs = 0;
     for (auto _ : state) {
-        ckpt::SnapshotReader reader;
-        if (!reader.parse(blob).ok()) {
-            state.SkipWithError("input snapshot failed to parse");
-            break;
-        }
-        ckpt::Deser d = reader.section(ckpt::SectionId::Input);
-        std::uint64_t tag = 0;
-        d.scalar(tag);
-        std::string name;
-        d.str(name);
         Graph g;
-        g.visitState(d);
-        if (!d.ok()) {
+        if (!ckpt::decodeInputSnapshot(blob, "urand", g).ok()) {
             state.SkipWithError("input snapshot failed to decode");
             break;
         }
@@ -345,6 +327,29 @@ BM_WarmupFork(benchmark::State &state)
         ++inputs;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(inputs));
+}
+
+/** What a cell does with its forked input before emitting: the
+ *  PageRank constructor's 4-way partition, relabel and transpose of the
+ *  com-orkut graph.  The graph is built once outside the timed loop (a
+ *  fork hands over the same bytes).  Items are edges. */
+void
+BM_WorkloadBuild(benchmark::State &state)
+{
+    static const Graph graph = makeGraphInput("com-orkut").graph;
+    WorkloadOptions opts;
+    opts.cores = 4;
+
+    std::uint64_t edges = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        Graph g = graph;
+        state.ResumeTiming();
+        PageRankWorkload wl(std::move(g), opts);
+        benchmark::DoNotOptimize(wl.inputBytes());
+        edges += graph.numEdges();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(edges));
 }
 
 /** Writes the hot slice as a v2 trace file; returns its path, or ""
@@ -484,6 +489,7 @@ BENCHMARK(BM_DemandAccessAttribGated)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Kernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorkloadBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceEncode)->Unit(benchmark::kMillisecond);

@@ -153,10 +153,7 @@ SnapshotReader::parse(const std::vector<std::uint8_t> &blob)
         const std::size_t at = sizeof kCkptMagic + d.pos();
         offsets_.emplace_back(at, info.bytes);
         sections_.push_back(info);
-        std::vector<std::uint8_t> skip(
-            static_cast<std::size_t>(info.bytes));
-        if (info.bytes)
-            d.raw(skip.data(), skip.size());
+        d.skip(static_cast<std::size_t>(info.bytes));
     }
     if (!d.ok())
         return d.result();

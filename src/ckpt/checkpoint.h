@@ -5,12 +5,11 @@
  *
  * The snapshots written are *input snapshots* (window 0, full_key
  * empty, Input section only): the serialized generated workload input
- * (CSR graph / matrix), keyed by ExperimentConfig::workloadKey().  This
- * is the checkpoint-fork sweep's unit of sharing: the warm-up (input
- * generation) runs once, every other config of the same workload key
- * forks the snapshot instead.  The header's full_key and window fields
- * stay in the format so files written with them still parse and
- * inspect.
+ * (CSR graph / matrix), keyed by ckpt::inputSnapshotKey().  This is
+ * the checkpoint-fork sweep's unit of sharing: the warm-up (input
+ * generation) runs once, every other config on the same input forks
+ * the snapshot instead.  The header's full_key and window fields stay
+ * in the format so files written with them still parse and inspect.
  *
  * Wire layout (all integers 8 LE bytes, strings length-prefixed):
  *
@@ -75,7 +74,7 @@ inline constexpr std::uint64_t kCkptVersion = 1;
 
 /** Identity of a snapshot (who it belongs to, when it was taken). */
 struct SnapshotHeader {
-    std::string workload_key; ///< ExperimentConfig::workloadKey().
+    std::string workload_key; ///< Store key (ckpt::inputSnapshotKey()).
     std::string full_key;     ///< key(); empty = input-only snapshot.
     std::uint64_t window = 0; ///< Completed iterations at capture.
 };

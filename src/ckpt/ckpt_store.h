@@ -6,15 +6,14 @@
  * same lifecycle TraceStore gives traces: keyed, persistent, shared and
  * safe.  The checkpoint-fork sweep leans on it — the shared warm-up of
  * a sweep runs once, publishes an input snapshot, and every other
- * config with the same ExperimentConfig::workloadKey() forks the
- * snapshot instead of regenerating, in-process and across processes
- * that share one store directory.
+ * config on the same input forks the snapshot instead of regenerating,
+ * in-process and across processes that share one store directory.
  *
  * Keying — the caller passes whatever key string identifies the
- * snapshot together with a window (the input fork passes workloadKey()
- * and window 0).  Files are content-addressed by an FNV-1a64 hash of
- * the key; the snapshot header stores the key so a hash collision
- * reads as a miss, never as wrong data.
+ * snapshot together with a window (the input fork passes
+ * ckpt::inputSnapshotKey() and window 0).  Files are content-addressed
+ * by an FNV-1a64 hash of the key; the snapshot header stores the key
+ * so a hash collision reads as a miss, never as wrong data.
  *
  * Layout under rootPath() ($RNR_CKPT_DIR, default "rnr_ckpt"):
  *   <hash16>.w<window>.ckpt   one rnr-ckpt-v1 blob

@@ -246,6 +246,15 @@ class Deser
         take(s.data(), s.size());
     }
 
+    /** Steps over @p n bytes without copying them; an overrun latches
+     *  the same failure a read would. */
+    void
+    skip(std::size_t n)
+    {
+        if (fits(n))
+            pos_ += n;
+    }
+
     bool ok() const { return !failed_; }
     std::size_t remaining() const { return n_ - pos_; }
     std::size_t pos() const { return pos_; }
@@ -271,14 +280,23 @@ class Deser
     }
 
   private:
+    /** True when @p n more bytes are left; latches the failure if not. */
     bool
-    take(void *out, std::size_t n)
+    fits(std::size_t n)
     {
         if (failed_ || n > remaining()) {
             fail("read of " + std::to_string(n) + " bytes at offset " +
                  std::to_string(pos_) + " of " + std::to_string(n_));
             return false;
         }
+        return true;
+    }
+
+    bool
+    take(void *out, std::size_t n)
+    {
+        if (!fits(n))
+            return false;
         // A zero-length read may come with the null data() of an empty
         // vector or string, which memcpy must not see.
         if (n != 0)

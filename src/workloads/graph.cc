@@ -1,7 +1,8 @@
 #include "workloads/graph.h"
 
-#include <algorithm>
 #include <cassert>
+
+#include "workloads/csr_rows.h"
 
 namespace rnr {
 
@@ -10,24 +11,24 @@ Graph::fromEdgeList(
     std::uint32_t num_vertices,
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_list)
 {
-    std::sort(edge_list.begin(), edge_list.end());
-    edge_list.erase(std::unique(edge_list.begin(), edge_list.end()),
-                    edge_list.end());
-
+    // Bucket each dst into its source's row, then sort and dedupe the
+    // rows: O(E log d) instead of sorting the whole list.
     Graph g;
     g.num_vertices = num_vertices;
     g.offsets.assign(num_vertices + 1, 0);
     for (const auto &[src, dst] : edge_list) {
         assert(src < num_vertices && dst < num_vertices);
+        (void)dst;
         ++g.offsets[src + 1];
     }
     for (std::uint32_t v = 0; v < num_vertices; ++v)
         g.offsets[v + 1] += g.offsets[v];
-    g.edges.reserve(edge_list.size());
-    for (const auto &[src, dst] : edge_list) {
-        (void)src;
-        g.edges.push_back(dst);
-    }
+    g.edges.resize(edge_list.size());
+    std::vector<std::uint32_t> cursor(g.offsets.begin(),
+                                      g.offsets.end() - 1);
+    for (const auto &[src, dst] : edge_list)
+        g.edges[cursor[src]++] = dst;
+    sortUniqueRows(g.offsets, g.edges);
     return g;
 }
 
@@ -69,13 +70,21 @@ Graph::relabel(const std::vector<std::uint32_t> &order) const
     for (std::uint32_t i = 0; i < num_vertices; ++i)
         new_id[order[i]] = i;
 
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_list;
-    edge_list.reserve(edges.size());
-    for (std::uint32_t src = 0; src < num_vertices; ++src) {
-        for (std::uint32_t e = offsets[src]; e < offsets[src + 1]; ++e)
-            edge_list.emplace_back(new_id[src], new_id[edges[e]]);
+    // New row i is the new_id image of old row order[i], sorted.
+    Graph g;
+    g.num_vertices = num_vertices;
+    g.offsets.assign(num_vertices + 1, 0);
+    for (std::uint32_t i = 0; i < num_vertices; ++i)
+        g.offsets[i + 1] = g.offsets[i] + degree(order[i]);
+    g.edges.resize(edges.size());
+    for (std::uint32_t i = 0; i < num_vertices; ++i) {
+        std::uint32_t out = g.offsets[i];
+        for (std::uint32_t e = offsets[order[i]]; e < offsets[order[i] + 1];
+             ++e)
+            g.edges[out++] = new_id[edges[e]];
     }
-    return fromEdgeList(num_vertices, std::move(edge_list));
+    sortUniqueRows(g.offsets, g.edges);
+    return g;
 }
 
 std::uint64_t

@@ -1,7 +1,8 @@
 #include "workloads/sparse.h"
 
-#include <algorithm>
 #include <cassert>
+
+#include "workloads/csr_rows.h"
 
 namespace rnr {
 
@@ -10,66 +11,45 @@ SparseMatrix::fromPattern(
     std::uint32_t n,
     std::vector<std::pair<std::uint32_t, std::uint32_t>> entries)
 {
-    // Mirror to make the pattern symmetric, drop the diagonal (added
-    // explicitly below) and deduplicate.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> sym;
-    sym.reserve(entries.size() * 2);
+    // Bucket both mirrors of every off-diagonal entry by row (given
+    // diagonal entries are dropped), plus one diagonal slot per row;
+    // then sort and dedupe the rows.
+    SparseMatrix m;
+    m.n = n;
+    m.row_ptr.assign(n + 1, 0);
     for (auto [i, j] : entries) {
         assert(i < n && j < n);
         if (i == j)
             continue;
-        sym.emplace_back(i, j);
-        sym.emplace_back(j, i);
-    }
-    std::sort(sym.begin(), sym.end());
-    sym.erase(std::unique(sym.begin(), sym.end()), sym.end());
-
-    SparseMatrix m;
-    m.n = n;
-    m.row_ptr.assign(n + 1, 0);
-    for (auto [i, j] : sym) {
-        (void)j;
         ++m.row_ptr[i + 1];
+        ++m.row_ptr[j + 1];
     }
-    // +1 per row for the diagonal.
     for (std::uint32_t i = 0; i < n; ++i)
         m.row_ptr[i + 1] += m.row_ptr[i] + 1;
 
     m.col.resize(m.row_ptr[n]);
-    m.val.resize(m.row_ptr[n]);
     std::vector<std::uint32_t> cursor(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        cursor[i] = m.row_ptr[i];
-    std::vector<std::uint32_t> offdiag_count(n, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        m.col[m.row_ptr[i]] = i;
+        cursor[i] = m.row_ptr[i] + 1;
+    }
+    for (auto [i, j] : entries) {
+        if (i == j)
+            continue;
+        m.col[cursor[i]++] = j;
+        m.col[cursor[j]++] = i;
+    }
 
-    std::size_t k = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        bool placed_diag = false;
-        while (k < sym.size() && sym[k].first == i) {
-            const std::uint32_t j = sym[k].second;
-            if (!placed_diag && j > i) {
-                m.col[cursor[i]] = i;
-                ++cursor[i];
-                placed_diag = true;
-            }
-            m.col[cursor[i]] = j;
-            m.val[cursor[i]] = -1.0;
-            ++cursor[i];
-            ++offdiag_count[i];
-            ++k;
-        }
-        if (!placed_diag) {
-            m.col[cursor[i]] = i;
-            ++cursor[i];
-        }
-    }
-    // Diagonal dominance: d_ii = (#offdiag) + 1.
-    for (std::uint32_t i = 0; i < n; ++i) {
-        for (std::uint32_t e = m.row_ptr[i]; e < m.row_ptr[i + 1]; ++e) {
-            if (m.col[e] == i)
-                m.val[e] = offdiag_count[i] + 1.0;
-        }
-    }
+    // Off-diagonals are -1; diagonal dominance sets d_ii to the
+    // off-diagonal count + 1, i.e. the row's length.
+    m.val.resize(m.col.size());
+    sortUniqueRows(m.row_ptr, m.col,
+                   [&m](std::uint32_t i, std::uint32_t begin,
+                        std::uint32_t end) {
+                       for (std::uint32_t e = begin; e < end; ++e)
+                           m.val[e] = m.col[e] == i ? end - begin : -1.0;
+                   });
+    m.val.resize(m.col.size());
     return m;
 }
 

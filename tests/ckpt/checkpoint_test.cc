@@ -185,13 +185,13 @@ TEST_F(CheckpointTest, SnapshotCoversEverySection)
         std::vector<std::uint8_t> blob;
         ASSERT_TRUE(ckpt::readSnapshotFile(
                         ckpt::CheckpointStore::snapshotPath(
-                            cfg.workloadKey(), 0),
+                            ckpt::inputSnapshotKey(cfg), 0),
                         blob)
                         .ok())
             << app << ": the warm-up should have published a snapshot";
         ckpt::SnapshotReader input;
         ASSERT_TRUE(input.parse(blob).ok()) << app;
-        EXPECT_EQ(input.header().workload_key, cfg.workloadKey());
+        EXPECT_EQ(input.header().workload_key, ckpt::inputSnapshotKey(cfg));
         EXPECT_TRUE(input.header().full_key.empty());
         EXPECT_EQ(input.header().window, 0u);
 

@@ -179,9 +179,8 @@ TEST_F(ForkSweepTest, CorruptInputSnapshotRegeneratesBitIdentically)
     opts.json_out = root_ + "/first.json";
     opts.json_host = 0;
     (void)runSweep(cfgs, opts);
-    const std::string wkey = cfgs.front().workloadKey();
-    const std::string snap =
-        ckpt::CheckpointStore::snapshotPath(wkey, 0);
+    const std::string snap = ckpt::CheckpointStore::snapshotPath(
+        ckpt::inputSnapshotKey(cfgs.front()), 0);
     ASSERT_TRUE(fs::exists(snap));
 
     // Corrupt the published input snapshot on disk.
