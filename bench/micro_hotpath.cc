@@ -21,17 +21,12 @@
  *             telemetry hooks are always compiled in; the A/B lives in
  *             BENCH_telemetry.json).
  *
- * BM_DemandAccessObsGated is the observability-off A/B partner of
- * none: the identical loop with a disabled metrics-registry gate per
- * op (the nullptr a call site holds under RNR_METRICS=0) and a
- * below-threshold logEnabled() check per sweep — the exact shapes the
- * instrumented sites in src/harness and the stores have, at the
- * granularities they really run at.  Its rate must stay within noise
- * of none (docs/HARNESS.md §15); CI asserts the parity and the
- * compare gate pins both.  BM_DemandAccessAttribGated is the same
- * contract for the attribution layer (docs/HARNESS.md §17): the loop
- * with attachAttrib(nullptr) and a per-op null-collector gate, the
- * shape every cache/memory-system hook has when RNR_ATTRIB is off.
+ * BM_DemandAccessAttribGated is the attribution-off A/B partner of
+ * none (docs/HARNESS.md §17): the identical loop with
+ * attachAttrib(nullptr) and a per-op null-collector gate, the shape
+ * every cache/memory-system hook has when RNR_ATTRIB is off.  Its rate
+ * must stay within noise of none; CI asserts the same-run parity and
+ * the compare gate pins both.
  *
  * BM_Kernel measures the full stack instead — trace feed, CoreModel
  * inner loop, memory system — on one core, so the compare gate covers
@@ -81,8 +76,6 @@
 #include "ckpt/input_fork.h"
 #include "cpu/system.h"
 #include "mem/memory_system.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "prefetch/factory.h"
 #include "sim/attrib.h"
 #include "sim/config.h"
@@ -167,50 +160,6 @@ BM_DemandAccessSampled(benchmark::State &state)
         for (const TraceRecord &rec : trace) {
             now += 1 + rec.gap / 4;
             tm.maybeSample(now);
-            const DemandResult res = ms.demandAccess(
-                0, rec.addr, rec.kind == RecordKind::Store, rec.pc, now);
-            benchmark::DoNotOptimize(res.done);
-        }
-        ops += trace.size();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-
-void
-BM_DemandAccessObsGated(benchmark::State &state)
-{
-    const std::vector<TraceRecord> &trace = hotTrace();
-    MachineConfig mcfg = MachineConfig::scaledDefault();
-    mcfg.cores = 1;
-    MemorySystem ms(mcfg);
-    std::unique_ptr<Prefetcher> pf =
-        createPrefetcher(PrefetcherKind::None);
-    ms.setPrefetcher(0, pf.get());
-
-    // The disabled-observability call-site shape: the registry handed
-    // this site nullptr (what RNR_METRICS=0 returns) and the default
-    // info threshold rejects Debug, so both gates must cost one
-    // predictable branch apiece.  DoNotOptimize keeps the compiler
-    // from proving the pointer null and deleting the branch outright —
-    // real call sites hold it in a static the optimizer can't fold.
-    obs::Counter *ops_counter = nullptr;
-    benchmark::DoNotOptimize(ops_counter);
-    (void)obs::logThreshold(); // force env init so Debug is gated off
-
-    Tick now = 0;
-    std::uint64_t ops = 0;
-    for (auto _ : state) {
-        // Per-sweep log gate: no instrumented site logs per memory op —
-        // log records mark cell/batch events — so the disabled check
-        // belongs at the sweep granularity it really runs at.
-        if (obs::logEnabled(obs::LogLevel::Debug))
-            obs::LogLine(obs::LogLevel::Debug, "bench")
-                .msg("sweep start")
-                .kv("ops", static_cast<std::uint64_t>(trace.size()));
-        for (const TraceRecord &rec : trace) {
-            if (ops_counter)
-                ops_counter->add();
-            now += 1 + rec.gap / 4;
             const DemandResult res = ms.demandAccess(
                 0, rec.addr, rec.kind == RecordKind::Store, rec.pc, now);
             benchmark::DoNotOptimize(res.done);
@@ -484,7 +433,6 @@ BENCHMARK_CAPTURE(BM_DemandAccess, none, PrefetcherKind::None)
 BENCHMARK_CAPTURE(BM_DemandAccess, stream, PrefetcherKind::Stream)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessSampled)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DemandAccessObsGated)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessAttribGated)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Kernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);

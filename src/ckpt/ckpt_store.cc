@@ -7,8 +7,6 @@
 #include <system_error>
 
 #include "ckpt/checkpoint.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 
 namespace fs = std::filesystem;
 
@@ -16,30 +14,6 @@ namespace rnr {
 namespace ckpt {
 
 namespace {
-
-/** Null when RNR_METRICS=0; mirrors the store's own counters so one
- *  metricsJson() call sees snapshot activity without a store handle. */
-struct CkptMetrics {
-    obs::Counter *warmups;
-    obs::Counter *forks;
-    obs::Counter *saves;
-    obs::Counter *quarantines;
-    CkptMetrics()
-    {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-        warmups = reg.counter("rnr_ckpt_warmups_total");
-        forks = reg.counter("rnr_ckpt_forks_total");
-        saves = reg.counter("rnr_ckpt_saves_total");
-        quarantines = reg.counter("rnr_ckpt_quarantines_total");
-    }
-};
-
-CkptMetrics &
-ckptMetrics()
-{
-    static CkptMetrics m;
-    return m;
-}
 
 /** In-flight / lock-file slot name for (key, window). */
 std::string
@@ -130,14 +104,11 @@ CheckpointStore::openSnapshotLocked(const std::string &key,
                   " does not match slot";
     }
     if (!why.empty()) {
-        obs::LogLine(obs::LogLevel::Warn, "ckpt")
-            .msg("dropping corrupt snapshot")
-            .kv("path", path)
-            .kv("why", why);
+        std::fprintf(stderr,
+                     "rnr: warning: ckpt: dropping corrupt snapshot %s: %s\n",
+                     path.c_str(), why.c_str());
         fs::remove(path, ec);
         ++quarantines_;
-        if (obs::Counter *c = ckptMetrics().quarantines)
-            c->add();
         return false;
     }
     blob = std::move(data);
@@ -219,13 +190,10 @@ CheckpointStore::publish(const std::string &key, std::uint64_t window,
     if (r.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         ++saves_;
-        if (obs::Counter *c = ckptMetrics().saves)
-            c->add();
     } else {
-        obs::LogLine(obs::LogLevel::Warn, "ckpt")
-            .msg("snapshot publish failed")
-            .kv("path", path)
-            .kv("why", r.message());
+        std::fprintf(stderr,
+                     "rnr: warning: ckpt: snapshot publish failed %s: %s\n",
+                     path.c_str(), r.message().c_str());
     }
     releaseOwnership(slotName(key, window));
     return r.ok();
@@ -244,8 +212,6 @@ CheckpointStore::invalidate(const std::string &key, std::uint64_t window)
     std::error_code ec;
     fs::remove(snapshotPath(key, window), ec);
     ++quarantines_;
-    if (obs::Counter *c = ckptMetrics().quarantines)
-        c->add();
 }
 
 std::uint64_t
@@ -281,8 +247,6 @@ CheckpointStore::noteWarmup()
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++warmups_;
-    if (obs::Counter *c = ckptMetrics().warmups)
-        c->add();
 }
 
 void
@@ -290,8 +254,6 @@ CheckpointStore::noteFork()
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++forks_;
-    if (obs::Counter *c = ckptMetrics().forks)
-        c->add();
 }
 
 void

@@ -1,12 +1,12 @@
 #include "ckpt/input_fork.h"
 
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <utility>
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/ckpt_store.h"
-#include "obs/log.h"
 #include "workloads/graph_gen.h"
 #include "workloads/sparse_gen.h"
 
@@ -152,9 +152,6 @@ forkInput(const ExperimentConfig &cfg, std::map<std::string, Input> &memo,
         }
     }
 
-    // One span per fork-or-generate operation: rejected-snapshot
-    // retries and the store's own drop/publish records share an id.
-    obs::SpanScope span;
     const std::string key = inputKey<Input>(cfg.input);
     std::vector<std::uint8_t> blob;
     for (;;) {
@@ -171,10 +168,10 @@ forkInput(const ExperimentConfig &cfg, std::map<std::string, Input> &memo,
                 return memo.emplace(cfg.input, std::move(forked))
                     .first->second;
             }
-            obs::LogLine(obs::LogLevel::Warn, "ckpt")
-                .msg("input snapshot rejected; regenerating")
-                .kv("input", key)
-                .kv("why", r.message());
+            std::fprintf(stderr,
+                         "rnr: warning: ckpt: input snapshot rejected; "
+                         "regenerating %s: %s\n",
+                         key.c_str(), r.message().c_str());
             store.invalidate(key, 0);
             continue; // re-acquire: we likely become the owner
         }

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "harness/file_lock.h"
-#include "obs/metrics.h"
 
 #ifdef _WIN32
 #include <process.h>
@@ -17,29 +16,6 @@
 #endif
 
 namespace rnr {
-
-namespace {
-
-// Null when RNR_METRICS=0 — the shared "free when off" gate.
-struct CacheMetrics {
-    obs::Counter *hits;
-    obs::Counter *misses;
-    CacheMetrics()
-    {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-        hits = reg.counter("rnr_cache_hits_total");
-        misses = reg.counter("rnr_cache_misses_total");
-    }
-};
-
-CacheMetrics &
-cacheMetrics()
-{
-    static CacheMetrics m;
-    return m;
-}
-
-} // namespace
 
 ResultCache &
 ResultCache::instance()
@@ -85,7 +61,10 @@ ResultCache::deserialize(const std::string &value, ExperimentResult &r)
             return false;
         r.iterations.push_back(it);
     }
-    return !r.iterations.empty();
+    // A token after the last declared field means the count lied (e.g.
+    // a flipped digit declaring fewer iterations than the line holds).
+    is >> std::ws;
+    return !r.iterations.empty() && is.eof();
 }
 
 std::string
@@ -203,28 +182,21 @@ ResultCache::lookup(const ExperimentConfig &cfg, ExperimentResult &out)
     std::lock_guard<std::mutex> lock(mu_);
     auto mit = memo_.find(key);
     if (mit != memo_.end()) {
-        if (obs::Counter *c = cacheMetrics().hits)
-            c->add();
         out = mit->second;
         return true;
     }
     ensureLoadedLocked();
     auto fit = lines_.find(key);
-    if (fit == lines_.end()) {
-        if (obs::Counter *c = cacheMetrics().misses)
-            c->add();
+    if (fit == lines_.end())
         return false;
-    }
     ExperimentResult r;
     r.config = cfg;
-    if (!deserialize(fit->second, r)) {
-        if (obs::Counter *c = cacheMetrics().misses)
-            c->add();
-        return false; // pre-validated at load, but stay defensive
-    }
+    // A well-formed line whose iteration count is not the key's is a
+    // miss: the cell reruns and store() rewrites the line.
+    if (!deserialize(fit->second, r) ||
+        r.iterations.size() != cfg.iterations)
+        return false;
     memo_[key] = r;
-    if (obs::Counter *c = cacheMetrics().hits)
-        c->add();
     out = r;
     return true;
 }

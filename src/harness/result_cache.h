@@ -48,7 +48,8 @@ class ResultCache
 
     /**
      * Looks @p cfg up in the memo, then in the file cache.  On a hit
-     * fills @p out (with out.config = cfg) and returns true.
+     * fills @p out (with out.config = cfg) and returns true.  A line
+     * holding other than cfg.iterations iterations is a miss.
      */
     bool lookup(const ExperimentConfig &cfg, ExperimentResult &out);
 
@@ -71,7 +72,8 @@ class ResultCache
     /** One cache line's value part: space-separated decimal fields. */
     static std::string serialize(const ExperimentResult &r);
 
-    /** Parses a value part; returns false (partial @p r) on corruption. */
+    /** Parses a value part; returns false (partial @p r) on corruption,
+     *  including tokens left after the declared iteration count. */
     static bool deserialize(const std::string &value, ExperimentResult &r);
 
     /** Current cache file path ($RNR_CACHE_FILE or rnr_results.cache). */

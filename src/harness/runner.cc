@@ -11,7 +11,6 @@
 #include "ckpt/input_fork.h"
 #include "cpu/system.h"
 #include "harness/result_cache.h"
-#include "obs/log.h"
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
@@ -253,10 +252,10 @@ runWithTraceStore(const ExperimentConfig &cfg, const Probes &probes)
             try {
                 return runFromStore(cfg, probes, entry);
             } catch (const TraceStreamError &e) {
-                obs::LogLine(obs::LogLevel::Warn, "tracestore")
-                    .msg("replay failed; quarantining and recapturing")
-                    .kv("workload", wkey)
-                    .kv("why", e.what());
+                std::fprintf(stderr,
+                             "rnr: warning: tracestore: replay failed; "
+                             "quarantining and recapturing %s: %s\n",
+                             wkey.c_str(), e.what());
                 store.invalidate(wkey);
                 continue;
             }
@@ -271,10 +270,10 @@ runWithTraceStore(const ExperimentConfig &cfg, const Probes &probes)
         } catch (const TraceStreamError &e) {
             // Capture is best-effort: drop the half-written entry (the
             // Capture's destructor aborts it) and rerun without it.
-            obs::LogLine(obs::LogLevel::Warn, "tracestore")
-                .msg("capture failed; simulating without the store")
-                .kv("workload", wkey)
-                .kv("why", e.what());
+            std::fprintf(stderr,
+                         "rnr: warning: tracestore: capture failed; "
+                         "simulating without the store %s: %s\n",
+                         wkey.c_str(), e.what());
             break;
         }
     }
@@ -359,11 +358,8 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
     if (probes.telemetry)
         r.telemetry =
             std::make_shared<TelemetryBlob>(probes.telemetry->harvest());
-    if (probes.attrib) {
-        auto blob = std::make_shared<AttribBlob>(probes.attrib->harvest());
-        publishAttribMetrics(*blob);
-        r.attrib = std::move(blob);
-    }
+    if (probes.attrib)
+        r.attrib = std::make_shared<AttribBlob>(probes.attrib->harvest());
     if (!own_tr)
         return r;
 
@@ -375,9 +371,8 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
                                 ? cfg.trace.json_out
                                 : traceEnvOutPath();
     if (!out.empty() && !writeChromeTrace(out, *own_tr))
-        obs::LogLine(obs::LogLevel::Error, "trace")
-            .msg("failed to write trace")
-            .kv("path", out);
+        std::fprintf(stderr, "rnr: error: trace: failed to write trace %s\n",
+                     out.c_str());
     if (traceEnvReportEnabled()) {
         const std::string report =
             formatReplayDiagnostics(buildReplayDiagnostics(*own_tr));

@@ -29,7 +29,6 @@
 #include "harness/json_parse.h"
 #include "harness/json_write.h"
 #include "harness/runner.h"
-#include "obs/log.h"
 #include "tracestore/trace_store.h"
 
 namespace rnr {
@@ -346,10 +345,10 @@ SweepRunner::run()
     if (!json.empty() &&
         !writeResultsJson(json, results, opts_.label,
                           jsonHostEnabled(opts_) ? &host : nullptr))
-        obs::LogLine(obs::LogLevel::Error, "sweep")
-            .msg("could not write JSON results")
-            .kv("label", opts_.label)
-            .kv("path", json);
+        std::fprintf(stderr,
+                     "rnr: error: sweep: [%s] could not write JSON results "
+                     "%s\n",
+                     opts_.label.c_str(), json.c_str());
     return results;
 }
 

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "harness/json_write.h"
-#include "obs/metrics.h"
 
 namespace rnr {
 
@@ -274,32 +273,6 @@ attribJson(const AttribBlob &blob)
     appendWindow(os, blob.window_overflow, false);
     os << "}";
     return os.str();
-}
-
-void
-publishAttribMetrics(const AttribBlob &blob)
-{
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    if (!obs::MetricsRegistry::enabled())
-        return;
-    const auto bump = [&reg](const char *name, std::uint64_t v) {
-        if (obs::Counter *c = reg.counter(name))
-            c->add(v);
-    };
-    bump("rnr_attrib_runs_total", 1);
-    bump("rnr_attrib_pf_issued_total", blob.totals.issued);
-    bump("rnr_attrib_pf_useful_total", blob.totals.useful);
-    bump("rnr_attrib_pf_late_merged_total", blob.totals.late_merged);
-    bump("rnr_attrib_pf_evicted_unused_total",
-         blob.totals.evicted_unused);
-    bump("rnr_attrib_pollution_total", blob.totals.pollution);
-    const auto level = [&reg](const char *name, std::uint64_t v) {
-        if (obs::Gauge *g = reg.gauge(name))
-            g->set(static_cast<std::int64_t>(v));
-    };
-    level("rnr_attrib_sites_tracked", blob.sites_tracked);
-    level("rnr_attrib_regions_tracked", blob.regions_tracked);
-    level("rnr_attrib_windows_tracked", blob.windows.size());
 }
 
 } // namespace rnr

@@ -279,15 +279,6 @@ bool attribEnvEnabled();
 /** @p blob as an rnr-attrib-v1 JSON object (one line, no \n). */
 std::string attribJson(const AttribBlob &blob);
 
-/**
- * Mirrors @p blob into the process-wide obs::MetricsRegistry (no-op
- * when RNR_METRICS=0): run totals accumulate into rnr_attrib_*_total
- * counters (across every attributed cell this process ran)
- * and the table occupancies land in rnr_attrib_*_tracked gauges (last
- * harvested run).  docs/HARNESS.md §15 lists the names.
- */
-void publishAttribMetrics(const AttribBlob &blob);
-
 } // namespace rnr
 
 #endif // RNR_SIM_ATTRIB_H

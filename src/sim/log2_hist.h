@@ -1,14 +1,8 @@
 /**
  * @file
- * The one log2-bucketed histogram core.
- *
- * Two layers need the same power-of-two bucketing — the per-simulation
- * telemetry histograms (sim/timeseries.h, single-writer plain cells)
- * and the process-wide metrics registry (obs/metrics.h, concurrent
- * relaxed-atomic cells).  They once carried two hand-written copies of
- * the bucket math; this header is the shared implementation, templated
- * only on the cell type so each façade keeps its exact storage and
- * thread-safety contract.
+ * The log2-bucketed histogram core behind the per-simulation telemetry
+ * histograms (sim/timeseries.h).  Single-writer: one histogram belongs
+ * to one simulation, so its cells are plain uint64_t.
  *
  * Bucketing: bucket 0 holds exactly {0}; bucket i >= 1 holds
  * [2^(i-1), 2^i - 1]; 65 buckets cover all of uint64_t.  The index of
@@ -18,7 +12,6 @@
 #ifndef RNR_SIM_LOG2_HIST_H
 #define RNR_SIM_LOG2_HIST_H
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 
@@ -55,14 +48,7 @@ high(unsigned i)
 
 } // namespace log2b
 
-/**
- * Histogram core shared by rnr::Log2Histogram and obs::Histogram.
- *
- * @tparam Cell  std::uint64_t for single-writer histograms (one add
- *               per record) or std::atomic<std::uint64_t> for
- *               concurrent ones (relaxed fetch_add per record).
- */
-template <class Cell>
+/** Histogram core; rnr::Log2Histogram adds the bucket-edge names. */
 class BasicLog2Histogram
 {
   public:
@@ -71,26 +57,26 @@ class BasicLog2Histogram
     void
     record(std::uint64_t v)
     {
-        bump(count_, 1);
-        bump(sum_, v);
-        bump(buckets_[log2b::index(v)], 1);
+        ++count_;
+        sum_ += v;
+        ++buckets_[log2b::index(v)];
     }
 
-    std::uint64_t count() const { return load(count_); }
-    std::uint64_t sum() const { return load(sum_); }
+    std::uint64_t count() const { return count_; }
+    std::uint64_t sum() const { return sum_; }
 
     double
     mean() const
     {
-        const std::uint64_t n = count();
-        return n ? static_cast<double>(sum()) / static_cast<double>(n)
-                 : 0.0;
+        return count_ ? static_cast<double>(sum_) /
+                            static_cast<double>(count_)
+                      : 0.0;
     }
 
     std::uint64_t
     bucket(unsigned i) const
     {
-        return i < kBuckets ? load(buckets_[i]) : 0;
+        return i < kBuckets ? buckets_[i] : 0;
     }
 
     /** One past the highest non-empty bucket (0 when empty). */
@@ -98,45 +84,15 @@ class BasicLog2Histogram
     maxBucket() const
     {
         for (unsigned i = kBuckets; i > 0; --i)
-            if (bucket(i - 1))
+            if (buckets_[i - 1])
                 return i;
         return 0;
     }
 
-    /** Zeroes every cell (relaxed stores).  Test plumbing — callers
-     *  must ensure no concurrent record() observes the tear. */
-    void
-    resetForTest()
-    {
-        store(count_, 0);
-        store(sum_, 0);
-        for (Cell &b : buckets_)
-            store(b, 0);
-    }
-
   private:
-    static void bump(std::uint64_t &c, std::uint64_t n) { c += n; }
-    static void
-    bump(std::atomic<std::uint64_t> &c, std::uint64_t n)
-    {
-        c.fetch_add(n, std::memory_order_relaxed);
-    }
-    static std::uint64_t load(const std::uint64_t &c) { return c; }
-    static std::uint64_t
-    load(const std::atomic<std::uint64_t> &c)
-    {
-        return c.load(std::memory_order_relaxed);
-    }
-    static void store(std::uint64_t &c, std::uint64_t v) { c = v; }
-    static void
-    store(std::atomic<std::uint64_t> &c, std::uint64_t v)
-    {
-        c.store(v, std::memory_order_relaxed);
-    }
-
-    Cell buckets_[kBuckets] = {};
-    Cell count_{};
-    Cell sum_{};
+    std::uint64_t buckets_[kBuckets] = {};
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
 };
 
 } // namespace rnr

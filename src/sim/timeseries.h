@@ -139,11 +139,10 @@ class Gauge
 
 /**
  * Power-of-two-bucket histogram for latency distributions.  Bucketing
- * and recording live in the shared core (sim/log2_hist.h); this façade
- * is the single-writer (plain uint64_t cell) instantiation plus the
- * bucket-edge names this layer's consumers use.
+ * and recording live in the core (sim/log2_hist.h); this façade adds
+ * the bucket-edge names this layer's consumers use.
  */
-class Log2Histogram : public BasicLog2Histogram<std::uint64_t>
+class Log2Histogram : public BasicLog2Histogram
 {
   public:
     /** Smallest value bucket @p i can hold. */

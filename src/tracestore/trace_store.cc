@@ -10,8 +10,6 @@
 #include <system_error>
 #include <vector>
 
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_file.h"
 
@@ -30,30 +28,6 @@ namespace rnr {
 namespace {
 
 constexpr char kManifestMagic[] = "rnr-tracestore-v1";
-
-/** Null when RNR_METRICS=0; mirrors the store's own counters so one
- *  metricsJson() call sees corpus activity without a TraceStore handle. */
-struct StoreMetrics {
-    obs::Counter *captures;
-    obs::Counter *replays;
-    obs::Counter *quarantines;
-    obs::Counter *evictions;
-    StoreMetrics()
-    {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-        captures = reg.counter("rnr_tracestore_captures_total");
-        replays = reg.counter("rnr_tracestore_replays_total");
-        quarantines = reg.counter("rnr_tracestore_quarantines_total");
-        evictions = reg.counter("rnr_tracestore_evictions_total");
-    }
-};
-
-StoreMetrics &
-storeMetrics()
-{
-    static StoreMetrics m;
-    return m;
-}
 
 std::string
 entryTracePath(const std::string &dir, unsigned iter, unsigned core)
@@ -225,14 +199,12 @@ TraceStore::openEntry(const std::string &wkey, Entry &out)
     }
     if (!why.empty()) {
         // Corrupt entry: quarantine and recapture instead of failing.
-        obs::LogLine(obs::LogLevel::Warn, "tracestore")
-            .msg("dropping corrupt entry")
-            .kv("dir", dir)
-            .kv("why", why);
+        std::fprintf(stderr,
+                     "rnr: warning: tracestore: dropping corrupt entry %s: "
+                     "%s\n",
+                     dir.c_str(), why.c_str());
         fs::remove_all(dir, ec);
         ++corrupt_;
-        if (obs::Counter *c = storeMetrics().quarantines)
-            c->add();
         return false;
     }
     out = e;
@@ -257,8 +229,6 @@ TraceStore::acquire(const std::string &wkey, Entry &out)
     for (;;) {
         if (openEntry(wkey, out)) {
             ++hits_;
-            if (obs::Counter *c = storeMetrics().replays)
-                c->add();
             return Acquire::Hit;
         }
         if (!inflight_.insert(wkey).second) {
@@ -395,9 +365,8 @@ TraceStore::Capture::publish(std::uint64_t input_bytes,
     done_ = true;
     std::error_code ec;
     bool ok = open_;
-    std::uint64_t stored = 0;
     if (ok) {
-        stored = entryStoredBytes(tmp_dir_);
+        const std::uint64_t stored = entryStoredBytes(tmp_dir_);
         std::ofstream mf(manifestPath(tmp_dir_), std::ios::trunc);
         mf << kManifestMagic << "\n"
            << "key " << wkey_ << "\n"
@@ -434,23 +403,11 @@ TraceStore::Capture::publish(std::uint64_t input_bytes,
         }
         if (ok) {
             ++store_->captures_;
-            if (obs::Counter *c = storeMetrics().captures)
-                c->add();
             store_->applyCapLocked(final_dir);
         }
     }
     if (!ok)
         fs::remove_all(tmp_dir_, ec);
-    else
-        obs::LogLine(obs::LogLevel::Info, "tracestore")
-            .msg("captured workload")
-            .kv("workload", wkey_)
-            .kv("records", records_)
-            .kv("raw_bytes", raw_bytes_)
-            .kv("stored_bytes", stored)
-            .kv("ratio", stored ? static_cast<double>(raw_bytes_) /
-                                      static_cast<double>(stored)
-                                : 0.0);
     store_->releaseOwnership(wkey_);
     return ok;
 }
@@ -469,8 +426,6 @@ TraceStore::invalidate(const std::string &wkey)
     std::error_code ec;
     fs::remove_all(rootPath() + "/" + traceStoreHashName(wkey), ec);
     ++corrupt_;
-    if (obs::Counter *c = storeMetrics().quarantines)
-        c->add();
 }
 
 void
@@ -512,12 +467,6 @@ TraceStore::applyCapLocked(const std::string &keep_dir)
         fs::remove_all(c.dir, ec);
         total -= c.bytes;
         ++evictions_;
-        if (obs::Counter *ec_ctr = storeMetrics().evictions)
-            ec_ctr->add();
-        obs::LogLine(obs::LogLevel::Info, "tracestore")
-            .msg("evicted entry for RNR_TRACE_CAP_MB")
-            .kv("dir", c.dir)
-            .kv("bytes", c.bytes);
     }
 }
 

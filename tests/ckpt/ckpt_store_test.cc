@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,6 +108,30 @@ TEST_F(CkptStoreTest, CorruptSnapshotIsQuarantined)
     EXPECT_FALSE(
         fs::exists(CheckpointStore::snapshotPath("key-c", 1)));
     store.abandon("key-c", 1);
+}
+
+TEST_F(CkptStoreTest, CorruptSnapshotWarnsOnceOnStderrNamingThePath)
+{
+    CheckpointStore &store = CheckpointStore::instance();
+    std::vector<std::uint8_t> blob = makeBlob("key-w", 1, 9);
+    blob[blob.size() / 2] ^= 0x01;
+    const std::string path = CheckpointStore::snapshotPath("key-w", 1);
+    ASSERT_TRUE(writeSnapshotFile(path, blob).ok());
+
+    std::vector<std::uint8_t> out;
+    ::testing::internal::CaptureStderr();
+    const CheckpointStore::Acquire got = store.acquire("key-w", 1, out);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(got, CheckpointStore::Acquire::Owner);
+    store.abandon("key-w", 1);
+
+    std::vector<std::string> warnings;
+    std::istringstream lines(err);
+    for (std::string line; std::getline(lines, line);)
+        if (line.rfind("rnr: warning: ckpt: ", 0) == 0)
+            warnings.push_back(line);
+    ASSERT_EQ(warnings.size(), 1u) << err;
+    EXPECT_NE(warnings[0].find(path), std::string::npos) << warnings[0];
 }
 
 TEST_F(CkptStoreTest, HashCollisionReadsAsMissWithoutQuarantine)

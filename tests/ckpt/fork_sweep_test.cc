@@ -2,8 +2,8 @@
  * @file
  * Checkpoint-fork sweep tests — the acceptance criterion in code: a
  * sweep over >= 4 prefetcher configs sharing one workloadKey() performs
- * exactly one warm-up (asserted through both the store counters and the
- * metrics registry) while producing sweep JSON byte-identical to a
+ * exactly one warm-up (asserted through the store counters) while
+ * producing sweep JSON byte-identical to a
  * plain (RNR_CKPT=0) sweep.
  */
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "ckpt/input_fork.h"
 #include "harness/result_cache.h"
 #include "harness/sweep.h"
-#include "obs/metrics.h"
 
 namespace rnr {
 namespace {
@@ -49,7 +48,6 @@ class ForkSweepTest : public ::testing::Test
         ckpt::CheckpointStore::instance().resetForTest();
         ckpt::resetInputForkForTest();
         ResultCache::instance().clearForTest();
-        obs::MetricsRegistry::instance().resetForTest();
     }
 
     void
@@ -91,14 +89,6 @@ class ForkSweepTest : public ::testing::Test
         return ss.str();
     }
 
-    static std::uint64_t
-    metricValue(const std::string &name)
-    {
-        obs::Counter *c =
-            obs::MetricsRegistry::instance().counter(name);
-        return c ? c->value() : 0;
-    }
-
     std::string root_;
 };
 
@@ -118,11 +108,6 @@ TEST_F(ForkSweepTest, SweepWarmsUpOnceAndForksTheRest)
     EXPECT_EQ(store.warmups(), 1u);
     EXPECT_EQ(store.forks(), cfgs.size() - 1);
     EXPECT_EQ(store.saves(), 1u); // the one published input snapshot
-
-    // The metrics registry reconciles with the store counters.
-    EXPECT_EQ(metricValue("rnr_ckpt_warmups_total"), store.warmups());
-    EXPECT_EQ(metricValue("rnr_ckpt_forks_total"), store.forks());
-    EXPECT_EQ(metricValue("rnr_ckpt_saves_total"), store.saves());
 }
 
 TEST_F(ForkSweepTest, ForkSweepJsonIsByteIdenticalToPlainSweep)

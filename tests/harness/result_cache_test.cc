@@ -7,7 +7,9 @@
  *    scheme) is skipped, never fatal, and never clobbers good lines;
  *  - a rewrite merges lines other processes published since this
  *    process loaded the file, so two processes sharing one cache file
- *    append to, never erase, each other's results.
+ *    append to, never erase, each other's results;
+ *  - a line whose iteration count disagrees with its contents or with
+ *    its key is a miss, never a short result.
  */
 #include <cstdio>
 #include <fstream>
@@ -34,6 +36,24 @@ tinyConfig(std::uint32_t window = 0)
         window ? PrefetcherKind::Rnr : PrefetcherKind::None;
     cfg.window_size = window;
     return cfg;
+}
+
+/** A result of @p iters iterations with every counter distinct. */
+ExperimentResult
+syntheticResult(unsigned iters)
+{
+    ExperimentResult r;
+    r.input_bytes = 4096;
+    r.target_bytes = 2048;
+    for (unsigned i = 0; i < iters; ++i) {
+        IterStats it;
+        std::uint64_t v = 1000 * (i + 1);
+#define RNR_SET_FIELD(type, name) it.name = ++v;
+        RNR_ITER_STAT_FIELDS(RNR_SET_FIELD)
+#undef RNR_SET_FIELD
+        r.iterations.push_back(it);
+    }
+    return r;
 }
 
 struct ResultCacheFixture : ::testing::Test {
@@ -75,6 +95,13 @@ struct ResultCacheFixture : ::testing::Test {
                 lines.push_back(line);
         }
         return lines;
+    }
+
+    void
+    writeCacheFile(const std::string &key, const std::string &value) const
+    {
+        std::ofstream out(cache_path_, std::ios::trunc);
+        out << key << "|" << value << "\n";
     }
 };
 
@@ -153,6 +180,40 @@ TEST_F(ResultCacheFixture, RewriteMergesLinesPublishedByOtherProcesses)
         saw_foreign = saw_foreign || line == foreign_line;
     EXPECT_TRUE(saw_foreign)
         << "the foreign process's line was clobbered by the rewrite";
+}
+
+TEST_F(ResultCacheFixture, LineWhoseIterationCountLiesIsAMiss)
+{
+    ExperimentConfig cfg = tinyConfig();
+    cfg.iterations = 3;
+    ExperimentResult out;
+
+    // Control: an honest three-iteration line under the i3 key hits.
+    const std::string honest = ResultCache::serialize(syntheticResult(3));
+    writeCacheFile(cfg.key(), honest);
+    ResultCache::instance().clearForTest();
+    ASSERT_TRUE(ResultCache::instance().lookup(cfg, out));
+    EXPECT_EQ(ResultCache::serialize(out), honest);
+
+    // One bit flip of the count digit, '3' (0x33) -> '1' (0x31): the
+    // line now declares one iteration and carries two more after it.
+    const std::string prefix = "4096 2048 0 0 ";
+    ASSERT_EQ(honest.rfind(prefix, 0), 0u) << honest;
+    std::string lying = honest;
+    ASSERT_EQ(lying[prefix.size()], '3');
+    lying[prefix.size()] ^= 0x02;
+    ExperimentResult parsed;
+    EXPECT_FALSE(ResultCache::deserialize(lying, parsed));
+    writeCacheFile(cfg.key(), lying);
+    ResultCache::instance().clearForTest();
+    EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
+    EXPECT_EQ(ResultCache::instance().corruptLinesSkipped(), 1u);
+
+    // A well-formed one-iteration line filed under the i3 key is a
+    // miss too: the cell reruns and rewrites the line.
+    writeCacheFile(cfg.key(), ResultCache::serialize(syntheticResult(1)));
+    ResultCache::instance().clearForTest();
+    EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
 }
 
 } // namespace

@@ -1,12 +1,9 @@
 /**
  * @file
- * Tests for the shared log2-bucketing core (sim/log2_hist.h) that both
- * histogram façades — rnr::Log2Histogram (plain cells) and
- * obs::Histogram (atomic cells) — are built on.  The façades' own
- * behaviour stays covered by sim/timeseries_test.cc and
- * obs/metrics_test.cc; this file pins down the bucket math itself.
+ * Tests for the log2-bucketing core (sim/log2_hist.h) under
+ * rnr::Log2Histogram.  The façade's own behaviour stays covered by
+ * sim/timeseries_test.cc; this file pins down the bucket math itself.
  */
-#include <atomic>
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -43,13 +40,12 @@ TEST(Log2Buckets, TopBucketSaturates)
     EXPECT_LT(log2b::index(max), log2b::kBuckets);
 }
 
-template <class Cell>
-void
-exerciseCore()
+TEST(BasicLog2Histogram, PlainCells)
 {
-    BasicLog2Histogram<Cell> h;
+    BasicLog2Histogram h;
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.maxBucket(), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 
     h.record(0);
     h.record(1);
@@ -64,21 +60,6 @@ exerciseCore()
     EXPECT_EQ(h.bucket(4), 1u); // [8,15]
     EXPECT_EQ(h.bucket(99), 0u); // out-of-range read is safe
     EXPECT_EQ(h.maxBucket(), 5u);
-
-    h.resetForTest();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.sum(), 0u);
-    EXPECT_EQ(h.maxBucket(), 0u);
-}
-
-TEST(BasicLog2Histogram, PlainCells)
-{
-    exerciseCore<std::uint64_t>();
-}
-
-TEST(BasicLog2Histogram, AtomicCells)
-{
-    exerciseCore<std::atomic<std::uint64_t>>();
 }
 
 } // namespace
