@@ -28,6 +28,14 @@
  * must stay within noise of none; CI asserts the same-run parity and
  * the compare gate pins both.
  *
+ * BM_PrefetcherOnAccess/{stems,misb,bingo} pins the prefetcher layer
+ * (docs/PERF.md section 12): the hot slice fed straight to one
+ * prefetcher's onAccess() as an L2 miss stream, the prefetcher attached
+ * to a real MemorySystem so every request it makes takes the real L2
+ * issue path.  Most of those requests are ones the L2 refuses (already
+ * resident or in flight, or the prefetch queue is full), which is where
+ * the Fig 6 baselines spend their host time.  Items are hooked accesses.
+ *
  * BM_Kernel measures the full stack instead — trace feed, CoreModel
  * inner loop, memory system — on one core, so the compare gate covers
  * the core model as well as the memory path (docs/PERF.md §3).
@@ -134,6 +142,38 @@ BM_DemandAccess(benchmark::State &state, PrefetcherKind kind)
         }
         ops += trace.size();
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+
+void
+BM_PrefetcherOnAccess(benchmark::State &state, PrefetcherKind kind)
+{
+    const std::vector<TraceRecord> &trace = hotTrace();
+    MachineConfig mcfg = MachineConfig::scaledDefault();
+    mcfg.cores = 1;
+    MemorySystem ms(mcfg);
+    std::unique_ptr<Prefetcher> pf = createPrefetcher(kind);
+    ms.setPrefetcher(0, pf.get());
+
+    // Every record reaches the hook as a demand miss at the tick a
+    // 4-wide core would issue it; the tables keep learning across
+    // benchmark iterations, as they would over a cell's iterations.
+    L2AccessInfo info;
+    Tick now = 0;
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        for (const TraceRecord &rec : trace) {
+            now += 1 + rec.gap / 4;
+            info.vaddr = rec.addr;
+            info.block = blockNumber(rec.addr);
+            info.pc = rec.pc;
+            info.now = now;
+            info.is_write = rec.kind == RecordKind::Store;
+            pf->onAccess(info);
+        }
+        ops += trace.size();
+    }
+    benchmark::DoNotOptimize(pf->stats().get("issued"));
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 
@@ -431,6 +471,12 @@ BM_CacheAccess(benchmark::State &state, CacheConfig cfg)
 BENCHMARK_CAPTURE(BM_DemandAccess, none, PrefetcherKind::None)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DemandAccess, stream, PrefetcherKind::Stream)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PrefetcherOnAccess, stems, PrefetcherKind::Stems)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PrefetcherOnAccess, misb, PrefetcherKind::Misb)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PrefetcherOnAccess, bingo, PrefetcherKind::Bingo)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessSampled)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessAttribGated)->Unit(benchmark::kMillisecond);

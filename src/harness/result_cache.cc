@@ -1,9 +1,12 @@
 #include "harness/result_cache.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "harness/file_lock.h"
 
@@ -16,6 +19,31 @@
 #endif
 
 namespace rnr {
+
+namespace {
+
+/** What `istream >>` skips between fields (the C locale's isspace). */
+constexpr std::string_view kSpace = " \t\n\v\f\r";
+
+/**
+ * Reads the whitespace-separated token at @p pos of @p s as a decimal
+ * unsigned integer and moves @p pos past it.  Unlike `istream >>`, a
+ * sign is no number: "-1" would otherwise load as 2^64-1.
+ */
+template <typename T>
+bool
+readUnsigned(std::string_view s, std::size_t &pos, T &v)
+{
+    pos = std::min(s.find_first_not_of(kSpace, pos), s.size());
+    const char *end = s.data() + s.size();
+    const auto [p, ec] = std::from_chars(s.data() + pos, end, v);
+    if (ec != std::errc() || (p != end && kSpace.find(*p) == kSpace.npos))
+        return false;
+    pos = static_cast<std::size_t>(p - s.data());
+    return true;
+}
+
+} // namespace
 
 ResultCache &
 ResultCache::instance()
@@ -44,17 +72,20 @@ ResultCache::serialize(const ExperimentResult &r)
 bool
 ResultCache::deserialize(const std::string &value, ExperimentResult &r)
 {
-    std::istringstream is(value);
+    std::size_t pos = 0;
     std::size_t n = 0;
-    if (!(is >> r.input_bytes >> r.target_bytes >> r.seq_table_bytes >>
-          r.div_table_bytes >> n))
+    if (!(readUnsigned(value, pos, r.input_bytes) &&
+          readUnsigned(value, pos, r.target_bytes) &&
+          readUnsigned(value, pos, r.seq_table_bytes) &&
+          readUnsigned(value, pos, r.div_table_bytes) &&
+          readUnsigned(value, pos, n)))
         return false;
     r.iterations.clear();
     for (std::size_t i = 0; i < n; ++i) {
         IterStats it;
         bool ok = true;
 #define RNR_READ_FIELD(type, name)                                          \
-        ok = ok && static_cast<bool>(is >> it.name);
+        ok = ok && readUnsigned(value, pos, it.name);
         RNR_ITER_STAT_FIELDS(RNR_READ_FIELD)
 #undef RNR_READ_FIELD
         if (!ok)
@@ -63,8 +94,8 @@ ResultCache::deserialize(const std::string &value, ExperimentResult &r)
     }
     // A token after the last declared field means the count lied (e.g.
     // a flipped digit declaring fewer iterations than the line holds).
-    is >> std::ws;
-    return !r.iterations.empty() && is.eof();
+    return !r.iterations.empty() &&
+           value.find_first_not_of(kSpace, pos) == std::string::npos;
 }
 
 std::string

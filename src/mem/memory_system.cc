@@ -1,6 +1,8 @@
 #include "mem/memory_system.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <string>
 
 #include "sim/timeseries.h"
@@ -280,16 +282,11 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
     return res;
 }
 
-PrefetchIssue
-MemorySystem::prefetchIntoL2(unsigned core, Addr vaddr, Tick now,
-                             std::uint32_t site)
+inline PrefetchIssue
+MemorySystem::issueIntoL2(unsigned core, Cache &l2, Addr block, Tick now,
+                          std::uint32_t site)
 {
     PrefetchIssue out;
-    Cache &l2 = *l2_[core];
-    const Addr block = blockNumber(vaddr);
-
-    l2.mshr().purge(now);
-    l2.prefetchQueue().purge(now);
     if (l2.peek(block) || l2.mshr().find(block) ||
         l2.prefetchQueue().find(block)) {
         out.redundant = true;
@@ -328,6 +325,39 @@ MemorySystem::prefetchIntoL2(unsigned core, Addr vaddr, Tick now,
 
     out.issued = true;
     out.fill_time = fill;
+    return out;
+}
+
+PrefetchIssue
+MemorySystem::prefetchIntoL2(unsigned core, Addr vaddr, Tick now,
+                             std::uint32_t site)
+{
+    Cache &l2 = *l2_[core];
+    l2.mshr().purge(now);
+    l2.prefetchQueue().purge(now);
+    return issueIntoL2(core, l2, blockNumber(vaddr), now, site);
+}
+
+FootprintIssue
+MemorySystem::prefetchFootprintIntoL2(unsigned core, Addr base_block,
+                                      std::uint64_t mask, Tick now,
+                                      std::uint32_t site)
+{
+    FootprintIssue out;
+    Cache &l2 = *l2_[core];
+    l2.mshr().purge(now);
+    l2.prefetchQueue().purge(now);
+    for (; mask; mask &= mask - 1) {
+        const Addr block =
+            base_block + static_cast<unsigned>(std::countr_zero(mask));
+        const PrefetchIssue r = issueIntoL2(core, l2, block, now, site);
+        // One purge per batch is exact only while nothing issued here
+        // completes by `now`.
+        assert(!r.issued || r.fill_time > now);
+        out.issued += r.issued;
+        out.redundant += r.redundant;
+        out.mshr_full += r.mshr_full;
+    }
     return out;
 }
 

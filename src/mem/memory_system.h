@@ -60,6 +60,18 @@ class MemorySystem
                                  std::uint32_t site = 0);
 
     /**
+     * Prefetches a spatial footprint into @p core's L2: block
+     * @p base_block + i for every set bit i of @p mask, in ascending
+     * order.  Exactly equivalent to one prefetchIntoL2() per block at
+     * the same @p now and @p site, but the two queue purges run once
+     * for the batch: `now` is fixed and every fill issued lands after
+     * it, so the repeats would find nothing to drop.
+     */
+    FootprintIssue prefetchFootprintIntoL2(unsigned core, Addr base_block,
+                                           std::uint64_t mask, Tick now,
+                                           std::uint32_t site = 0);
+
+    /**
      * RnR metadata access: @p bytes streamed starting at @p addr,
      * bypassing all caches.  Returns the completion tick of the last
      * block.  Reads are issued at 64 B granularity (sequential, so they
@@ -118,6 +130,11 @@ class MemorySystem
     AttribCollector *attrib() { return at_; }
 
   private:
+    /** One block of prefetchIntoL2() after the L2's two queue purges:
+     *  the redundant and queue-full checks, then the issue. */
+    PrefetchIssue issueIntoL2(unsigned core, Cache &l2, Addr block,
+                              Tick now, std::uint32_t site);
+
     /** Shared LLC + DRAM access; returns fill-complete tick. */
     Tick accessShared(Addr block, Tick now, ReqOrigin origin);
 

@@ -14,12 +14,23 @@
  * single compare — the "quiet cycles cost nothing" half of the batched
  * kernel (docs/PERF.md) — and the O(n) compaction runs only when a fill
  * actually completes.
+ *
+ * find() runs twice per L2 prefetch request (with a tag peek, the
+ * lookups that decide whether the request is redundant), and a spatial
+ * prefetcher asks for far more blocks than the prefetch queue can take,
+ * so most finds are for blocks that are not there.  A 512-bit presence filter
+ * answers those without a scan: insert() sets the block's bit, purge()
+ * rebuilds the bitmap from the entries it keeps, and find() scans only
+ * when the bit is set.  A bit is never clear while its block is in the
+ * file, so find() returns exactly what the plain scan would.
  */
 #ifndef RNR_MEM_MSHR_H
 #define RNR_MEM_MSHR_H
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstdint>
 #include <vector>
 
 #include "sim/trace_event.h"
@@ -58,10 +69,12 @@ class Mshr
             return; // nothing can have completed yet
         Tick next = kTickMax;
         std::size_t kept = 0;
+        filter_.fill(0);
         for (const Entry &e : entries_) {
             if (e.fill > now) {
                 next = std::min(next, e.fill);
                 entries_[kept++] = e;
+                setBit(e.block);
             }
         }
         entries_.resize(kept);
@@ -72,11 +85,31 @@ class Mshr
     Entry *
     find(Addr block)
     {
+        if (!mayHold(block))
+            return nullptr;
         for (auto &e : entries_) {
             if (e.block == block)
                 return &e;
         }
         return nullptr;
+    }
+
+    /** The presence filter's bit for @p block: the top 9 bits of its
+     *  Fibonacci hash. */
+    static unsigned
+    filterBit(Addr block)
+    {
+        return static_cast<unsigned>((block * 0x9e3779b97f4a7c15ull) >>
+                                     (64 - 9));
+    }
+
+    /** False when @p block is certainly not in the file; true when its
+     *  filter bit is set (it may be there). */
+    bool
+    mayHold(Addr block) const
+    {
+        const unsigned b = filterBit(block);
+        return (filter_[b >> 6] >> (b & 63)) & 1;
     }
 
     bool full() const { return entries_.size() >= capacity_; }
@@ -111,6 +144,7 @@ class Mshr
     {
         assert(!full());
         entries_.push_back({block, fill, prefetch, site});
+        setBit(block);
         next_fill_ = std::min(next_fill_, fill);
         if (tr_)
             tr_->emit(tr_track_, TraceEventType::MshrAlloc, fill, block,
@@ -121,13 +155,24 @@ class Mshr
     clear()
     {
         entries_.clear();
+        filter_.fill(0);
         next_fill_ = kTickMax;
     }
 
   private:
+    void
+    setBit(Addr block)
+    {
+        const unsigned b = filterBit(block);
+        filter_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    }
+
     unsigned capacity_;
     std::vector<Entry> entries_;
     Tick next_fill_ = kTickMax; ///< Min outstanding fill; kTickMax = none.
+    /** Presence filter: its set bits are filterBit(b) over the blocks
+     *  b in the file (rebuilt by every compacting purge). */
+    std::array<std::uint64_t, 8> filter_{};
     TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
     std::uint16_t tr_track_ = 0;
     bool tr_pq_ = false;

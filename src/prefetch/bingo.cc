@@ -7,7 +7,9 @@ BingoPrefetcher::BingoPrefetcher(unsigned region_blocks,
                                  std::size_t active_entries)
     : region_blocks_(region_blocks),
       history_cap_(history_entries),
-      active_cap_(active_entries)
+      active_cap_(active_entries),
+      active_order_(active_entries),
+      history_order_(history_entries)
 {
 }
 
@@ -27,22 +29,16 @@ BingoPrefetcher::pcOffsetKey(std::uint32_t pc, unsigned offset)
 void
 BingoPrefetcher::historyInsert(std::uint64_t key, std::uint64_t footprint)
 {
-    auto it = history_.find(key);
-    if (it == history_.end()) {
-        if (history_.size() >= history_cap_ && !history_order_.empty()) {
-            history_.erase(history_order_.front());
-            history_order_.pop_front();
-        }
-        history_order_.push_back(key);
+    if (std::uint64_t *fp = history_.find(key)) {
+        *fp = footprint;
+        return;
     }
+    if (history_.size() >= history_cap_ && !history_order_.empty()) {
+        history_.erase(history_order_.front());
+        history_order_.pop_front();
+    }
+    history_order_.push_back(key);
     history_[key] = footprint;
-}
-
-const std::uint64_t *
-BingoPrefetcher::historyFind(std::uint64_t key) const
-{
-    auto it = history_.find(key);
-    return it == history_.end() ? nullptr : &it->second;
 }
 
 void
@@ -62,9 +58,8 @@ BingoPrefetcher::onAccess(const L2AccessInfo &info)
     const unsigned offset =
         static_cast<unsigned>(info.block % region_blocks_);
 
-    auto it = active_.find(region);
-    if (it != active_.end()) {
-        it->second.footprint |= std::uint64_t{1} << offset;
+    if (Generation *g = active_.find(region)) {
+        g->footprint |= std::uint64_t{1} << offset;
         return;
     }
 
@@ -72,10 +67,9 @@ BingoPrefetcher::onAccess(const L2AccessInfo &info)
     if (active_.size() >= active_cap_ && !active_order_.empty()) {
         const Addr old = active_order_.front();
         active_order_.pop_front();
-        auto oit = active_.find(old);
-        if (oit != active_.end()) {
-            commit(old, oit->second);
-            active_.erase(oit);
+        if (const Generation *g = active_.find(old)) {
+            commit(old, *g);
+            active_.erase(old);
         }
     }
 
@@ -84,23 +78,18 @@ BingoPrefetcher::onAccess(const L2AccessInfo &info)
     gen.trigger_offset = offset;
     gen.trigger_block = info.block;
     gen.footprint = std::uint64_t{1} << offset;
-    active_.emplace(region, gen);
+    active_[region] = gen;
     active_order_.push_back(region);
 
     // Predict with the most specific event that has history.
-    const std::uint64_t *fp = historyFind(pcAddrKey(info.pc, info.block));
+    const std::uint64_t *fp = history_.find(pcAddrKey(info.pc, info.block));
     if (!fp)
-        fp = historyFind(pcOffsetKey(info.pc, offset));
+        fp = history_.find(pcOffsetKey(info.pc, offset));
     if (!fp)
         return;
 
-    const Addr region_base = region * region_blocks_;
-    for (unsigned b = 0; b < region_blocks_; ++b) {
-        if (b == offset || !((*fp >> b) & 1))
-            continue;
-        issuePrefetch((region_base + b) << kBlockBits, info.now,
-                      info.pc);
-    }
+    issueFootprint(region * region_blocks_,
+                   *fp & ~(std::uint64_t{1} << offset), info.now, info.pc);
 }
 
 } // namespace rnr

@@ -11,10 +11,10 @@
 #define RNR_PREFETCH_BINGO_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_map.h"
+#include "sim/ring.h"
 
 namespace rnr {
 
@@ -40,7 +40,6 @@ class BingoPrefetcher : public Prefetcher
     /** Commits a finished generation's footprint into the history. */
     void commit(Addr region, const Generation &gen);
     void historyInsert(std::uint64_t key, std::uint64_t footprint);
-    const std::uint64_t *historyFind(std::uint64_t key) const;
 
     static std::uint64_t pcAddrKey(std::uint32_t pc, Addr block);
     static std::uint64_t pcOffsetKey(std::uint32_t pc, unsigned offset);
@@ -50,11 +49,11 @@ class BingoPrefetcher : public Prefetcher
     std::size_t active_cap_;
 
     /** Region number -> in-flight generation being observed. */
-    std::unordered_map<Addr, Generation> active_;
-    std::list<Addr> active_order_; ///< FIFO for generation retirement.
+    FlatMap<Addr, Generation> active_;
+    Ring<Addr> active_order_; ///< FIFO for generation retirement.
 
-    std::unordered_map<std::uint64_t, std::uint64_t> history_;
-    std::list<std::uint64_t> history_order_;
+    FlatMap<std::uint64_t, std::uint64_t> history_;
+    Ring<std::uint64_t> history_order_; ///< FIFO for history replacement.
 };
 
 } // namespace rnr

@@ -17,9 +17,8 @@ MisbPrefetcher::touchMetadata(std::uint64_t key, Tick now)
 {
     // Mapping entries are packed 8 to a 64 B metadata line.
     const std::uint64_t line = key >> 3;
-    auto it = meta_cache_.find(line);
-    if (it != meta_cache_.end()) {
-        meta_lru_.splice(meta_lru_.end(), meta_lru_, it->second);
+    if (const LruList::Index *node = meta_cache_.find(line)) {
+        meta_lru_.touch(*node);
         ++c_metadata_cache_hits_;
         return;
     }
@@ -30,12 +29,11 @@ MisbPrefetcher::touchMetadata(std::uint64_t key, Tick now)
     if ((line & 1) == 0)
         ms_->metadataWrite(metadata_base_ + line * kBlockSize, kBlockSize,
                            now);
-    if (meta_cache_.size() >= metadata_cap_) {
+    if (meta_cache_.size() >= metadata_cap_ && !meta_lru_.empty()) {
         meta_cache_.erase(meta_lru_.front());
-        meta_lru_.pop_front();
+        meta_lru_.popFront();
     }
-    meta_lru_.push_back(line);
-    meta_cache_[line] = std::prev(meta_lru_.end());
+    meta_cache_[line] = meta_lru_.pushBack(line);
 }
 
 void
@@ -47,44 +45,43 @@ MisbPrefetcher::onAccess(const L2AccessInfo &info)
     touchMetadata(info.block, info.now);
 
     // --- Predict: structural neighbours of this block ---
-    auto ps = ps_map_.find(info.block);
-    if (ps != ps_map_.end()) {
-        const std::uint64_t s = ps->second;
+    if (const std::uint64_t *ps = ps_map_.find(info.block)) {
+        const std::uint64_t s = *ps;
         for (unsigned d = 1; d <= degree_; ++d) {
-            auto sp = sp_map_.find(s + d);
-            if (sp == sp_map_.end())
+            const Addr *sp = sp_map_.find(s + d);
+            if (!sp)
                 break;
+            const Addr target = *sp;
             touchMetadata(s + d, info.now);
-            issuePrefetch(sp->second << kBlockBits, info.now, info.pc);
+            issuePrefetch(target << kBlockBits, info.now, info.pc);
         }
     }
 
     // --- Train: append this block to its PC's structural stream ---
-    auto tu = training_.find(info.pc);
-    if (tu != training_.end()) {
-        const Addr prev = tu->second;
-        auto prev_ps = ps_map_.find(prev);
+    if (const Addr *tu = training_.find(info.pc)) {
+        const Addr prev = *tu;
+        const std::uint64_t *prev_ps = ps_map_.find(prev);
         std::uint64_t prev_s;
-        if (prev_ps == ps_map_.end()) {
+        if (!prev_ps) {
             // Allocate a fresh stream for the predecessor.
-            auto alloc = stream_alloc_.find(info.pc);
-            if (alloc == stream_alloc_.end()) {
-                stream_alloc_[info.pc] = next_stream_base_;
+            bool fresh = false;
+            std::uint64_t &alloc = stream_alloc_.emplace(info.pc, fresh);
+            if (fresh) {
+                alloc = next_stream_base_;
                 next_stream_base_ += kStreamStride;
-                alloc = stream_alloc_.find(info.pc);
             }
-            prev_s = alloc->second;
-            alloc->second += 2; // leave room to grow the stream
+            prev_s = alloc;
+            alloc += 2; // leave room to grow the stream
             ps_map_[prev] = prev_s;
             sp_map_[prev_s] = prev;
         } else {
-            prev_s = prev_ps->second;
+            prev_s = *prev_ps;
         }
         // Give the current block the next structural slot unless it
         // already belongs to a stream (first mapping wins, as in ISB).
-        if (!ps_map_.contains(info.block)) {
+        if (!ps_map_.find(info.block)) {
             const std::uint64_t s = prev_s + 1;
-            if (!sp_map_.contains(s)) {
+            if (!sp_map_.find(s)) {
                 ps_map_[info.block] = s;
                 sp_map_[s] = info.block;
             }

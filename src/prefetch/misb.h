@@ -15,10 +15,10 @@
 #define RNR_PREFETCH_MISB_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_map.h"
+#include "sim/lru_list.h"
 
 namespace rnr {
 
@@ -48,19 +48,18 @@ class MisbPrefetcher : public Prefetcher
     Counter &c_metadata_cache_misses_;
 
     /** Training unit: last missed block per PC. */
-    std::unordered_map<std::uint32_t, Addr> training_;
+    FlatMap<std::uint32_t, Addr> training_;
     /** Physical block -> structural address. */
-    std::unordered_map<Addr, std::uint64_t> ps_map_;
+    FlatMap<Addr, std::uint64_t> ps_map_;
     /** Structural address -> physical block. */
-    std::unordered_map<std::uint64_t, Addr> sp_map_;
+    FlatMap<std::uint64_t, Addr> sp_map_;
     /** Next free structural stream base, per PC. */
-    std::unordered_map<std::uint32_t, std::uint64_t> stream_alloc_;
+    FlatMap<std::uint32_t, std::uint64_t> stream_alloc_;
     std::uint64_t next_stream_base_ = 0;
 
-    /** On-chip metadata cache (keys are mapping-line ids). */
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        meta_cache_;
-    std::list<std::uint64_t> meta_lru_;
+    /** On-chip metadata cache: mapping-line id -> its meta_lru_ node. */
+    FlatMap<std::uint64_t, LruList::Index> meta_cache_;
+    LruList meta_lru_;
 
     /** Simulated VA where off-chip metadata lives (traffic addresses). */
     Addr metadata_base_ = 0x7f0000000000ull;

@@ -34,4 +34,16 @@ Prefetcher::issuePrefetch(Addr vaddr, Tick now, std::uint32_t site)
     return out;
 }
 
+FootprintIssue
+Prefetcher::issueFootprint(Addr base_block, std::uint64_t mask, Tick now,
+                           std::uint32_t site)
+{
+    const FootprintIssue out =
+        ms_->prefetchFootprintIntoL2(core_, base_block, mask, now, site);
+    c_issued_ += out.issued;
+    c_redundant_ += out.redundant;
+    c_dropped_mshr_full_ += out.mshr_full;
+    return out;
+}
+
 } // namespace rnr

@@ -49,6 +49,13 @@ struct PrefetchIssue {
     Tick fill_time = 0;     ///< Valid when issued.
 };
 
+/** Per-outcome block counts of one footprint request. */
+struct FootprintIssue {
+    unsigned issued = 0;
+    unsigned redundant = 0;
+    unsigned mshr_full = 0;
+};
+
 /** Abstract base for L2-attached prefetchers. */
 class Prefetcher
 {
@@ -164,6 +171,13 @@ class Prefetcher
      *  copy); accounted only when attribution is attached. */
     PrefetchIssue issuePrefetch(Addr vaddr, Tick now,
                                 std::uint32_t site = 0);
+
+    /** issuePrefetch() for block @p base_block + i of every set bit i
+     *  of @p mask, in ascending order, as one batched request
+     *  (MemorySystem::prefetchFootprintIntoL2); same counters, same
+     *  outcome. */
+    FootprintIssue issueFootprint(Addr base_block, std::uint64_t mask,
+                                  Tick now, std::uint32_t site = 0);
 
     MemorySystem *ms_ = nullptr;
     unsigned core_ = 0;

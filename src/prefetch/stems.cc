@@ -9,35 +9,24 @@ StemsPrefetcher::StemsPrefetcher(unsigned region_blocks,
     : region_blocks_(region_blocks),
       replay_depth_(replay_depth),
       pattern_cap_(pattern_entries),
-      temporal_(temporal_entries)
+      temporal_(temporal_entries),
+      pattern_order_(pattern_entries)
 {
 }
 
 void
 StemsPrefetcher::patternInsert(Addr region, std::uint64_t footprint)
 {
-    auto it = patterns_.find(region);
-    if (it == patterns_.end()) {
-        if (patterns_.size() >= pattern_cap_ && !pattern_order_.empty()) {
-            patterns_.erase(pattern_order_.front());
-            pattern_order_.pop_front();
-        }
-        pattern_order_.push_back(region);
-        patterns_.emplace(region, footprint);
-    } else {
-        it->second |= footprint;
+    if (std::uint64_t *fp = patterns_.find(region)) {
+        *fp |= footprint;
+        return;
     }
-}
-
-void
-StemsPrefetcher::prefetchRegion(Addr region, std::uint64_t footprint,
-                                Tick now, std::uint32_t trigger_pc)
-{
-    const Addr base = region * region_blocks_;
-    for (unsigned b = 0; b < region_blocks_; ++b) {
-        if ((footprint >> b) & 1)
-            issuePrefetch((base + b) << kBlockBits, now, trigger_pc);
+    if (patterns_.size() >= pattern_cap_ && !pattern_order_.empty()) {
+        patterns_.erase(pattern_order_.front());
+        pattern_order_.pop_front();
     }
+    pattern_order_.push_back(region);
+    patterns_[region] = footprint;
 }
 
 void
@@ -67,19 +56,17 @@ StemsPrefetcher::onAccess(const L2AccessInfo &info)
         (static_cast<std::uint64_t>(info.pc) << 32) ^ region;
 
     // Predict: replay the regions that followed this trigger last time.
-    auto it = index_.find(key);
-    if (it != index_.end() && temporal_[it->second].valid &&
-        temporal_[it->second].region == region) {
-        std::size_t pos = it->second;
+    const std::size_t *it = index_.find(key);
+    if (it && temporal_[*it].valid && temporal_[*it].region == region) {
+        const std::size_t pos = *it;
         for (unsigned d = 1; d <= replay_depth_; ++d) {
             const std::size_t next = (pos + d) % temporal_.size();
             if (next == head_ || !temporal_[next].valid)
                 break;
             const Addr r = temporal_[next].region;
-            auto pit = patterns_.find(r);
-            const std::uint64_t fp =
-                pit != patterns_.end() ? pit->second : 1;
-            prefetchRegion(r, fp, info.now, info.pc);
+            const std::uint64_t *pit = patterns_.find(r);
+            issueFootprint(r * region_blocks_, pit ? *pit : 1, info.now,
+                           info.pc);
         }
     }
 
@@ -89,9 +76,9 @@ StemsPrefetcher::onAccess(const L2AccessInfo &info)
         const std::uint64_t old_key =
             (static_cast<std::uint64_t>(node.trigger_pc) << 32) ^
             node.region;
-        auto old = index_.find(old_key);
-        if (old != index_.end() && old->second == head_)
-            index_.erase(old);
+        const std::size_t *old = index_.find(old_key);
+        if (old && *old == head_)
+            index_.erase(old_key);
     }
     node.region = region;
     node.trigger_pc = info.pc;

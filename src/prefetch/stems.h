@@ -15,11 +15,11 @@
 #define RNR_PREFETCH_STEMS_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_map.h"
+#include "sim/ring.h"
 
 namespace rnr {
 
@@ -42,8 +42,6 @@ class StemsPrefetcher : public Prefetcher
     };
 
     void patternInsert(Addr region, std::uint64_t footprint);
-    void prefetchRegion(Addr region, std::uint64_t footprint, Tick now,
-                        std::uint32_t trigger_pc);
 
     unsigned region_blocks_;
     unsigned replay_depth_;
@@ -53,11 +51,11 @@ class StemsPrefetcher : public Prefetcher
     std::vector<TemporalNode> temporal_;
     std::size_t head_ = 0;
     /** (pc, region) trigger -> last temporal log position. */
-    std::unordered_map<std::uint64_t, std::size_t> index_;
+    FlatMap<std::uint64_t, std::size_t> index_;
 
     /** Region -> last committed spatial footprint (SMS-like PST). */
-    std::unordered_map<Addr, std::uint64_t> patterns_;
-    std::list<Addr> pattern_order_;
+    FlatMap<Addr, std::uint64_t> patterns_;
+    Ring<Addr> pattern_order_; ///< FIFO for pattern replacement.
 
     /** Region currently being observed and its accumulating footprint. */
     Addr open_region_ = ~Addr{0};

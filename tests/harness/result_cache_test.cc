@@ -9,7 +9,8 @@
  *    process loaded the file, so two processes sharing one cache file
  *    append to, never erase, each other's results;
  *  - a line whose iteration count disagrees with its contents or with
- *    its key is a miss, never a short result.
+ *    its key is a miss, never a short result;
+ *  - a sign in front of any field is a miss, never a wrapped counter.
  */
 #include <cstdio>
 #include <fstream>
@@ -214,6 +215,44 @@ TEST_F(ResultCacheFixture, LineWhoseIterationCountLiesIsAMiss)
     writeCacheFile(cfg.key(), ResultCache::serialize(syntheticResult(1)));
     ResultCache::instance().clearForTest();
     EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
+}
+
+TEST_F(ResultCacheFixture, SignBeforeAnyFieldIsAMiss)
+{
+    ExperimentConfig cfg = tinyConfig();
+    cfg.iterations = 2;
+    const std::string honest = ResultCache::serialize(syntheticResult(2));
+    ExperimentResult parsed;
+    ASSERT_TRUE(ResultCache::deserialize(honest, parsed));
+
+    // Every field: the four byte counts, the iteration count and each
+    // iteration's counters.  "-1000" read as unsigned would wrap to
+    // 2^64 - 1000 and load as a hit.
+    std::vector<std::size_t> starts = {0};
+    for (std::size_t i = 0; i < honest.size(); ++i)
+        if (honest[i] == ' ')
+            starts.push_back(i + 1);
+    constexpr std::size_t kFieldsPerIter = 0
+#define RNR_COUNT_FIELD(type, name) +1
+        RNR_ITER_STAT_FIELDS(RNR_COUNT_FIELD)
+#undef RNR_COUNT_FIELD
+        ;
+    EXPECT_EQ(starts.size(), 5 + 2 * kFieldsPerIter);
+    for (std::size_t at : starts) {
+        for (const char *sign : {"-", "+"}) {
+            const std::string signed_line =
+                honest.substr(0, at) + sign + honest.substr(at);
+            SCOPED_TRACE(signed_line);
+            EXPECT_FALSE(ResultCache::deserialize(signed_line, parsed));
+        }
+    }
+
+    // Through the loader: the line is skipped as corrupt, not served.
+    writeCacheFile(cfg.key(), "-" + honest);
+    ResultCache::instance().clearForTest();
+    ExperimentResult out;
+    EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
+    EXPECT_EQ(ResultCache::instance().corruptLinesSkipped(), 1u);
 }
 
 } // namespace

@@ -1,6 +1,9 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/mshr.h"
+#include "sim/rng.h"
 
 namespace rnr {
 namespace {
@@ -128,6 +131,119 @@ TEST(MshrTest, EarliestFillAgreesWithCursorWhenNonEmpty)
     m.insert(8, 150, false);
     EXPECT_EQ(m.earliestFill(), m.nextFill());
     EXPECT_EQ(m.earliestFill(), 150u);
+}
+
+// --- presence filter: find() must return what a plain scan returns ---
+
+/** The first @p n blocks from @p from on whose filter bit is @p bit. */
+std::vector<Addr>
+blocksOnBit(unsigned bit, std::size_t n, Addr from = 1)
+{
+    std::vector<Addr> out;
+    for (Addr b = from; out.size() < n; ++b)
+        if (Mshr::filterBit(b) == bit)
+            out.push_back(b);
+    return out;
+}
+
+TEST(MshrFilterTest, FindAfterInsertPurgeAndClear)
+{
+    Mshr m(32);
+    for (Addr b = 0; b < 32; ++b)
+        m.insert(b * 977, 100 + b, false);
+    for (Addr b = 0; b < 32; ++b) {
+        ASSERT_NE(m.find(b * 977), nullptr) << b;
+        EXPECT_EQ(m.find(b * 977)->fill, 100 + b);
+    }
+    m.purge(115); // drops fills 100..115
+    for (Addr b = 0; b < 32; ++b)
+        EXPECT_EQ(m.find(b * 977) != nullptr, 100 + b > 115) << b;
+    m.clear();
+    for (Addr b = 0; b < 32; ++b)
+        EXPECT_EQ(m.find(b * 977), nullptr) << b;
+    EXPECT_FALSE(m.mayHold(0));
+    m.insert(977, 500, true);
+    ASSERT_NE(m.find(977), nullptr);
+    EXPECT_TRUE(m.find(977)->prefetch);
+}
+
+TEST(MshrFilterTest, BlocksSharingOneBitAreEachFound)
+{
+    const std::vector<Addr> same = blocksOnBit(Mshr::filterBit(42), 6);
+    Mshr m(8);
+    for (std::size_t i = 0; i < same.size(); ++i)
+        m.insert(same[i], 10 * (i + 1), false);
+    for (std::size_t i = 0; i < same.size(); ++i) {
+        ASSERT_NE(m.find(same[i]), nullptr) << i;
+        EXPECT_EQ(m.find(same[i])->block, same[i]);
+        EXPECT_EQ(m.find(same[i])->fill, 10 * (i + 1));
+    }
+    // Purging some of them keeps the bit set for the survivors.
+    m.purge(30);
+    for (std::size_t i = 0; i < same.size(); ++i)
+        EXPECT_EQ(m.find(same[i]) != nullptr, i >= 3) << i;
+}
+
+TEST(MshrFilterTest, AbsentBlockWhoseBitIsSetIsNotFound)
+{
+    const std::vector<Addr> same = blocksOnBit(Mshr::filterBit(7), 2);
+    Mshr m(4);
+    m.insert(same[0], 100, false);
+    EXPECT_TRUE(m.mayHold(same[1]));
+    EXPECT_EQ(m.find(same[1]), nullptr);
+    // A purged block's bit is cleared by the rebuild, not left stale.
+    m.purge(100);
+    EXPECT_FALSE(m.mayHold(same[0]));
+    EXPECT_EQ(m.find(same[0]), nullptr);
+}
+
+TEST(MshrFilterTest, RandomOpsMatchAPlainScan)
+{
+    // Reference model: the same entries in a vector, searched linearly.
+    Rng rng(0x5eed);
+    Mshr m(16);
+    std::vector<Mshr::Entry> ref;
+    Tick now = 0;
+    for (int op = 0; op < 200000; ++op) {
+        const Addr block = rng.below(256); // dense: many shared bits
+        switch (rng.below(8)) {
+        case 0:
+            now += rng.below(40);
+            m.purge(now);
+            std::erase_if(ref, [&](const Mshr::Entry &e) {
+                return e.fill <= now;
+            });
+            break;
+        case 1:
+            if (rng.below(500) == 0) {
+                m.clear();
+                ref.clear();
+            }
+            break;
+        case 2:
+        case 3:
+            if (!m.full() && !m.find(block)) {
+                const Tick fill = now + 1 + rng.below(200);
+                m.insert(block, fill, false);
+                ref.push_back({block, fill, false, 0});
+            }
+            break;
+        default: {
+            const Mshr::Entry *got = m.find(block);
+            const Mshr::Entry *want = nullptr;
+            for (const Mshr::Entry &e : ref)
+                if (e.block == block) {
+                    want = &e;
+                    break;
+                }
+            ASSERT_EQ(got != nullptr, want != nullptr) << op;
+            if (got) {
+                ASSERT_EQ(got->fill, want->fill) << op;
+            }
+        }
+        }
+        ASSERT_EQ(m.inFlight(), ref.size()) << op;
+    }
 }
 
 } // namespace
