@@ -8,11 +8,10 @@
  */
 #include <cstdio>
 
-#include "ckpt/switch_schedule.h"
+#include "core/switch_schedule.h"
 #include "core/rnr_prefetcher.h"
 
 using namespace rnr;
-using namespace rnr::ckpt;
 
 namespace {
 

@@ -29,14 +29,16 @@
  *   trace_tools corpus
  *       Lists the trace store's entries ($RNR_TRACE_DIR).
  *
- *   trace_tools ckpt list|inspect|gc
- *       Checkpoint-store maintenance ($RNR_CKPT_DIR, docs/HARNESS.md
- *       section 16).  `list` summarises every snapshot (key, window,
- *       sections, size); `inspect <file.ckpt>` decodes one snapshot's
- *       header, section table and checksum; `gc` deletes corrupt
- *       snapshots and stale publish temp files, and with
- *       --max-bytes <n> evicts the oldest healthy snapshots until the
- *       store fits the cap.
+ *   trace_tools ckpt list|inspect
+ *       Snapshot-store listing ($RNR_CKPT_DIR, docs/HARNESS.md
+ *       section 3).  `list` summarises every snapshot (key, size);
+ *       `inspect <file>` decodes one blob's header.
+ *
+ *   trace_tools gc [--max-bytes <n>]
+ *       Store maintenance over the result, trace and snapshot stores:
+ *       deletes corrupt entries, temp leftovers and entries of another
+ *       model epoch, and with --max-bytes <n> evicts each store's
+ *       oldest entries until it fits the cap.
  *
  *   trace_tools inspect <file.rnrt>
  *       Prints a full decode: record counts, instruction count,
@@ -85,15 +87,15 @@
 #include <filesystem>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <algorithm>
-#include <tuple>
 
-#include "ckpt/checkpoint.h"
 #include "ckpt/ckpt_store.h"
 #include "harness/metrics.h"
 #include "harness/report.h"
+#include "harness/result_cache.h"
 #include "harness/runner.h"
 #include "harness/sweep.h"
 #include "sim/attrib.h"
@@ -328,127 +330,53 @@ corpus()
     return 0;
 }
 
-// ---- ckpt: checkpoint store maintenance (src/ckpt/) ----
+// ---- ckpt and gc: store maintenance ----
 
 int
 ckptList()
 {
-    namespace fs = std::filesystem;
     const std::string root = ckpt::CheckpointStore::rootPath();
-    std::error_code ec;
-    std::vector<fs::path> files;
-    for (const auto &e : fs::directory_iterator(root, ec))
-        if (e.is_regular_file() && e.path().extension() == ".ckpt")
-            files.push_back(e.path());
-    std::sort(files.begin(), files.end());
+    const std::vector<std::string> files =
+        ckpt::CheckpointStore::instance().blobs().entryPaths();
     std::printf("checkpoint store at %s: %zu snapshot%s\n", root.c_str(),
                 files.size(), files.size() == 1 ? "" : "s");
     std::uint64_t total = 0;
-    for (const fs::path &p : files) {
-        ckpt::SnapshotInfo info;
-        const ckpt::CkptIoResult r =
-            ckpt::inspectSnapshotFile(p.string(), info);
-        if (!r.ok()) {
-            std::printf("  %s: CORRUPT (%s)\n",
-                        p.filename().string().c_str(),
+    for (const std::string &path : files) {
+        const std::string name =
+            std::filesystem::path(path).filename().string();
+        std::vector<std::uint8_t> blob;
+        BlobStore::Header h;
+        if (const ckpt::CkptIoResult r = BlobStore::readFile(path, blob, h);
+            !r.ok()) {
+            std::printf("  %s: CORRUPT (%s)\n", name.c_str(),
                         r.message().c_str());
             continue;
         }
-        const bool input_only = info.header.full_key.empty();
-        std::printf("  %s: %s \"%s\" window %llu, %zu sections, "
-                    "%.1f KiB\n",
-                    p.filename().string().c_str(),
-                    input_only ? "input" : "full",
-                    (input_only ? info.header.workload_key
-                                : info.header.full_key)
-                        .c_str(),
-                    static_cast<unsigned long long>(info.header.window),
-                    info.sections.size(),
-                    static_cast<double>(info.total_bytes) / 1024.0);
-        total += info.total_bytes;
+        std::printf("  %s: \"%s\", %.1f KiB\n", name.c_str(),
+                    h.key.c_str(), static_cast<double>(blob.size()) / 1024.0);
+        total += blob.size();
     }
     if (!files.empty())
-        std::printf("total: %.1f KiB\n",
-                    static_cast<double>(total) / 1024.0);
+        std::printf("total: %.1f KiB\n", static_cast<double>(total) / 1024.0);
     return 0;
 }
 
 int
 ckptInspect(const std::string &path)
 {
-    ckpt::SnapshotInfo info;
-    const ckpt::CkptIoResult r = ckpt::inspectSnapshotFile(path, info);
-    if (!r.ok()) {
+    std::vector<std::uint8_t> blob;
+    BlobStore::Header h;
+    if (const ckpt::CkptIoResult r = BlobStore::readFile(path, blob, h);
+        !r.ok()) {
         std::fprintf(stderr, "cannot inspect %s: %s\n", path.c_str(),
                      r.message().c_str());
         return 1;
     }
-    std::printf("%s: rnr-ckpt-v1, %llu bytes, checksum 0x%016llx\n",
-                path.c_str(),
-                static_cast<unsigned long long>(info.total_bytes),
-                static_cast<unsigned long long>(info.checksum));
-    std::printf("  workload key: %s\n", info.header.workload_key.c_str());
-    std::printf("  full key:     %s\n",
-                info.header.full_key.empty() ? "(input-only snapshot)"
-                                             : info.header.full_key.c_str());
-    std::printf("  window:       %llu\n",
-                static_cast<unsigned long long>(info.header.window));
-    std::printf("  sections:\n");
-    for (const ckpt::SectionInfo &s : info.sections)
-        std::printf("    %-12s %llu bytes\n",
-                    ckpt::toString(
-                        static_cast<ckpt::SectionId>(s.id)),
-                    static_cast<unsigned long long>(s.bytes));
-    return 0;
-}
-
-int
-ckptGc(std::uint64_t max_bytes)
-{
-    namespace fs = std::filesystem;
-    const std::string root = ckpt::CheckpointStore::rootPath();
-    std::error_code ec;
-    std::size_t corrupt = 0, stale = 0, evicted = 0;
-    // (mtime, bytes, path) per healthy snapshot, oldest evicted first.
-    std::vector<std::tuple<fs::file_time_type, std::uint64_t,
-                           fs::path>> healthy;
-    std::uint64_t total = 0;
-    for (const auto &e : fs::directory_iterator(root, ec)) {
-        if (!e.is_regular_file())
-            continue;
-        const std::string name = e.path().filename().string();
-        if (name.find(".tmp.") != std::string::npos) {
-            // Leftover from a crashed publish; rename never happened.
-            fs::remove(e.path(), ec);
-            ++stale;
-            continue;
-        }
-        if (e.path().extension() != ".ckpt")
-            continue;
-        ckpt::SnapshotInfo info;
-        if (!ckpt::inspectSnapshotFile(e.path().string(), info).ok()) {
-            fs::remove(e.path(), ec);
-            ++corrupt;
-            continue;
-        }
-        total += info.total_bytes;
-        healthy.emplace_back(fs::last_write_time(e.path(), ec),
-                             info.total_bytes, e.path());
-    }
-    if (max_bytes > 0 && total > max_bytes) {
-        std::sort(healthy.begin(), healthy.end());
-        for (const auto &[mtime, bytes, path] : healthy) {
-            if (total <= max_bytes)
-                break;
-            fs::remove(path, ec);
-            total -= bytes;
-            ++evicted;
-        }
-    }
-    std::printf("ckpt gc at %s: removed %zu corrupt, %zu stale temp "
-                "file%s, evicted %zu over cap; %.1f KiB kept\n",
-                root.c_str(), corrupt, stale, stale == 1 ? "" : "s",
-                evicted, static_cast<double>(total) / 1024.0);
+    std::printf("%s: rnr blob, %zu bytes, checksum 0x%016llx\n",
+                path.c_str(), blob.size(),
+                static_cast<unsigned long long>(h.checksum));
+    std::printf("  key:     %s\n", h.key.c_str());
+    std::printf("  payload: %zu bytes\n", h.payload_len);
     return 0;
 }
 
@@ -460,20 +388,35 @@ ckptMain(int argc, char **argv)
         return ckptList();
     if (sub == "inspect" && argc >= 4)
         return ckptInspect(argv[3]);
-    if (sub == "gc") {
-        std::uint64_t max_bytes = 0;
-        for (int i = 3; i < argc; ++i)
-            if (std::strcmp(argv[i], "--max-bytes") == 0 &&
-                i + 1 < argc)
-                max_bytes = static_cast<std::uint64_t>(
-                    std::atoll(argv[++i]));
-        return ckptGc(max_bytes);
-    }
-    std::fprintf(stderr,
-                 "usage: %s ckpt list | inspect <file.ckpt> | "
-                 "gc [--max-bytes <n>]\n",
-                 argv[0]);
+    std::fprintf(stderr, "usage: %s ckpt list | inspect <file>\n", argv[0]);
     return 2;
+}
+
+int
+gcMain(int argc, char **argv)
+{
+    std::uint64_t max_bytes = 0;
+    for (int i = 2; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--max-bytes") != 0 || i + 1 >= argc) {
+            std::fprintf(stderr, "usage: %s gc [--max-bytes <n>]\n",
+                         argv[0]);
+            return 2;
+        }
+        max_bytes = std::strtoull(argv[++i], nullptr, 10);
+    }
+    const std::pair<const char *, BlobStore *> stores[] = {
+        {"results", &ResultCache::instance().blobs()},
+        {"traces", &TraceStore::instance().blobs()},
+        {"snapshots", &ckpt::CheckpointStore::instance().blobs()},
+    };
+    for (const auto &[what, store] : stores) {
+        const BlobStore::GcResult r = store->gc(max_bytes);
+        std::printf("%s gc at %s: removed %zu corrupt, %zu stale, evicted "
+                    "%zu over cap; %.1f KiB kept\n",
+                    what, store->root().c_str(), r.corrupt, r.stale,
+                    r.evicted, static_cast<double>(r.kept_bytes) / 1024.0);
+    }
+    return 0;
 }
 
 const char *
@@ -788,9 +731,10 @@ constexpr ModeHelp kModes[] = {
      "decode-free trace file summary and compression ratio"},
     {"corpus", "",
      "list the trace store's entries ($RNR_TRACE_DIR)"},
-    {"ckpt", "list|inspect|gc [<file.ckpt>] [--max-bytes <n>]",
-     "checkpoint store: list snapshots, decode one, sweep corrupt/"
-     "stale files"},
+    {"ckpt", "list|inspect [<file>]",
+     "checkpoint store: list snapshots, or decode one blob's header"},
+    {"gc", "[--max-bytes <n>]",
+     "drop corrupt, stale and over-cap entries from all three stores"},
     {"inspect", "<file.rnrt>",
      "full decode: record counts, access sites, RnR control calls"},
     {"rnr-trace", "[app] [input] [trace.json] [--trace-buf <events>]",
@@ -920,6 +864,8 @@ main(int argc, char **argv)
         return corpus();
     if (argc >= 2 && std::strcmp(argv[1], "ckpt") == 0)
         return ckptMain(argc, argv);
+    if (argc >= 2 && std::strcmp(argv[1], "gc") == 0)
+        return gcMain(argc, argv);
     if (argc >= 3 && std::strcmp(argv[1], "inspect") == 0)
         return inspect(argv[2]);
     if (argc >= 2 && std::strcmp(argv[1], "rnr-trace") == 0) {

@@ -1,11 +1,9 @@
 #include "ckpt/input_fork.h"
 
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <utility>
 
-#include "ckpt/checkpoint.h"
 #include "ckpt/ckpt_store.h"
 #include "workloads/graph_gen.h"
 #include "workloads/sparse_gen.h"
@@ -47,15 +45,20 @@ std::vector<std::uint8_t>
 encodeInput(const std::string &key, const std::string &name,
             const Input &input)
 {
-    SnapshotWriter w(SnapshotHeader{key, "", 0});
-    Ser &s = w.section(SectionId::Input);
+    std::vector<std::uint8_t> blob = BlobStore::begin(key);
+    // The tag, the name and five counts, then the arrays: one
+    // allocation holds the whole snapshot.
+    blob.reserve(blob.size() + 7 * 8 + name.size() + input.bytes());
+    Ser s(std::move(blob));
     s.scalar(InputKind<Input>::kTag);
     std::string n = name;
     s.str(n);
     // visitState is shared with loading, hence non-const; Ser only
     // reads.
     const_cast<Input &>(input).visitState(s);
-    return w.finish();
+    blob = s.take();
+    BlobStore::seal(blob);
+    return blob;
 }
 
 /** Why @p offsets / @p ids are not a CSR of @p n rows with ids below
@@ -96,18 +99,13 @@ inputProblem(const SparseMatrix &m)
     return csrProblem(m.n, m.row_ptr, m.col);
 }
 
+/** Decodes a snapshot payload (the blob's header already checked). */
 template <class Input>
 CkptIoResult
-decodeInput(const std::vector<std::uint8_t> &blob, const std::string &name,
-            Input &out)
+decodePayload(const std::uint8_t *payload, std::size_t len,
+              const std::string &name, Input &out)
 {
-    SnapshotReader reader;
-    if (CkptIoResult r = reader.parse(blob); !r.ok())
-        return r;
-    if (!reader.hasSection(SectionId::Input))
-        return CkptIoResult::fail(CkptIoStatus::BadSection,
-                                  "no Input section");
-    Deser d = reader.section(SectionId::Input);
+    Deser d(payload, len);
     std::uint64_t t = 0;
     d.scalar(t);
     std::string n;
@@ -128,6 +126,19 @@ decodeInput(const std::vector<std::uint8_t> &blob, const std::string &name,
     if (std::string why = inputProblem(out); !why.empty())
         return CkptIoResult::fail(CkptIoStatus::BadSection, why);
     return {};
+}
+
+template <class Input>
+CkptIoResult
+decodeInput(const std::vector<std::uint8_t> &blob, const std::string &name,
+            Input &out)
+{
+    BlobStore::Header h;
+    if (CkptIoResult r = BlobStore::parse(blob.data(), blob.size(), h);
+        !r.ok())
+        return r;
+    return decodePayload(blob.data() + h.payload_at, h.payload_len, name,
+                         out);
 }
 
 /**
@@ -152,45 +163,41 @@ forkInput(const ExperimentConfig &cfg, std::map<std::string, Input> &memo,
         }
     }
 
+    // A snapshot that reads back but does not decode is quarantined by
+    // read() like a corrupt blob, and this caller produces the input.
     const std::string key = inputKey<Input>(cfg.input);
+    BlobStore &blobs = store.blobs();
+    Input forked;
+    const auto decodes = [&](const std::uint8_t *p, std::size_t len) {
+        const CkptIoResult r = decodePayload(p, len, cfg.input, forked);
+        return r.ok() ? std::string() : r.message();
+    };
     std::vector<std::uint8_t> blob;
-    for (;;) {
-        if (store.acquire(key, 0, blob) == CheckpointStore::Acquire::Hit) {
-            Input forked;
-            const CkptIoResult r = decodeInput(blob, cfg.input, forked);
-            if (r.ok()) {
-                // Free the snapshot bytes before the memo's copy is made
-                // below: a fork then holds two copies of the input at
-                // most, not three.
-                std::vector<std::uint8_t>().swap(blob);
-                store.noteFork();
-                std::lock_guard<std::mutex> lock(g_memo_mu);
-                return memo.emplace(cfg.input, std::move(forked))
-                    .first->second;
-            }
-            std::fprintf(stderr,
-                         "rnr: warning: ckpt: input snapshot rejected; "
-                         "regenerating %s: %s\n",
-                         key.c_str(), r.message().c_str());
-            store.invalidate(key, 0);
-            continue; // re-acquire: we likely become the owner
-        }
-        // Owner: the warm-up.  Generate natively, publish the
-        // snapshot for other processes, memoize for this one.  A
-        // throwing generator must release ownership or waiters wedge.
-        Input generated;
-        try {
-            generated = generate(cfg.input);
-        } catch (...) {
-            store.abandon(key, 0);
-            throw;
-        }
-        store.noteWarmup();
-        store.publish(key, 0, encodeInput(key, cfg.input, generated));
+    BlobStore::Header header;
+    if (blobs.acquire(key, [&] {
+            return blobs.read(key, blob, header, decodes);
+        }) == BlobStore::Acquire::Hit) {
+        // Free the snapshot bytes before the caller's copy is made: a
+        // fork then holds two copies of the input at most, not three.
+        std::vector<std::uint8_t>().swap(blob);
+        store.noteFork();
         std::lock_guard<std::mutex> lock(g_memo_mu);
-        return memo.emplace(cfg.input, std::move(generated))
-            .first->second;
+        return memo.emplace(cfg.input, std::move(forked)).first->second;
     }
+    // Owner: the warm-up.  Generate natively, publish the snapshot for
+    // other processes, memoize for this one.  A throwing generator must
+    // release ownership or waiters wedge.
+    Input generated;
+    try {
+        generated = generate(cfg.input);
+    } catch (...) {
+        blobs.abandon(key);
+        throw;
+    }
+    store.noteWarmup();
+    blobs.publish(key, encodeInput(key, cfg.input, generated));
+    std::lock_guard<std::mutex> lock(g_memo_mu);
+    return memo.emplace(cfg.input, std::move(generated)).first->second;
 }
 
 } // namespace

@@ -5,24 +5,24 @@
  * Generating an input (CSR graph / matrix synthesis) is the shared
  * warm-up of every sweep: the 6+ prefetcher configs of one figure row
  * all construct the identical input before simulating.  These helpers
- * make that warm-up run once per input — the first caller generates
- * natively and publishes an *input snapshot* (window 0, Input section
- * only) to the CheckpointStore; everyone else *forks* it, from the
- * in-process memo when the sweep shares this process and from the
- * snapshot file when it spans processes (bench binaries sharing one
- * rnr_ckpt/ directory).
+ * make that warm-up run once per input: the first caller generates
+ * natively and publishes an *input snapshot* to the CheckpointStore;
+ * everyone else *forks* it, from the in-process memo when the sweep
+ * shares this process and from the snapshot file when it spans
+ * processes (bench binaries sharing one rnr_ckpt/ directory).
  *
  * Generation reads only the input name, so the store key is the input
  * (inputSnapshotKey()), not the workload: PageRank and Hyper-ANF on one
  * graph, and every window of a Fig 14 sweep, share one snapshot.
  *
- * The forked input is bit-identical to a generated one (the snapshot
- * carries the exact CSR arrays), so sweep JSON is byte-identical with
- * the store on or off — CI compares both.  A snapshot whose container
- * is sound but whose CSR is inconsistent (offsets out of order or out
- * of range, an id >= the vertex count) is rejected like a corrupt one:
- * quarantined and regenerated.  RNR_CKPT=0 bypasses everything and
- * generates natively.
+ * A snapshot is one blob (harness/blob_store.h) whose payload is
+ * `u64 tag` (1 = graph, 2 = matrix), `str` input name, then the
+ * input's visitState fields.  The forked input is bit-identical to a
+ * generated one, so sweep JSON is byte-identical with the store on or
+ * off; CI compares both.  A snapshot whose blob is sound but whose CSR
+ * is inconsistent (offsets out of order or out of range, an id >= the
+ * vertex count) is rejected like a corrupt one: quarantined and
+ * regenerated.  RNR_CKPT=0 bypasses everything and generates natively.
  *
  * Accounting (CheckpointStore counters, surfaced on the sweep's
  * stderr line and in the JSON "host" object):
@@ -46,7 +46,8 @@ namespace ckpt {
 
 /** Bumped whenever a generator's output changes (graph_gen.cc,
  *  sparse_gen.cc or the CSR builders): snapshots of an older version
- *  are never looked up again, and `ckpt gc --max-bytes` evicts them. */
+ *  are never looked up again.  The model epoch does not cover this:
+ *  golden.json pins only the amazon and atmosmodj inputs. */
 inline constexpr unsigned kInputGeneratorVersion = 1;
 
 /** Store key of @p cfg's input snapshot,
@@ -60,7 +61,7 @@ Graph forkGraphInput(const ExperimentConfig &cfg);
 SparseMatrix forkMatrixInput(const ExperimentConfig &cfg);
 
 /** The snapshot blob published for input @p name under store key
- *  @p key. */
+ *  @p key: the payload is serialised straight into the blob. */
 std::vector<std::uint8_t> encodeInputSnapshot(const std::string &key,
                                               const std::string &name,
                                               const Graph &g);
@@ -70,8 +71,8 @@ std::vector<std::uint8_t> encodeInputSnapshot(const std::string &key,
 
 /**
  * Decodes an input snapshot of input @p name.  Every failure is typed:
- * a bad container as SnapshotReader::parse reports it, a short payload
- * as Truncated, and a payload of another input or a CSR that is not
+ * a bad blob as BlobStore::parse reports it, a short payload as
+ * Truncated, and a payload of another input or a CSR that is not
  * consistent as BadSection.  @p out is only valid on success.
  */
 CkptIoResult decodeInputSnapshot(const std::vector<std::uint8_t> &blob,

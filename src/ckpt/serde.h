@@ -36,6 +36,7 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rnr {
@@ -91,6 +92,12 @@ class Ser
 {
   public:
     static constexpr bool kLoading = false;
+
+    Ser() = default;
+    /** Appends after @p prefix (a header the caller writes first). */
+    explicit Ser(std::vector<std::uint8_t> prefix) : buf_(std::move(prefix))
+    {
+    }
 
     /** Arithmetic / enum / bool / double field, written as 8 LE bytes.
      *  Takes a mutable reference only so the signature matches Deser's

@@ -1,4 +1,4 @@
-#include "ckpt/switch_schedule.h"
+#include "core/switch_schedule.h"
 
 #include <algorithm>
 #include <vector>
@@ -10,7 +10,6 @@
 #include "sim/rng.h"
 
 namespace rnr {
-namespace ckpt {
 
 namespace {
 
@@ -39,7 +38,7 @@ stormMachine()
 std::vector<std::uint8_t>
 saveTenant(RnrPrefetcher &pf)
 {
-    Ser s;
+    ckpt::Ser s;
     pf.visitState(s);
     return s.take();
 }
@@ -47,7 +46,7 @@ saveTenant(RnrPrefetcher &pf)
 void
 loadTenant(RnrPrefetcher &pf, const std::vector<std::uint8_t> &blob)
 {
-    Deser d(blob);
+    ckpt::Deser d(blob);
     pf.visitState(d);
 }
 
@@ -216,5 +215,4 @@ runSwitchStorm(const SwitchStormConfig &cfg)
     return res;
 }
 
-} // namespace ckpt
 } // namespace rnr

@@ -24,16 +24,15 @@
  * in-window (timeliness loss), while the save/restore schedule matches
  * an unpreempted replay.
  *
- * Used by tests/ckpt/switch_schedule_test.cc and the Fig 15 harness
+ * Used by tests/core/switch_schedule_test.cc and the Fig 15 harness
  * (bench/fig15_switch_storm.cc).
  */
-#ifndef RNR_CKPT_SWITCH_SCHEDULE_H
-#define RNR_CKPT_SWITCH_SCHEDULE_H
+#ifndef RNR_CORE_SWITCH_SCHEDULE_H
+#define RNR_CORE_SWITCH_SCHEDULE_H
 
 #include <cstdint>
 
 namespace rnr {
-namespace ckpt {
 
 /** One context-switch storm's shape. */
 struct SwitchStormConfig {
@@ -85,7 +84,6 @@ struct SwitchStormResult {
  */
 SwitchStormResult runSwitchStorm(const SwitchStormConfig &cfg);
 
-} // namespace ckpt
 } // namespace rnr
 
-#endif // RNR_CKPT_SWITCH_SCHEDULE_H
+#endif // RNR_CORE_SWITCH_SCHEDULE_H

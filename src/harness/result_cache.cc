@@ -2,21 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string_view>
-
-#include "harness/file_lock.h"
-
-#ifdef _WIN32
-#include <process.h>
-#define rnr_getpid _getpid
-#else
-#include <unistd.h>
-#define rnr_getpid getpid
-#endif
 
 namespace rnr {
 
@@ -44,6 +32,12 @@ readUnsigned(std::string_view s, std::size_t &pos, T &v)
 }
 
 } // namespace
+
+ResultCache::ResultCache()
+    : blobs_("cache", &ResultCache::filePath,
+             &ResultCache::persistenceEnabled, ".result")
+{
+}
 
 ResultCache &
 ResultCache::instance()
@@ -113,153 +107,74 @@ ResultCache::persistenceEnabled()
     return !(p && std::string(p) == "0");
 }
 
-void
-ResultCache::ensureLoadedLocked()
-{
-    const std::string path = persistenceEnabled() ? filePath() : "";
-    if (loaded_ && path == loaded_path_)
-        return;
-    lines_.clear();
-    corrupt_lines_ = 0;
-    loaded_path_ = path;
-    loaded_ = true;
-    if (path.empty())
-        return;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        const auto bar = line.find('|');
-        if (bar == std::string::npos) {
-            ++corrupt_lines_;
-            continue;
-        }
-        // Validate now so a truncated write never poisons a lookup.
-        ExperimentResult probe;
-        if (!deserialize(line.substr(bar + 1), probe)) {
-            ++corrupt_lines_;
-            continue;
-        }
-        lines_[line.substr(0, bar)] = line.substr(bar + 1);
-    }
-}
-
-void
-ResultCache::mergeFromDiskLocked()
-{
-    std::ifstream in(loaded_path_);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        const auto bar = line.find('|');
-        if (bar == std::string::npos)
-            continue;
-        std::string key = line.substr(0, bar);
-        if (lines_.count(key))
-            continue; // ours wins (results are deterministic anyway)
-        ExperimentResult probe;
-        std::string value = line.substr(bar + 1);
-        if (deserialize(value, probe))
-            lines_.emplace(std::move(key), std::move(value));
-    }
-}
-
-void
-ResultCache::rewriteFileLocked()
-{
-    if (loaded_path_.empty())
-        return;
-    // Serialise concurrent *processes* sharing this file (two bench
-    // binaries run from one directory) through a sidecar flock, and
-    // fold in whatever they published since we loaded, so a whole-file
-    // rewrite never drops their lines.
-    // The lock degrades to a no-op where unsupported — then we are back
-    // to the single-process guarantee, which the rename still provides.
-    FileLock lock(loaded_path_ + ".lock", FileLock::Mode::Block);
-    if (lock.held())
-        mergeFromDiskLocked();
-
-    const std::string tmp =
-        loaded_path_ + ".tmp." + std::to_string(rnr_getpid());
-    std::FILE *out = std::fopen(tmp.c_str(), "w");
-    if (!out)
-        return; // unwritable location: keep going without persistence
-    bool ok = true;
-    for (const auto &[key, value] : lines_) {
-        if (std::fprintf(out, "%s|%s\n", key.c_str(), value.c_str()) < 0) {
-            ok = false;
-            break;
-        }
-    }
-    // fsync BEFORE the rename: once the new name is visible it must
-    // carry every byte, or a crash between rename and writeback could
-    // leave a torn final line for the next loader (tolerated, but each
-    // tolerated line is a lost result).
-    ok = ok && std::fflush(out) == 0;
-#ifndef _WIN32
-    ok = ok && ::fsync(fileno(out)) == 0;
-#endif
-    ok = std::fclose(out) == 0 && ok;
-    if (!ok || std::rename(tmp.c_str(), loaded_path_.c_str()) != 0)
-        std::remove(tmp.c_str());
-}
-
 bool
 ResultCache::lookup(const ExperimentConfig &cfg, ExperimentResult &out)
 {
     const std::string key = cfg.key();
-    std::lock_guard<std::mutex> lock(mu_);
-    auto mit = memo_.find(key);
-    if (mit != memo_.end()) {
-        out = mit->second;
-        return true;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = memo_.find(key);
+        if (it != memo_.end()) {
+            out = it->second;
+            return true;
+        }
     }
-    ensureLoadedLocked();
-    auto fit = lines_.find(key);
-    if (fit == lines_.end())
+    if (!persistenceEnabled())
         return false;
     ExperimentResult r;
     r.config = cfg;
-    // A well-formed line whose iteration count is not the key's is a
-    // miss: the cell reruns and store() rewrites the line.
-    if (!deserialize(fit->second, r) ||
-        r.iterations.size() != cfg.iterations)
+    // A value that does not parse, or whose iteration count is not the
+    // key's, is quarantined: the cell reruns and store() replaces it.
+    const auto parses = [&](const std::uint8_t *p,
+                            std::size_t len) -> std::string {
+        if (!deserialize(std::string(reinterpret_cast<const char *>(p), len),
+                         r))
+            return "unparsable value";
+        if (r.iterations.size() != cfg.iterations)
+            return std::to_string(r.iterations.size()) +
+                   " iterations under an i" +
+                   std::to_string(cfg.iterations) + " key";
+        return {};
+    };
+    std::vector<std::uint8_t> blob;
+    BlobStore::Header header;
+    if (!blobs_.read(key, blob, header, parses))
         return false;
-    memo_[key] = r;
-    out = r;
+    std::lock_guard<std::mutex> lock(mu_);
+    out = memo_.emplace(key, std::move(r)).first->second;
     return true;
+}
+
+BlobStore::Acquire
+ResultCache::acquire(const ExperimentConfig &cfg, ExperimentResult &out)
+{
+    return blobs_.acquire(cfg.key(), [&] { return lookup(cfg, out); });
 }
 
 void
 ResultCache::store(const std::string &key, const ExperimentResult &r)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    memo_[key] = r;
-    ensureLoadedLocked();
-    if (loaded_path_.empty())
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        memo_[key] = r;
+    }
+    if (!persistenceEnabled()) {
+        blobs_.abandon(key); // nothing to write; just release the key
         return;
-    lines_[key] = serialize(r);
-    rewriteFileLocked();
-}
-
-std::size_t
-ResultCache::corruptLinesSkipped() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return corrupt_lines_;
+    }
+    const std::string value = serialize(r);
+    blobs_.publish(key, BlobStore::encode(key, value.data(), value.size()));
 }
 
 void
 ResultCache::clearForTest()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    memo_.clear();
-    lines_.clear();
-    loaded_path_.clear();
-    loaded_ = false;
-    corrupt_lines_ = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        memo_.clear();
+    }
+    // Not under mu_: acquire() takes the store lock first, then mu_.
+    blobs_.resetForTest();
 }
 
 } // namespace rnr

@@ -1,11 +1,8 @@
 #include "harness/runner.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 
 #include "ckpt/input_fork.h"
@@ -30,12 +27,7 @@ namespace rnr {
 
 namespace {
 
-// ---- Single-flight bookkeeping for concurrent runExperiment calls ----
-
 std::atomic<std::uint64_t> g_simulated{0};
-std::mutex g_inflight_mu;
-std::condition_variable g_inflight_cv;
-std::set<std::string> g_inflight;
 
 /** Thrown when trace bytes fail to write, open or decode.  A store
  *  replay quarantines the entry and recaptures; a capture is aborted
@@ -385,47 +377,25 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
 ExperimentResult
 runExperiment(const ExperimentConfig &cfg, bool *was_cached)
 {
-    ResultCache &cache = ResultCache::instance();
-    const std::string key = cfg.key();
-
     // Single-flight: the first caller of a key simulates; concurrent
-    // callers of the same key sleep until the result lands in the cache
+    // callers of the same key wait until the result lands in the cache
     // (or the simulating thread fails, in which case one waiter takes
     // over and retries).
-    {
-        std::unique_lock<std::mutex> lock(g_inflight_mu);
-        for (;;) {
-            ExperimentResult hit;
-            if (cache.lookup(cfg, hit)) {
-                if (was_cached)
-                    *was_cached = true;
-                return hit;
-            }
-            if (g_inflight.insert(key).second)
-                break; // we own the simulation of this key
-            g_inflight_cv.wait(lock);
-        }
-    }
-
+    ResultCache &cache = ResultCache::instance();
     ExperimentResult r;
+    const bool hit = cache.acquire(cfg, r) == BlobStore::Acquire::Hit;
+    if (was_cached)
+        *was_cached = hit;
+    if (hit)
+        return r;
+    const std::string key = cfg.key();
     try {
         r = runExperimentUncached(cfg);
     } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(g_inflight_mu);
-            g_inflight.erase(key);
-        }
-        g_inflight_cv.notify_all();
+        cache.abandon(key);
         throw;
     }
     cache.store(key, r);
-    {
-        std::lock_guard<std::mutex> lock(g_inflight_mu);
-        g_inflight.erase(key);
-    }
-    g_inflight_cv.notify_all();
-    if (was_cached)
-        *was_cached = false;
     return r;
 }
 

@@ -9,7 +9,7 @@
  * simulates, optionally with caller-owned Probes attached).
  *
  * Results are cached through harness/result_cache.h (in-process memo +
- * optional text file) keyed by ExperimentConfig::key(), so the per-figure
+ * optional on-disk store) keyed by ExperimentConfig::key(), so the per-figure
  * bench binaries share one simulation of each matrix cell instead of
  * re-simulating.  runExperiment() is thread-safe and single-flight:
  * concurrent calls with the same key block on one simulation instead of
@@ -77,9 +77,9 @@ ExperimentResult runExperimentUncached(const ExperimentConfig &cfg,
                                        const Probes &probes = {});
 
 /**
- * Simulates @p cfg, consulting the in-process cache and the file cache
- * (path from $RNR_CACHE_FILE, default "rnr_results.cache" in the working
- * directory; set RNR_CACHE=0 to disable persistence).
+ * Simulates @p cfg, consulting the in-process cache and the on-disk one
+ * (the directory $RNR_CACHE_FILE, default "rnr_results.cache" in the
+ * working directory; set RNR_CACHE=0 to disable persistence).
  *
  * Thread-safe.  If @p was_cached is non-null it is set to true when the
  * result came from either cache layer (or from another thread's

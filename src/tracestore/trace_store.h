@@ -12,49 +12,32 @@
  * Keying — entries are keyed by ExperimentConfig::workloadKey(), the
  * workload half of the experiment key (app, input, window, iterations,
  * cores).  Prefetcher kind, replay-control mode and ideal_llc are
- * excluded: they change the simulation, never the emitted trace.  Entry
- * directories are content-addressed by an FNV-1a hash of the key; the
- * manifest stores the full key so a hash collision reads as a miss, not
- * as wrong data.
+ * excluded: they change the simulation, never the emitted trace.
  *
- * Layout under rootPath() ($RNR_TRACE_DIR, default "rnr_traces"):
- *   <hash16>/manifest          text, see trace_store.cc
+ * Each entry is a directory entry of a BlobStore (harness/blob_store.h)
+ * under rootPath() ($RNR_TRACE_DIR, default "rnr_traces"):
+ *   <hash16>/manifest          blob: the entry's totals, see trace_store.cc
  *   <hash16>/it<I>.c<C>.rnrt   one v2 trace per (iteration, core)
- *
- * Discipline (mirrors harness/result_cache.h):
- *  - single-flight capture: concurrent experiments sharing a workload
- *    key block on one capture instead of each re-executing — within a
- *    process via a condition variable, and across processes (bench
- *    binaries sharing one corpus directory) via an advisory flock on
- *    "<root>/<hash16>.lock" (harness/file_lock.h), so N of them
- *    capture a shared workload once, not N times;
- *  - atomic publish: captures write to a process-unique temp directory
- *    renamed into place, so readers never observe a torn entry and
- *    concurrent processes race benignly (first publisher wins);
- *  - corrupt-entry tolerance: a manifest/trace that fails validation is
- *    quarantined (removed) and recaptured, never fatal;
- *  - size cap: $RNR_TRACE_CAP_MB evicts oldest-published entries after
- *    each publish (never the entry just written).
+ * The BlobStore gives it single-flight capture across threads and
+ * processes, atomic publish (the temp directory is renamed into place),
+ * quarantine of a corrupt entry, and the model epoch in its address.
+ * An entry is valid when its manifest blob is and every trace file's
+ * footer is readable and the records add up to the manifest's count.
  *
  * Environment:
  *   RNR_TRACE_STORE=0     disable the store (each cell streams its
  *                         iterations through in-memory segments)
  *   RNR_TRACE_DIR=<path>  move the corpus (default "rnr_traces")
- *   RNR_TRACE_CAP_MB=<n>  evict oldest entries beyond n MiB (0 = off)
  */
 #ifndef RNR_TRACESTORE_TRACE_STORE_H
 #define RNR_TRACESTORE_TRACE_STORE_H
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "harness/file_lock.h"
+#include "harness/blob_store.h"
 #include "trace/trace_buffer.h"
 #include "trace/trace_io.h"
 #include "tracestore/trace_writer.h"
@@ -74,9 +57,6 @@ class TraceStore
     /** Corpus directory ($RNR_TRACE_DIR or "rnr_traces"). */
     static std::string rootPath();
 
-    /** Eviction threshold in bytes ($RNR_TRACE_CAP_MB); 0 = no cap. */
-    static std::uint64_t capBytes();
-
     /** One validated corpus entry. */
     struct Entry {
         std::string dir;  ///< Absolute-or-relative entry directory.
@@ -93,10 +73,9 @@ class TraceStore
         std::string tracePath(unsigned iter, unsigned core) const;
     };
 
-    enum class Acquire {
-        Hit,   ///< @p out filled; replay from the corpus.
-        Owner, ///< Caller must capture (beginCapture) then publish/abort.
-    };
+    /** Hit: @p out filled, replay from the corpus.  Owner: the caller
+     *  must capture (beginCapture), then publish or abort. */
+    using Acquire = BlobStore::Acquire;
 
     /**
      * Single-flight entry acquisition for @p wkey.  A valid entry
@@ -114,8 +93,7 @@ class TraceStore
      * temp directory while iterations are emitted: open() points a
      * TraceFileWriter at an (iteration, core) file, close() finishes
      * it and books its records.  publish() writes the manifest,
-     * renames the directory into place, logs the raw-vs-compressed
-     * ratio, applies the size cap and wakes waiters.  Destruction
+     * renames the directory into place and wakes waiters.  Destruction
      * without publish() aborts: the temp directory is removed and
      * ownership released so a waiter can recapture.
      */
@@ -175,37 +153,29 @@ class TraceStore
     /** All currently valid entries (corpus report / trace_tools). */
     std::vector<Entry> listEntries();
 
+    /** The corpus entries. */
+    BlobStore &blobs() { return blobs_; }
+
     // -- observability (monotonic per process) --
-    std::uint64_t captures() const;        ///< Entries captured+published.
-    std::uint64_t hits() const;            ///< acquire() served from disk.
-    std::uint64_t corruptEntries() const;  ///< Quarantined entries.
-    std::uint64_t evictions() const;       ///< Entries removed by the cap.
+    std::uint64_t captures() const { return captures_.load(); } ///< Published.
+    std::uint64_t hits() const { return hits_.load(); } ///< Served from disk.
+    /** Quarantined entries. */
+    std::uint64_t corruptEntries() const { return blobs_.quarantines(); }
 
     /** Resets counters and in-flight state (tests that repoint
      *  $RNR_TRACE_DIR mid-process). */
     void resetForTest();
 
   private:
-    TraceStore() = default;
+    TraceStore();
 
     /** Validates and loads the entry for @p wkey; false = miss. */
     bool openEntry(const std::string &wkey, Entry &out);
-    void releaseOwnership(const std::string &wkey);
-    void applyCapLocked(const std::string &keep_dir);
 
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::set<std::string> inflight_; ///< Workload keys being captured.
-    /** Cross-process capture locks held by this process's captures. */
-    std::map<std::string, std::unique_ptr<FileLock>> locks_;
-    std::uint64_t captures_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t corrupt_ = 0;
-    std::uint64_t evictions_ = 0;
+    BlobStore blobs_;
+    std::atomic<std::uint64_t> captures_{0};
+    std::atomic<std::uint64_t> hits_{0};
 };
-
-/** Directory name for @p wkey: 16 hex digits of FNV-1a64. */
-std::string traceStoreHashName(const std::string &wkey);
 
 } // namespace rnr
 

@@ -1,24 +1,24 @@
 /**
  * @file
- * CheckpointStore lifecycle tests: publish/hit, quarantine,
- * hash-collision-as-miss, abandon-promotes-a-waiter and single-flight
- * blocking, both across threads and across processes (a fork()ed owner
- * that publishes late, and one that is SIGKILLed before it publishes).
+ * Input-snapshot store tests, driven through the input fork: a
+ * published snapshot serves a fresh process, a corrupt or foreign one
+ * is regenerated, threads forking one input generate it once, and a
+ * snapshot of another model epoch is never read.  The store machinery
+ * itself (flock, abandon, a killed owner) is covered by BlobStoreTest.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "ckpt/ckpt_store.h"
-#include "forked_child.h"
+#include "ckpt/input_fork.h"
 
 namespace rnr {
 namespace ckpt {
@@ -41,89 +41,98 @@ class CkptStoreTest : public ::testing::Test
         fs::remove_all(root_);
         setenv("RNR_CKPT_DIR", root_.c_str(), 1);
         unsetenv("RNR_CKPT");
-        CheckpointStore::instance().resetForTest();
+        freshProcess();
+        cfg_.app = "pagerank";
+        cfg_.input = "amazon";
     }
 
     void
     TearDown() override
     {
-        CheckpointStore::instance().resetForTest();
+        BlobStore::setEpochForTest(epoch_);
+        freshProcess();
         unsetenv("RNR_CKPT_DIR");
         fs::remove_all(root_);
     }
 
-    /** A minimal valid snapshot for @p key at @p window carrying one
-     *  recognisable payload value. */
-    static std::vector<std::uint8_t>
-    makeBlob(const std::string &key, std::uint64_t window,
-             std::uint64_t payload)
+    /** Forgets what this process knows, as a new process would. */
+    static void
+    freshProcess()
     {
-        SnapshotWriter w(SnapshotHeader{key, window ? key : "", window});
-        w.section(window ? SectionId::System : SectionId::Input)
-            .scalar(payload);
-        return w.finish();
+        CheckpointStore::instance().resetForTest();
+        resetInputForkForTest();
+    }
+
+    std::string
+    snapshotPath() const
+    {
+        return CheckpointStore::instance().blobs().entryPath(
+            inputSnapshotKey(cfg_));
+    }
+
+    void
+    writeSnapshot(const std::vector<std::uint8_t> &blob) const
+    {
+        std::ofstream out(snapshotPath(), std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(blob.data()),
+                  static_cast<std::streamsize>(blob.size()));
     }
 
     std::string root_;
+    ExperimentConfig cfg_;
+    const std::string epoch_ = BlobStore::epoch();
 };
 
 TEST_F(CkptStoreTest, PublishThenHitRoundTrips)
 {
     CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob;
-    ASSERT_EQ(store.acquire("key-a", 2, blob),
-              CheckpointStore::Acquire::Owner);
-    const std::vector<std::uint8_t> published = makeBlob("key-a", 2, 77);
-    ASSERT_TRUE(store.publish("key-a", 2, published));
-    EXPECT_EQ(store.saves(), 1u);
-    // The production lock file is cleaned up after publish.
-    EXPECT_FALSE(fs::exists(root_ + "/" + ckptHashName("key-a") +
-                            ".w2.lock"));
+    const Graph generated = forkGraphInput(cfg_);
+    EXPECT_EQ(store.warmups(), 1u);
+    ASSERT_TRUE(fs::exists(snapshotPath()));
 
-    EXPECT_EQ(store.acquire("key-a", 2, blob),
-              CheckpointStore::Acquire::Hit);
-    EXPECT_EQ(blob, published);
-
-    // Same key, different window: independent slot.
-    ASSERT_EQ(store.acquire("key-a", 3, blob),
-              CheckpointStore::Acquire::Owner);
-    store.abandon("key-a", 3);
+    freshProcess();
+    const Graph forked = forkGraphInput(cfg_);
+    EXPECT_EQ(store.warmups(), 0u);
+    EXPECT_EQ(store.forks(), 1u);
+    EXPECT_EQ(forked.offsets, generated.offsets);
+    EXPECT_EQ(forked.edges, generated.edges);
 }
 
 TEST_F(CkptStoreTest, CorruptSnapshotIsQuarantined)
 {
     CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob = makeBlob("key-c", 1, 9);
-    blob[blob.size() / 2] ^= 0x01; // break the checksum
-    ASSERT_TRUE(writeSnapshotFile(
-                    CheckpointStore::snapshotPath("key-c", 1), blob)
-                    .ok());
+    const Graph generated = forkGraphInput(cfg_);
+    fs::resize_file(snapshotPath(), fs::file_size(snapshotPath()) / 2);
 
-    std::vector<std::uint8_t> out;
-    // The corrupt file reads as a miss (caller becomes Owner) and is
-    // removed from disk.
-    EXPECT_EQ(store.acquire("key-c", 1, out),
-              CheckpointStore::Acquire::Owner);
-    EXPECT_EQ(store.quarantines(), 1u);
-    EXPECT_FALSE(
-        fs::exists(CheckpointStore::snapshotPath("key-c", 1)));
-    store.abandon("key-c", 1);
+    freshProcess();
+    ::testing::internal::CaptureStderr();
+    const Graph again = forkGraphInput(cfg_);
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(store.blobs().quarantines(), 1u);
+    EXPECT_EQ(store.warmups(), 1u);
+    EXPECT_EQ(again.edges, generated.edges);
+    // The regenerated input was published again.
+    EXPECT_EQ(fs::file_size(snapshotPath()),
+              encodeInputSnapshot(inputSnapshotKey(cfg_), cfg_.input,
+                                  generated)
+                  .size());
 }
 
 TEST_F(CkptStoreTest, CorruptSnapshotWarnsOnceOnStderrNamingThePath)
 {
-    CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob = makeBlob("key-w", 1, 9);
-    blob[blob.size() / 2] ^= 0x01;
-    const std::string path = CheckpointStore::snapshotPath("key-w", 1);
-    ASSERT_TRUE(writeSnapshotFile(path, blob).ok());
-
-    std::vector<std::uint8_t> out;
+    forkGraphInput(cfg_);
+    {
+        std::fstream f(snapshotPath(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(100);
+        const char c = static_cast<char>(f.get());
+        f.seekp(100);
+        f.put(static_cast<char>(c ^ 0x01));
+    }
+    freshProcess();
     ::testing::internal::CaptureStderr();
-    const CheckpointStore::Acquire got = store.acquire("key-w", 1, out);
+    forkGraphInput(cfg_);
     const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(got, CheckpointStore::Acquire::Owner);
-    store.abandon("key-w", 1);
 
     std::vector<std::string> warnings;
     std::istringstream lines(err);
@@ -131,157 +140,109 @@ TEST_F(CkptStoreTest, CorruptSnapshotWarnsOnceOnStderrNamingThePath)
         if (line.rfind("rnr: warning: ckpt: ", 0) == 0)
             warnings.push_back(line);
     ASSERT_EQ(warnings.size(), 1u) << err;
-    EXPECT_NE(warnings[0].find(path), std::string::npos) << warnings[0];
+    EXPECT_NE(warnings[0].find(snapshotPath()), std::string::npos)
+        << warnings[0];
 }
 
 TEST_F(CkptStoreTest, HashCollisionReadsAsMissWithoutQuarantine)
 {
+    // Another key's valid snapshot sits at this input's path.
     CheckpointStore &store = CheckpointStore::instance();
-    // Plant another key's (valid) snapshot at key-d's slot path.
-    ASSERT_TRUE(writeSnapshotFile(
-                    CheckpointStore::snapshotPath("key-d", 1),
-                    makeBlob("other-key", 1, 3))
-                    .ok());
-
-    std::vector<std::uint8_t> out;
-    EXPECT_EQ(store.acquire("key-d", 1, out),
-              CheckpointStore::Acquire::Owner);
-    EXPECT_EQ(store.quarantines(), 0u);
-    // The other key's snapshot was left intact.
-    EXPECT_TRUE(fs::exists(CheckpointStore::snapshotPath("key-d", 1)));
-    store.abandon("key-d", 1);
+    fs::create_directories(root_);
+    writeSnapshot(encodeInputSnapshot("input:graph:other:g1", cfg_.input,
+                                      Graph::fromEdgeList(2, {{0, 1}})));
+    forkGraphInput(cfg_);
+    EXPECT_EQ(store.blobs().quarantines(), 0u);
+    EXPECT_EQ(store.warmups(), 1u);
 }
 
 TEST_F(CkptStoreTest, SingleFlightBlocksWaitersUntilPublish)
 {
+    // Threads forking one input generate it once; the others fork the
+    // owner's snapshot or memo.
     CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob;
-    ASSERT_EQ(store.acquire("key-e", 4, blob),
-              CheckpointStore::Acquire::Owner);
-
-    std::atomic<int> hits{0};
-    std::vector<std::thread> waiters;
-    for (int i = 0; i < 3; ++i)
-        waiters.emplace_back([&] {
-            std::vector<std::uint8_t> b;
-            if (store.acquire("key-e", 4, b) ==
-                CheckpointStore::Acquire::Hit)
-                hits.fetch_add(1);
-        });
-
-    ASSERT_TRUE(store.publish("key-e", 4, makeBlob("key-e", 4, 1)));
-    for (auto &t : waiters)
+    std::vector<std::thread> threads;
+    std::vector<std::size_t> edges(4);
+    for (std::size_t t = 0; t < edges.size(); ++t)
+        threads.emplace_back(
+            [&, t] { edges[t] = forkGraphInput(cfg_).edges.size(); });
+    for (std::thread &t : threads)
         t.join();
-    EXPECT_EQ(hits.load(), 3); // everyone forked the one production
+    EXPECT_EQ(store.warmups(), 1u);
+    EXPECT_EQ(store.forks(), edges.size() - 1);
+    for (std::size_t n : edges)
+        EXPECT_EQ(n, edges.front());
 }
 
-TEST_F(CkptStoreTest, AbandonPromotesAWaiter)
+TEST_F(CkptStoreTest, SnapshotFromAnotherEpochIsAMiss)
 {
     CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob;
-    ASSERT_EQ(store.acquire("key-f", 1, blob),
-              CheckpointStore::Acquire::Owner);
+    BlobStore::setEpochForTest("epoch-a");
+    forkGraphInput(cfg_);
+    freshProcess();
+    forkGraphInput(cfg_);
+    ASSERT_EQ(store.warmups(), 0u); // epoch A's snapshot serves epoch A
 
-    std::atomic<bool> promoted{false};
-    std::thread waiter([&] {
-        std::vector<std::uint8_t> b;
-        if (store.acquire("key-f", 1, b) ==
-            CheckpointStore::Acquire::Owner) {
-            promoted.store(true);
-            store.abandon("key-f", 1);
-        }
-    });
-    store.abandon("key-f", 1);
-    waiter.join();
-    EXPECT_TRUE(promoted.load());
-}
-
-TEST_F(CkptStoreTest, OtherProcessOwnerPublishesThenWaiterHits)
-{
-    // Another process owns the snapshot: acquire() must block on its
-    // flock and then fork what it published, not warm up a second copy.
-    const std::vector<std::uint8_t> expected = makeBlob("key-p", 0, 5);
-    test::ForkedChild child([&](test::ForkedChild &self) {
-        CheckpointStore &store = CheckpointStore::instance();
-        std::vector<std::uint8_t> b;
-        if (store.acquire("key-p", 0, b) != CheckpointStore::Acquire::Owner)
-            return 1;
-        self.signalReady();
-        if (!self.awaitGo())
-            return 2;
-        return store.publish("key-p", 0, expected) ? 0 : 3;
-    });
-    ASSERT_TRUE(child.started());
-    ASSERT_TRUE(child.awaitReady());
-    // The child cannot publish before go(), so a Hit below proves that
-    // acquire() waited for it.
-    ASSERT_FALSE(fs::exists(CheckpointStore::snapshotPath("key-p", 0)));
-
-    std::atomic<bool> released{false};
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        released.store(true);
-        child.go();
-    });
-    CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob;
-    const CheckpointStore::Acquire got = store.acquire("key-p", 0, blob);
-    const bool blocked = released.load();
-    releaser.join();
-
-    EXPECT_EQ(child.wait(), 0);
-    EXPECT_EQ(got, CheckpointStore::Acquire::Hit);
-    EXPECT_TRUE(blocked) << "acquire returned before the owner published";
-    EXPECT_EQ(blob, expected);
-    EXPECT_EQ(store.saves(), 0u);
-}
-
-TEST_F(CkptStoreTest, SigkilledOwnerProcessReleasesTheSnapshot)
-{
-    // A process that dies mid-warm-up must not wedge the snapshot: its
-    // flock dies with it, the waiter becomes the owner and publishes.
-    test::ForkedChild child([](test::ForkedChild &self) {
-        std::vector<std::uint8_t> b;
-        if (CheckpointStore::instance().acquire("key-k", 3, b) !=
-            CheckpointStore::Acquire::Owner)
-            return 1;
-        self.signalReady();
-        self.awaitGo(); // never sent: the parent kills us first
-        return 2;
-    });
-    ASSERT_TRUE(child.started());
-    ASSERT_TRUE(child.awaitReady());
-
-    std::atomic<bool> killed{false};
-    std::thread killer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        killed.store(true);
-        child.kill();
-    });
-    CheckpointStore &store = CheckpointStore::instance();
-    std::vector<std::uint8_t> blob;
-    const CheckpointStore::Acquire got = store.acquire("key-k", 3, blob);
-    const bool blocked = killed.load();
-    killer.join();
-
-    EXPECT_EQ(child.wait(), 128 + SIGKILL);
-    ASSERT_EQ(got, CheckpointStore::Acquire::Owner);
-    EXPECT_TRUE(blocked) << "acquire returned while the owner was alive";
-    ASSERT_TRUE(store.publish("key-k", 3, makeBlob("key-k", 3, 8)));
-    EXPECT_EQ(store.acquire("key-k", 3, blob),
-              CheckpointStore::Acquire::Hit);
-    EXPECT_EQ(blob, makeBlob("key-k", 3, 8));
+    BlobStore::setEpochForTest("epoch-b");
+    freshProcess();
+    forkGraphInput(cfg_);
+    EXPECT_EQ(store.warmups(), 1u);
+    EXPECT_EQ(store.forks(), 0u);
+    EXPECT_EQ(store.blobs().entryPaths().size(), 2u);
 }
 
 TEST_F(CkptStoreTest, DisabledStoreIsHonoured)
 {
     setenv("RNR_CKPT", "0", 1);
     EXPECT_FALSE(CheckpointStore::enabled());
+    forkGraphInput(cfg_);
+    EXPECT_FALSE(fs::exists(root_));
+    EXPECT_EQ(CheckpointStore::instance().warmups(), 0u);
     unsetenv("RNR_CKPT");
     EXPECT_TRUE(CheckpointStore::enabled());
     setenv("RNR_CKPT", "1", 1);
     EXPECT_TRUE(CheckpointStore::enabled());
     unsetenv("RNR_CKPT");
+}
+
+TEST(CheckpointTest, SnapshotFileRoundTripsAndInspects)
+{
+    const Graph g = Graph::fromEdgeList(4, {{0, 1}, {1, 2}, {3, 0}});
+    const std::string key = "input:graph:tiny:g1";
+    const std::vector<std::uint8_t> blob = encodeInputSnapshot(key, "tiny", g);
+
+    BlobStore::Header h;
+    ASSERT_TRUE(BlobStore::parse(blob.data(), blob.size(), h).ok());
+    EXPECT_EQ(h.key, BlobStore::epochKey(key));
+    EXPECT_EQ(h.payload_at + h.payload_len, blob.size());
+    EXPECT_NE(h.checksum, 0u);
+
+    Graph back;
+    ASSERT_TRUE(decodeInputSnapshot(blob, "tiny", back).ok());
+    EXPECT_EQ(back.num_vertices, g.num_vertices);
+    EXPECT_EQ(back.offsets, g.offsets);
+    EXPECT_EQ(back.edges, g.edges);
+}
+
+TEST(CheckpointTest, CorruptContainersFailTyped)
+{
+    const std::vector<std::uint8_t> good = encodeInputSnapshot(
+        "input:graph:tiny:g1", "tiny", Graph::fromEdgeList(3, {{0, 2}}));
+    Graph g;
+    std::vector<std::uint8_t> b = good;
+    b[1] ^= 0x20;
+    EXPECT_EQ(decodeInputSnapshot(b, "tiny", g).status,
+              CkptIoStatus::BadMagic);
+    b = good;
+    b[b.size() - 3] ^= 0x01;
+    EXPECT_EQ(decodeInputSnapshot(b, "tiny", g).status,
+              CkptIoStatus::BadChecksum);
+    b.assign(good.begin(), good.begin() + 10);
+    EXPECT_EQ(decodeInputSnapshot(b, "tiny", g).status,
+              CkptIoStatus::Truncated);
+    b.clear();
+    EXPECT_EQ(decodeInputSnapshot(b, "tiny", g).status,
+              CkptIoStatus::Truncated);
 }
 
 } // namespace

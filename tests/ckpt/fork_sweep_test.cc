@@ -107,7 +107,8 @@ TEST_F(ForkSweepTest, SweepWarmsUpOnceAndForksTheRest)
     ckpt::CheckpointStore &store = ckpt::CheckpointStore::instance();
     EXPECT_EQ(store.warmups(), 1u);
     EXPECT_EQ(store.forks(), cfgs.size() - 1);
-    EXPECT_EQ(store.saves(), 1u); // the one published input snapshot
+    // The one published input snapshot.
+    EXPECT_EQ(store.blobs().entryPaths().size(), 1u);
 }
 
 TEST_F(ForkSweepTest, ForkSweepJsonIsByteIdenticalToPlainSweep)
@@ -164,8 +165,9 @@ TEST_F(ForkSweepTest, CorruptInputSnapshotRegeneratesBitIdentically)
     opts.json_out = root_ + "/first.json";
     opts.json_host = 0;
     (void)runSweep(cfgs, opts);
-    const std::string snap = ckpt::CheckpointStore::snapshotPath(
-        ckpt::inputSnapshotKey(cfgs.front()), 0);
+    const std::string snap =
+        ckpt::CheckpointStore::instance().blobs().entryPath(
+            ckpt::inputSnapshotKey(cfgs.front()));
     ASSERT_TRUE(fs::exists(snap));
 
     // Corrupt the published input snapshot on disk.
@@ -183,7 +185,7 @@ TEST_F(ForkSweepTest, CorruptInputSnapshotRegeneratesBitIdentically)
     again.json_host = 0;
     (void)runSweep(cfgs, again);
     ckpt::CheckpointStore &store = ckpt::CheckpointStore::instance();
-    EXPECT_GE(store.quarantines(), 1u);
+    EXPECT_GE(store.blobs().quarantines(), 1u);
     EXPECT_EQ(store.warmups(), 1u); // regenerated exactly once
 
     EXPECT_EQ(fileBytes(root_ + "/first.json"),

@@ -1,13 +1,13 @@
 /**
  * @file
  * Fixed-seed mutation tests of the input-snapshot decoder
- * (ckpt::decodeInputSnapshot): the container parse plus the graph or
- * matrix payload a forked cell indexes into.
+ * (ckpt::decodeInputSnapshot): the blob parse plus the graph or matrix
+ * payload a forked cell indexes into.
  *
  * Every case starts from a valid graph or matrix blob and applies
- * Rng-driven bit flips, truncations, a lying section byte_len, or lying
+ * Rng-driven bit flips, truncations, a lying payload length, or lying
  * CSR counts and contents with the checksum recomputed, so the lie gets
- * past the container.  Each must end in a typed CkptIoStatus or a valid
+ * past the blob header.  Each must end in a typed CkptIoStatus or a valid
  * parse; never a crash, a read past the bytes (the ASan job runs these
  * too) or an allocation the bytes cannot back.  A valid parse must be a
  * CSR that is safe to index.  The last test drives a checksum-valid but
@@ -19,11 +19,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "ckpt/ckpt_store.h"
 #include "ckpt/input_fork.h"
 #include "sim/rng.h"
@@ -80,18 +80,19 @@ putU64(Bytes &b, std::size_t at, std::uint64_t v)
         b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-/** Rewrites the FNV-1a trailer so a mutation passes the checksum. */
+/** Rewrites the blob's FNV-1a field (bytes 8..15, over every byte
+ *  after it) so a mutation passes the checksum. */
 void
 reseal(Bytes &b)
 {
-    if (b.size() < 8)
+    if (b.size() < 16)
         return;
-    putU64(b, b.size() - 8, ckpt::fnv1a64(b.data(), b.size() - 8));
+    putU64(b, 8, ckpt::fnv1a64(b.data() + 16, b.size() - 16));
 }
 
-/** Where the fields of a one-section input snapshot sit. */
+/** Where the fields of an input snapshot blob sit. */
 struct Layout {
-    std::size_t byte_len;  ///< the Input section's byte_len field
+    std::size_t payload_len; ///< the blob's payload_len field
     std::size_t payload;   ///< first payload byte (the tag)
     std::size_t rows;      ///< num_vertices / n
     std::size_t ptr_count; ///< offsets / row_ptr element count
@@ -103,11 +104,11 @@ struct Layout {
 Layout
 layoutOf(const Bytes &b)
 {
-    // magic, version, key, empty full_key, window, section count.
-    const std::size_t header = 8 + 8 + (8 + kKey.size()) + 8 + 8 + 8;
+    // magic, checksum, key ("<epoch>|" + kKey), payload_len.
+    const std::size_t key = BlobStore::epochKey(kKey).size();
     Layout l;
-    l.byte_len = header + 8;
-    l.payload = header + 16;
+    l.payload_len = 8 + 8 + 8 + key;
+    l.payload = l.payload_len + 8;
     l.rows = l.payload + 8 + 8 + kName.size();
     l.ptr_count = l.rows + 8;
     l.ptr_data = l.ptr_count + 8;
@@ -202,18 +203,18 @@ mutateAll(const Bytes &valid, const char *kind)
         EXPECT_FALSE(decodeChecked<Input>(b, what + " resealed")) << what;
     }
 
-    // A lying section byte_len.
-    const std::uint64_t len = getU64(valid, l.byte_len);
+    // A lying payload length.
+    const std::uint64_t len = getU64(valid, l.payload_len);
     for (std::uint64_t lie :
          {std::uint64_t{0}, len - 1, len + 1, len + 8,
           std::uint64_t{valid.size()}, std::uint64_t{1} << 40,
           ~std::uint64_t{0}}) {
         Bytes b = valid;
-        putU64(b, l.byte_len, lie);
+        putU64(b, l.payload_len, lie);
         reseal(b);
-        EXPECT_FALSE(decodeChecked<Input>(b, "byte_len " +
+        EXPECT_FALSE(decodeChecked<Input>(b, "payload_len " +
                                                  std::to_string(lie)))
-            << kind << " byte_len " << lie;
+            << kind << " payload_len " << lie;
     }
 
     // Lying counts and contents, resealed: each must be rejected.
@@ -303,21 +304,27 @@ TEST(InputSnapshotMutationTest, InconsistentSnapshotIsQuarantinedAndRegenerated)
     const Graph want = ckpt::forkGraphInput(cfg);
 
     // Republish the snapshot with one id out of range and a valid
-    // checksum: the container passes, the CSR must not.
+    // checksum: the blob passes, the CSR must not.
     const std::string key = ckpt::inputSnapshotKey(cfg);
     Graph bad = want;
     bad.edges[bad.edges.size() / 2] = bad.num_vertices;
-    ASSERT_TRUE(ckpt::writeSnapshotFile(
-                    ckpt::CheckpointStore::snapshotPath(key, 0),
-                    ckpt::encodeInputSnapshot(key, cfg.input, bad))
-                    .ok());
+    {
+        const Bytes blob = ckpt::encodeInputSnapshot(key, cfg.input, bad);
+        std::ofstream out(store.blobs().entryPath(key),
+                          std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(blob.data()),
+                  static_cast<std::streamsize>(blob.size()));
+    }
     store.resetForTest();
     ckpt::resetInputForkForTest();
 
+    ::testing::internal::CaptureStderr();
     const Graph got = ckpt::forkGraphInput(cfg);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
     EXPECT_EQ(got.offsets, want.offsets);
     EXPECT_EQ(got.edges, want.edges);
-    EXPECT_EQ(store.quarantines(), 1u);
+    EXPECT_EQ(store.blobs().quarantines(), 1u);
     EXPECT_EQ(store.warmups(), 1u);
     EXPECT_EQ(store.forks(), 0u);
 

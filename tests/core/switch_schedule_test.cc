@@ -6,11 +6,10 @@
  */
 #include <gtest/gtest.h>
 
-#include "ckpt/switch_schedule.h"
+#include "core/switch_schedule.h"
 #include "core/rnr_prefetcher.h"
 
 namespace rnr {
-namespace ckpt {
 namespace {
 
 SwitchStormConfig
@@ -107,5 +106,4 @@ TEST(SwitchSchedule, LongQuantumApproachesUnpreemptedReplay)
 }
 
 } // namespace
-} // namespace ckpt
 } // namespace rnr

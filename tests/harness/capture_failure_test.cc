@@ -75,7 +75,6 @@ captureFailureChild(const std::string &root)
     setenv("RNR_CACHE", "0", 1);
     setenv("RNR_CKPT", "0", 1);
     setenv("RNR_TRACE_DIR", root.c_str(), 1);
-    unsetenv("RNR_TRACE_CAP_MB");
     TraceStore &store = TraceStore::instance();
     store.resetForTest();
 
@@ -106,7 +105,7 @@ captureFailureChild(const std::string &root)
     check(store.listEntries().empty(), "failed capture: no entry listed");
     check(countNamed(root, ".tmp.") == 0,
           "failed capture: temp directory removed");
-    check(countNamed(root, traceStoreHashName(cfg.workloadKey())) == 0,
+    check(countNamed(root, BlobStore::hashName(cfg.workloadKey())) == 0,
           "failed capture: no entry directory or lock left");
 
     lim.rlim_cur = was;

@@ -1,19 +1,20 @@
 /**
  * @file
  * Fixed-seed mutation tests of the harness's two text decoders: the
- * result-cache line codec (ResultCache::deserialize, and the loader
- * behind ResultCache::lookup) and the JSON reader (parseJson).
+ * result-cache value codec (ResultCache::deserialize, and the stored
+ * entries behind ResultCache::lookup) and the JSON reader (parseJson).
  *
  * Every case starts from valid text and applies Rng-driven bit flips,
- * every truncation, or (for cache lines) a lying iteration count.  Each
+ * every truncation, or (for cache values) a lying iteration count.  Each
  * must end in a typed failure (false, with an error message for JSON)
  * or a valid parse; never a crash, a read past the text (the ASan job
- * runs these too) or a loop that does not end.
+ * runs these too) or a loop that does not end.  A mutated stored entry
+ * must be a miss or load the identical result, never another one.
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -144,7 +145,7 @@ TEST(ResultCacheMutation, LyingIterationCountsFail)
     }
 }
 
-/** Points the process cache at a scratch file for the loader cases. */
+/** Points the process cache at a scratch store for the loader cases. */
 class ResultCacheLoaderMutation : public ::testing::Test
 {
   protected:
@@ -152,7 +153,7 @@ class ResultCacheLoaderMutation : public ::testing::Test
     SetUp() override
     {
         path_ = ::testing::TempDir() + "decoder_mutation_test.cache";
-        std::remove(path_.c_str());
+        std::filesystem::remove_all(path_);
         setenv("RNR_CACHE", "1", 1);
         setenv("RNR_CACHE_FILE", path_.c_str(), 1);
         ResultCache::instance().clearForTest();
@@ -161,23 +162,27 @@ class ResultCacheLoaderMutation : public ::testing::Test
     void
     TearDown() override
     {
-        std::remove(path_.c_str());
+        std::filesystem::remove_all(path_);
         setenv("RNR_CACHE", "0", 1);
         ResultCache::instance().clearForTest();
     }
 
-    /** Loads a file holding @p line; a hit must be a whole result. */
+    /** Stores @p bytes as @p cfg's entry; a hit must be @p want. */
     void
-    expectLoadsOrSkips(const ExperimentConfig &cfg, const std::string &line)
+    expectMissOrIdentical(const ExperimentConfig &cfg,
+                          const std::string &bytes, const std::string &want)
     {
+        BlobStore &blobs = ResultCache::instance().blobs();
+        std::filesystem::create_directories(blobs.root());
         {
-            std::ofstream out(path_, std::ios::trunc | std::ios::binary);
-            out << line << "\n";
+            std::ofstream out(blobs.entryPath(cfg.key()),
+                              std::ios::trunc | std::ios::binary);
+            out << bytes;
         }
         ResultCache::instance().clearForTest();
         ExperimentResult got;
         if (ResultCache::instance().lookup(cfg, got)) {
-            EXPECT_EQ(got.iterations.size(), cfg.iterations) << line;
+            EXPECT_EQ(ResultCache::serialize(got), want);
         }
     }
 
@@ -191,26 +196,29 @@ TEST_F(ResultCacheLoaderMutation, MutatedLinesLoadOrAreSkipped)
     cfg.input = "amazon";
     cfg.iterations = kIters;
     cfg.cores = 1;
-    const std::string line = cfg.key() + "|" + validCacheValue();
+    const std::string value = validCacheValue();
+    const std::vector<std::uint8_t> blob =
+        BlobStore::encode(cfg.key(), value.data(), value.size());
+    const std::string bytes(blob.begin(), blob.end());
 
-    // Control: the unmutated line is a hit.
-    {
-        std::ofstream out(path_, std::ios::trunc);
-        out << line << "\n";
-    }
-    ResultCache::instance().clearForTest();
+    // Control: the unmutated entry is a hit.
+    expectMissOrIdentical(cfg, bytes, value);
     ExperimentResult got;
     ASSERT_TRUE(ResultCache::instance().lookup(cfg, got));
 
+    // Every mutated entry is quarantined with a warning; keep them off
+    // the test log.
+    ::testing::internal::CaptureStderr();
     Rng rng(0xbeef);
     for (int c = 0; c < 300; ++c) {
         SCOPED_TRACE(c);
-        expectLoadsOrSkips(cfg, flipBits(line, rng, 1 + c % 3));
+        expectMissOrIdentical(cfg, flipBits(bytes, rng, 1 + c % 3), value);
     }
-    for (std::size_t len = 0; len < line.size(); ++len) {
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
         SCOPED_TRACE(len);
-        expectLoadsOrSkips(cfg, line.substr(0, len));
+        expectMissOrIdentical(cfg, bytes.substr(0, len), value);
     }
+    ::testing::internal::GetCapturedStderr();
 }
 
 /** A document with every JSON kind, escapes and extreme numbers. */

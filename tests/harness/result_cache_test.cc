@@ -3,17 +3,18 @@
  * Crash- and concurrency-safety tests for the persistent result cache
  * (harness/result_cache.h) beyond what the sweep tests cover:
  *
- *  - a torn final line (a crash between write and fsync under the old
- *    scheme) is skipped, never fatal, and never clobbers good lines;
- *  - a rewrite merges lines other processes published since this
- *    process loaded the file, so two processes sharing one cache file
- *    append to, never erase, each other's results;
- *  - a line whose iteration count disagrees with its contents or with
+ *  - a torn entry (a writer killed mid-write) is a miss, never fatal,
+ *    and never touches the other entries;
+ *  - entries other processes publish stay visible and intact;
+ *  - a value whose iteration count disagrees with its contents or with
  *    its key is a miss, never a short result;
- *  - a sign in front of any field is a miss, never a wrapped counter.
+ *  - a sign in front of any field is a miss, never a wrapped counter;
+ *  - one changed digit inside a counter is a miss, never a wrong number;
+ *  - an entry filed under another model epoch is a miss.
  */
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -57,8 +58,11 @@ syntheticResult(unsigned iters)
     return r;
 }
 
+namespace fs = std::filesystem;
+
 struct ResultCacheFixture : ::testing::Test {
     std::string cache_path_;
+    const std::string epoch_ = BlobStore::epoch();
 
     void
     SetUp() override
@@ -68,8 +72,7 @@ struct ResultCacheFixture : ::testing::Test {
                           ->current_test_info()
                           ->name() +
                       ".cache";
-        std::remove(cache_path_.c_str());
-        std::remove((cache_path_ + ".lock").c_str());
+        fs::remove_all(cache_path_);
         setenv("RNR_CACHE", "1", 1);
         setenv("RNR_CACHE_FILE", cache_path_.c_str(), 1);
         setenv("RNR_PROGRESS", "0", 1);
@@ -79,30 +82,40 @@ struct ResultCacheFixture : ::testing::Test {
     void
     TearDown() override
     {
-        std::remove(cache_path_.c_str());
-        std::remove((cache_path_ + ".lock").c_str());
+        BlobStore::setEpochForTest(epoch_);
+        fs::remove_all(cache_path_);
         setenv("RNR_CACHE", "0", 1);
         ResultCache::instance().clearForTest();
     }
 
-    std::vector<std::string>
-    cacheFileLines() const
+    static BlobStore &
+    blobs()
     {
-        std::vector<std::string> lines;
-        std::ifstream in(cache_path_);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (!line.empty())
-                lines.push_back(line);
-        }
-        return lines;
+        return ResultCache::instance().blobs();
     }
 
-    void
-    writeCacheFile(const std::string &key, const std::string &value) const
+    /** Files @p value under @p key as a well-formed, checksummed entry,
+     *  as another process would. */
+    static void
+    writeEntry(const std::string &key, const std::string &value)
     {
-        std::ofstream out(cache_path_, std::ios::trunc);
-        out << key << "|" << value << "\n";
+        fs::create_directories(blobs().root());
+        const std::vector<std::uint8_t> blob =
+            BlobStore::encode(key, value.data(), value.size());
+        std::ofstream out(blobs().entryPath(key),
+                          std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(blob.data()),
+                  static_cast<std::streamsize>(blob.size()));
+    }
+
+    /** Stores @p r under @p cfg's key through the cache. */
+    static void
+    storeResult(const ExperimentConfig &cfg, const ExperimentResult &r)
+    {
+        ExperimentResult hit;
+        ASSERT_EQ(ResultCache::instance().acquire(cfg, hit),
+                  BlobStore::Acquire::Owner);
+        ResultCache::instance().store(cfg.key(), r);
     }
 };
 
@@ -110,77 +123,46 @@ TEST_F(ResultCacheFixture, TornFinalLineIsSkippedNotFatal)
 {
     const ExperimentConfig cfg = tinyConfig();
     const ExperimentResult first = runExperiment(cfg);
-    ASSERT_EQ(cacheFileLines().size(), 1u);
+    ASSERT_EQ(blobs().entryPaths().size(), 1u);
 
-    // Simulate a writer killed mid-line: a second entry whose value
-    // payload was cut short, with no trailing newline.
-    {
-        std::ofstream out(cache_path_, std::ios::app);
-        const ExperimentConfig other = tinyConfig(64);
-        out << other.key() << "|12 34"; // truncated, torn, unterminated
-    }
+    // Simulate a writer killed mid-write: another cell's entry whose
+    // value was cut short.
+    const ExperimentConfig other = tinyConfig(64);
+    writeEntry(other.key(), ResultCache::serialize(syntheticResult(1)));
+    const std::string torn = blobs().entryPath(other.key());
+    fs::resize_file(torn, fs::file_size(torn) - 7);
     ResultCache::instance().clearForTest();
 
-    // The surviving good line still hits; the torn one is counted.
+    // The good entry still hits; the torn one is a counted miss and is
+    // removed, so nothing ever loads it.
     const std::uint64_t before = experimentsSimulated();
     const ExperimentResult again = runExperiment(cfg);
     EXPECT_EQ(experimentsSimulated(), before);
     EXPECT_EQ(ResultCache::serialize(again),
               ResultCache::serialize(first));
-    EXPECT_GE(ResultCache::instance().corruptLinesSkipped(), 1u);
-
-    // And the next rewrite drops the torn line instead of propagating
-    // it: every line in the healed file parses.
-    runExperiment(tinyConfig(128));
-    for (const std::string &line : cacheFileLines()) {
-        const auto bar = line.find('|');
-        ASSERT_NE(bar, std::string::npos) << line;
-        ExperimentResult parsed;
-        EXPECT_TRUE(
-            ResultCache::deserialize(line.substr(bar + 1), parsed))
-            << line;
-    }
+    ExperimentResult out;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(ResultCache::instance().lookup(other, out));
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ResultCache::instance().corruptEntries(), 1u);
+    EXPECT_FALSE(fs::exists(torn));
 }
 
-TEST_F(ResultCacheFixture, RewriteMergesLinesPublishedByOtherProcesses)
+TEST_F(ResultCacheFixture, EntriesOtherProcessesPublishStayVisible)
 {
-    // Capture a valid foreign line by running a different cell against
-    // a scratch cache file.
-    const std::string scratch = cache_path_ + ".scratch";
-    setenv("RNR_CACHE_FILE", scratch.c_str(), 1);
-    ResultCache::instance().clearForTest();
-    runExperiment(tinyConfig(64));
-    std::string foreign_line;
-    {
-        std::ifstream in(scratch);
-        ASSERT_TRUE(std::getline(in, foreign_line));
-    }
-    std::remove(scratch.c_str());
-    std::remove((scratch + ".lock").c_str());
-
-    // This "process" loads the main file (empty), runs cell A...
-    setenv("RNR_CACHE_FILE", cache_path_.c_str(), 1);
-    ResultCache::instance().clearForTest();
+    // This process runs cell A...
     runExperiment(tinyConfig());
-    ASSERT_EQ(cacheFileLines().size(), 1u);
-
-    // ...meanwhile "another process" publishes the foreign line...
-    {
-        std::ofstream out(cache_path_, std::ios::app);
-        out << foreign_line << "\n";
-    }
-
-    // ...and this process's next store must keep it: the rewrite
-    // re-merges the on-disk file under the lock instead of clobbering
-    // it with this process's stale view.
-    runExperiment(tinyConfig(128));
-    const std::vector<std::string> lines = cacheFileLines();
-    EXPECT_EQ(lines.size(), 3u);
-    bool saw_foreign = false;
-    for (const std::string &line : lines)
-        saw_foreign = saw_foreign || line == foreign_line;
-    EXPECT_TRUE(saw_foreign)
-        << "the foreign process's line was clobbered by the rewrite";
+    // ...meanwhile "another process" publishes cell B...
+    const ExperimentConfig foreign = tinyConfig(64);
+    const std::string value = ResultCache::serialize(syntheticResult(1));
+    writeEntry(foreign.key(), value);
+    // ...and this process stores cell C: B's entry survives, and this
+    // process reads it although it appeared after its first lookup.
+    storeResult(tinyConfig(128), syntheticResult(1));
+    EXPECT_EQ(blobs().entryPaths().size(), 3u);
+    ExperimentResult out;
+    ASSERT_TRUE(ResultCache::instance().lookup(foreign, out));
+    EXPECT_EQ(ResultCache::serialize(out), value);
 }
 
 TEST_F(ResultCacheFixture, LineWhoseIterationCountLiesIsAMiss)
@@ -189,15 +171,16 @@ TEST_F(ResultCacheFixture, LineWhoseIterationCountLiesIsAMiss)
     cfg.iterations = 3;
     ExperimentResult out;
 
-    // Control: an honest three-iteration line under the i3 key hits.
+    // Control: an honest three-iteration value under the i3 key hits.
     const std::string honest = ResultCache::serialize(syntheticResult(3));
-    writeCacheFile(cfg.key(), honest);
+    writeEntry(cfg.key(), honest);
     ResultCache::instance().clearForTest();
     ASSERT_TRUE(ResultCache::instance().lookup(cfg, out));
     EXPECT_EQ(ResultCache::serialize(out), honest);
 
     // One bit flip of the count digit, '3' (0x33) -> '1' (0x31): the
-    // line now declares one iteration and carries two more after it.
+    // value now declares one iteration and carries two more after it.
+    // The entry is resealed, so only the parse can catch the lie.
     const std::string prefix = "4096 2048 0 0 ";
     ASSERT_EQ(honest.rfind(prefix, 0), 0u) << honest;
     std::string lying = honest;
@@ -205,16 +188,18 @@ TEST_F(ResultCacheFixture, LineWhoseIterationCountLiesIsAMiss)
     lying[prefix.size()] ^= 0x02;
     ExperimentResult parsed;
     EXPECT_FALSE(ResultCache::deserialize(lying, parsed));
-    writeCacheFile(cfg.key(), lying);
+    writeEntry(cfg.key(), lying);
     ResultCache::instance().clearForTest();
+    ::testing::internal::CaptureStderr();
     EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
-    EXPECT_EQ(ResultCache::instance().corruptLinesSkipped(), 1u);
+    EXPECT_EQ(ResultCache::instance().corruptEntries(), 1u);
 
-    // A well-formed one-iteration line filed under the i3 key is a
-    // miss too: the cell reruns and rewrites the line.
-    writeCacheFile(cfg.key(), ResultCache::serialize(syntheticResult(1)));
+    // A well-formed one-iteration value filed under the i3 key is a
+    // miss too: the cell reruns and store() replaces the entry.
+    writeEntry(cfg.key(), ResultCache::serialize(syntheticResult(1)));
     ResultCache::instance().clearForTest();
     EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
+    ::testing::internal::GetCapturedStderr();
 }
 
 TEST_F(ResultCacheFixture, SignBeforeAnyFieldIsAMiss)
@@ -247,12 +232,66 @@ TEST_F(ResultCacheFixture, SignBeforeAnyFieldIsAMiss)
         }
     }
 
-    // Through the loader: the line is skipped as corrupt, not served.
-    writeCacheFile(cfg.key(), "-" + honest);
+    // Through the loader, in a checksummed entry: it is dropped as
+    // corrupt, not served.
+    writeEntry(cfg.key(), "-" + honest);
     ResultCache::instance().clearForTest();
     ExperimentResult out;
+    ::testing::internal::CaptureStderr();
     EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
-    EXPECT_EQ(ResultCache::instance().corruptLinesSkipped(), 1u);
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ResultCache::instance().corruptEntries(), 1u);
+}
+
+TEST_F(ResultCacheFixture, DigitChangedInsideACounterIsAMiss)
+{
+    ExperimentConfig cfg = tinyConfig();
+    cfg.iterations = 2;
+    storeResult(cfg, syntheticResult(2));
+    const std::string path = blobs().entryPath(cfg.key());
+
+    // Change one decimal digit of the last counter on disk.  The value
+    // still parses (the parse alone would load a wrong number), so the
+    // checksum is what must turn it into a miss.
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::size_t at = bytes.size() - 1;
+    ASSERT_TRUE(bytes[at] >= '0' && bytes[at] <= '8') << bytes;
+    ++bytes[at];
+    const std::string value = ResultCache::serialize(syntheticResult(2));
+    ExperimentResult parsed;
+    ASSERT_TRUE(ResultCache::deserialize(
+        bytes.substr(bytes.size() - value.size()), parsed));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+
+    ResultCache::instance().clearForTest();
+    ExperimentResult out;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ResultCache::instance().corruptEntries(), 1u);
+}
+
+TEST_F(ResultCacheFixture, ResultFromAnotherEpochIsAMiss)
+{
+    const ExperimentConfig cfg = tinyConfig();
+    BlobStore::setEpochForTest("epoch-a");
+    storeResult(cfg, syntheticResult(1));
+
+    ResultCache::instance().clearForTest(); // a new process
+    BlobStore::setEpochForTest("epoch-b");
+    ExperimentResult out;
+    EXPECT_FALSE(ResultCache::instance().lookup(cfg, out));
+    EXPECT_EQ(ResultCache::instance().corruptEntries(), 0u);
+
+    BlobStore::setEpochForTest("epoch-a");
+    EXPECT_TRUE(ResultCache::instance().lookup(cfg, out));
 }
 
 } // namespace

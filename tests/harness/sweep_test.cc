@@ -4,8 +4,8 @@
  * subsystem (harness/sweep.h + harness/result_cache.h):
  *
  *  - single-flight: N threads asking for one key run one simulation;
- *  - N distinct keys all complete and persist as N well-formed lines;
- *  - corrupt cache lines are skipped, never fatal;
+ *  - N distinct keys all complete and persist as N well-formed entries;
+ *  - corrupt cache entries are skipped, never fatal;
  *  - RNR_JOBS=1 and RNR_JOBS=8 sweeps are bit-identical per cell;
  *  - with more cells than threads every cell runs exactly once;
  *  - a throwing cell is rethrown by run() after every thread joins;
@@ -13,6 +13,7 @@
  */
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -55,7 +56,7 @@ struct SweepFixture : ::testing::Test {
                           ->current_test_info()
                           ->name() +
                       ".cache";
-        std::remove(cache_path_.c_str());
+        std::filesystem::remove_all(cache_path_);
         setenv("RNR_CACHE", "1", 1);
         setenv("RNR_CACHE_FILE", cache_path_.c_str(), 1);
         setenv("RNR_PROGRESS", "0", 1);
@@ -67,22 +68,36 @@ struct SweepFixture : ::testing::Test {
     void
     TearDown() override
     {
-        std::remove(cache_path_.c_str());
+        std::filesystem::remove_all(cache_path_);
         setenv("RNR_CACHE", "0", 1);
         ResultCache::instance().clearForTest();
     }
 
-    std::vector<std::string>
-    cacheFileLines() const
+    /** The value of every stored entry. */
+    static std::vector<std::string>
+    storedValues()
     {
-        std::vector<std::string> lines;
-        std::ifstream in(cache_path_);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (!line.empty())
-                lines.push_back(line);
+        std::vector<std::string> values;
+        for (const std::string &path :
+             ResultCache::instance().blobs().entryPaths()) {
+            std::vector<std::uint8_t> blob;
+            BlobStore::Header h;
+            if (BlobStore::readFile(path, blob, h).ok())
+                values.emplace_back(
+                    reinterpret_cast<const char *>(blob.data()) +
+                        h.payload_at,
+                    h.payload_len);
         }
-        return lines;
+        return values;
+    }
+
+    /** Overwrites @p cfg's stored entry with @p bytes. */
+    static void
+    vandalise(const ExperimentConfig &cfg, const std::string &bytes)
+    {
+        std::ofstream out(ResultCache::instance().blobs().entryPath(cfg.key()),
+                          std::ios::binary | std::ios::trunc);
+        out << bytes;
     }
 };
 
@@ -132,15 +147,11 @@ TEST_F(SweepFixture, DistinctKeysAllCompleteAndPersistWellFormed)
         EXPECT_FALSE(results[i].iterations.empty());
     }
 
-    const std::vector<std::string> lines = cacheFileLines();
-    ASSERT_EQ(lines.size(), cells.size());
-    for (const std::string &line : lines) {
-        const auto bar = line.find('|');
-        ASSERT_NE(bar, std::string::npos) << line;
+    const std::vector<std::string> values = storedValues();
+    ASSERT_EQ(values.size(), cells.size());
+    for (const std::string &value : values) {
         ExperimentResult parsed;
-        EXPECT_TRUE(ResultCache::deserialize(line.substr(bar + 1),
-                                             parsed))
-            << line;
+        EXPECT_TRUE(ResultCache::deserialize(value, parsed)) << value;
     }
 
     // A second sweep over the same cells is pure cache hits.
@@ -156,22 +167,31 @@ TEST_F(SweepFixture, CorruptCacheLinesAreSkippedNotFatal)
     const ExperimentConfig cfg = tinyConfig();
     const ExperimentResult first = runExperiment(cfg);
 
-    // Vandalise the file: junk, a barless line and a truncated payload.
-    {
-        std::ofstream out(cache_path_, std::ios::app);
-        out << "not a cache line at all\n";
-        out << cfg.key() << "X garbage with no separator\n";
-        out << "some:other:key|1 2 3\n"; // truncated payload
-    }
+    // Vandalise three other cells' entries: junk, an empty file and a
+    // truncated good entry.
+    std::vector<ExperimentConfig> others;
+    for (std::uint32_t w : {16u, 32u, 64u})
+        others.push_back(tinyConfig(PrefetcherKind::Rnr, w));
+    vandalise(others[0], "not a cache entry at all\n");
+    vandalise(others[1], "");
+    const std::vector<std::uint8_t> good = BlobStore::encode(
+        others[2].key(), "1 2 3 4 5", 9);
+    vandalise(others[2], std::string(good.begin(), good.end() - 3));
     ResultCache::instance().clearForTest();
 
     const std::uint64_t before = experimentsSimulated();
     const ExperimentResult again = runExperiment(cfg);
     EXPECT_EQ(experimentsSimulated(), before)
-        << "the surviving good line should have been used";
+        << "the surviving good entry should have been used";
     EXPECT_EQ(ResultCache::serialize(again),
               ResultCache::serialize(first));
-    EXPECT_GE(ResultCache::instance().corruptLinesSkipped(), 3u);
+    ::testing::internal::CaptureStderr();
+    for (const ExperimentConfig &other : others) {
+        ExperimentResult out;
+        EXPECT_FALSE(ResultCache::instance().lookup(other, out));
+    }
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ResultCache::instance().corruptEntries(), 3u);
 }
 
 TEST_F(SweepFixture, JobCountDoesNotChangeResults)

@@ -68,7 +68,6 @@ class TraceReplayHarnessTest : public ::testing::Test
         fs::remove_all(root_);
         setenv("RNR_TRACE_DIR", root_.c_str(), 1);
         unsetenv("RNR_TRACE_STORE");
-        unsetenv("RNR_TRACE_CAP_MB");
         TraceStore::instance().resetForTest();
     }
 

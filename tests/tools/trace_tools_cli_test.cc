@@ -28,7 +28,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ckpt/checkpoint.h"
+#include "harness/blob_store.h"
 
 #ifndef RNR_TRACE_TOOLS_BIN
 #error "RNR_TRACE_TOOLS_BIN must point at the trace_tools binary"
@@ -66,8 +66,8 @@ runTool(const std::string &args, const std::string &extra_env = "")
 
 const char *const kModes[] = {"capture",  "convert",   "simulate",
                               "stats",    "corpus",    "ckpt",
-                              "inspect",  "rnr-trace", "attrib",
-                              "report",   "help"};
+                              "gc",       "inspect",   "rnr-trace",
+                              "attrib",   "report",    "help"};
 
 TEST(TraceToolsCli, HelpListsEveryMode)
 {
@@ -120,6 +120,7 @@ TEST(TraceToolsCli, KnownModeWithWrongArityExitsTwo)
     EXPECT_EQ(runTool("capture onlyone").exit_code, 2);
     EXPECT_EQ(runTool("ckpt").exit_code, 2);         // needs a subcommand
     EXPECT_EQ(runTool("ckpt inspect").exit_code, 2); // needs a file
+    EXPECT_EQ(runTool("gc --max-bytes").exit_code, 2); // needs a count
 }
 
 TEST(TraceToolsCli, HelpMarkdownEmitsTheModeTable)
@@ -177,40 +178,36 @@ TEST(TraceToolsCli, SweepUnknownPrefetcherExitsTwoWithOneLine)
 
 /** Writes a minimal valid (or checksum-broken) snapshot to @p path. */
 void
-writeTestSnapshot(const std::string &path, std::uint64_t window,
-                  bool corrupt)
+writeTestSnapshot(const std::string &path, bool corrupt)
 {
-    rnr::ckpt::SnapshotWriter w(rnr::ckpt::SnapshotHeader{
-        "app=pagerank input=urand", window ? "full-key" : "", window});
-    w.section(window ? rnr::ckpt::SectionId::System
-                     : rnr::ckpt::SectionId::Input)
-        .scalar(std::uint64_t{42});
-    std::vector<std::uint8_t> blob = w.finish();
+    const std::string payload = "tiny snapshot payload";
+    std::vector<std::uint8_t> blob = rnr::BlobStore::encode(
+        "input:graph:urand:g1", payload.data(), payload.size());
     if (corrupt)
         blob[blob.size() / 2] ^= 0x01;
-    ASSERT_TRUE(rnr::ckpt::writeSnapshotFile(path, blob).ok());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(blob.data()),
+              static_cast<std::streamsize>(blob.size()));
 }
 
 TEST(TraceToolsCli, CkptInspectDecodesSnapshotHeader)
 {
     const std::string path =
         ::testing::TempDir() + "trace_tools_cli_inspect.ckpt";
-    writeTestSnapshot(path, 2, /*corrupt=*/false);
+    writeTestSnapshot(path, /*corrupt=*/false);
 
     const CliResult r = runTool("ckpt inspect " + path);
     EXPECT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("rnr-ckpt-v1"), std::string::npos);
-    EXPECT_NE(r.output.find("app=pagerank input=urand"),
-              std::string::npos);
-    EXPECT_NE(r.output.find("full-key"), std::string::npos);
-    EXPECT_NE(r.output.find("System"), std::string::npos);
-    // The printed checksum is the real trailer, not a zeroed field.
+    EXPECT_NE(r.output.find("rnr blob"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("|input:graph:urand:g1"), std::string::npos);
+    EXPECT_NE(r.output.find("payload: 21 bytes"), std::string::npos);
+    // The printed checksum is the real field, not a zeroed one.
     EXPECT_NE(r.output.find("checksum 0x"), std::string::npos);
     EXPECT_EQ(r.output.find("checksum 0x0000000000000000"),
               std::string::npos);
 
     // A corrupt snapshot is a typed one-liner + exit 1.
-    writeTestSnapshot(path, 2, /*corrupt=*/true);
+    writeTestSnapshot(path, /*corrupt=*/true);
     const CliResult bad = runTool("ckpt inspect " + path);
     EXPECT_EQ(bad.exit_code, 1) << bad.output;
     EXPECT_NE(bad.output.find("cannot inspect"), std::string::npos);
@@ -223,13 +220,16 @@ TEST(TraceToolsCli, CkptListAndGcSweepTheStore)
     const std::string dir =
         ::testing::TempDir() + "trace_tools_cli_ckpt_store";
     fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string env = "RNR_CKPT_DIR=" + dir;
+    fs::create_directories(dir + "/ckpt");
+    // gc sweeps every store: point all three into the scratch tree.
+    const std::string env = "RNR_CKPT_DIR=" + dir + "/ckpt RNR_TRACE_DIR=" +
+                            dir + "/traces RNR_CACHE_FILE=" + dir +
+                            "/results";
 
-    writeTestSnapshot(dir + "/good.ckpt", 1, /*corrupt=*/false);
-    writeTestSnapshot(dir + "/bad.ckpt", 1, /*corrupt=*/true);
+    writeTestSnapshot(dir + "/ckpt/good.ckpt", /*corrupt=*/false);
+    writeTestSnapshot(dir + "/ckpt/bad.ckpt", /*corrupt=*/true);
     { // a stale publish temp file (crashed before its rename)
-        std::ofstream out(dir + "/old.ckpt.tmp.999");
+        std::ofstream out(dir + "/ckpt/old.ckpt.tmp.999");
         out << "partial";
     }
 
@@ -239,14 +239,15 @@ TEST(TraceToolsCli, CkptListAndGcSweepTheStore)
         << list.output;
     EXPECT_NE(list.output.find("CORRUPT"), std::string::npos);
 
-    const CliResult gc = runTool("ckpt gc", env);
+    const CliResult gc = runTool("gc", env);
     EXPECT_EQ(gc.exit_code, 0) << gc.output;
-    EXPECT_NE(gc.output.find("removed 1 corrupt, 1 stale"),
+    EXPECT_NE(gc.output.find("snapshots gc at " + dir +
+                             "/ckpt: removed 1 corrupt, 1 stale"),
               std::string::npos)
         << gc.output;
-    EXPECT_TRUE(fs::exists(dir + "/good.ckpt"));
-    EXPECT_FALSE(fs::exists(dir + "/bad.ckpt"));
-    EXPECT_FALSE(fs::exists(dir + "/old.ckpt.tmp.999"));
+    EXPECT_TRUE(fs::exists(dir + "/ckpt/good.ckpt"));
+    EXPECT_FALSE(fs::exists(dir + "/ckpt/bad.ckpt"));
+    EXPECT_FALSE(fs::exists(dir + "/ckpt/old.ckpt.tmp.999"));
 
     const CliResult after = runTool("ckpt list", env);
     EXPECT_NE(after.output.find("1 snapshot"), std::string::npos)

@@ -89,7 +89,6 @@ class StreamedCaptureTest : public ::testing::Test
         fs::create_directories(root_);
         setenv("RNR_TRACE_DIR", (root_ + "/store").c_str(), 1);
         unsetenv("RNR_TRACE_STORE");
-        unsetenv("RNR_TRACE_CAP_MB");
         TraceStore::instance().resetForTest();
     }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * TraceStore lifecycle tests: capture/publish/hit, abort, quarantine,
- * hash-collision-as-miss, cap eviction and single-flight blocking, both
- * across threads and across processes (a fork()ed owner that publishes
- * late, and one that is SIGKILLed before it publishes).
+ * hash-collision-as-miss, the model epoch and single-flight blocking,
+ * both across threads and across processes (a fork()ed owner that
+ * publishes late, and one that is SIGKILLed before it publishes).
  *
  * Every test repoints $RNR_TRACE_DIR at a fresh temp directory and calls
  * resetForTest() so counters start at zero and no in-flight state leaks
@@ -46,7 +46,6 @@ class TraceStoreTest : public ::testing::Test
                     .string();
         fs::remove_all(root_);
         setenv("RNR_TRACE_DIR", root_.c_str(), 1);
-        unsetenv("RNR_TRACE_CAP_MB");
         setenv("RNR_PROGRESS", "0", 1);
         TraceStore::instance().resetForTest();
     }
@@ -54,9 +53,9 @@ class TraceStoreTest : public ::testing::Test
     void
     TearDown() override
     {
+        BlobStore::setEpochForTest(epoch_);
         TraceStore::instance().resetForTest();
         unsetenv("RNR_TRACE_DIR");
-        unsetenv("RNR_TRACE_CAP_MB");
         fs::remove_all(root_);
     }
 
@@ -80,25 +79,10 @@ class TraceStoreTest : public ::testing::Test
         return buf;
     }
 
-    /** Incompressible trace: full-range random addresses and PCs, so
-     *  every record costs ~17 bytes even after delta coding (the cap
-     *  test needs entries that actually occupy disk). */
-    static TraceBuffer
-    makeWideTrace(std::uint64_t seed, std::size_t n)
-    {
-        Rng rng(seed);
-        TraceBuffer buf;
-        for (std::size_t i = 0; i < n; ++i)
-            buf.push(TraceRecord::load(
-                rng.next64(), static_cast<std::uint32_t>(rng.next64()), 1));
-        return buf;
-    }
-
     /** Captures and publishes an entry for @p wkey; returns its records. */
     static std::uint64_t
     publishEntry(const std::string &wkey, unsigned iterations, unsigned cores,
-                 std::size_t records_per_buf, std::uint64_t seed = 1,
-                 bool wide = false)
+                 std::size_t records_per_buf, std::uint64_t seed = 1)
     {
         TraceStore &store = TraceStore::instance();
         TraceStore::Entry entry;
@@ -109,8 +93,7 @@ class TraceStoreTest : public ::testing::Test
         for (unsigned it = 0; it < iterations; ++it)
             for (unsigned c = 0; c < cores; ++c) {
                 TraceBuffer buf =
-                    wide ? makeWideTrace(seed + it * 131 + c, records_per_buf)
-                         : makeTrace(seed + it * 131 + c, records_per_buf);
+                    makeTrace(seed + it * 131 + c, records_per_buf);
                 records += buf.size();
                 EXPECT_TRUE(bool(cap.add(it, c, buf)));
             }
@@ -118,7 +101,14 @@ class TraceStoreTest : public ::testing::Test
         return records;
     }
 
+    static std::string
+    entryDir(const std::string &wkey)
+    {
+        return TraceStore::instance().blobs().entryPath(wkey);
+    }
+
     std::string root_;
+    const std::string epoch_ = BlobStore::epoch();
 };
 
 TEST_F(TraceStoreTest, CaptureThenHitRoundTrips)
@@ -178,7 +168,7 @@ TEST_F(TraceStoreTest, AbortedCaptureLeavesNoEntryAndReleasesKey)
     // and no temp or entry directory survived the abort.
     ASSERT_EQ(store.acquire(wkey, entry), TraceStore::Acquire::Owner);
     store.beginCapture(wkey, 2, 1); // immediately aborted; releases key
-    EXPECT_FALSE(fs::exists(fs::path(root_) / traceStoreHashName(wkey)));
+    EXPECT_FALSE(fs::exists(entryDir(wkey)));
     std::size_t dirents = 0;
     if (fs::exists(root_))
         for ([[maybe_unused]] auto &d : fs::directory_iterator(root_))
@@ -203,7 +193,7 @@ TEST_F(TraceStoreTest, TruncatedTraceFileIsQuarantinedAndRecaptured)
     TraceStore::Entry again;
     EXPECT_EQ(store.acquire(wkey, again), TraceStore::Acquire::Owner);
     EXPECT_GE(store.corruptEntries(), 1u);
-    EXPECT_FALSE(fs::exists(fs::path(root_) / traceStoreHashName(wkey)));
+    EXPECT_FALSE(fs::exists(entryDir(wkey)));
 
     // Recapture repairs the corpus.
     TraceStore::Capture cap = store.beginCapture(wkey, 2, 1);
@@ -222,8 +212,7 @@ TEST_F(TraceStoreTest, GarbageManifestIsQuarantined)
     publishEntry(wkey, 1, 1, 50);
 
     {
-        std::ofstream m(fs::path(root_) / traceStoreHashName(wkey) /
-                        "manifest");
+        std::ofstream m(entryDir(wkey) + "/manifest");
         m << "not a manifest\n";
     }
     TraceStore::Entry entry;
@@ -238,24 +227,20 @@ TEST_F(TraceStoreTest, HashCollisionReadsAsMissWithoutQuarantine)
     const std::string wkey = "hyperanf:u15:w4096:i1:n1";
     publishEntry(wkey, 1, 1, 50);
 
-    // Simulate another key hashing to our directory: rewrite the
-    // manifest's key line.  The store must treat this as a miss for
-    // wkey (the manifest holds the authoritative key) but NOT corrupt:
+    // Simulate another key hashing to our directory: re-file the
+    // manifest under another key.  The store must treat this as a miss
+    // for wkey (the blob holds the authoritative key) but NOT corrupt:
     // the entry legitimately belongs to the other key.
-    const fs::path dir = fs::path(root_) / traceStoreHashName(wkey);
-    std::vector<std::string> lines;
+    const fs::path dir = entryDir(wkey);
+    std::vector<std::uint8_t> blob;
+    BlobStore::Header h;
+    ASSERT_TRUE(BlobStore::readFile(dir / "manifest", blob, h).ok());
+    blob = BlobStore::encode("somebody:else:w1:i1:n1",
+                             blob.data() + h.payload_at, h.payload_len);
     {
-        std::ifstream m(dir / "manifest");
-        for (std::string l; std::getline(m, l);)
-            lines.push_back(l);
-    }
-    {
-        std::ofstream m(dir / "manifest", std::ios::trunc);
-        for (auto &l : lines) {
-            if (l.rfind("key ", 0) == 0)
-                l = "key somebody:else:w1:i1:n1";
-            m << l << "\n";
-        }
+        std::ofstream m(dir / "manifest", std::ios::binary | std::ios::trunc);
+        m.write(reinterpret_cast<const char *>(blob.data()),
+                static_cast<std::streamsize>(blob.size()));
     }
 
     const std::uint64_t corrupt_before = store.corruptEntries();
@@ -286,25 +271,20 @@ TEST_F(TraceStoreTest, InvalidateRemovesEntry)
     store.beginCapture(wkey, 1, 1); // abort; release ownership
 }
 
-TEST_F(TraceStoreTest, CapEvictsOldestEntryButNeverTheJustPublished)
+TEST_F(TraceStoreTest, EntryFromAnotherEpochIsAMiss)
 {
-    setenv("RNR_TRACE_CAP_MB", "1", 1);
     TraceStore &store = TraceStore::instance();
-
-    // Full-range random addresses defeat the delta coder, so each
-    // entry stays comfortably over half the 1 MiB cap.
-    const std::string old_key = "pagerank:big0:w4096:i1:n1";
-    const std::string new_key = "pagerank:big1:w4096:i1:n1";
-    publishEntry(old_key, 1, 1, 60000, 11, true);
-    publishEntry(new_key, 1, 1, 60000, 22, true);
-
-    EXPECT_GE(store.evictions(), 1u);
+    const std::string wkey = "pagerank:u12:w4096:i1:n1";
+    BlobStore::setEpochForTest("epoch-a");
+    publishEntry(wkey, 1, 1, 50);
     TraceStore::Entry entry;
-    // The freshly published entry must survive its own publish...
-    EXPECT_EQ(store.acquire(new_key, entry), TraceStore::Acquire::Hit);
-    // ...while the older entry was evicted.
-    EXPECT_EQ(store.acquire(old_key, entry), TraceStore::Acquire::Owner);
-    store.beginCapture(old_key, 1, 1); // abort; release ownership
+    ASSERT_EQ(store.acquire(wkey, entry), TraceStore::Acquire::Hit);
+
+    BlobStore::setEpochForTest("epoch-b");
+    EXPECT_EQ(store.acquire(wkey, entry), TraceStore::Acquire::Owner);
+    store.beginCapture(wkey, 1, 1); // abort; release ownership
+    EXPECT_EQ(store.corruptEntries(), 0u);
+    EXPECT_EQ(store.listEntries().size(), 1u); // epoch A's, left alone
 }
 
 TEST_F(TraceStoreTest, ListEntriesReportsTheCorpus)
@@ -436,9 +416,9 @@ TEST_F(TraceStoreTest, SigkilledOwnerProcessReleasesTheKey)
 
 TEST_F(TraceStoreTest, HashNameIsStable16HexDigits)
 {
-    const std::string a = traceStoreHashName("pagerank:u16:w4096:i3:n2");
-    const std::string b = traceStoreHashName("pagerank:u16:w4096:i3:n2");
-    const std::string c = traceStoreHashName("pagerank:u16:w4096:i3:n4");
+    const std::string a = BlobStore::hashName("pagerank:u16:w4096:i3:n2");
+    const std::string b = BlobStore::hashName("pagerank:u16:w4096:i3:n2");
+    const std::string c = BlobStore::hashName("pagerank:u16:w4096:i3:n4");
     EXPECT_EQ(a, b);
     EXPECT_NE(a, c);
     EXPECT_EQ(a.size(), 16u);
@@ -446,7 +426,7 @@ TEST_F(TraceStoreTest, HashNameIsStable16HexDigits)
         EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(ch))) << a;
 }
 
-TEST_F(TraceStoreTest, EnvControlsEnableDirAndCap)
+TEST_F(TraceStoreTest, EnvControlsEnableAndDir)
 {
     EXPECT_EQ(TraceStore::rootPath(), root_);
     EXPECT_TRUE(TraceStore::enabled());
@@ -454,10 +434,6 @@ TEST_F(TraceStoreTest, EnvControlsEnableDirAndCap)
     EXPECT_FALSE(TraceStore::enabled());
     unsetenv("RNR_TRACE_STORE");
     EXPECT_TRUE(TraceStore::enabled());
-    setenv("RNR_TRACE_CAP_MB", "3", 1);
-    EXPECT_EQ(TraceStore::capBytes(), 3ull << 20);
-    unsetenv("RNR_TRACE_CAP_MB");
-    EXPECT_EQ(TraceStore::capBytes(), 0u);
 }
 
 } // namespace
