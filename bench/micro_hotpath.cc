@@ -22,9 +22,9 @@
  *             BENCH_telemetry.json).
  *
  * BM_DemandAccessAttribGated is the attribution-off A/B partner of
- * none (docs/HARNESS.md §17): the identical loop with
- * attachAttrib(nullptr) and a per-op null-collector gate, the shape
- * every cache/memory-system hook has when RNR_ATTRIB is off.  Its rate
+ * none (docs/HARNESS.md §11): the identical loop after attach() with a
+ * null attribution probe and a per-op null-collector gate, the shape
+ * every cache/memory-system hook has when attribution is off.  Its rate
  * must stay within noise of none; CI asserts the same-run parity and
  * the compare gate pins both.
  *
@@ -192,7 +192,7 @@ BM_DemandAccessSampled(benchmark::State &state)
     // bench plays that role, offering the clock once per op like a
     // one-op cycle batch would.
     TelemetrySampler tm(kDefaultSampleCycles);
-    ms.attachTelemetry(&tm);
+    ms.attach({.telemetry = &tm});
 
     Tick now = 0;
     std::uint64_t ops = 0;
@@ -221,14 +221,14 @@ BM_DemandAccessAttribGated(benchmark::State &state)
     ms.setPrefetcher(0, pf.get());
 
     // The disabled-attribution call-site shape (sim/attrib.h rule 2):
-    // every cache/memory-system hook holds an `AttribCollector *` that
-    // attachAttrib() left null, so the per-access cost must be one
-    // predictable branch per hook.  attachAttrib(nullptr) walks the
-    // exact detach path the runner uses, and the extra null-gated call
-    // here mirrors the densest hook (the L2 demand-miss probe) at the
-    // per-op granularity it really fires at.  DoNotOptimize keeps the
-    // compiler from folding the branch away.
-    ms.attachAttrib(nullptr);
+    // every cache/memory-system hook tests the attrib pointer of the
+    // probes attach() handed it, here null, so the per-access cost must
+    // be one predictable branch per hook.  attach(Probes{}) walks the
+    // exact detach path, and the extra null-gated call here mirrors the
+    // densest hook (the L2 demand-miss probe) at the per-op granularity
+    // it really fires at.  DoNotOptimize keeps the compiler from
+    // folding the branch away.
+    ms.attach({});
     AttribCollector *at = nullptr;
     benchmark::DoNotOptimize(at);
 

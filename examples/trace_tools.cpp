@@ -62,8 +62,8 @@
  *       Simulates the no-prefetch baseline and RnR for one workload
  *       with telemetry sampling on and writes <prefix>.json
  *       (rnr-report-v2) plus a self-contained <prefix>.html dashboard
- *       (harness/report.h).  Prefix defaults to $RNR_REPORT_OUT or
- *       "rnr_report"; honours --sample-cycles/--iterations/--cores.
+ *       (harness/report.h).  Prefix defaults to "rnr_report";
+ *       honours --sample-cycles/--iterations/--cores.
  *
  *   trace_tools sweep [--app a] [--input i] [--prefetchers p,...]
  *       Runs one workload under each listed prefetcher (default
@@ -479,8 +479,6 @@ rnrTrace(const std::string &app, const std::string &input,
     cfg.app = app;
     cfg.input = input;
     cfg.prefetcher = PrefetcherKind::Rnr;
-    cfg.trace.enabled = true;
-    cfg.trace.ring_capacity = ring_capacity;
 
     std::printf("simulating %s with event tracing...\n",
                 cfg.key().c_str());
@@ -919,9 +917,7 @@ main(int argc, char **argv)
     }
     if (argc >= 2 && std::strcmp(argv[1], "report") == 0) {
         std::string app = "pagerank", input = "urand";
-        std::string prefix = reportEnvOutPrefix();
-        if (prefix.empty())
-            prefix = "rnr_report";
+        std::string prefix = "rnr_report";
         Tick sample_cycles = 0;
         unsigned iterations = 0, cores = 0;
         std::vector<std::string> pos;

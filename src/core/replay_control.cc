@@ -20,11 +20,11 @@ ReplayController::beginReplay(const std::vector<std::uint64_t> *division,
     cur_window_ = 0;
     reads_since_issue_ = 0;
     recomputePace();
-    if (tr_) {
-        tr_->emit(tr_track_, TraceEventType::PaceRecompute, now, 0, pace_,
-                  0, tr_core_);
-        tr_->emit(tr_track_, TraceEventType::WindowOpen, now, 0, pace_, 0,
-                  tr_core_);
+    if (TraceCollector *tr = probes_.trace) {
+        tr->emit(track_, TraceEventType::PaceRecompute, now, 0, pace_, 0,
+                 core_);
+        tr->emit(track_, TraceEventType::WindowOpen, now, 0, pace_, 0,
+                 core_);
     }
 }
 
@@ -103,17 +103,17 @@ ReplayController::onStructRead(std::uint64_t cur_struct_read,
     // Advance through completed windows.
     while (cur_struct_read >= divisionAt(cur_window_) &&
            divisionAt(cur_window_) != kTickMax) {
-        if (tr_)
-            tr_->emit(tr_track_, TraceEventType::WindowClose, now, 0, 0,
-                      cur_window_, tr_core_);
+        if (probes_.trace)
+            probes_.trace->emit(track_, TraceEventType::WindowClose, now, 0,
+                                0, cur_window_, core_);
         ++cur_window_;
         reads_since_issue_ = 0;
         recomputePace();
-        if (tr_) {
-            tr_->emit(tr_track_, TraceEventType::PaceRecompute, now, 0,
-                      pace_, cur_window_, tr_core_);
-            tr_->emit(tr_track_, TraceEventType::WindowOpen, now, 0,
-                      pace_, cur_window_, tr_core_);
+        if (TraceCollector *tr = probes_.trace) {
+            tr->emit(track_, TraceEventType::PaceRecompute, now, 0, pace_,
+                     cur_window_, core_);
+            tr->emit(track_, TraceEventType::WindowOpen, now, 0, pace_,
+                     cur_window_, core_);
         }
     }
 

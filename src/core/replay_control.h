@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/probes.h"
 #include "sim/trace_event.h"
 #include "sim/types.h"
 
@@ -96,14 +97,15 @@ class ReplayController
 
     ReplayControlMode mode() const { return mode_; }
 
-    /** Routes window-open/close and pace-recompute events to @p tr's
-     *  @p track (the shared "rnr" track), tagged with @p core. */
+    /** Routes window-open/close and pace-recompute events to @p p's
+     *  trace on @p track (the shared "rnr" track), tagged with
+     *  @p core. */
     void
-    setTrace(TraceCollector *tr, std::uint16_t track, std::uint16_t core)
+    attach(const Probes &p, std::uint16_t track, std::uint16_t core)
     {
-        tr_ = tr;
-        tr_track_ = track;
-        tr_core_ = core;
+        probes_ = p;
+        track_ = track;
+        core_ = core;
     }
 
     /** Re-points the division-table reference after a state load (the
@@ -148,9 +150,9 @@ class ReplayController
     std::uint32_t cur_window_ = 0;
     std::uint64_t pace_ = 1;
     std::uint64_t reads_since_issue_ = 0;
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    std::uint16_t tr_track_ = 0;
-    std::uint16_t tr_core_ = 0;
+    Probes probes_;
+    std::uint16_t track_ = 0;
+    std::uint16_t core_ = 0;
 };
 
 } // namespace rnr

@@ -39,8 +39,8 @@ RnrPrefetcher::setTrace(TraceCollector *tr, std::uint16_t track)
 {
     Prefetcher::setTrace(tr, track);
     tr_rnr_track_ = tr ? tr->rnrTrack() : 0;
-    controller_.setTrace(tr, tr_rnr_track_,
-                         static_cast<std::uint16_t>(core_));
+    controller_.attach({.trace = tr}, tr_rnr_track_,
+                       static_cast<std::uint16_t>(core_));
 }
 
 void

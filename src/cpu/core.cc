@@ -39,12 +39,12 @@ CoreModel::setSource(TraceSource *src)
 }
 
 void
-CoreModel::attachTelemetry(TelemetrySampler *tm)
+CoreModel::attach(const Probes &p)
 {
-    tm_ = tm;
-    if (tm)
-        tm->addRate("core" + std::to_string(id_) + ".ipc_milli",
-                    [this] { return instrs_; });
+    probes_ = p;
+    if (p.telemetry)
+        p.telemetry->addRate("core" + std::to_string(id_) + ".ipc_milli",
+                             [this] { return instrs_; });
 }
 
 bool
@@ -146,11 +146,12 @@ CoreModel::execute(const TraceRecord &rec)
         instrs_ += 2;
         ms_->control(id_, rec, issue_clock_);
         ++c_control_records_;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(id_),
-                      TraceEventType::ControlRecord, issue_clock_,
-                      rec.addr, static_cast<std::uint64_t>(rec.ctrl), 0,
-                      static_cast<std::uint16_t>(id_));
+        if (probes_.trace)
+            probes_.trace->emit(static_cast<std::uint16_t>(id_),
+                                TraceEventType::ControlRecord, issue_clock_,
+                                rec.addr,
+                                static_cast<std::uint64_t>(rec.ctrl), 0,
+                                static_cast<std::uint16_t>(id_));
         return;
     }
 
@@ -187,11 +188,11 @@ CoreModel::stepRun(std::size_t max_records)
     const std::size_t n = std::min(max_records, run_len_ - run_pos_);
     const TraceRecord *rec = run_ + run_pos_;
     run_pos_ += n;
-    if (tm_) {
+    if (TelemetrySampler *tm = probes_.telemetry) {
         // Sampling happens once per record, before it executes, at the
         // pre-record clock.
         for (std::size_t i = 0; i < n; ++i) {
-            tm_->maybeSample(issue_clock_);
+            tm->maybeSample(issue_clock_);
             execute(rec[i]);
         }
     } else {

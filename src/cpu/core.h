@@ -25,6 +25,7 @@
 
 #include "mem/memory_system.h"
 #include "sim/config.h"
+#include "sim/probes.h"
 #include "sim/ring.h"
 #include "sim/stats.h"
 #include "trace/trace_buffer.h"
@@ -50,16 +51,14 @@ class CoreModel
      */
     void setSource(TraceSource *src);
 
-    /** Routes this core's ControlRecord events to @p tr (null = off). */
-    void attachTrace(TraceCollector *tr) { tr_ = tr; }
-
     /**
-     * Registers this core's milli-IPC rate series with @p tm (null =
-     * detach) and makes stepRun() offer the local clock to the sampler —
-     * the cores collectively drive the whole machine's sampling, since
-     * System::drive() interleaves them in local-time order.
+     * Routes this core's ControlRecord events to @p p's trace, registers
+     * its milli-IPC rate series with @p p's sampler and makes stepRun()
+     * offer the local clock to that sampler — the cores collectively
+     * drive the whole machine's sampling, since System::drive()
+     * interleaves them in local-time order.  Probes{} detaches.
      */
-    void attachTelemetry(TelemetrySampler *tm);
+    void attach(const Probes &p);
 
     /** True when the feed is exhausted (may stage the next block). */
     bool done() { return run_pos_ >= run_len_ && !refillRun(); }
@@ -118,8 +117,7 @@ class CoreModel
     MemorySystem *ms_;
     TraceSource *src_ = nullptr;
     BufferSource buffer_source_; ///< Backs setTrace(); src_ points here.
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    TelemetrySampler *tm_ = nullptr; ///< Null unless sampling is enabled.
+    Probes probes_;
 
     /** Staged run: a view into the source's storage,
      *  valid until the next takeBlock() on that source. */

@@ -63,32 +63,19 @@ class System
      */
     IterationResult runStreaming(const std::vector<TraceSource *> &sources);
 
-    /** Fans @p tr out to the memory hierarchy, prefetchers and cores
-     *  (null = detach).  Call after installing prefetchers, or rely on
-     *  MemorySystem::setPrefetcher re-applying it to late installs. */
+    /**
+     * Hands @p p to the memory hierarchy, its prefetchers and the cores
+     * (Probes{} detaches; sim/probes.h).  Call after installing the
+     * prefetchers, or rely on MemorySystem::setPrefetcher handing the
+     * probes to late installs.
+     */
     void
-    attachTrace(TraceCollector *tr)
+    attach(const Probes &p)
     {
-        mem_.attachTrace(tr);
+        mem_.attach(p);
         for (auto &c : cores_)
-            c->attachTrace(tr);
+            c->attach(p);
     }
-
-    /** Fans @p tm out the same way (null = detach): the hierarchy and
-     *  the prefetchers register their probes, the cores drive the
-     *  sampling from their stepRun() clocks. */
-    void
-    attachTelemetry(TelemetrySampler *tm)
-    {
-        mem_.attachTelemetry(tm);
-        for (auto &c : cores_)
-            c->attachTelemetry(tm);
-    }
-
-    /** Hands the attribution collector to the memory hierarchy (null =
-     *  detach); the cores never touch it — every attribution event is
-     *  observed at the L2s or the prefetchers (sim/attrib.h). */
-    void attachAttrib(AttribCollector *at) { mem_.attachAttrib(at); }
 
   private:
     /** Shared interleaving driver; feeds were set by the run() overload. */

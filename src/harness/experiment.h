@@ -10,7 +10,6 @@
 #ifndef RNR_HARNESS_EXPERIMENT_H
 #define RNR_HARNESS_EXPERIMENT_H
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,51 +23,6 @@ namespace rnr {
 
 struct AttribBlob;
 struct TelemetryBlob;
-
-/**
- * Observability knobs (sim/trace_event.h), carried by ExperimentConfig.
- *
- * Deliberately excluded from ExperimentConfig::key(): tracing is
- * observation-only (a traced run's counters are bit-identical to an
- * untraced run's), so the results are interchangeable cache-wise.  The
- * flip side: runExperiment() may satisfy a traced config from the cache
- * without simulating, producing no events — call runExperimentUncached()
- * when events are the point.
- */
-struct TraceOptions {
-    bool enabled = false;      ///< Collect events (or RNR_TRACE=1).
-    std::string json_out;      ///< Chrome-trace path ("" = RNR_TRACE_OUT).
-    std::size_t ring_capacity = 0; ///< Events/track; 0 = env or default.
-};
-
-/**
- * Time-series sampling knobs (sim/timeseries.h), carried by
- * ExperimentConfig.  Excluded from key()/workloadKey() for the same
- * reason as TraceOptions: sampling is observation-only (a sampled run's
- * IterStats are bit-identical to an unsampled run's), so results are
- * cache-interchangeable.  A cache hit carries no telemetry blob — run
- * with the cache disabled (or via harness/report.h) when the series are
- * the point.
- */
-struct TelemetryOptions {
-    bool enabled = false;    ///< Sample counters (or RNR_SAMPLE_CYCLES).
-    Tick sample_cycles = 0;  ///< Sampling period; 0 = env or default.
-};
-
-/**
- * Prefetch-quality attribution knobs (sim/attrib.h), carried by
- * ExperimentConfig.  Excluded from key() like the other observability
- * options: attribution is observation-only (an attributed run's
- * IterStats are bit-identical to an unattributed run's), so results are
- * cache-interchangeable.  A cache hit carries no attrib blob — disable
- * the cache (or go through harness/report.h, which does) when the
- * per-site tables are the point.
- */
-struct AttribOptions {
-    bool enabled = false;       ///< Collect attribution (or RNR_ATTRIB=1).
-    std::size_t site_top_k = 0;   ///< Sites kept exactly; 0 = default (64).
-    std::size_t region_top_k = 0; ///< Regions kept exactly; 0 = default.
-};
 
 /** "none" / "window" / "window+pace" (sweep JSON, reports). */
 const char *replayControlName(ReplayControlMode mode);
@@ -87,9 +41,6 @@ struct ExperimentConfig {
     unsigned iterations = 3;        ///< Simulated iterations.
     unsigned cores = 4;
     bool ideal_llc = false;         ///< Fig 6's "ideal" bar.
-    TraceOptions trace;             ///< Observation-only; not in key().
-    TelemetryOptions telemetry;     ///< Observation-only; not in key().
-    AttribOptions attrib;           ///< Observation-only; not in key().
 
     /**
      * Workload half of the key: every field that shapes the *emitted

@@ -2,6 +2,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+
+#ifdef _WIN32
+#include <process.h>
+#define rnr_getpid _getpid
+#else
+#include <unistd.h>
+#define rnr_getpid getpid
+#endif
 
 namespace rnr {
 
@@ -59,6 +68,26 @@ const char *
 jsonBool(bool v)
 {
     return v ? "true" : "false";
+}
+
+bool
+writeFileAtomic(const std::string &path, const std::string &content)
+{
+    const std::string tmp =
+        path + ".tmp." + std::to_string(rnr_getpid());
+    {
+        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
+        if (!out)
+            return false;
+        out << content;
+        if (!out)
+            return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
 }
 
 } // namespace rnr

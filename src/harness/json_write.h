@@ -44,6 +44,14 @@ std::string jsonDouble(double v);
 /** "true" / "false". */
 const char *jsonBool(bool v);
 
+/**
+ * Writes @p content to @p path atomically: a temp file beside it, then
+ * rename(), so a reader never sees half a file and concurrent writers
+ * of one path leave the last one's whole.  False on any I/O failure
+ * (the temp file is removed).
+ */
+bool writeFileAtomic(const std::string &path, const std::string &content);
+
 } // namespace rnr
 
 #endif // RNR_HARNESS_JSON_WRITE_H

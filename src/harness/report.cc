@@ -4,17 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
-
-#ifdef _WIN32
-#include <process.h>
-#define rnr_getpid _getpid
-#else
-#include <unistd.h>
-#define rnr_getpid getpid
-#endif
 
 #include "harness/json_write.h"
 #include "harness/metrics.h"
@@ -69,34 +59,7 @@ baselineFor(const SweepReport &rep, const ReportCell &cell)
     return nullptr;
 }
 
-bool
-atomicWrite(const std::string &path, const std::string &content)
-{
-    const std::string tmp =
-        path + ".tmp." + std::to_string(rnr_getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            return false;
-        out << content;
-        if (!out)
-            return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // namespace
-
-std::string
-reportEnvOutPrefix()
-{
-    const char *p = std::getenv("RNR_REPORT_OUT");
-    return p ? p : "";
-}
 
 SweepReport
 buildSweepReport(const std::vector<ExperimentConfig> &cfgs,
@@ -106,7 +69,7 @@ buildSweepReport(const std::vector<ExperimentConfig> &cfgs,
 
     SweepReport rep;
     rep.label = label;
-    rep.sample_cycles = telemetrySampleCycles(sample_cycles);
+    rep.sample_cycles = sample_cycles ? sample_cycles : kDefaultSampleCycles;
 
     for (const ExperimentConfig &cfg : cfgs) {
         ReportCell cell;
@@ -122,13 +85,11 @@ buildSweepReport(const std::vector<ExperimentConfig> &cfgs,
         const std::uint64_t caps_before = ts.captures();
         const std::uint64_t hits_before = ts.hits();
 
-        ExperimentConfig run_cfg = cfg;
-        run_cfg.telemetry.enabled = true;
-        run_cfg.telemetry.sample_cycles = rep.sample_cycles;
-        run_cfg.attrib.enabled = true;
-
+        TelemetrySampler tm(rep.sample_cycles);
+        AttribCollector at;
         const Clock::time_point t0 = Clock::now();
-        cell.result = runExperimentUncached(run_cfg);
+        cell.result =
+            runExperimentUncached(cfg, {.telemetry = &tm, .attrib = &at});
         cell.wall_sec =
             std::chrono::duration<double>(Clock::now() - t0).count();
         cell.peak_rss_bytes = hostPeakRssBytes();
@@ -614,8 +575,8 @@ reportHtml(const SweepReport &rep)
 bool
 writeReport(const std::string &prefix, const SweepReport &rep)
 {
-    const bool json_ok = atomicWrite(prefix + ".json", reportJson(rep));
-    const bool html_ok = atomicWrite(prefix + ".html", reportHtml(rep));
+    const bool json_ok = writeFileAtomic(prefix + ".json", reportJson(rep));
+    const bool html_ok = writeFileAtomic(prefix + ".html", reportHtml(rep));
     return json_ok && html_ok;
 }
 

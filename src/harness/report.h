@@ -17,19 +17,18 @@
  * the same captured trace.
  *
  * Output formats:
- *  - `<prefix>.json`, schema "rnr-report-v1": machine-readable; cells
+ *  - `<prefix>.json`, schema "rnr-report-v2": machine-readable; cells
  *    with config/key, per-iteration counters, derived metrics, host
- *    profile and the full telemetry blob (series points as
- *    [tick, value] pairs).
+ *    profile, the full telemetry blob (series points as [tick, value]
+ *    pairs) and the rnr-attrib-v1 attribution object.
  *  - `<prefix>.html`: a single file with inline CSS/SVG and zero
  *    external fetches, so it can be archived or attached to CI runs
  *    and opened anywhere.
  *
- * Environment:
- *   RNR_SAMPLE_CYCLES=<n>  sampling period for the cells (default 8192)
- *   RNR_REPORT_OUT=<p>     output prefix for `trace_tools report`
+ * RNR_OBS=telemetry,attrib with RNR_OBS_OUT=<p> writes one cell of this
+ * schema per simulated run instead (harness/runner.h).
  *
- * See docs/HARNESS.md section 13.
+ * See docs/HARNESS.md section 11.
  */
 #ifndef RNR_HARNESS_REPORT_H
 #define RNR_HARNESS_REPORT_H
@@ -60,15 +59,16 @@ struct SweepReport {
 };
 
 /**
- * Simulates every config in @p cfgs with telemetry forced on (period
- * @p sample_cycles, 0 = env/default) and collects the cells.  Bypasses
- * the result cache by construction; uses the trace store when enabled.
+ * Simulates every config in @p cfgs with a telemetry sampler (period
+ * @p sample_cycles, 0 = kDefaultSampleCycles) and an attribution
+ * collector attached, and collects the cells.  Bypasses the result
+ * cache by construction; uses the trace store when enabled.
  */
 SweepReport buildSweepReport(const std::vector<ExperimentConfig> &cfgs,
                              const std::string &label = "report",
                              Tick sample_cycles = 0);
 
-/** The report as an "rnr-report-v1" JSON document. */
+/** The report as an "rnr-report-v2" JSON document. */
 std::string reportJson(const SweepReport &rep);
 
 /** The report as one self-contained HTML page (no external fetches). */
@@ -79,9 +79,6 @@ std::string reportHtml(const SweepReport &rep);
  * rename).  Returns false if either write failed.
  */
 bool writeReport(const std::string &prefix, const SweepReport &rep);
-
-/** $RNR_REPORT_OUT, or "" when unset. */
-std::string reportEnvOutPrefix();
 
 } // namespace rnr
 

@@ -1,16 +1,24 @@
 #include "harness/runner.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "ckpt/input_fork.h"
 #include "cpu/system.h"
+#include "harness/json_write.h"
+#include "harness/report.h"
 #include "harness/result_cache.h"
+#include "harness/sweep.h"
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
+#include "sim/trace_event.h"
 #include "tracestore/trace_reader.h"
 #include "tracestore/trace_segment.h"
 #include "tracestore/trace_store.h"
@@ -44,13 +52,14 @@ struct TraceStreamError : std::runtime_error {
  */
 struct Sim {
     System sys;
+    Probes probes;
     std::unique_ptr<Workload> wl;
     std::vector<std::unique_ptr<Prefetcher>> prefetchers;
     ExperimentResult result;
     SystemCounters before;
 
-    Sim(const ExperimentConfig &cfg, const Probes &probes)
-        : sys(machineFor(cfg)), wl(makeWorkload(cfg))
+    Sim(const ExperimentConfig &cfg, const Probes &p)
+        : sys(machineFor(cfg)), probes(p), wl(makeWorkload(cfg))
     {
         RnrPrefetcher::Options rnr_opts;
         rnr_opts.control = cfg.control;
@@ -62,17 +71,26 @@ struct Sim {
             prefetchers.back()->configureFor(*wl, c);
             sys.mem().setPrefetcher(c, prefetchers.back().get());
         }
-        if (probes.trace)
-            sys.attachTrace(probes.trace);
-        if (probes.telemetry)
-            sys.attachTelemetry(probes.telemetry);
-        if (probes.attrib)
-            sys.attachAttrib(probes.attrib);
+        // Every attempt starts its probes empty, so a capture that
+        // failed part way or a corrupt replay leaves nothing in them.
+        probes.reset();
+        sys.attach(probes);
 
         result.config = cfg;
         result.input_bytes = wl->inputBytes();
         result.target_bytes = wl->targetBytes();
         before = SystemCounters::capture(sys);
+    }
+
+    Sim(const Sim &) = delete;
+    Sim &operator=(const Sim &) = delete;
+
+    /** The sampler is the one probe holding pointers into the machine
+     *  (its series closures); it lets go before the machine dies. */
+    ~Sim()
+    {
+        if (probes.telemetry)
+            probes.telemetry->detach();
     }
 
     static MachineConfig
@@ -275,6 +293,16 @@ runWithTraceStore(const ExperimentConfig &cfg, const Probes &probes)
     return runStoreOff(cfg, probes);
 }
 
+/** Writes one RNR_OBS output file; a failure is reported, not thrown:
+ *  the simulation it observed still stands. */
+void
+writeObsFile(const std::string &path, const std::string &content)
+{
+    if (!writeFileAtomic(path, content))
+        std::fprintf(stderr, "rnr: error: obs: failed to write %s\n",
+                     path.c_str());
+}
+
 } // namespace
 
 std::unique_ptr<Workload>
@@ -310,37 +338,66 @@ makeWorkload(const ExperimentConfig &cfg)
     throw std::invalid_argument("unknown app: " + cfg.app);
 }
 
+ObsSwitch
+obsSwitch()
+{
+    ObsSwitch obs;
+    if (const char *out = std::getenv("RNR_OBS_OUT"); out && *out)
+        obs.out = out;
+    const char *list = std::getenv("RNR_OBS");
+    if (!list)
+        return obs;
+
+    // A sweep parses once per cell; warn once per value, not per cell.
+    static std::mutex mu;
+    static std::set<std::string> warned;
+    std::string unknown;
+    std::istringstream in(list);
+    for (std::string tok; std::getline(in, tok, ',');) {
+        if (tok == "trace")
+            obs.trace = true;
+        else if (tok == "telemetry")
+            obs.telemetry = true;
+        else if (tok == "attrib")
+            obs.attrib = true;
+        else if (!tok.empty())
+            unknown += (unknown.empty() ? "" : ",") + tok;
+    }
+    if (unknown.empty())
+        return obs;
+    std::lock_guard<std::mutex> lock(mu);
+    if (warned.insert(list).second)
+        std::fprintf(stderr,
+                     "rnr: warning: RNR_OBS: ignoring unknown %s (known: "
+                     "trace, telemetry, attrib)\n",
+                     unknown.c_str());
+    return obs;
+}
+
 ExperimentResult
 runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
 {
     // A probe the caller passed rides along as given; a missing one is
-    // built here when cfg or the environment asks for it.
+    // built here when RNR_OBS names it.
+    const ObsSwitch obs = obsSwitch();
     Probes probes = given;
     std::unique_ptr<TraceCollector> own_tr;
-    if (!probes.trace && (cfg.trace.enabled || traceEnvEnabled())) {
-        own_tr = std::make_unique<TraceCollector>(cfg.cores,
-                                                  cfg.trace.ring_capacity);
+    if (!probes.trace && obs.trace) {
+        own_tr = std::make_unique<TraceCollector>(cfg.cores);
         probes.trace = own_tr.get();
     }
     std::unique_ptr<TelemetrySampler> own_tm;
-    if (!probes.telemetry &&
-        (cfg.telemetry.enabled || telemetryEnvSampleCycles() > 0)) {
-        own_tm = std::make_unique<TelemetrySampler>(
-            telemetrySampleCycles(cfg.telemetry.sample_cycles));
+    if (!probes.telemetry && obs.telemetry) {
+        own_tm = std::make_unique<TelemetrySampler>();
         probes.telemetry = own_tm.get();
     }
     std::unique_ptr<AttribCollector> own_at;
-    if (!probes.attrib && (cfg.attrib.enabled || attribEnvEnabled())) {
-        own_at = std::make_unique<AttribCollector>(
-            cfg.attrib.site_top_k != 0
-                ? cfg.attrib.site_top_k
-                : AttribCollector::kDefaultSiteTopK,
-            cfg.attrib.region_top_k != 0
-                ? cfg.attrib.region_top_k
-                : AttribCollector::kDefaultRegionTopK);
+    if (!probes.attrib && obs.attrib) {
+        own_at = std::make_unique<AttribCollector>();
         probes.attrib = own_at.get();
     }
 
+    const auto t0 = std::chrono::steady_clock::now();
     // The tracefile app already replays from disk; storing it again
     // would only duplicate the file.
     ExperimentResult r = cfg.app == "tracefile" ? runTraceFile(cfg, probes)
@@ -352,24 +409,29 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
             std::make_shared<TelemetryBlob>(probes.telemetry->harvest());
     if (probes.attrib)
         r.attrib = std::make_shared<AttribBlob>(probes.attrib->harvest());
-    if (!own_tr)
-        return r;
 
-    // Sinks, for a collector built here only: a caller-owned one is the
-    // caller's to read.  Caveat for parallel sweeps: every traced cell
-    // writes the same RNR_TRACE_OUT path (atomically; last writer wins)
-    // — tracing is meant for single-cell runs, not whole sweeps.
-    const std::string out = !cfg.trace.json_out.empty()
-                                ? cfg.trace.json_out
-                                : traceEnvOutPath();
-    if (!out.empty() && !writeChromeTrace(out, *own_tr))
-        std::fprintf(stderr, "rnr: error: trace: failed to write trace %s\n",
-                     out.c_str());
-    if (traceEnvReportEnabled()) {
-        const std::string report =
-            formatReplayDiagnostics(buildReplayDiagnostics(*own_tr));
-        std::fprintf(stderr, "[%s] replay windows:\n%s", cfg.key().c_str(),
-                     report.c_str());
+    // Output, for the probes built here only: a caller-owned one is the
+    // caller's to read.
+    if (own_tr) {
+        writeObsFile(obs.out + ".trace.json", chromeTraceJson(*own_tr));
+        writeObsFile(obs.out + ".windows.txt",
+                     "replay windows of " + cfg.key() + ":\n" +
+                         formatReplayDiagnostics(
+                             buildReplayDiagnostics(*own_tr)));
+    }
+    if (own_tm || own_at) {
+        SweepReport rep;
+        rep.label = cfg.key();
+        if (r.telemetry)
+            rep.sample_cycles = r.telemetry->sample_cycles;
+        ReportCell cell;
+        cell.result = r;
+        cell.wall_sec = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+        cell.peak_rss_bytes = hostPeakRssBytes();
+        rep.cells.push_back(std::move(cell));
+        writeObsFile(obs.out + ".report.json", reportJson(rep));
     }
     return r;
 }

@@ -6,7 +6,7 @@
  *
  * Two entry points: runExperiment() (cached, single-flight; what the
  * benches and sweeps call) and runExperimentUncached() (always
- * simulates, optionally with caller-owned Probes attached).
+ * simulates, with the Probes the caller gives or RNR_OBS asks for).
  *
  * Results are cached through harness/result_cache.h (in-process memo +
  * optional on-disk store) keyed by ExperimentConfig::key(), so the per-figure
@@ -33,45 +33,54 @@
 #include <string>
 
 #include "harness/experiment.h"
-#include "sim/trace_event.h"
+#include "sim/probes.h"
 #include "workloads/workload.h"
 
 namespace rnr {
-
-class AttribCollector;
-class TelemetrySampler;
 
 /** Instantiates the workload named by @p cfg (app + input). */
 std::unique_ptr<Workload> makeWorkload(const ExperimentConfig &cfg);
 
 /**
- * The instruments a run can carry, all caller-owned and any of them
- * null: events into @p trace (built for cfg.cores tracks), periodic
- * counter samples into @p telemetry, prefetch-quality attribution into
- * @p attrib.  None of them changes the returned counters
- * (tests/sim/trace_event_test.cc, tests/harness/report_test.cc and
- * tests/sim/attrib_test.cc assert bit-equality).
+ * What the one observability switch asks every simulated run to carry:
+ * RNR_OBS is a comma-separated list of `trace`, `telemetry` and
+ * `attrib` (unset or empty = all off), RNR_OBS_OUT the prefix the
+ * runner writes their output under.
  */
-struct Probes {
-    TraceCollector *trace = nullptr;
-    TelemetrySampler *telemetry = nullptr;
-    AttribCollector *attrib = nullptr;
+struct ObsSwitch {
+    bool trace = false;
+    bool telemetry = false;
+    bool attrib = false;
+    std::string out = "rnr_obs"; ///< RNR_OBS_OUT when set and non-empty.
 };
+
+/** Parses RNR_OBS and RNR_OBS_OUT.  An unknown token is ignored with
+ *  one `rnr: warning:` line on stderr per distinct RNR_OBS value. */
+ObsSwitch obsSwitch();
 
 /**
  * Simulates @p cfg: no result cache, no locking — a cache hit would
  * return counters without producing events, samples or attribution.
  *
- * A probe in @p probes is attached as given.  A null one is built from
- * cfg/env: a TraceCollector when cfg.trace.enabled or RNR_TRACE=1, a
- * TelemetrySampler when cfg.telemetry.enabled or RNR_SAMPLE_CYCLES>0,
- * an AttribCollector when cfg.attrib.enabled or RNR_ATTRIB=1.  Every
- * attached sampler's and collector's harvest lands on the result
- * (ExperimentResult::telemetry / ::attrib; attribution is also mirrored
- * into the process metrics registry).  The trace sinks fire only for a
- * collector built here: the Chrome-trace JSON goes to
- * cfg.trace.json_out (or $RNR_TRACE_OUT) and the per-window replay
- * report to stderr when RNR_TRACE_REPORT=1.
+ * Every probe in @p probes (sim/probes.h) is attached as given; a null
+ * one is built here when RNR_OBS names it (obsSwitch()).  None of them
+ * changes the returned counters (tests/harness/runner_test.cc asserts
+ * bit-equality with all three attached).  The probes are reset at the
+ * start of every attempt — a capture that fails and reruns without the
+ * store, a corrupt replay that recaptures — so they hold the attempt
+ * that produced the result and nothing else, and they are detached
+ * from the simulated machine before this returns.  Every sampler's and
+ * collector's harvest lands on the result (ExperimentResult::telemetry
+ * / ::attrib).
+ *
+ * What the probes built here saw is written under the RNR_OBS_OUT
+ * prefix: `<prefix>.trace.json` (Chrome trace) and
+ * `<prefix>.windows.txt` (per-window replay report) for a trace,
+ * `<prefix>.report.json` (one rnr-report-v2 cell, harness/report.h)
+ * for telemetry or attribution.  A caller-owned probe is the caller's
+ * to read.  Parallel cells share the one prefix; each file is written
+ * atomically and the last writer wins, so observe single cells, not
+ * whole sweeps.
  */
 ExperimentResult runExperimentUncached(const ExperimentConfig &cfg,
                                        const Probes &probes = {});

@@ -14,15 +14,12 @@
 
 #ifdef _WIN32
 #include <io.h>
-#include <process.h>
 #define rnr_isatty _isatty
 #define rnr_fileno _fileno
-#define rnr_getpid _getpid
 #else
 #include <unistd.h>
 #define rnr_isatty isatty
 #define rnr_fileno fileno
-#define rnr_getpid getpid
 #endif
 
 #include "ckpt/ckpt_store.h"
@@ -382,22 +379,7 @@ writeResultsJson(const std::string &path,
         os << (i + 1 < results.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
-
-    const std::string tmp =
-        path + ".tmp." + std::to_string(rnr_getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << os.str();
-        if (!out)
-            return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return writeFileAtomic(path, os.str());
 }
 
 bool

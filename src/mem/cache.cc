@@ -64,14 +64,13 @@ Cache::reset()
 }
 
 void
-Cache::setTrace(TraceCollector *tr, std::uint16_t track,
-                std::uint8_t level)
+Cache::attach(const Probes &p, std::uint16_t track, std::uint8_t level)
 {
-    tr_ = tr;
-    tr_track_ = track;
-    tr_level_ = level;
-    mshr_.setTrace(tr, track, false);
-    pq_.setTrace(tr, track, true);
+    probes_ = p;
+    track_ = track;
+    level_ = level;
+    mshr_.attach(p, track, false);
+    pq_.attach(p, track, true);
 }
 
 std::size_t

@@ -19,6 +19,7 @@
 #include "mem/mshr.h"
 #include "sim/attrib.h"
 #include "sim/config.h"
+#include "sim/probes.h"
 #include "sim/stats.h"
 #include "sim/trace_event.h"
 #include "sim/types.h"
@@ -113,8 +114,8 @@ class Cache
                 line.rrpv = 0; // SRRIP: proven reuse -> near re-reference
                 if (line.prefetched && !line.referenced) {
                     ++ctr_.prefetch_useful;
-                    if (at_)
-                        at_->onUseful(line.site, block);
+                    if (probes_.attrib)
+                        probes_.attrib->onUseful(line.site, block);
                 }
                 line.referenced = true;
                 if (line.fill_time > now)
@@ -124,11 +125,11 @@ class Cache
             }
         }
         ++ctr_.misses;
-        if (at_)
-            at_->onDemandMiss(at_core_, block);
-        if (tr_)
-            tr_->emit(tr_track_, TraceEventType::CacheMiss, now, block,
-                      tr_level_);
+        if (probes_.attrib)
+            probes_.attrib->onDemandMiss(track_, block);
+        if (probes_.trace)
+            probes_.trace->emit(track_, TraceEventType::CacheMiss, now,
+                                block, level_);
         return nullptr;
     }
 
@@ -233,13 +234,14 @@ class Cache
                 ++ctr_.writebacks;
             if (ev.prefetched_unused) {
                 ++ctr_.prefetch_evicted_unused;
-                if (at_)
-                    at_->onEvictedUnused(victim->site, ev.block);
-            } else if (at_ && prefetched) {
+                if (probes_.attrib)
+                    probes_.attrib->onEvictedUnused(victim->site, ev.block);
+            } else if (probes_.attrib && prefetched) {
                 // A prefetch displaced a line the demand stream owned
                 // (demand-filled, or a prefetch that proved useful):
                 // remember the victim so a re-miss charges pollution.
-                at_->onPrefetchEvictsDemand(at_core_, site, ev.block);
+                probes_.attrib->onPrefetchEvictsDemand(track_, site,
+                                                       ev.block);
             }
         }
 
@@ -252,9 +254,10 @@ class Cache
         victim->lru = ++lru_clock_;
         victim->rrpv = 2; // SRRIP insertion: "long" re-reference interval
         ++(prefetched ? ctr_.fills_prefetch : ctr_.fills_demand);
-        if (tr_)
-            tr_->emit(tr_track_, TraceEventType::CacheFill, fill_time,
-                      block, tr_level_ + (prefetched ? 4u : 0u));
+        if (probes_.trace)
+            probes_.trace->emit(track_, TraceEventType::CacheFill,
+                                fill_time, block,
+                                level_ + (prefetched ? 4u : 0u));
         return ev;
     }
 
@@ -270,23 +273,15 @@ class Cache
     /** Invalidates every line and clears the MSHR file. */
     void reset();
 
-    /** Routes this level's miss/fill (and both MSHR files') events to
-     *  @p tr's @p track; @p level tags events (0 = L1, 1 = L2, 2 = LLC).
-     *  Pass tr = nullptr to detach. */
-    void setTrace(TraceCollector *tr, std::uint16_t track,
-                  std::uint8_t level);
-
-    /** Routes this level's attribution events (useful hits, unused
-     *  evictions, pollution-filter traffic) to @p at as @p core; null =
-     *  detach.  Only L2s are attached — their counters are the ones
-     *  IterStats aggregates, which is what makes attribution totals
-     *  reconcile exactly (sim/attrib.h). */
-    void
-    setAttrib(AttribCollector *at, unsigned core)
-    {
-        at_ = at;
-        at_core_ = core;
-    }
+    /**
+     * Routes this level's miss/fill events (and both MSHR files') to
+     * @p p's trace on @p track, tagged with @p level (0 = L1, 1 = L2,
+     * 2 = LLC), and its useful hits, unused evictions and pollution-
+     * filter traffic to @p p's attribution as core @p track (a private
+     * level's track is its core's).  A null probe is off; Probes{}
+     * detaches.
+     */
+    void attach(const Probes &p, std::uint16_t track, std::uint8_t level);
 
     /** Number of valid lines (tests and occupancy probes). */
     std::size_t residentCount() const;
@@ -317,11 +312,9 @@ class Cache
     Mshr pq_;
     StatGroup stats_;
     CacheCounters ctr_; ///< Handles into stats_; keep declared after it.
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    std::uint16_t tr_track_ = 0;
-    std::uint8_t tr_level_ = 0;
-    AttribCollector *at_ = nullptr; ///< Null unless attribution is on.
-    unsigned at_core_ = 0;
+    Probes probes_;
+    std::uint16_t track_ = 0;
+    std::uint8_t level_ = 0;
 };
 
 } // namespace rnr

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/probes.h"
 #include "sim/stats.h"
 #include "sim/trace_event.h"
 #include "sim/types.h"
@@ -77,12 +78,13 @@ class Dram
     /** Clears timing state but keeps statistics (between iterations). */
     void resetTiming();
 
-    /** Routes DramEnqueue/DramDequeue events to @p tr's @p track. */
+    /** Routes DramEnqueue/DramDequeue events to @p p's trace on
+     *  @p track. */
     void
-    setTrace(TraceCollector *tr, std::uint16_t track)
+    attach(const Probes &p, std::uint16_t track)
     {
-        tr_ = tr;
-        tr_track_ = track;
+        probes_ = p;
+        track_ = track;
     }
 
     StatGroup &stats() { return stats_; }
@@ -131,8 +133,8 @@ class Dram
     std::deque<PendingWrite> write_queue_;
     StatGroup stats_;
     DramCounters ctr_; ///< Handles into stats_; keep declared after it.
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    std::uint16_t tr_track_ = 0;
+    Probes probes_;
+    std::uint16_t track_ = 0;
 };
 
 } // namespace rnr

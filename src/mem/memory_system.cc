@@ -33,44 +33,48 @@ MemorySystem::setPrefetcher(unsigned core, Prefetcher *pf)
                           prefetchers_[core]->hasTargetRegions()};
     if (pf) {
         pf->attach(this, core);
-        if (tr_)
-            pf->setTrace(tr_, static_cast<std::uint16_t>(core));
-        if (tm_)
-            pf->setTelemetry(tm_, core);
-        if (at_)
-            pf->setAttrib(at_);
+        attachPrefetcher(core);
     }
 }
 
 void
-MemorySystem::attachTrace(TraceCollector *tr)
+MemorySystem::attachPrefetcher(unsigned core)
 {
-    tr_ = tr;
-    const std::uint16_t mem_track = tr ? tr->memTrack() : 0;
+    Prefetcher *pf = prefetchers_[core];
+    pf->setTrace(probes_.trace, static_cast<std::uint16_t>(core));
+    pf->setTelemetry(probes_.telemetry, core);
+    pf->setAttrib(probes_.attrib);
+}
+
+void
+MemorySystem::attach(const Probes &p)
+{
+    probes_ = p;
+    // Attribution hooks the private L2s only: their counters are the
+    // ones SystemCounters folds into IterStats (pf_issued / pf_useful /
+    // pf_late_merged), which is what makes the attrib totals reconcile
+    // exactly.  The L1s and the LLC see the trace alone.
+    const Probes trace_only{.trace = p.trace};
+    const std::uint16_t mem_track = p.trace ? p.trace->memTrack() : 0;
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         const auto track = static_cast<std::uint16_t>(c);
-        l1d_[c]->setTrace(tr, track, 0);
-        l2_[c]->setTrace(tr, track, 1);
-        prefetchers_[c]->setTrace(tr, track);
+        l1d_[c]->attach(trace_only, track, 0);
+        l2_[c]->attach(p, track, 1);
     }
-    llc_->setTrace(tr, mem_track, 2);
-    dram_.setTrace(tr, mem_track);
-}
+    llc_->attach(trace_only, mem_track, 2);
+    dram_.attach(trace_only, mem_track);
 
-void
-MemorySystem::attachTelemetry(TelemetrySampler *tm)
-{
-    tm_ = tm;
+    TelemetrySampler *tm = p.telemetry;
     h_miss_latency_ = tm ? &tm->histogram("l2.demand_miss_latency") : nullptr;
     h_pf_latency_ = tm ? &tm->histogram("l2.prefetch_fill_latency") : nullptr;
     if (tm) {
         for (unsigned c = 0; c < cfg_.cores; ++c) {
-            const std::string p = "core" + std::to_string(c) + ".";
+            const std::string prefix = "core" + std::to_string(c) + ".";
             Cache *l2 = l2_[c].get();
-            tm->addSeries(p + "l2_mshr_occupancy", [l2] {
+            tm->addSeries(prefix + "l2_mshr_occupancy", [l2] {
                 return static_cast<std::uint64_t>(l2->mshr().inFlight());
             });
-            tm->addSeries(p + "l2_pf_queue_depth", [l2] {
+            tm->addSeries(prefix + "l2_pf_queue_depth", [l2] {
                 return static_cast<std::uint64_t>(
                     l2->prefetchQueue().inFlight());
             });
@@ -82,22 +86,9 @@ MemorySystem::attachTelemetry(TelemetrySampler *tm)
             return static_cast<std::uint64_t>(dram_.writeQueueDepth());
         });
     }
+    // Last, so the prefetchers' series follow the hierarchy's.
     for (unsigned c = 0; c < cfg_.cores; ++c)
-        prefetchers_[c]->setTelemetry(tm, c);
-}
-
-void
-MemorySystem::attachAttrib(AttribCollector *at)
-{
-    at_ = at;
-    // Attribution attaches to the private L2s only: their counters are
-    // the ones SystemCounters folds into IterStats (pf_issued /
-    // pf_useful / pf_late_merged), so hooking exactly these levels is
-    // what makes the attrib totals reconcile exactly.
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        l2_[c]->setAttrib(at, c);
-        prefetchers_[c]->setAttrib(at);
-    }
+        attachPrefetcher(c);
 }
 
 void
@@ -177,9 +168,9 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         if (is_write)
             l1.markDirty(block, t); // will be resident once filled
         ++l1.ctr().mshr_merges;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::MshrMerge, t, block, 0);
+        if (probes_.trace)
+            probes_.trace->emit(static_cast<std::uint16_t>(core),
+                                TraceEventType::MshrMerge, t, block, 0);
         return res;
     }
     if (l1.mshr().full()) {
@@ -217,9 +208,9 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         fill = std::max(t2, e->fill) + l2.config().latency;
         info.merged = true;
         ++l2.ctr().mshr_merges;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::MshrMerge, t2, block, 1);
+        if (probes_.trace)
+            probes_.trace->emit(static_cast<std::uint16_t>(core),
+                                TraceEventType::MshrMerge, t2, block, 1);
         if (target) {
             ++l2.ctr().target_accesses;
             ++l2.ctr().target_merges;
@@ -231,14 +222,14 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         info.merged = true;
         info.merged_into_prefetch = pe->prefetch;
         ++l2.ctr().mshr_merges;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::MshrMerge, t2, block,
-                      pe->prefetch ? 5 : 1);
+        if (probes_.trace)
+            probes_.trace->emit(static_cast<std::uint16_t>(core),
+                                TraceEventType::MshrMerge, t2, block,
+                                pe->prefetch ? 5 : 1);
         if (pe->prefetch) {
             ++l2.ctr().demand_merged_into_prefetch;
-            if (at_)
-                at_->onLateMerged(pe->site, block);
+            if (probes_.attrib)
+                probes_.attrib->onLateMerged(pe->site, block);
             pe->prefetch = false; // count each late prefetch once
         }
         if (target) {
@@ -291,17 +282,17 @@ MemorySystem::issueIntoL2(unsigned core, Cache &l2, Addr block, Tick now,
         l2.prefetchQueue().find(block)) {
         out.redundant = true;
         ++l2.ctr().prefetch_redundant;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::PrefetchDrop, now, block, 0);
+        if (probes_.trace)
+            probes_.trace->emit(static_cast<std::uint16_t>(core),
+                                TraceEventType::PrefetchDrop, now, block, 0);
         return out;
     }
     if (l2.prefetchQueue().full()) {
         out.mshr_full = true;
         ++l2.ctr().prefetch_mshr_full;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::PrefetchDrop, now, block, 1);
+        if (probes_.trace)
+            probes_.trace->emit(static_cast<std::uint16_t>(core),
+                                TraceEventType::PrefetchDrop, now, block, 1);
         return out;
     }
 
@@ -313,14 +304,14 @@ MemorySystem::issueIntoL2(unsigned core, Cache &l2, Addr block, Tick now,
     EvictResult ev = l2.insert(block, fill, true, false, site);
     handleL2Evict(core, ev, now);
     ++l2.ctr().prefetches_issued;
-    if (at_)
-        at_->onIssued(site, block);
-    if (tr_) {
+    if (probes_.attrib)
+        probes_.attrib->onIssued(site, block);
+    if (TraceCollector *tr = probes_.trace) {
         const auto track = static_cast<std::uint16_t>(core);
-        tr_->emit(track, TraceEventType::PrefetchIssue, now, block,
-                  fill - now);
-        tr_->emit(track, TraceEventType::PrefetchFill, fill, block,
-                  fill - now);
+        tr->emit(track, TraceEventType::PrefetchIssue, now, block,
+                 fill - now);
+        tr->emit(track, TraceEventType::PrefetchFill, fill, block,
+                 fill - now);
     }
 
     out.issued = true;

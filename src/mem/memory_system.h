@@ -19,13 +19,12 @@
 #include "mem/tlb.h"
 #include "prefetch/prefetcher.h"
 #include "sim/config.h"
+#include "sim/probes.h"
 #include "sim/types.h"
 
 namespace rnr {
 
-class TelemetrySampler;
 class Log2Histogram;
-class AttribCollector;
 
 /** Result of a demand access, as seen by the core model. */
 struct DemandResult {
@@ -99,35 +98,19 @@ class MemorySystem
     void resetTiming();
 
     /**
-     * Fans @p tr out to every cache level, both MSHR files, the DRAM
-     * model and the attached prefetchers (null = detach).  Core-private
-     * structures use the core's track; LLC + DRAM share the "mem" track.
-     * Prefetchers installed later (setPrefetcher) inherit it.
+     * Hands @p p to the hierarchy (Probes{} detaches).  The trace goes
+     * to every cache level, both MSHR files of each, the DRAM model and
+     * the prefetchers; core-private structures use the core's track,
+     * LLC + DRAM share the "mem" track.  The sampler gets per-core L2
+     * MSHR occupancy and prefetch-queue depth, DRAM read/write-queue
+     * depth and the L2 demand-miss and prefetch-to-fill latency
+     * histograms, and the prefetchers register their own series.
+     * Attribution goes to each private L2, to the issue and late-merge
+     * hooks here and to the prefetchers (RnR reports its Fig 11
+     * classification).  Prefetchers installed later (setPrefetcher)
+     * get the same probes.
      */
-    void attachTrace(TraceCollector *tr);
-    TraceCollector *trace() { return tr_; }
-
-    /**
-     * Registers this hierarchy's telemetry sources with @p tm (null =
-     * detach): per-core L2 MSHR occupancy and prefetch-queue depth
-     * probes, DRAM read/write-queue depth probes, and the L2 demand-
-     * miss and prefetch-to-fill latency histograms.  Forwards to the
-     * attached prefetchers (Prefetcher::setTelemetry); prefetchers
-     * installed later (setPrefetcher) inherit it.
-     */
-    void attachTelemetry(TelemetrySampler *tm);
-    TelemetrySampler *telemetry() { return tm_; }
-
-    /**
-     * Attaches the attribution collector (null = detach): each private
-     * L2 reports useful hits / unused evictions / pollution events, the
-     * prefetch-issue and late-merge hooks here report the rest, and the
-     * attached prefetchers get Prefetcher::setAttrib (RnR registers its
-     * Fig 11 classification).  Prefetchers installed later
-     * (setPrefetcher) inherit it, mirroring trace/telemetry.
-     */
-    void attachAttrib(AttribCollector *at);
-    AttribCollector *attrib() { return at_; }
+    void attach(const Probes &p);
 
   private:
     /** One block of prefetchIntoL2() after the L2's two queue purges:
@@ -137,6 +120,10 @@ class MemorySystem
 
     /** Shared LLC + DRAM access; returns fill-complete tick. */
     Tick accessShared(Addr block, Tick now, ReqOrigin origin);
+
+    /** Hands the probes to @p core's prefetcher through its three
+     *  Prefetcher::set* hooks. */
+    void attachPrefetcher(unsigned core);
 
     /** Handles an L2 eviction: writeback + prefetcher notification. */
     void handleL2Evict(unsigned core, const EvictResult &ev, Tick now);
@@ -162,9 +149,7 @@ class MemorySystem
     std::vector<Prefetcher *> prefetchers_;
     std::vector<PfDispatch> pf_dispatch_; ///< Parallel to prefetchers_.
     NullPrefetcher null_pf_;
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    TelemetrySampler *tm_ = nullptr; ///< Null unless sampling is enabled.
-    AttribCollector *at_ = nullptr; ///< Null unless attribution is on.
+    Probes probes_;
     /** Latency sinks, non-null only while telemetry is attached. */
     Log2Histogram *h_miss_latency_ = nullptr;
     Log2Histogram *h_pf_latency_ = nullptr;

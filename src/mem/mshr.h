@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/probes.h"
 #include "sim/trace_event.h"
 #include "sim/types.h"
 
@@ -51,14 +52,15 @@ class Mshr
 
     explicit Mshr(unsigned capacity) : capacity_(capacity) {}
 
-    /** Routes MshrAlloc events to @p tr's @p track; @p prefetch_file
-     *  tags events from the prefetch-queue file (event arg = 1). */
+    /** Routes MshrAlloc events to @p p's trace on @p track;
+     *  @p prefetch_file tags events from the prefetch-queue file
+     *  (event arg = 1). */
     void
-    setTrace(TraceCollector *tr, std::uint16_t track, bool prefetch_file)
+    attach(const Probes &p, std::uint16_t track, bool prefetch_file)
     {
-        tr_ = tr;
-        tr_track_ = track;
-        tr_pq_ = prefetch_file;
+        probes_ = p;
+        track_ = track;
+        pq_ = prefetch_file;
     }
 
     /** Drops entries whose fill completed at or before @p now. */
@@ -146,9 +148,9 @@ class Mshr
         entries_.push_back({block, fill, prefetch, site});
         setBit(block);
         next_fill_ = std::min(next_fill_, fill);
-        if (tr_)
-            tr_->emit(tr_track_, TraceEventType::MshrAlloc, fill, block,
-                      tr_pq_ ? 1 : 0);
+        if (probes_.trace)
+            probes_.trace->emit(track_, TraceEventType::MshrAlloc, fill,
+                                block, pq_ ? 1 : 0);
     }
 
     void
@@ -173,9 +175,9 @@ class Mshr
     /** Presence filter: its set bits are filterBit(b) over the blocks
      *  b in the file (rebuilt by every compacting purge). */
     std::array<std::uint64_t, 8> filter_{};
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    std::uint16_t tr_track_ = 0;
-    bool tr_pq_ = false;
+    Probes probes_;
+    std::uint16_t track_ = 0;
+    bool pq_ = false;
 };
 
 } // namespace rnr

@@ -124,7 +124,10 @@ class Prefetcher
      * Routes this prefetcher's events to @p tr (null = tracing off).
      * Events from per-core internals go to track @p track (the core's);
      * RnR overrides this to also emit onto the shared "rnr" track.
-     * Composites (CombinedPrefetcher) forward to their children.
+     * Composites (CombinedPrefetcher) forward to their children.  This
+     * and the next two setters are how the probe bus (sim/probes.h)
+     * reaches a prefetcher: MemorySystem::attach() and setPrefetcher()
+     * call all three.
      */
     virtual void
     setTrace(TraceCollector *tr, std::uint16_t track)
@@ -138,9 +141,8 @@ class Prefetcher
      * sampling off; sim/timeseries.h).  The default registers nothing:
      * baseline prefetchers are covered by the memory system's queue
      * probes.  RnR overrides this to expose its replay lane (N_pace,
-     * metadata buffer fill).  Called by MemorySystem::attachTelemetry
-     * and re-applied to late setPrefetcher() installs, mirroring
-     * setTrace.
+     * metadata buffer fill).  Called by MemorySystem::attach() and
+     * setPrefetcher(), like setTrace.
      */
     virtual void
     setTelemetry(TelemetrySampler *tm, unsigned core)
@@ -155,8 +157,7 @@ class Prefetcher
      * the issuePrefetch() site argument, not through the collector.
      * RnR overrides this to report its Fig 11 timeliness classification
      * per replay window; composites forward to their children.  Called
-     * by MemorySystem::attachAttrib and re-applied to late
-     * setPrefetcher() installs, mirroring setTrace/setTelemetry.
+     * by MemorySystem::attach() and setPrefetcher(), like setTrace.
      */
     virtual void setAttrib(AttribCollector *at) { (void)at; }
 

@@ -1,8 +1,6 @@
 #include "sim/attrib.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "harness/json_write.h"
@@ -191,11 +189,10 @@ AttribCollector::harvest() const
     return b;
 }
 
-bool
-attribEnvEnabled()
+void
+AttribCollector::reset()
 {
-    const char *p = std::getenv("RNR_ATTRIB");
-    return p && *p && std::strcmp(p, "0") != 0;
+    *this = AttribCollector(site_top_k_, region_top_k_);
 }
 
 namespace {

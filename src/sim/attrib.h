@@ -32,10 +32,10 @@
  *
  *  1. **Observation only.**  An attributed run's IterStats are
  *     bit-identical to an unattributed run's (test-enforced).
- *  2. **Free when off.**  Components hold an `AttribCollector *` that
- *     is null unless attribution was requested (RNR_ATTRIB=1 or
- *     ExperimentConfig::attrib.enabled); disabled cost is one
- *     predictable null-pointer branch per hook (BM_DemandAccess-
+ *  2. **Free when off.**  Components hold the probe bus (sim/probes.h),
+ *     whose attrib pointer is null unless attribution was requested
+ *     (RNR_OBS=attrib or a caller-owned collector); disabled cost is
+ *     one predictable null-pointer branch per hook (BM_DemandAccess-
  *     AttribGated in BENCH_hotpath.json).
  *  3. **Bounded when on.**  The per-site / per-region tables are
  *     capacity-capped: inserting past the cap deterministically folds
@@ -44,10 +44,7 @@
  *     IterStats counters no matter how much the tables folded.
  *  4. **Single-writer.**  One collector belongs to one simulation.
  *
- * Environment:
- *   RNR_ATTRIB=1  enable attribution (same gate the config flag sets)
- *
- * See docs/HARNESS.md section 17 for the full walkthrough.
+ * See docs/HARNESS.md section 11 for the full walkthrough.
  */
 #ifndef RNR_SIM_ATTRIB_H
 #define RNR_SIM_ATTRIB_H
@@ -190,7 +187,7 @@ struct AttribBlob {
 /**
  * The per-simulation attribution sink.  Owned by whoever runs the
  * simulation (the runner, the report generator, a test); components
- * receive a raw pointer via System::attachAttrib() — null pointer =
+ * receive it on the probe bus via System::attach() — null pointer =
  * attribution off, the usual one-branch discipline.
  *
  * Hooks are placed at the *exact* source lines that bump the
@@ -234,6 +231,10 @@ class AttribCollector
     /** Detaches everything recorded so far into a blob. */
     AttribBlob harvest() const;
 
+    /** Drops every table, total and filter entry (Probes::reset());
+     *  the top-K caps stay. */
+    void reset();
+
   private:
     struct VictimEnt {
         Addr block = 0;
@@ -268,11 +269,6 @@ class AttribCollector
     std::uint64_t filter_inserts_ = 0;
     std::uint64_t filter_hits_ = 0;
 };
-
-// ---- Environment gate (read by harness/runner.cc and the tools) ----
-
-/** True when $RNR_ATTRIB is set to anything but "" / "0". */
-bool attribEnvEnabled();
 
 // ---- Expositions ----
 

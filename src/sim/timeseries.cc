@@ -1,7 +1,5 @@
 #include "sim/timeseries.h"
 
-#include <cstdlib>
-
 namespace rnr {
 
 const TelemetrySeriesBlob *
@@ -24,7 +22,7 @@ TelemetryBlob::findHistogram(const std::string &name) const
 
 TelemetrySampler::TelemetrySampler(Tick sample_cycles,
                                    std::size_t series_capacity)
-    : period_(telemetrySampleCycles(sample_cycles)),
+    : period_(sample_cycles ? sample_cycles : kDefaultSampleCycles),
       series_capacity_(series_capacity)
 {
 }
@@ -65,6 +63,8 @@ TelemetrySampler::histogram(const std::string &name)
 void
 TelemetrySampler::sample(Tick now)
 {
+    if (next_ == kTickMax)
+        return; // detached: the probes are gone
     ++samples_;
     for (Source &s : sources_) {
         const std::uint64_t v = s.probe();
@@ -121,24 +121,21 @@ TelemetrySampler::harvest() const
     return blob;
 }
 
-Tick
-telemetryEnvSampleCycles()
+void
+TelemetrySampler::reset()
 {
-    const char *p = std::getenv("RNR_SAMPLE_CYCLES");
-    if (!p || !*p)
-        return 0;
-    const long long n = std::strtoll(p, nullptr, 10);
-    return n > 0 ? static_cast<Tick>(n) : 0;
+    next_ = 0;
+    samples_ = 0;
+    sources_.clear();
+    histograms_.clear();
 }
 
-Tick
-telemetrySampleCycles(Tick requested)
+void
+TelemetrySampler::detach()
 {
-    if (requested)
-        return requested;
-    if (const Tick env = telemetryEnvSampleCycles())
-        return env;
-    return kDefaultSampleCycles;
+    for (Source &s : sources_)
+        s.probe = nullptr;
+    next_ = kTickMax;
 }
 
 } // namespace rnr

@@ -18,10 +18,10 @@
  *  1. **Observation only.**  Probes are read, never written; a sampled
  *     run produces bit-identical IterStats to an unsampled run (pinned
  *     by tests/harness/report_test.cc).
- *  2. **Free when off.**  Components hold a `TelemetrySampler *` that
- *     is null unless sampling was requested (RNR_SAMPLE_CYCLES=<n> or
- *     ExperimentConfig::telemetry.enabled); the hot-path cost of
- *     disabled sampling is one predictable null-pointer branch per
+ *  2. **Free when off.**  Components hold the probe bus (sim/probes.h),
+ *     whose telemetry pointer is null unless sampling was requested
+ *     (RNR_OBS=telemetry or a caller-owned sampler); the hot-path cost
+ *     of disabled sampling is one predictable null-pointer branch per
  *     hook (A/B in BENCH_telemetry.json).
  *  3. **Bounded when on.**  Each series holds at most `capacity`
  *     points.  When a series fills up it halves its resolution,
@@ -32,10 +32,7 @@
  *  4. **Single-writer.**  A sampler belongs to one System and needs no
  *     atomics (the sweep parallelises at whole-simulation granularity).
  *
- * Environment:
- *   RNR_SAMPLE_CYCLES=<n>  sample every n core cycles (unset/0 = off)
- *
- * See docs/HARNESS.md section 13 for the full pipeline walkthrough.
+ * See docs/HARNESS.md section 11 for the full pipeline walkthrough.
  */
 #ifndef RNR_SIM_TIMESERIES_H
 #define RNR_SIM_TIMESERIES_H
@@ -180,11 +177,14 @@ struct TelemetryBlob {
     findHistogram(const std::string &name) const;
 };
 
+/** Default sampling period when none is given. */
+constexpr Tick kDefaultSampleCycles = 8192;
+
 /**
  * The per-simulation telemetry sink.  Owned by whoever runs the
  * simulation (the runner, the report generator, a test); components
- * receive a raw pointer via System::attachTelemetry() and register
- * their probes/histograms at attach time, so the harness never needs
+ * receive it on the probe bus via System::attach() and register their
+ * probes/histograms at attach time, so the harness never needs
  * per-component wiring knowledge.
  *
  * Sampling is driven from CoreModel::stepRun(): every core offers its
@@ -198,7 +198,7 @@ class TelemetrySampler
   public:
     using Probe = std::function<std::uint64_t()>;
 
-    /** @param sample_cycles period in core cycles; 0 = env/default.
+    /** @param sample_cycles period in core cycles; 0 = the default.
      *  @param series_capacity points per series before downsampling. */
     explicit TelemetrySampler(
         Tick sample_cycles = 0,
@@ -238,7 +238,8 @@ class TelemetrySampler
         sample(now);
     }
 
-    /** Snapshots every registered source at @p now (forced). */
+    /** Snapshots every registered source at @p now (forced; a no-op
+     *  once detached). */
     void sample(Tick now);
 
     std::size_t seriesCount() const { return sources_.size(); }
@@ -246,6 +247,15 @@ class TelemetrySampler
 
     /** Detaches everything sampled so far into a blob. */
     TelemetryBlob harvest() const;
+
+    /** Drops every series, histogram and sample (Probes::reset()); the
+     *  period and series capacity stay. */
+    void reset();
+
+    /** Forgets every registered probe but keeps what was sampled, so
+     *  that nothing reaches into a System about to be destroyed;
+     *  sample() then records nothing more. */
+    void detach();
 
   private:
     struct Source {
@@ -267,18 +277,6 @@ class TelemetrySampler
     /** Node-based so histogram() references survive later inserts. */
     std::map<std::string, Log2Histogram> histograms_;
 };
-
-// ---- Environment gate (read by harness/runner.cc and the tools) ----
-
-/** Default sampling period when enabled without an explicit one. */
-constexpr Tick kDefaultSampleCycles = 8192;
-
-/** $RNR_SAMPLE_CYCLES as a number, or 0 when unset/invalid/off. */
-Tick telemetryEnvSampleCycles();
-
-/** Resolves the effective period: @p requested if non-zero, else
- *  $RNR_SAMPLE_CYCLES, else kDefaultSampleCycles. */
-Tick telemetrySampleCycles(Tick requested = 0);
 
 } // namespace rnr
 

@@ -2,37 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "harness/json_write.h"
 
-#ifdef _WIN32
-#include <process.h>
-#define rnr_getpid _getpid
-#else
-#include <unistd.h>
-#define rnr_getpid getpid
-#endif
-
 namespace rnr {
-
-namespace {
-
-/** Default events per track when neither config nor env says otherwise:
- *  32k events x 32 B x (cores + 2) tracks ~= 6 MB on a 4-core machine,
- *  enough to hold a full scaled replay iteration without wrapping. */
-constexpr std::size_t kDefaultRingCapacity = 32768;
-
-bool
-envFlag(const char *name)
-{
-    const char *p = std::getenv(name);
-    return p && *p && std::string(p) != "0";
-}
-
-} // namespace
 
 const char *
 traceEventName(TraceEventType type)
@@ -70,10 +44,19 @@ traceEventName(TraceEventType type)
 TraceCollector::TraceCollector(unsigned cores, std::size_t ring_capacity)
     : cores_(cores)
 {
-    const std::size_t cap = traceRingCapacity(ring_capacity);
+    const std::size_t cap =
+        ring_capacity ? ring_capacity : kDefaultRingCapacity;
     rings_.reserve(trackCount());
     for (unsigned t = 0; t < trackCount(); ++t)
         rings_.emplace_back(cap);
+}
+
+void
+TraceCollector::reset()
+{
+    for (TraceRing &r : rings_)
+        r = TraceRing(r.capacity());
+    windows_.clear();
 }
 
 WindowDiag &
@@ -274,54 +257,7 @@ chromeTraceJson(const TraceCollector &tr)
 bool
 writeChromeTrace(const std::string &path, const TraceCollector &tr)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(rnr_getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << chromeTraceJson(tr);
-        if (!out)
-            return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
-traceEnvEnabled()
-{
-    return envFlag("RNR_TRACE");
-}
-
-std::string
-traceEnvOutPath()
-{
-    if (const char *p = std::getenv("RNR_TRACE_OUT"))
-        return p;
-    return "";
-}
-
-bool
-traceEnvReportEnabled()
-{
-    return envFlag("RNR_TRACE_REPORT");
-}
-
-std::size_t
-traceRingCapacity(std::size_t requested)
-{
-    if (requested)
-        return requested;
-    if (const char *p = std::getenv("RNR_TRACE_BUF")) {
-        const long n = std::strtol(p, nullptr, 10);
-        if (n > 0)
-            return static_cast<std::size_t>(n);
-    }
-    return kDefaultRingCapacity;
+    return writeFileAtomic(path, chromeTraceJson(tr));
 }
 
 } // namespace rnr

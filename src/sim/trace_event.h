@@ -14,10 +14,10 @@
  *  1. **Observation only.**  Nothing here feeds back into simulation
  *     state; a traced run produces bit-identical IterStats to an
  *     untraced run (pinned by tests/sim/trace_event_test.cc).
- *  2. **Free when off.**  Components hold a `TraceCollector *` that is
- *     null unless tracing was requested (RNR_TRACE=1 or
- *     ExperimentConfig::trace.enabled); the hot-path cost of disabled
- *     tracing is one predictable null-pointer branch per hook.
+ *  2. **Free when off.**  Components hold the probe bus (sim/probes.h),
+ *     whose trace pointer is null unless tracing was requested
+ *     (RNR_OBS=trace or a caller-owned collector); the hot-path cost of
+ *     disabled tracing is one predictable null-pointer branch per hook.
  *  3. **Bounded when on.**  Events land in fixed-capacity rings (one
  *     per track) that overwrite the oldest entry when full; per-window
  *     aggregates are updated at emit time, so the diagnostics report
@@ -34,12 +34,6 @@
  * Perfetto (ui.perfetto.dev) or chrome://tracing; timestamps are core
  * cycles written into the "ts" microsecond field (1 cycle == 1 "us" on
  * screen — only relative spacing matters).
- *
- * Environment:
- *   RNR_TRACE=1          enable collection in runExperimentUncached
- *   RNR_TRACE_OUT=<p>    write the Chrome trace JSON to <p>
- *   RNR_TRACE_BUF=<n>    ring capacity per track (events, default 32768)
- *   RNR_TRACE_REPORT=1   print the per-window replay report to stderr
  *
  * See docs/HARNESS.md section 11 for the full pipeline walkthrough.
  */
@@ -174,15 +168,23 @@ struct WindowDiag {
 /**
  * The per-simulation event sink: one ring per track plus the window
  * aggregate table.  Owned by whoever runs the simulation (the runner,
- * the rnr-trace tool, a test); components receive a raw pointer via
- * System::attachTrace() and must not outlive it.
+ * the rnr-trace tool, a test); components receive it on the probe bus
+ * via System::attach() and must not outlive it.
  */
 class TraceCollector
 {
   public:
+    /** Events per track when the constructor is given 0: 32k events x
+     *  32 B x (cores + 2) tracks ~= 6 MB on a 4-core machine, enough
+     *  to hold a full scaled replay iteration without wrapping. */
+    static constexpr std::size_t kDefaultRingCapacity = 32768;
+
     /** @param cores simulated core count (fixes the track layout).
-     *  @param ring_capacity events per track; 0 = env/default. */
+     *  @param ring_capacity events per track; 0 = the default. */
     explicit TraceCollector(unsigned cores, std::size_t ring_capacity = 0);
+
+    /** Drops every event and window row (Probes::reset()). */
+    void reset();
 
     unsigned cores() const { return cores_; }
     /** Track of the shared backside (LLC + DRAM). */
@@ -260,18 +262,6 @@ std::string chromeTraceJson(const TraceCollector &tr);
 /** Writes chromeTraceJson() to @p path atomically (temp + rename).
  *  @return false on I/O failure. */
 bool writeChromeTrace(const std::string &path, const TraceCollector &tr);
-
-// ---- Environment gate (read by harness/runner.cc and the tools) ----
-
-/** True when RNR_TRACE is set to anything but "" or "0". */
-bool traceEnvEnabled();
-/** $RNR_TRACE_OUT, or "" when unset. */
-std::string traceEnvOutPath();
-/** True when RNR_TRACE_REPORT is set to anything but "" or "0". */
-bool traceEnvReportEnabled();
-/** Ring capacity: @p requested if non-zero, else $RNR_TRACE_BUF, else
- *  the 32768-event default. */
-std::size_t traceRingCapacity(std::size_t requested = 0);
 
 } // namespace rnr
 

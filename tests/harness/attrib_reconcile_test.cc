@@ -29,13 +29,7 @@ struct AttribReconcileFixture : ::testing::Test {
     {
         setenv("RNR_CACHE", "0", 1);
         setenv("RNR_TRACE_STORE", "0", 1);
-        unsetenv("RNR_ATTRIB");
-    }
-
-    void
-    TearDown() override
-    {
-        unsetenv("RNR_ATTRIB");
+        unsetenv("RNR_OBS");
     }
 
     /** IterStats counter summed over every simulated iteration. */
@@ -49,10 +43,14 @@ struct AttribReconcileFixture : ::testing::Test {
     }
 
     static void
-    expectExactReconciliation(ExperimentConfig cfg)
+    expectExactReconciliation(
+        const ExperimentConfig &cfg,
+        std::size_t site_top_k = AttribCollector::kDefaultSiteTopK,
+        std::size_t region_top_k = AttribCollector::kDefaultRegionTopK)
     {
-        cfg.attrib.enabled = true;
-        const ExperimentResult r = runExperimentUncached(cfg);
+        AttribCollector at(site_top_k, region_top_k);
+        const ExperimentResult r =
+            runExperimentUncached(cfg, {.attrib = &at});
         ASSERT_NE(r.attrib, nullptr) << cfg.key();
         const AttribBlob &b = *r.attrib;
 
@@ -112,9 +110,9 @@ struct AttribReconcileFixture : ::testing::Test {
     expectObservationOnly(const ExperimentConfig &cfg)
     {
         const ExperimentResult plain = runExperimentUncached(cfg);
-        ExperimentConfig acfg = cfg;
-        acfg.attrib.enabled = true;
-        const ExperimentResult observed = runExperimentUncached(acfg);
+        AttribCollector at;
+        const ExperimentResult observed =
+            runExperimentUncached(cfg, {.attrib = &at});
 
         ASSERT_EQ(observed.iterations.size(), plain.iterations.size())
             << cfg.key();
@@ -181,9 +179,7 @@ TEST_F(AttribReconcileFixture, TinyTablesStillReconcile)
     cfg.input = "amazon";
     cfg.iterations = 2;
     cfg.prefetcher = PrefetcherKind::RnrCombined;
-    cfg.attrib.site_top_k = 2;
-    cfg.attrib.region_top_k = 2;
-    expectExactReconciliation(cfg);
+    expectExactReconciliation(cfg, /*site_top_k=*/2, /*region_top_k=*/2);
 }
 
 TEST_F(AttribReconcileFixture, ObservationOnlyUnderBatchedKernel)
@@ -194,27 +190,6 @@ TEST_F(AttribReconcileFixture, ObservationOnlyUnderBatchedKernel)
     cfg.iterations = 2;
     cfg.prefetcher = PrefetcherKind::Rnr;
     expectObservationOnly(cfg);
-}
-
-TEST_F(AttribReconcileFixture, EnvGateMatchesConfigFlag)
-{
-    // RNR_ATTRIB=1 must produce the same blob as the config flag.
-    ExperimentConfig cfg;
-    cfg.app = "pagerank";
-    cfg.input = "amazon";
-    cfg.iterations = 2;
-    cfg.prefetcher = PrefetcherKind::Rnr;
-
-    setenv("RNR_ATTRIB", "1", 1);
-    const ExperimentResult via_env = runExperimentUncached(cfg);
-    unsetenv("RNR_ATTRIB");
-    ExperimentConfig fcfg = cfg;
-    fcfg.attrib.enabled = true;
-    const ExperimentResult via_flag = runExperimentUncached(fcfg);
-
-    ASSERT_NE(via_env.attrib, nullptr);
-    ASSERT_NE(via_flag.attrib, nullptr);
-    EXPECT_EQ(attribJson(*via_env.attrib), attribJson(*via_flag.attrib));
 }
 
 } // namespace

@@ -49,8 +49,7 @@ struct ReportFixture : ::testing::Test {
         setenv("RNR_CACHE", "0", 1);
         setenv("RNR_TRACE_STORE", "0", 1);
         setenv("RNR_PROGRESS", "0", 1);
-        unsetenv("RNR_SAMPLE_CYCLES");
-        unsetenv("RNR_TRACE");
+        unsetenv("RNR_OBS");
     }
 };
 
@@ -86,10 +85,7 @@ TEST_F(ReportFixture, SampledRunIsBitIdenticalToUnsampled)
 
 TEST_F(ReportFixture, BlobCarriesTheReplayLaneAndMemorySeries)
 {
-    ExperimentConfig cfg = rnrConfig();
-    cfg.telemetry.enabled = true;
-    cfg.telemetry.sample_cycles = 512;
-
+    const ExperimentConfig cfg = rnrConfig();
     TelemetrySampler tm(512);
     const ExperimentResult r =
         runExperimentUncached(cfg, {.telemetry = &tm});
@@ -247,15 +243,6 @@ TEST_F(ReportFixture, WriteReportEmitsBothFilesAtomically)
 
     std::remove((prefix + ".json").c_str());
     std::remove((prefix + ".html").c_str());
-}
-
-TEST(ReportEnvTest, OutPrefixComesFromEnvironment)
-{
-    unsetenv("RNR_REPORT_OUT");
-    EXPECT_EQ(reportEnvOutPrefix(), "");
-    setenv("RNR_REPORT_OUT", "/tmp/my_report", 1);
-    EXPECT_EQ(reportEnvOutPrefix(), "/tmp/my_report");
-    unsetenv("RNR_REPORT_OUT");
 }
 
 // ---- json_parse: the DOM reader under the loaders and the gate ----

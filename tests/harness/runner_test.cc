@@ -1,8 +1,14 @@
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "cpu/system.h"
+#include "harness/json_parse.h"
 #include "harness/runner.h"
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
@@ -143,9 +149,7 @@ TEST_F(RunnerFixture, RnrRunRecordsMetadata)
 TEST_F(RunnerFixture, AllThreeProbesAtOnceLeaveCountersBitIdentical)
 {
     // The plain run must build no probe of its own from the environment.
-    unsetenv("RNR_TRACE");
-    unsetenv("RNR_SAMPLE_CYCLES");
-    unsetenv("RNR_ATTRIB");
+    unsetenv("RNR_OBS");
     ExperimentConfig cfg;
     cfg.app = "pagerank";
     cfg.input = "amazon";
@@ -182,6 +186,111 @@ TEST_F(RunnerFixture, AllThreeProbesAtOnceLeaveCountersBitIdentical)
     EXPECT_FALSE(probed.attrib->sites.empty());
     EXPECT_EQ(plain.telemetry, nullptr);
     EXPECT_EQ(plain.attrib, nullptr);
+}
+
+TEST(ObsSwitchTest, EmptyIsOffEachTokenTurnsOnItsProbeUnknownWarnsOnce)
+{
+    unsetenv("RNR_OBS_OUT");
+    for (const char *off : {static_cast<const char *>(nullptr), "", ","}) {
+        if (off)
+            setenv("RNR_OBS", off, 1);
+        else
+            unsetenv("RNR_OBS");
+        const ObsSwitch o = obsSwitch();
+        EXPECT_FALSE(o.trace || o.telemetry || o.attrib)
+            << (off ? off : "(unset)");
+        EXPECT_EQ(o.out, "rnr_obs");
+    }
+
+    setenv("RNR_OBS", "trace", 1);
+    ObsSwitch o = obsSwitch();
+    EXPECT_TRUE(o.trace && !o.telemetry && !o.attrib);
+    setenv("RNR_OBS", "telemetry", 1);
+    o = obsSwitch();
+    EXPECT_TRUE(!o.trace && o.telemetry && !o.attrib);
+    setenv("RNR_OBS", "attrib", 1);
+    o = obsSwitch();
+    EXPECT_TRUE(!o.trace && !o.telemetry && o.attrib);
+    setenv("RNR_OBS", "attrib,trace,telemetry", 1);
+    setenv("RNR_OBS_OUT", "some/prefix", 1);
+    o = obsSwitch();
+    EXPECT_TRUE(o.trace && o.telemetry && o.attrib);
+    EXPECT_EQ(o.out, "some/prefix");
+    unsetenv("RNR_OBS_OUT");
+
+    // An unknown token is ignored, with one warning however often the
+    // same value is parsed (a sweep parses it once per cell).
+    setenv("RNR_OBS", "telemetry,tracing", 1);
+    ::testing::internal::CaptureStderr();
+    o = obsSwitch();
+    obsSwitch();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    unsetenv("RNR_OBS");
+    EXPECT_TRUE(!o.trace && o.telemetry && !o.attrib);
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("rnr: warning:");
+         at != std::string::npos; at = err.find("rnr: warning:", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
+    EXPECT_NE(err.find("tracing"), std::string::npos) << err;
+}
+
+TEST_F(RunnerFixture, ObsSwitchWritesEveryProbeItBuiltUnderThePrefix)
+{
+    const std::string prefix = ::testing::TempDir() + "runner_obs";
+    setenv("RNR_OBS", "trace,telemetry,attrib", 1);
+    setenv("RNR_OBS_OUT", prefix.c_str(), 1);
+    ExperimentConfig cfg;
+    cfg.app = "pagerank";
+    cfg.input = "amazon";
+    cfg.iterations = 2;
+    cfg.cores = 2;
+    cfg.prefetcher = PrefetcherKind::Rnr;
+    const ExperimentResult r = runExperimentUncached(cfg);
+    unsetenv("RNR_OBS");
+    unsetenv("RNR_OBS_OUT");
+
+    ASSERT_NE(r.telemetry, nullptr);
+    ASSERT_NE(r.attrib, nullptr);
+    // Null-safe member path into a parsed document.
+    const auto at = [](const JsonValue &v,
+                       std::initializer_list<const char *> path) {
+        const JsonValue *p = &v;
+        for (const char *key : path)
+            if (p && !(p = p->find(key)))
+                break;
+        return p;
+    };
+    JsonValue trace, report;
+    std::string error;
+    ASSERT_TRUE(parseJsonFile(prefix + ".trace.json", trace, &error))
+        << error;
+    const JsonValue *events = at(trace, {"otherData", "events_total"});
+    ASSERT_NE(events, nullptr);
+    EXPECT_GT(events->asU64(), 0u);
+    ASSERT_TRUE(parseJsonFile(prefix + ".report.json", report, &error))
+        << error;
+    ASSERT_NE(at(report, {"schema"}), nullptr);
+    EXPECT_EQ(at(report, {"schema"})->text, "rnr-report-v2");
+    const JsonValue *cells = at(report, {"cells"});
+    ASSERT_TRUE(cells && cells->items.size() == 1);
+    const JsonValue &cell = cells->items[0];
+    ASSERT_NE(at(cell, {"key"}), nullptr);
+    EXPECT_EQ(at(cell, {"key"})->text, cfg.key());
+    const JsonValue *series = at(cell, {"telemetry", "series"});
+    ASSERT_NE(series, nullptr);
+    EXPECT_FALSE(series->items.empty());
+    const JsonValue *issued = at(cell, {"attrib", "totals", "issued"});
+    ASSERT_NE(issued, nullptr);
+    EXPECT_EQ(issued->asU64(), r.attrib->totals.issued);
+    EXPECT_GT(issued->asU64(), 0u);
+    std::ifstream windows(prefix + ".windows.txt");
+    std::stringstream text;
+    text << windows.rdbuf();
+    EXPECT_NE(text.str().find(cfg.key()), std::string::npos);
+    EXPECT_NE(text.str().find("window"), std::string::npos);
+    for (const char *ext : {".trace.json", ".windows.txt", ".report.json"})
+        std::remove((prefix + ext).c_str());
 }
 
 TEST_F(RunnerFixture, TypedDeltaMatchesHandComputedStringDelta)

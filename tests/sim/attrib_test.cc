@@ -192,16 +192,5 @@ TEST(AttribJson, CarriesSchemaTagAndExactCounts)
     EXPECT_EQ(js.find('\n'), std::string::npos); // one line, no newline
 }
 
-TEST(AttribEnv, GateFollowsRnrAttrib)
-{
-    unsetenv("RNR_ATTRIB");
-    EXPECT_FALSE(attribEnvEnabled());
-    setenv("RNR_ATTRIB", "0", 1);
-    EXPECT_FALSE(attribEnvEnabled());
-    setenv("RNR_ATTRIB", "1", 1);
-    EXPECT_TRUE(attribEnvEnabled());
-    unsetenv("RNR_ATTRIB");
-}
-
 } // namespace
 } // namespace rnr

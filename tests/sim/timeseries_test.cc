@@ -218,26 +218,5 @@ TEST(TelemetrySamplerTest, HarvestCopiesSeriesAndNonEmptyHistograms)
     EXPECT_EQ(blob.findHistogram("cold"), nullptr);
 }
 
-// ---- Environment gate ----
-
-TEST(TelemetryEnvTest, SampleCyclesResolution)
-{
-    unsetenv("RNR_SAMPLE_CYCLES");
-    EXPECT_EQ(telemetryEnvSampleCycles(), 0u);
-    EXPECT_EQ(telemetrySampleCycles(0), kDefaultSampleCycles);
-    EXPECT_EQ(telemetrySampleCycles(500), 500u);
-
-    setenv("RNR_SAMPLE_CYCLES", "4096", 1);
-    EXPECT_EQ(telemetryEnvSampleCycles(), 4096u);
-    EXPECT_EQ(telemetrySampleCycles(0), 4096u);
-    EXPECT_EQ(telemetrySampleCycles(500), 500u); // explicit wins
-
-    setenv("RNR_SAMPLE_CYCLES", "junk", 1);
-    EXPECT_EQ(telemetryEnvSampleCycles(), 0u);
-    setenv("RNR_SAMPLE_CYCLES", "-5", 1);
-    EXPECT_EQ(telemetryEnvSampleCycles(), 0u);
-    unsetenv("RNR_SAMPLE_CYCLES");
-}
-
 } // namespace
 } // namespace rnr

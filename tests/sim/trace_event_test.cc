@@ -218,8 +218,7 @@ struct TracedRunFixture : ::testing::Test {
     SetUpTestSuite()
     {
         setenv("RNR_CACHE", "0", 1);
-        unsetenv("RNR_TRACE");
-        unsetenv("RNR_TRACE_BUF");
+        unsetenv("RNR_OBS");
     }
 
     static ExperimentConfig
