@@ -2,7 +2,9 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
  * simulator's hot paths, so regressions in simulation speed — which
- * gates how big an input the benches can afford — are visible.
+ * gates how big an input the benches can afford — are visible.  The
+ * per-layer rows CI gates (DRAM reads, trace emission and the rest)
+ * live in micro_hotpath.cc.
  */
 #include <benchmark/benchmark.h>
 
@@ -37,20 +39,6 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess);
 
 void
-BM_DramRead(benchmark::State &state)
-{
-    Dram dram(DramConfig{});
-    Rng rng(2);
-    Tick t = 0;
-    for (auto _ : state) {
-        dram.read(rng.below(1 << 26) * kBlockSize, t, ReqOrigin::Demand);
-        t += 10;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DramRead);
-
-void
 BM_DemandAccessFullPath(benchmark::State &state)
 {
     MemorySystem ms(MachineConfig::scaledDefault());
@@ -63,25 +51,6 @@ BM_DemandAccessFullPath(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DemandAccessFullPath);
-
-void
-BM_TraceEmission(benchmark::State &state)
-{
-    TraceBuffer buf;
-    Tracer tracer(&buf);
-    Addr a = 0x10000000;
-    for (auto _ : state) {
-        tracer.instr(3);
-        tracer.load(a, 7);
-        a += 8;
-        if (buf.size() > (1u << 20)) {
-            buf.clear();
-            tracer.retarget(&buf);
-        }
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceEmission);
 
 void
 BM_CoreStepThroughput(benchmark::State &state)

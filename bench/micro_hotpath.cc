@@ -39,6 +39,18 @@
  * BM_Kernel measures the full stack instead — trace feed, CoreModel
  * inner loop, memory system — on one core, so the compare gate covers
  * the core model as well as the memory path (docs/PERF.md §3).
+ * BM_Kernel4/{none,rnr} runs four cores through System::drive()'s
+ * 8-record interleave, which every figure uses and BM_Kernel skips: a
+ * PageRank/urand slice of 2^19 records per core, with RnR control
+ * records.  Under rnr the slice replays a recording of the same slice
+ * of the previous iteration, so the row covers the replay engine, its
+ * timeliness map and the prefetch fills under them (docs/PERF.md
+ * section 13).  Items are records.
+ *
+ * Two single-layer rows came over from bench_components:
+ * BM_DramRead (random-block reads into the default DRAM model, items =
+ * reads) and BM_TraceEmission (Tracer instr/load pairs into a
+ * TraceBuffer, items = pairs).
  *
  * The checkpoint subsystem (src/ckpt) adds two rows:
  *  - BM_WarmupGenerate vs BM_WarmupFork: the sweep warm-up A/B —
@@ -65,7 +77,9 @@
  *  - BM_CacheAccess/llc: lookup, and insert on a miss, on a lone
  *    Cache of the LLC's geometry (16 ways) over random blocks spanning
  *    four times its lines, so three in four accesses miss and evict.
- *    Items are accesses.
+ *    Items are accesses.  BM_CacheAccess/ideal_llc is the same on the
+ *    64 MiB ideal LLC, whose arrays do not fit the host's caches
+ *    (docs/PERF.md section 13).
  *
  * Run `micro_hotpath compare <baseline.json> <current.json>` to use the
  * binary as a regression gate instead (bench_util.h, benchCompareMain);
@@ -83,12 +97,14 @@
 #include "bench_util.h"
 #include "ckpt/input_fork.h"
 #include "cpu/system.h"
+#include "mem/dram.h"
 #include "mem/memory_system.h"
 #include "prefetch/factory.h"
 #include "sim/attrib.h"
 #include "sim/config.h"
 #include "sim/rng.h"
 #include "sim/timeseries.h"
+#include "trace/tracer.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_reader.h"
 #include "tracestore/trace_writer.h"
@@ -277,6 +293,107 @@ BM_Kernel(benchmark::State &state)
         ops += buf.size();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+
+/** Records @p iters iterations of a 4-core PageRank/urand workload with
+ *  its RnR control records, each core's trace cut to its first
+ *  @p per_core records.  A cut iteration keeps its trailing control
+ *  records (the epilogue's boundary swap) unless it is the last. */
+std::vector<std::vector<TraceBuffer>>
+kernel4Slices(unsigned iters, std::size_t per_core)
+{
+    WorkloadOptions opts;
+    opts.cores = 4;
+    opts.use_rnr = true;
+    PageRankWorkload wl(makeGraphInput("urand").graph, opts);
+    std::vector<std::vector<TraceBuffer>> out(iters);
+    for (unsigned it = 0; it < iters; ++it) {
+        std::vector<TraceBuffer> bufs(opts.cores);
+        wl.emitIteration(it, /*is_last=*/false, bufs);
+        out[it].resize(opts.cores);
+        for (unsigned c = 0; c < opts.cores; ++c) {
+            const std::vector<TraceRecord> &recs = bufs[c].records();
+            for (std::size_t i = 0; i < recs.size(); ++i)
+                if (i < per_core || (it + 1 < iters &&
+                                     recs[i].kind == RecordKind::Control))
+                    out[it][c].push(recs[i]);
+        }
+    }
+    return out;
+}
+
+/**
+ * Four cores through System::drive().  Each benchmark iteration runs
+ * the iteration-1 slice; under rnr the iteration-0 slice is recorded
+ * first (untimed), so every run replays it.  Items are records.
+ */
+void
+BM_Kernel4(benchmark::State &state, PrefetcherKind kind)
+{
+    static const std::vector<std::vector<TraceBuffer>> slices =
+        kernel4Slices(2, std::size_t{1} << 19);
+    const auto ptrs = [](const std::vector<TraceBuffer> &bufs) {
+        std::vector<const TraceBuffer *> p;
+        for (const TraceBuffer &b : bufs)
+            p.push_back(&b);
+        return p;
+    };
+    MachineConfig mcfg = MachineConfig::scaledDefault();
+    mcfg.cores = 4;
+    System sys(mcfg);
+    std::vector<std::unique_ptr<Prefetcher>> pfs;
+    for (unsigned c = 0; c < mcfg.cores; ++c) {
+        pfs.push_back(createPrefetcher(kind));
+        sys.mem().setPrefetcher(c, pfs.back().get());
+    }
+    if (kind != PrefetcherKind::None)
+        sys.run(ptrs(slices[0]));
+
+    const std::vector<const TraceBuffer *> replay = ptrs(slices[1]);
+    std::uint64_t records = 0;
+    for (const TraceBuffer *b : replay)
+        records += b->size();
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        const IterationResult res = sys.run(replay);
+        benchmark::DoNotOptimize(res.end);
+        ops += records;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+
+/** Random-block reads into the default DRAM model.  Items are reads. */
+void
+BM_DramRead(benchmark::State &state)
+{
+    Dram dram(DramConfig{});
+    Rng rng(2);
+    Tick t = 0;
+    for (auto _ : state) {
+        dram.read(rng.below(1 << 26) * kBlockSize, t, ReqOrigin::Demand);
+        t += 10;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/** Tracer instr + load pairs into a TraceBuffer, the emit side of every
+ *  capture.  Items are pairs. */
+void
+BM_TraceEmission(benchmark::State &state)
+{
+    TraceBuffer buf;
+    Tracer tracer(&buf);
+    Addr a = 0x10000000;
+    for (auto _ : state) {
+        tracer.instr(3);
+        tracer.load(a, 7);
+        a += 8;
+        if (buf.size() > (1u << 20)) {
+            buf.clear();
+            tracer.retarget(&buf);
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
 }
 
 /** The sweep warm-up's native side: synthesize the urand graph the
@@ -481,6 +598,12 @@ BENCHMARK_CAPTURE(BM_PrefetcherOnAccess, bingo, PrefetcherKind::Bingo)
 BENCHMARK(BM_DemandAccessSampled)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessAttribGated)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Kernel)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Kernel4, none, PrefetcherKind::None)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Kernel4, rnr, PrefetcherKind::Rnr)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DramRead);
+BENCHMARK(BM_TraceEmission);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WorkloadBuild)->Unit(benchmark::kMillisecond);
@@ -488,6 +611,11 @@ BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceEncode)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CacheAccess, llc, MachineConfig::scaledDefault().llc)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CacheAccess, ideal_llc,
+                  MachineConfig::withInfiniteLlc(
+                      MachineConfig::scaledDefault())
+                      .llc)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -8,7 +8,8 @@
 namespace rnr {
 
 CoreModel::CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms)
-    : id_(id), cfg_(cfg), ms_(ms),
+    : id_(id), cfg_(cfg), issue_div_(cfg.issue_width),
+      retire_div_(cfg.retire_width), ms_(ms),
       rob_(cfg.rob_size), lsq_(cfg.lsq_size),
       stats_("core" + std::to_string(id)),
       c_loads_(stats_.declare("loads")),
@@ -83,13 +84,15 @@ CoreModel::syncTo(Tick t)
     lsq_.clear();
 }
 
-void
+inline void
 CoreModel::advanceIssue(std::uint64_t instr_count)
 {
     // Issue at most issue_width instructions per cycle.
     const std::uint64_t total = issued_this_cycle_ + instr_count;
-    issue_clock_ += total / cfg_.issue_width;
-    issued_this_cycle_ = static_cast<unsigned>(total % cfg_.issue_width);
+    const std::uint64_t cycles = issue_div_.div(total);
+    issue_clock_ += cycles;
+    issued_this_cycle_ =
+        static_cast<unsigned>(total - cycles * cfg_.issue_width);
 }
 
 void
@@ -102,7 +105,7 @@ CoreModel::reserveRobSlots(std::uint32_t slots)
         // In-order retirement: the head's completion gates retire time,
         // then retiring its slots consumes retire bandwidth.
         retire_clock_ = std::max(retire_clock_, head.completion) +
-                        head.slots / cfg_.retire_width;
+                        retire_div_.div(head.slots);
         if (retire_clock_ > issue_clock_) {
             c_rob_stall_cycles_ += retire_clock_ - issue_clock_;
             issue_clock_ = retire_clock_;

@@ -25,6 +25,7 @@
 
 #include "mem/memory_system.h"
 #include "sim/config.h"
+#include "sim/fast_div.h"
 #include "sim/probes.h"
 #include "sim/ring.h"
 #include "sim/stats.h"
@@ -114,6 +115,8 @@ class CoreModel
 
     unsigned id_;
     CoreConfig cfg_;
+    FastDiv issue_div_;  ///< Divides by cfg_.issue_width.
+    FastDiv retire_div_; ///< Divides by cfg_.retire_width.
     MemorySystem *ms_;
     TraceSource *src_ = nullptr;
     BufferSource buffer_source_; ///< Backs setTrace(); src_ points here.

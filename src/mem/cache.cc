@@ -45,6 +45,7 @@ Cache::Cache(const CacheConfig &cfg)
       set_mask_(cfg.sets() - 1),
       tags_(static_cast<std::size_t>(cfg.sets()) * cfg.ways, kInvalidTag),
       lines_(tags_.size()),
+      lru_(tags_.size(), 0),
       mshr_(cfg.mshrs),
       pq_(cfg.prefetch_queue),
       stats_(cfg.name),
@@ -58,6 +59,7 @@ Cache::reset()
 {
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
     std::fill(lines_.begin(), lines_.end(), CacheLine{});
+    std::fill(lru_.begin(), lru_.end(), 0);
     lru_clock_ = 0;
     mshr_.clear();
     pq_.clear();
@@ -71,6 +73,16 @@ Cache::attach(const Probes &p, std::uint16_t track, std::uint8_t level)
     level_ = level;
     mshr_.attach(p, track, false);
     pq_.attach(p, track, true);
+}
+
+void
+Cache::probeMiss(Addr block, Tick now)
+{
+    if (probes_.attrib)
+        probes_.attrib->onDemandMiss(track_, block);
+    if (probes_.trace)
+        probes_.trace->emit(track_, TraceEventType::CacheMiss, now, block,
+                            level_);
 }
 
 std::size_t

@@ -31,6 +31,10 @@ DramCounters::DramCounters(StatGroup &g)
 
 Dram::Dram(const DramConfig &cfg)
     : cfg_(cfg),
+      channel_div_(cfg.channels),
+      bank_div_(cfg.banks),
+      row_div_(std::uint64_t{cfg.channels} * cfg.banks *
+               (cfg.row_bytes / kBlockSize)),
       banks_(static_cast<std::size_t>(cfg.channels) * cfg.banks),
       channel_free_(cfg.channels, 0),
       stats_("DRAM"),
@@ -38,31 +42,25 @@ Dram::Dram(const DramConfig &cfg)
 {
 }
 
-unsigned
-Dram::channelOf(Addr addr) const
-{
-    return static_cast<unsigned>(blockNumber(addr) % cfg_.channels);
-}
-
-unsigned
-Dram::bankOf(Addr addr) const
+inline Dram::Place
+Dram::placeOf(Addr addr) const
 {
     // Block-granularity channel+bank interleaving (ChampSim's
     // [row|column|bank|channel|offset] layout): consecutive cache blocks
     // round-robin channels then banks, so a sequential stream engages
-    // every bank of every channel in parallel.
-    const std::uint64_t blk = blockNumber(addr) / cfg_.channels;
-    return channelOf(addr) * cfg_.banks +
-           static_cast<unsigned>(blk % cfg_.banks);
-}
-
-std::uint64_t
-Dram::rowOf(Addr addr) const
-{
-    // With channel+bank in the low bits, one bank's row holds every
-    // (channels*banks)-th block of a row_bytes * banks * channels region.
-    const std::uint64_t row_blocks = cfg_.row_bytes / kBlockSize;
-    return blockNumber(addr) / cfg_.channels / cfg_.banks / row_blocks;
+    // every bank of every channel in parallel.  With channel+bank in the
+    // low bits, one bank's row holds every (channels*banks)-th block of
+    // a row_bytes * banks * channels region:
+    // row = blk / channels / banks / row_blocks, which is one division
+    // by the product (nested floor divisions compose).
+    const std::uint64_t blk = blockNumber(addr);
+    const std::uint64_t per_channel = channel_div_.div(blk);
+    const auto channel = static_cast<unsigned>(
+        blk - per_channel * channel_div_.divisor());
+    return {channel,
+            channel * cfg_.banks +
+                static_cast<unsigned>(bank_div_.mod(per_channel)),
+            row_div_.div(blk)};
 }
 
 void
@@ -100,8 +98,9 @@ Dram::read(Addr addr, Tick now, ReqOrigin origin)
         popCompletedReads(now);
     }
 
-    Bank &bank = banks_[bankOf(addr)];
-    const std::uint64_t row = rowOf(addr);
+    const Place place = placeOf(addr);
+    Bank &bank = banks_[place.bank];
+    const std::uint64_t row = place.row;
     const bool row_hit = bank.open_row == row;
     ++(row_hit ? ctr_.row_hits : ctr_.row_misses);
 
@@ -115,7 +114,7 @@ Dram::read(Addr addr, Tick now, ReqOrigin origin)
     // slot from the arrival-time cursor.  A request whose bank is still
     // busy does not hold the channel back for later requests (FR-FCFS
     // controllers fill such gaps with other ready bursts).
-    Tick &chan = channel_free_[channelOf(addr)];
+    Tick &chan = channel_free_[place.channel];
     const Tick slot = std::max(chan, now);
     chan = slot + cfg_.tBURST;
     const Tick burst_start = std::max(start + access, slot);
@@ -169,8 +168,9 @@ Dram::drainWrites(Tick now, std::size_t target_depth)
     while (write_queue_.size() > target_depth) {
         const PendingWrite w = write_queue_.front();
         write_queue_.pop_front();
-        Bank &bank = banks_[bankOf(w.addr)];
-        const std::uint64_t row = rowOf(w.addr);
+        const Place place = placeOf(w.addr);
+        Bank &bank = banks_[place.bank];
+        const std::uint64_t row = place.row;
         const bool row_hit = bank.open_row == row;
         const Tick access = row_hit ? cfg_.tCAS
                                     : cfg_.tRP + cfg_.tRCD + cfg_.tCAS;
@@ -178,7 +178,7 @@ Dram::drainWrites(Tick now, std::size_t target_depth)
         bank.open_row = row;
         bank.next_free = start + access + cfg_.tBURST;
         // One stolen burst slot per write on its channel.
-        channel_free_[channelOf(w.addr)] += cfg_.tBURST;
+        channel_free_[place.channel] += cfg_.tBURST;
         ++ctr_.writes_drained;
     }
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/fast_div.h"
 #include "sim/probes.h"
 #include "sim/stats.h"
 #include "sim/trace_event.h"
@@ -118,14 +119,23 @@ class Dram
         ReqOrigin origin;
     };
 
-    unsigned channelOf(Addr addr) const;
-    unsigned bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
+    /** Where a block lives: its channel, its index into banks_, and
+     *  the row of that bank holding it. */
+    struct Place {
+        unsigned channel;
+        unsigned bank;
+        std::uint64_t row;
+    };
+
+    Place placeOf(Addr addr) const;
     void drainWrites(Tick now, std::size_t target_depth);
     void countBytes(ReqOrigin origin, std::uint64_t n);
     void popCompletedReads(Tick t);
 
     DramConfig cfg_;
+    FastDiv channel_div_; ///< Divides by channels.
+    FastDiv bank_div_;    ///< Divides by banks.
+    FastDiv row_div_;     ///< Divides by channels * banks * row blocks.
     std::vector<Bank> banks_;          ///< channels x banks, row-major.
     std::vector<Tick> channel_free_;   ///< One data-bus cursor per channel.
     /** Min-heap of in-flight read completion times (queue occupancy). */

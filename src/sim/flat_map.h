@@ -80,25 +80,23 @@ class FlatMap
     bool
     erase(Key k)
     {
-        std::size_t hole = home(k);
-        for (;; hole = (hole + 1) & mask_) {
-            if (slots_[hole].epoch != epoch_)
-                return false;
-            if (slots_[hole].key == k)
-                break;
-        }
-        // Backward shift: pull each later entry of the run into the
-        // hole unless its home lies cyclically in (hole, j].
-        for (std::size_t j = (hole + 1) & mask_;
-             slots_[j].epoch == epoch_; j = (j + 1) & mask_) {
-            const std::size_t h = home(slots_[j].key);
-            if (((j - h) & mask_) >= ((j - hole) & mask_)) {
-                slots_[hole] = slots_[j];
-                hole = j;
-            }
-        }
-        slots_[hole].epoch = epoch_ - 1;
-        --size_;
+        const std::size_t i = locate(k);
+        if (i == kAbsent)
+            return false;
+        removeAt(i);
+        return true;
+    }
+
+    /** Copies the value under @p k into @p out and removes @p k, in one
+     *  probe sequence; returns whether it was present. */
+    bool
+    take(Key k, Value &out)
+    {
+        const std::size_t i = locate(k);
+        if (i == kAbsent)
+            return false;
+        out = slots_[i].value;
+        removeAt(i);
         return true;
     }
 
@@ -115,6 +113,38 @@ class FlatMap
     }
 
   private:
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+    /** The slot holding @p k, or kAbsent. */
+    std::size_t
+    locate(Key k) const
+    {
+        for (std::size_t i = home(k);; i = (i + 1) & mask_) {
+            if (slots_[i].epoch != epoch_)
+                return kAbsent;
+            if (slots_[i].key == k)
+                return i;
+        }
+    }
+
+    /** Empties live slot @p hole; backward shift: pull each later entry
+     *  of the run into the hole unless its home lies cyclically in
+     *  (hole, j]. */
+    void
+    removeAt(std::size_t hole)
+    {
+        for (std::size_t j = (hole + 1) & mask_;
+             slots_[j].epoch == epoch_; j = (j + 1) & mask_) {
+            const std::size_t h = home(slots_[j].key);
+            if (((j - h) & mask_) >= ((j - hole) & mask_)) {
+                slots_[hole] = slots_[j];
+                hole = j;
+            }
+        }
+        slots_[hole].epoch = epoch_ - 1;
+        --size_;
+    }
+
     struct Slot {
         Key key{};
         std::uint32_t epoch = 0; ///< Live iff equal to the map's epoch_.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/core.h"
+#include "sim/rng.h"
 #include "test_util.h"
 
 namespace rnr {
@@ -134,6 +135,33 @@ TEST_F(CoreFixture, FinishTimeCoversOutstandingLoads)
     core.stepRun(1);
     EXPECT_GE(core.finishTime(), core.time());
     EXPECT_GT(core.finishTime(), 10u); // DRAM latency outstanding
+}
+
+TEST(CoreIssueMath, OddIssueWidthMatchesPlainDivision)
+{
+    // Control records cost their gap plus 2 issue slots and touch no
+    // memory, so after any run of them the issue clock is the slot
+    // total / issue_width (sim/fast_div.h replaces the divide).
+    for (unsigned width : {3u, 4u, 5u}) {
+        MemorySystem ms(test::tinyMachine());
+        CoreConfig c;
+        c.issue_width = width;
+        c.retire_width = width;
+        CoreModel core(0, c, &ms);
+        TraceBuffer trace;
+        Rng rng(width);
+        std::uint64_t slots = 0;
+        for (int i = 0; i < 5000; ++i) {
+            TraceRecord r = TraceRecord::control(RnrOp::Pause);
+            r.gap = static_cast<std::uint32_t>(rng.below(50));
+            trace.push(r);
+            slots += r.gap + 2;
+        }
+        core.setTrace(&trace);
+        core.runToCompletion();
+        EXPECT_EQ(core.time(), slots / width) << width;
+        EXPECT_EQ(core.instructionsRetired(), slots) << width;
+    }
 }
 
 } // namespace

@@ -1,6 +1,9 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/dram.h"
+#include "sim/rng.h"
 
 namespace rnr {
 namespace {
@@ -59,6 +62,40 @@ TEST(DramChannelsTest, ChannelsPartitionBlocks)
     const Tick a = d.read(0, 0, ReqOrigin::Demand);
     const Tick b = d.read(kBlockSize, 0, ReqOrigin::Demand);
     EXPECT_EQ(a, b); // identical idle paths, independent channels
+}
+
+TEST(DramChannelsTest, PlacementMatchesPlainDivisionForOddGeometry)
+{
+    // 3 channels of 24 banks: the channel/bank/row split runs without a
+    // divide (sim/fast_div.h) and must place every block where plain
+    // / and % do.  Reads spaced far apart see only their own bank's
+    // open row, so each latency says row hit or row miss.
+    DramConfig c = cfg(3);
+    c.banks = 24;
+    c.row_bytes = 2048;
+    Dram d(c);
+    const std::uint64_t row_blocks = c.row_bytes / kBlockSize;
+    std::vector<std::uint64_t> open(c.channels * c.banks, ~0ull);
+    std::uint64_t want_hits = 0;
+    Rng rng(3 * 24);
+    Tick now = 0;
+    for (int i = 0; i < 100000; ++i) {
+        // Dense blocks so rows repeat, and some far ones.
+        const Addr blk = rng.below(4) == 0 ? rng.next64() >> 12
+                                           : rng.below(1 << 16);
+        const std::uint64_t bank =
+            (blk % c.channels) * c.banks + (blk / c.channels) % c.banks;
+        const std::uint64_t row = blk / c.channels / c.banks / row_blocks;
+        const bool hit = open[bank] == row;
+        open[bank] = row;
+        want_hits += hit;
+        now += 100000;
+        const Tick done = d.read(blk << kBlockBits, now, ReqOrigin::Demand);
+        ASSERT_EQ(done - now, (hit ? c.tCAS : c.tRP + c.tRCD + c.tCAS) +
+                                  c.tBURST)
+            << "read " << i << " of block " << blk;
+    }
+    EXPECT_EQ(d.stats().get("row_hits"), want_hits);
 }
 
 } // namespace

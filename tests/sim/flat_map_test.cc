@@ -32,8 +32,16 @@ TEST(FlatMap, AgreesWithUnorderedMapOverRandomChurn)
                 flat.emplace(k, inserted) = v;
                 ASSERT_EQ(inserted, ref.count(k) == 0) << op;
                 ref[k] = v;
-            } else if (pick < 90) {
+            } else if (pick < 70) {
                 ASSERT_EQ(flat.erase(k), ref.erase(k) == 1) << op;
+            } else if (pick < 90) {
+                std::uint64_t v = 0;
+                const auto it = ref.find(k);
+                ASSERT_EQ(flat.take(k, v), it != ref.end()) << op;
+                if (it != ref.end()) {
+                    ASSERT_EQ(v, it->second) << op;
+                    ref.erase(it);
+                }
             } else if (pick < 99) {
                 const std::uint64_t *v = flat.find(k);
                 const auto it = ref.find(k);
