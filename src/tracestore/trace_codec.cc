@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <vector>
 
 #include "sim/flat_map.h"
 #include "tracestore/trace_writer.h"
@@ -32,10 +33,24 @@ get(std::istream &in, T &value)
  * first record in a block deltas against the last memory address of any
  * site, which is usually in the same region.  Everything resets at
  * block boundaries so blocks decode independently.
+ *
+ * The workloads number their sites from 0, so pcs below kDirectSites
+ * index an array of slots directly; other pcs (imported traces) go
+ * through a hash table.  Both are stamped with the block's epoch, so a
+ * reset is O(1).
  */
 struct DeltaState {
+    static constexpr std::uint32_t kDirectSites = 1024;
+
+    struct DirectSlot {
+        std::uint64_t last = 0;
+        std::uint32_t epoch = 0; ///< Live iff equal to DeltaState::epoch.
+    };
+
     std::uint32_t prev_pc = 0;
     std::uint64_t last_mem_addr = 0;
+    std::uint32_t epoch = 1;
+    std::vector<DirectSlot> direct = std::vector<DirectSlot>(kDirectSites);
     FlatMap<std::uint32_t, std::uint64_t> site_last;
 
     /** Sets @p base to the address @p pc's next record deltas against
@@ -45,22 +60,42 @@ struct DeltaState {
     site(std::uint32_t pc, std::uint64_t &base)
     {
         bool fresh = false;
-        std::uint64_t &last = site_last.emplace(pc, fresh);
-        base = fresh ? last_mem_addr : last;
-        return last;
+        std::uint64_t *last;
+        if (pc < kDirectSites) {
+            DirectSlot &d = direct[pc];
+            fresh = d.epoch != epoch;
+            d.epoch = epoch;
+            last = &d.last;
+        } else {
+            last = &site_last.emplace(pc, fresh);
+        }
+        base = fresh ? last_mem_addr : *last;
+        return *last;
+    }
+
+    /** Forgets every site, for a new block. */
+    void
+    reset()
+    {
+        prev_pc = 0;
+        last_mem_addr = 0;
+        site_last.clear();
+        if (++epoch == 0) { // wrapped: stale stamps could read as live
+            for (DirectSlot &d : direct)
+                d.epoch = 0;
+            epoch = 1;
+        }
     }
 };
 
-/** This thread's delta context, reset for a new block.  The pc table
- *  is reused across blocks, so it grows to the widest block's site
- *  count once and its per-block reset is O(1). */
+/** This thread's delta context, reset for a new block.  The pc tables
+ *  are reused across blocks, so the hash table grows to the widest
+ *  block's site count once and the per-block reset is O(1). */
 DeltaState &
 freshDeltaState()
 {
     thread_local DeltaState st;
-    st.prev_pc = 0;
-    st.last_mem_addr = 0;
-    st.site_last.clear();
+    st.reset();
     return st;
 }
 

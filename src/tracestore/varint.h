@@ -37,6 +37,10 @@ inline bool
 getVarint(const std::uint8_t *&p, const std::uint8_t *end,
           std::uint64_t &v)
 {
+    if (p != end && *p < 0x80) { // one byte: most gaps, pcs and deltas
+        v = *p++;
+        return true;
+    }
     v = 0;
     for (unsigned shift = 0; shift < 70; shift += 7) {
         if (p == end)

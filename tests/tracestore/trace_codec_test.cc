@@ -420,6 +420,19 @@ TEST(TraceCodec, EncodedBytesAreUnchanged)
         wide.push(TraceRecord::load(0x10000000 + i * 72, site, i % 5));
     }
     EXPECT_EQ(digest(wide), 0x7094610658db1070ull);
+
+    // Sites on both sides of the codec's directly indexed pc range
+    // (below 1024) and far above it, interleaved in one block.
+    TraceBuffer mixed;
+    const std::uint32_t sites[] = {0,     1023, 1024,       5,
+                                   70000, 1023, 4000000000u};
+    for (std::uint32_t i = 0; i < 4000; ++i) {
+        const std::uint32_t site = sites[i % 7];
+        mixed.push(TraceRecord::store(0x50000000 + (i % 13) * 4160 +
+                                          i * 8,
+                                      site, i % 3));
+    }
+    EXPECT_EQ(digest(mixed), 0xf5a319b22ce9e278ull);
     std::vector<std::uint8_t> payload;
     encodeBlock(wide.records().data(), wide.size(), payload);
     std::vector<TraceRecord> back;
