@@ -52,16 +52,13 @@
  * reads) and BM_TraceEmission (Tracer instr/load pairs into a
  * TraceBuffer, items = pairs).
  *
- * The checkpoint subsystem (src/ckpt) adds two rows:
- *  - BM_WarmupGenerate vs BM_WarmupFork: the sweep warm-up A/B —
- *    native urand graph synthesis against decoding the published
- *    input snapshot the checkpoint-fork sweep shares.  Items are
- *    inputs, so fork-rate / generate-rate is the per-cell warm-up
- *    speedup every forked sweep config enjoys (docs/PERF.md).
+ * BM_WarmupGenerate pins the input-build layer: native synthesis of
+ * the urand graph, which every cell that simulates natively pays once
+ * per process (once per sweep inside a sweep).  Items are inputs.
  *
  * BM_WorkloadBuild pins the workload-build layer: PageRank's partition,
  * relabel and transpose of the com-orkut graph, which every cell runs
- * after its input fork.  Items are edges (docs/PERF.md section 11).
+ * after its input build.  Items are edges (docs/PERF.md section 11).
  *
  * Four rows pin the trace path (docs/PERF.md sections 8 to 10):
  *  - BM_TraceFileIngest: iteration 0 of the tracefile workload, i.e. a
@@ -95,7 +92,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "ckpt/input_fork.h"
 #include "cpu/system.h"
 #include "mem/dram.h"
 #include "mem/memory_system.h"
@@ -396,8 +392,12 @@ BM_TraceEmission(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
-/** The sweep warm-up's native side: synthesize the urand graph the
- *  way the first config on an input must.  Items are inputs. */
+/** A cell's input build: synthesize the urand graph, as the first
+ *  cell of a sweep on it and every one-cell process do.  This is the
+ *  cost the input-snapshot store used to hide by decoding a published
+ *  copy instead.  Generation is linear-time, and decoding saved at most
+ *  ~0.18 s over all eight inputs (docs/PERF.md section 14).  Items are
+ *  inputs. */
 void
 BM_WarmupGenerate(benchmark::State &state)
 {
@@ -410,35 +410,10 @@ BM_WarmupGenerate(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(inputs));
 }
 
-/** The warm-up's forked side: decode the published input snapshot
- *  instead of regenerating — what every other config on the same input
- *  pays under RNR_CKPT=1.  Same items as BM_WarmupGenerate, so the
- *  rate ratio is the per-cell warm-up speedup. */
-void
-BM_WarmupFork(benchmark::State &state)
-{
-    // The exact blob the warm-up publishes.
-    static const std::vector<std::uint8_t> blob =
-        ckpt::encodeInputSnapshot("bench", "urand",
-                                  makeGraphInput("urand").graph);
-
-    std::uint64_t inputs = 0;
-    for (auto _ : state) {
-        Graph g;
-        if (!ckpt::decodeInputSnapshot(blob, "urand", g).ok()) {
-            state.SkipWithError("input snapshot failed to decode");
-            break;
-        }
-        benchmark::DoNotOptimize(g.num_vertices);
-        ++inputs;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(inputs));
-}
-
-/** What a cell does with its forked input before emitting: the
- *  PageRank constructor's 4-way partition, relabel and transpose of the
+/** What a cell does with its input before emitting: the PageRank
+ *  constructor's 4-way partition, relabel and transpose of the
  *  com-orkut graph.  The graph is built once outside the timed loop (a
- *  fork hands over the same bytes).  Items are edges. */
+ *  memo hit hands over the same bytes).  Items are edges. */
 void
 BM_WorkloadBuild(benchmark::State &state)
 {
@@ -605,7 +580,6 @@ BENCHMARK_CAPTURE(BM_Kernel4, rnr, PrefetcherKind::Rnr)
 BENCHMARK(BM_DramRead);
 BENCHMARK(BM_TraceEmission);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WorkloadBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceFileIngest)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);

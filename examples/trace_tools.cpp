@@ -29,13 +29,8 @@
  *   trace_tools corpus
  *       Lists the trace store's entries ($RNR_TRACE_DIR).
  *
- *   trace_tools ckpt list|inspect
- *       Snapshot-store listing ($RNR_CKPT_DIR, docs/HARNESS.md
- *       section 3).  `list` summarises every snapshot (key, size);
- *       `inspect <file>` decodes one blob's header.
- *
  *   trace_tools gc [--max-bytes <n>]
- *       Store maintenance over the result, trace and snapshot stores:
+ *       Store maintenance over the result and trace stores:
  *       deletes corrupt entries, temp leftovers and entries of another
  *       model epoch, and with --max-bytes <n> evicts each store's
  *       oldest entries until it fits the cap.
@@ -84,7 +79,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -92,7 +86,6 @@
 
 #include <algorithm>
 
-#include "ckpt/ckpt_store.h"
 #include "harness/metrics.h"
 #include "harness/report.h"
 #include "harness/result_cache.h"
@@ -330,67 +323,7 @@ corpus()
     return 0;
 }
 
-// ---- ckpt and gc: store maintenance ----
-
-int
-ckptList()
-{
-    const std::string root = ckpt::CheckpointStore::rootPath();
-    const std::vector<std::string> files =
-        ckpt::CheckpointStore::instance().blobs().entryPaths();
-    std::printf("checkpoint store at %s: %zu snapshot%s\n", root.c_str(),
-                files.size(), files.size() == 1 ? "" : "s");
-    std::uint64_t total = 0;
-    for (const std::string &path : files) {
-        const std::string name =
-            std::filesystem::path(path).filename().string();
-        std::vector<std::uint8_t> blob;
-        BlobStore::Header h;
-        if (const ckpt::CkptIoResult r = BlobStore::readFile(path, blob, h);
-            !r.ok()) {
-            std::printf("  %s: CORRUPT (%s)\n", name.c_str(),
-                        r.message().c_str());
-            continue;
-        }
-        std::printf("  %s: \"%s\", %.1f KiB\n", name.c_str(),
-                    h.key.c_str(), static_cast<double>(blob.size()) / 1024.0);
-        total += blob.size();
-    }
-    if (!files.empty())
-        std::printf("total: %.1f KiB\n", static_cast<double>(total) / 1024.0);
-    return 0;
-}
-
-int
-ckptInspect(const std::string &path)
-{
-    std::vector<std::uint8_t> blob;
-    BlobStore::Header h;
-    if (const ckpt::CkptIoResult r = BlobStore::readFile(path, blob, h);
-        !r.ok()) {
-        std::fprintf(stderr, "cannot inspect %s: %s\n", path.c_str(),
-                     r.message().c_str());
-        return 1;
-    }
-    std::printf("%s: rnr blob, %zu bytes, checksum 0x%016llx\n",
-                path.c_str(), blob.size(),
-                static_cast<unsigned long long>(h.checksum));
-    std::printf("  key:     %s\n", h.key.c_str());
-    std::printf("  payload: %zu bytes\n", h.payload_len);
-    return 0;
-}
-
-int
-ckptMain(int argc, char **argv)
-{
-    const std::string sub = argc >= 3 ? argv[2] : "";
-    if (sub == "list")
-        return ckptList();
-    if (sub == "inspect" && argc >= 4)
-        return ckptInspect(argv[3]);
-    std::fprintf(stderr, "usage: %s ckpt list | inspect <file>\n", argv[0]);
-    return 2;
-}
+// ---- gc: store maintenance ----
 
 int
 gcMain(int argc, char **argv)
@@ -407,7 +340,6 @@ gcMain(int argc, char **argv)
     const std::pair<const char *, BlobStore *> stores[] = {
         {"results", &ResultCache::instance().blobs()},
         {"traces", &TraceStore::instance().blobs()},
-        {"snapshots", &ckpt::CheckpointStore::instance().blobs()},
     };
     for (const auto &[what, store] : stores) {
         const BlobStore::GcResult r = store->gc(max_bytes);
@@ -729,10 +661,8 @@ constexpr ModeHelp kModes[] = {
      "decode-free trace file summary and compression ratio"},
     {"corpus", "",
      "list the trace store's entries ($RNR_TRACE_DIR)"},
-    {"ckpt", "list|inspect [<file>]",
-     "checkpoint store: list snapshots, or decode one blob's header"},
     {"gc", "[--max-bytes <n>]",
-     "drop corrupt, stale and over-cap entries from all three stores"},
+     "drop corrupt, stale and over-cap entries from both stores"},
     {"inspect", "<file.rnrt>",
      "full decode: record counts, access sites, RnR control calls"},
     {"rnr-trace", "[app] [input] [trace.json] [--trace-buf <events>]",
@@ -860,8 +790,6 @@ main(int argc, char **argv)
         return sweepCmd(argc, argv);
     if (argc >= 2 && std::strcmp(argv[1], "corpus") == 0)
         return corpus();
-    if (argc >= 2 && std::strcmp(argv[1], "ckpt") == 0)
-        return ckptMain(argc, argv);
     if (argc >= 2 && std::strcmp(argv[1], "gc") == 0)
         return gcMain(argc, argv);
     if (argc >= 3 && std::strcmp(argv[1], "inspect") == 0)

@@ -9,13 +9,9 @@ toString(CkptIoStatus s)
     switch (s) {
     case CkptIoStatus::Ok: return "ok";
     case CkptIoStatus::OpenFail: return "open-fail";
-    case CkptIoStatus::WriteFail: return "write-fail";
     case CkptIoStatus::BadMagic: return "bad-magic";
-    case CkptIoStatus::BadVersion: return "bad-version";
     case CkptIoStatus::Truncated: return "truncated";
     case CkptIoStatus::BadChecksum: return "bad-checksum";
-    case CkptIoStatus::BadSection: return "bad-section";
-    case CkptIoStatus::KeyMismatch: return "key-mismatch";
     }
     return "unknown";
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Exact-u64 binary archive pair for the checkpoint subsystem.
+ * Exact-u64 binary archive pair: the RnR context-switch state, the
+ * StatGroup counters and the BlobStore header.
  *
  * `Ser` appends fields to a byte buffer; `Deser` reads them back with
  * bounds checking.  Every scalar — integer of any width, enum, bool,
@@ -21,15 +22,14 @@
  * One field list drives both directions — save and load cannot drift
  * apart, which is the whole point (the same trick as the
  * RNR_ITER_STAT_FIELDS X-macro, applied to binary state).  The RnR
- * prefetcher's context-switch state and the generated workload inputs
- * (Graph, SparseMatrix) are the visitors in use.
+ * prefetcher's context-switch state (Fig 15) is the visitor in use.
  *
  * A failed read (truncated input) latches an error: every subsequent
  * scalar yields zero and the caller checks `deser.ok()` once at the
  * end, so visitors stay free of per-field error plumbing.
  */
-#ifndef RNR_CKPT_SERDE_H
-#define RNR_CKPT_SERDE_H
+#ifndef RNR_SERDE_H
+#define RNR_SERDE_H
 
 #include <cstddef>
 #include <cstdint>
@@ -42,22 +42,18 @@
 namespace rnr {
 namespace ckpt {
 
-/** Why a snapshot could not be written or read back. */
+/** Why an archive or a blob could not be read back. */
 enum class CkptIoStatus : std::uint8_t {
     Ok,
-    OpenFail,    ///< file could not be opened/created (errno in detail)
-    WriteFail,   ///< short write / fsync / rename failure
-    BadMagic,    ///< not a checkpoint file
-    BadVersion,  ///< newer (or garbage) format version
+    OpenFail,    ///< file could not be opened (the path in detail)
+    BadMagic,    ///< not an rnr blob
     Truncated,   ///< ran out of bytes mid-field
-    BadChecksum, ///< payload bytes do not match the FNV-1a trailer
-    BadSection,  ///< malformed section table or section payload
-    KeyMismatch, ///< snapshot belongs to a different experiment key
+    BadChecksum, ///< bytes do not match the blob's FNV-1a checksum
 };
 
 const char *toString(CkptIoStatus s);
 
-/** Typed outcome of a snapshot I/O operation. */
+/** Typed outcome of a read. */
 struct CkptIoResult {
     CkptIoStatus status = CkptIoStatus::Ok;
     std::string detail;
@@ -73,8 +69,8 @@ struct CkptIoResult {
     }
 };
 
-/** FNV-1a 64-bit, the repo's standard content hash (trace store keys
- *  use the same function); doubles as the snapshot checksum. */
+/** FNV-1a 64-bit, the repo's standard content hash (store entry names
+ *  use the same function); doubles as the blob checksum. */
 inline std::uint64_t
 fnv1a64(const void *data, std::size_t n,
         std::uint64_t h = 1469598103934665603ull)
@@ -92,12 +88,6 @@ class Ser
 {
   public:
     static constexpr bool kLoading = false;
-
-    Ser() = default;
-    /** Appends after @p prefix (a header the caller writes first). */
-    explicit Ser(std::vector<std::uint8_t> prefix) : buf_(std::move(prefix))
-    {
-    }
 
     /** Arithmetic / enum / bool / double field, written as 8 LE bytes.
      *  Takes a mutable reference only so the signature matches Deser's
@@ -127,7 +117,7 @@ class Ser
 
     /** Trivially-copyable vector: u64 count + raw element bytes.  The
      *  elements are stored in host (little-endian) layout — the bulk
-     *  path for multi-megabyte tables (cache arrays, CSR inputs). */
+     *  path for the RnR sequence and division tables. */
     template <typename T>
     void
     pod(std::vector<T> &v)
@@ -253,15 +243,6 @@ class Deser
         take(s.data(), s.size());
     }
 
-    /** Steps over @p n bytes without copying them; an overrun latches
-     *  the same failure a read would. */
-    void
-    skip(std::size_t n)
-    {
-        if (fits(n))
-            pos_ += n;
-    }
-
     bool ok() const { return !failed_; }
     std::size_t remaining() const { return n_ - pos_; }
     std::size_t pos() const { return pos_; }
@@ -358,4 +339,4 @@ checkCount(Ar &ar, std::uint64_t n, std::size_t min_bytes_per_elem)
 } // namespace ckpt
 } // namespace rnr
 
-#endif // RNR_CKPT_SERDE_H
+#endif // RNR_SERDE_H

@@ -144,33 +144,19 @@ BlobStore::hashName(const std::string &key)
 }
 
 std::vector<std::uint8_t>
-BlobStore::begin(const std::string &key)
-{
-    const std::string k = epochKey(key);
-    std::vector<std::uint8_t> b(kSummed + 8 + k.size() + 8);
-    std::memcpy(b.data(), kMagic, sizeof kMagic);
-    putU64(b, kSummed, k.size());
-    std::memcpy(b.data() + kSummed + 8, k.data(), k.size());
-    return b;
-}
-
-void
-BlobStore::seal(std::vector<std::uint8_t> &blob)
-{
-    const std::size_t len_at = kSummed + 8 + getU64(blob.data() + kSummed);
-    putU64(blob, len_at, blob.size() - len_at - 8);
-    putU64(blob, kSumAt,
-           ckpt::fnv1a64(blob.data() + kSummed, blob.size() - kSummed));
-}
-
-std::vector<std::uint8_t>
 BlobStore::encode(const std::string &key, const void *payload,
                   std::size_t len)
 {
-    std::vector<std::uint8_t> b = begin(key);
-    const auto *p = static_cast<const std::uint8_t *>(payload);
-    b.insert(b.end(), p, p + len);
-    seal(b);
+    const std::string k = epochKey(key);
+    const std::size_t payload_at = kSummed + 8 + k.size() + 8;
+    std::vector<std::uint8_t> b(payload_at + len);
+    std::memcpy(b.data(), kMagic, sizeof kMagic);
+    putU64(b, kSummed, k.size());
+    std::memcpy(b.data() + kSummed + 8, k.data(), k.size());
+    putU64(b, payload_at - 8, len);
+    if (len != 0)
+        std::memcpy(b.data() + payload_at, payload, len);
+    putU64(b, kSumAt, ckpt::fnv1a64(b.data() + kSummed, b.size() - kSummed));
     return b;
 }
 
@@ -200,7 +186,6 @@ BlobStore::parse(const std::uint8_t *data, std::size_t len, Header &out)
             CkptIoStatus::Truncated,
             "payload of " + std::to_string(payload_len) + " bytes, " +
                 std::to_string(d.remaining()) + " present");
-    out.checksum = sum;
     out.payload_at = kSummed + d.pos();
     out.payload_len = d.remaining();
     return {};

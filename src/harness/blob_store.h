@@ -1,7 +1,7 @@
 /**
  * @file
- * One key -> entry store: the machinery the result cache, the trace
- * store and the input-snapshot store share.
+ * One key -> entry store: the machinery the result cache and the trace
+ * store share.
  *
  * An entry lives under root() at a name derived from its key:
  *
@@ -12,9 +12,10 @@
  *   .tmp.<hash16>.<pid>      an owner's entry until it is published
  *
  * <hash16> is 16 hex digits of FNV-1a64 over "<epoch>|<key>".  The
- * epoch (kModelEpoch, generated from tests/data/golden/golden.json)
- * moves whenever a committed result does, so entries a different model
- * wrote are never looked up again.
+ * epoch (kModelEpoch, which src/model_epoch.cmake hashes from the
+ * model's sources and tests/data/golden/golden.json at build time)
+ * moves with any edit to the model, so entries a different model wrote
+ * are never looked up again.
  *
  * Blob layout (integers 8 bytes little-endian):
  *
@@ -67,7 +68,6 @@ class BlobStore
     /** Where a parsed blob's parts sit. */
     struct Header {
         std::string key;           ///< "<epoch>|<key>"
-        std::uint64_t checksum = 0;
         std::size_t payload_at = 0; ///< Offset of the first payload byte.
         std::size_t payload_len = 0;
     };
@@ -77,7 +77,7 @@ class BlobStore
                                                std::size_t len)>;
 
     /**
-     * @p component prefixes warnings ("ckpt", "tracestore", "cache");
+     * @p component prefixes warnings ("tracestore", "cache");
      * @p root and @p enabled are read on every call, so tests can
      * repoint them through the environment.  A disabled store keeps
      * only its in-process single-flight.  @p suffix names file
@@ -111,9 +111,8 @@ class BlobStore
      */
     Acquire acquire(const std::string &key, const std::function<bool()> &hit);
 
-    /** Installs the owner's file entry (a blob built by encode() or
-     *  begin()/seal()) and releases ownership.  False on I/O failure,
-     *  with one warning. */
+    /** Installs the owner's file entry (a blob built by encode()) and
+     *  releases ownership.  False on I/O failure, with one warning. */
     bool publish(const std::string &key,
                  const std::vector<std::uint8_t> &blob);
 
@@ -169,14 +168,7 @@ class BlobStore
     /** 16 hex digits of FNV-1a64 over epochKey(@p key). */
     static std::string hashName(const std::string &key);
 
-    /** A blob's header for @p key, with the length and checksum left
-     *  for seal(): append the payload, then seal. */
-    static std::vector<std::uint8_t> begin(const std::string &key);
-
-    /** Fills in the payload length and checksum of a begin() blob. */
-    static void seal(std::vector<std::uint8_t> &blob);
-
-    /** begin(), @p payload, seal(). */
+    /** The blob of @p payload filed under @p key. */
     static std::vector<std::uint8_t> encode(const std::string &key,
                                             const void *payload,
                                             std::size_t len);

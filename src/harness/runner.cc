@@ -313,11 +313,8 @@ makeWorkload(const ExperimentConfig &cfg)
     opts.use_rnr = true; // control records are harmless to baselines
     opts.window_size = cfg.window_size;
 
-    // Inputs come through the checkpoint-fork layer: the first config
-    // of a workload key generates (the sweep's shared warm-up), every
-    // other one forks the published input snapshot (RNR_CKPT=0 falls
-    // back to generating every time).  Forked inputs are bit-identical
-    // to generated ones, so results do not depend on the store.
+    // Inputs come through the memo: within a sweep, the first cell on
+    // an input builds it and the others copy it (ckpt/input_fork.h).
     if (cfg.app == "pagerank")
         return std::make_unique<PageRankWorkload>(
             ckpt::forkGraphInput(cfg), opts);

@@ -22,7 +22,7 @@
 #define rnr_fileno fileno
 #endif
 
-#include "ckpt/ckpt_store.h"
+#include "ckpt/input_fork.h"
 #include "harness/json_parse.h"
 #include "harness/json_write.h"
 #include "harness/runner.h"
@@ -175,16 +175,6 @@ class ProgressReporter
                          static_cast<unsigned long long>(ts.captures()),
                          static_cast<unsigned long long>(ts.hits()),
                          TraceStore::rootPath().c_str());
-        // One line of checkpoint accounting: how many inputs this sweep
-        // warmed up natively versus forked from a shared snapshot.
-        if (ckpt::CheckpointStore::enabled() &&
-            (host.ckpt_warmups + host.ckpt_forks) > 0)
-            std::fprintf(
-                stderr, "[%s] ckpt: %llu warm-ups, %llu forks from %s\n",
-                label_.c_str(),
-                static_cast<unsigned long long>(host.ckpt_warmups),
-                static_cast<unsigned long long>(host.ckpt_forks),
-                ckpt::CheckpointStore::rootPath().c_str());
         // And one of host accounting: what the batch cost this process.
         // Peak RSS is cumulative (a high-water mark), so it bounds, not
         // measures, this sweep; "n/a" on hosts without procfs.
@@ -285,12 +275,8 @@ SweepRunner::run()
     std::mutex mu; // guards the tallies, the reporter and first_error
     ProgressReporter reporter(progressEnabled(opts_), opts_.label, total);
 
-    // Snapshot the cumulative checkpoint counters so the sweep can
-    // report its own delta (the store counts for the whole process).
-    const ckpt::CheckpointStore &ckpt_store =
-        ckpt::CheckpointStore::instance();
-    const std::uint64_t ckpt_warmups0 = ckpt_store.warmups();
-    const std::uint64_t ckpt_forks0 = ckpt_store.forks();
+    // Cells of this batch that share an input build it once.
+    const ckpt::InputMemoScope memo;
 
     // Each worker claims the next unclaimed cell until none are left.
     // A throwing cell stops its own worker only; the rest drain the
@@ -334,8 +320,6 @@ SweepRunner::run()
     SweepHostInfo host;
     host.wall_sec = stats_.elapsed_sec;
     host.peak_rss_bytes = hostPeakRssBytes();
-    host.ckpt_warmups = ckpt_store.warmups() - ckpt_warmups0;
-    host.ckpt_forks = ckpt_store.forks() - ckpt_forks0;
     reporter.finish(stats_, host);
 
     const std::string json = jsonOutPath(opts_);
@@ -369,9 +353,7 @@ writeResultsJson(const std::string &path,
         char wall[32];
         std::snprintf(wall, sizeof(wall), "%.3f", host->wall_sec);
         os << "  \"host\": {\"wall_sec\": " << wall
-           << ", \"peak_rss_bytes\": " << host->peak_rss_bytes
-           << ", \"ckpt_warmups\": " << host->ckpt_warmups
-           << ", \"ckpt_forks\": " << host->ckpt_forks << "},\n";
+           << ", \"peak_rss_bytes\": " << host->peak_rss_bytes << "},\n";
     }
     os << "  \"cells\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -417,10 +399,6 @@ readResultsJson(const std::string &path, std::vector<ExperimentResult> &out,
                 host->wall_sec = w->asDouble();
             if (const JsonValue *r = h->find("peak_rss_bytes"))
                 host->peak_rss_bytes = r->asU64();
-            if (const JsonValue *v = h->find("ckpt_warmups"))
-                host->ckpt_warmups = v->asU64();
-            if (const JsonValue *v = h->find("ckpt_forks"))
-                host->ckpt_forks = v->asU64();
         }
 
     const JsonValue *cells = doc.find("cells");

@@ -30,9 +30,6 @@
  *   RNR_JSON_HOST=0    omit the "host" object from the JSON export
  *                      (host cost varies run to run; omitting it makes
  *                      exports from different runs byte-comparable)
- *   RNR_CKPT=0         disable checkpoint-fork input sharing (src/ckpt/);
- *                      every cell then generates its input natively
- *   RNR_CKPT_DIR=<d>   where input snapshots live (default rnr_ckpt)
  *
  * See docs/HARNESS.md for the JSON schema and a usage walkthrough.
  */
@@ -80,12 +77,6 @@ struct SweepStats {
 struct SweepHostInfo {
     double wall_sec = 0;
     std::uint64_t peak_rss_bytes = 0; ///< 0 = unknown (non-Linux host)
-    /** Checkpoint-fork accounting for this sweep (deltas of the
-     *  CheckpointStore counters across run()): how many inputs were
-     *  generated natively (warm-ups) versus forked from a shared
-     *  snapshot. */
-    std::uint64_t ckpt_warmups = 0;
-    std::uint64_t ckpt_forks = 0;
 };
 
 /**

@@ -47,17 +47,6 @@ struct Graph {
 
     /** Bytes of the CSR arrays (Fig 13 storage-overhead denominator). */
     std::uint64_t bytes() const;
-
-    /** Checkpoint visitor: the complete CSR (input snapshots fork the
-     *  generated graph across sweep configs instead of regenerating). */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        ar.scalar(num_vertices);
-        ar.pod(offsets);
-        ar.pod(edges);
-    }
 };
 
 } // namespace rnr

@@ -36,18 +36,6 @@ struct SparseMatrix {
 
     /** Bytes of the CSR arrays. */
     std::uint64_t bytes() const;
-
-    /** Checkpoint visitor: the complete CSR (input snapshots fork the
-     *  generated matrix across sweep configs instead of regenerating). */
-    template <class Ar>
-    void
-    visitState(Ar &ar)
-    {
-        ar.scalar(n);
-        ar.pod(row_ptr);
-        ar.pod(col);
-        ar.pod(val);
-    }
 };
 
 } // namespace rnr

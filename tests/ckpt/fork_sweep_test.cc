@@ -1,10 +1,9 @@
 /**
  * @file
- * Checkpoint-fork sweep tests — the acceptance criterion in code: a
- * sweep over >= 4 prefetcher configs sharing one workloadKey() performs
- * exactly one warm-up (asserted through the store counters) while
- * producing sweep JSON byte-identical to a
- * plain (RNR_CKPT=0) sweep.
+ * Input memo tests: a sweep over >= 4 prefetcher configs sharing one
+ * input builds it exactly once (asserted through the CheckpointStore
+ * counters) and exports sweep JSON byte-identical to cells that each
+ * build their own input.
  */
 #include <gtest/gtest.h>
 
@@ -12,18 +11,31 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ckpt/ckpt_store.h"
 #include "ckpt/input_fork.h"
 #include "harness/result_cache.h"
+#include "harness/runner.h"
 #include "harness/sweep.h"
+#include "workloads/graph_gen.h"
 
 namespace rnr {
 namespace {
 
 namespace fs = std::filesystem;
+
+/** Inputs built and memo hits since construction. */
+struct InputCounts {
+    ckpt::CheckpointStore &store = ckpt::CheckpointStore::instance();
+    const std::uint64_t warmups0 = store.warmups();
+    const std::uint64_t forks0 = store.forks();
+
+    std::uint64_t built() const { return store.warmups() - warmups0; }
+    std::uint64_t served() const { return store.forks() - forks0; }
+};
 
 class ForkSweepTest : public ::testing::Test
 {
@@ -39,24 +51,16 @@ class ForkSweepTest : public ::testing::Test
                     .string();
         fs::remove_all(root_);
         fs::create_directories(root_);
-        setenv("RNR_CKPT_DIR", (root_ + "/ckpt").c_str(), 1);
-        unsetenv("RNR_CKPT");
         setenv("RNR_CACHE", "0", 1);
         setenv("RNR_TRACE_STORE", "0", 1);
         setenv("RNR_PROGRESS", "0", 1);
         unsetenv("RNR_JSON_OUT");
-        ckpt::CheckpointStore::instance().resetForTest();
-        ckpt::resetInputForkForTest();
         ResultCache::instance().clearForTest();
     }
 
     void
     TearDown() override
     {
-        ckpt::CheckpointStore::instance().resetForTest();
-        ckpt::resetInputForkForTest();
-        unsetenv("RNR_CKPT_DIR");
-        unsetenv("RNR_CKPT");
         fs::remove_all(root_);
     }
 
@@ -97,18 +101,13 @@ TEST_F(ForkSweepTest, SweepWarmsUpOnceAndForksTheRest)
     const std::vector<ExperimentConfig> cfgs = sharedWorkloadBatch();
     ASSERT_GE(cfgs.size(), 4u);
 
-    SweepOptions opts;
-    opts.json_out = root_ + "/fork.json";
-    opts.json_host = 0; // byte-comparable export
-    const std::vector<ExperimentResult> results = runSweep(cfgs, opts);
+    const InputCounts counts;
+    const std::vector<ExperimentResult> results = runSweep(cfgs, {});
     ASSERT_EQ(results.size(), cfgs.size());
 
-    // Exactly one warm-up; every other cell forked it.
-    ckpt::CheckpointStore &store = ckpt::CheckpointStore::instance();
-    EXPECT_EQ(store.warmups(), 1u);
-    EXPECT_EQ(store.forks(), cfgs.size() - 1);
-    // The one published input snapshot.
-    EXPECT_EQ(store.blobs().entryPaths().size(), 1u);
+    // Exactly one build; every other cell was served from the memo.
+    EXPECT_EQ(counts.built(), 1u);
+    EXPECT_EQ(counts.served(), cfgs.size() - 1);
 }
 
 TEST_F(ForkSweepTest, ForkSweepJsonIsByteIdenticalToPlainSweep)
@@ -117,79 +116,69 @@ TEST_F(ForkSweepTest, ForkSweepJsonIsByteIdenticalToPlainSweep)
 
     SweepOptions fork_opts;
     fork_opts.json_out = root_ + "/fork.json";
-    fork_opts.json_host = 0;
+    fork_opts.json_host = 0; // byte-comparable export
     (void)runSweep(cfgs, fork_opts);
-    EXPECT_EQ(ckpt::CheckpointStore::instance().warmups(), 1u);
 
-    // Plain sweep: store off, caches cleared so every cell really
-    // simulates again.
-    setenv("RNR_CKPT", "0", 1);
-    ckpt::resetInputForkForTest();
+    // Plain: each cell on its own, outside any sweep, so each builds
+    // its input; caches cleared so every cell really simulates again.
     ResultCache::instance().clearForTest();
-    SweepOptions plain_opts;
-    plain_opts.json_out = root_ + "/plain.json";
-    plain_opts.json_host = 0;
-    (void)runSweep(cfgs, plain_opts);
+    const InputCounts counts;
+    std::vector<ExperimentResult> plain;
+    for (const ExperimentConfig &cfg : cfgs)
+        plain.push_back(runExperiment(cfg));
+    EXPECT_EQ(counts.built(), cfgs.size());
+    ASSERT_TRUE(writeResultsJson(root_ + "/plain.json", plain,
+                                 fork_opts.label, nullptr));
 
     const std::string fork_json = fileBytes(root_ + "/fork.json");
     ASSERT_FALSE(fork_json.empty());
     EXPECT_EQ(fork_json, fileBytes(root_ + "/plain.json"));
 }
 
-TEST_F(ForkSweepTest, WarmProcessRerunDoesZeroWarmups)
+/** Graph-level equality, array by array. */
+void
+expectSameGraph(const Graph &a, const Graph &b)
 {
-    const std::vector<ExperimentConfig> cfgs = sharedWorkloadBatch();
-    (void)runSweep(cfgs, SweepOptions{});
-    ckpt::CheckpointStore &store = ckpt::CheckpointStore::instance();
-    ASSERT_EQ(store.warmups(), 1u);
-
-    // Second sweep in the same process: the memo (and failing that,
-    // the published snapshot) serves every input — zero warm-ups.
-    ResultCache::instance().clearForTest();
-    (void)runSweep(cfgs, SweepOptions{});
-    EXPECT_EQ(store.warmups(), 1u);
-    EXPECT_EQ(store.forks(), 2 * cfgs.size() - 1);
-
-    // Cold-memo rerun (as a fresh process would): the snapshot alone
-    // serves the input — still zero warm-ups.
-    ckpt::resetInputForkForTest();
-    ResultCache::instance().clearForTest();
-    (void)runSweep(cfgs, SweepOptions{});
-    EXPECT_EQ(store.warmups(), 1u);
+    EXPECT_EQ(a.num_vertices, b.num_vertices);
+    EXPECT_EQ(a.offsets, b.offsets);
+    EXPECT_EQ(a.edges, b.edges);
 }
 
-TEST_F(ForkSweepTest, CorruptInputSnapshotRegeneratesBitIdentically)
+TEST(InputMemo, BuildsEachInputOnce)
 {
-    const std::vector<ExperimentConfig> cfgs = sharedWorkloadBatch();
-    SweepOptions opts;
-    opts.json_out = root_ + "/first.json";
-    opts.json_host = 0;
-    (void)runSweep(cfgs, opts);
-    const std::string snap =
-        ckpt::CheckpointStore::instance().blobs().entryPath(
-            ckpt::inputSnapshotKey(cfgs.front()));
-    ASSERT_TRUE(fs::exists(snap));
+    ExperimentConfig pagerank;
+    pagerank.app = "pagerank";
+    pagerank.input = "amazon";
+    ExperimentConfig hyperanf = pagerank;
+    hyperanf.app = "hyperanf";
+    const Graph generated = makeGraphInput("amazon").graph;
 
-    // Corrupt the published input snapshot on disk.
     {
-        std::ofstream out(snap, std::ios::binary | std::ios::trunc);
-        out << "garbage";
+        const ckpt::InputMemoScope memo;
+        const InputCounts counts;
+        // Two apps on one graph: one build, one memo hit.
+        (void)makeWorkload(pagerank);
+        (void)makeWorkload(hyperanf);
+        EXPECT_EQ(counts.built(), 1u);
+        EXPECT_EQ(counts.served(), 1u);
+        // What the memo hands out is the generated graph, bit for bit.
+        expectSameGraph(ckpt::forkGraphInput(hyperanf), generated);
+        EXPECT_EQ(counts.built(), 1u);
+
+        // A build that throws leaves nothing behind: the next caller
+        // tries again and gets the same error.
+        ExperimentConfig bogus = pagerank;
+        bogus.input = "no-such-input";
+        EXPECT_THROW(ckpt::forkGraphInput(bogus), std::invalid_argument);
+        EXPECT_THROW(ckpt::forkGraphInput(bogus), std::invalid_argument);
+        EXPECT_EQ(counts.built(), 1u);
     }
-    // Fresh process state: memo cold, result cache cold.
-    ckpt::resetInputForkForTest();
-    ResultCache::instance().clearForTest();
-    ckpt::CheckpointStore::instance().resetForTest();
 
-    SweepOptions again;
-    again.json_out = root_ + "/second.json";
-    again.json_host = 0;
-    (void)runSweep(cfgs, again);
-    ckpt::CheckpointStore &store = ckpt::CheckpointStore::instance();
-    EXPECT_GE(store.blobs().quarantines(), 1u);
-    EXPECT_EQ(store.warmups(), 1u); // regenerated exactly once
-
-    EXPECT_EQ(fileBytes(root_ + "/first.json"),
-              fileBytes(root_ + "/second.json"));
+    // The last scope closed: the memo is gone and the next call builds.
+    const InputCounts counts;
+    expectSameGraph(ckpt::forkGraphInput(pagerank), generated);
+    EXPECT_EQ(counts.built(), 1u);
+    EXPECT_EQ(counts.served(), 0u);
 }
 
 } // namespace

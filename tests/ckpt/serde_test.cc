@@ -136,7 +136,7 @@ TEST(CkptSerde, StatusNamesAreStable)
 {
     EXPECT_STREQ(toString(CkptIoStatus::Ok), "ok");
     EXPECT_STREQ(toString(CkptIoStatus::BadChecksum), "bad-checksum");
-    EXPECT_STREQ(toString(CkptIoStatus::KeyMismatch), "key-mismatch");
+    EXPECT_STREQ(toString(CkptIoStatus::BadMagic), "bad-magic");
     const CkptIoResult r =
         CkptIoResult::fail(CkptIoStatus::Truncated, "at byte 12");
     EXPECT_EQ(r.message(), "truncated: at byte 12");

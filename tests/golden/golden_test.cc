@@ -352,7 +352,6 @@ main(int argc, char **argv)
     // Every cell a native simulation, and nothing written to the cwd.
     setenv("RNR_CACHE", "0", 1);
     setenv("RNR_TRACE_STORE", "0", 1);
-    setenv("RNR_CKPT", "0", 1);
     if (argc == 2 && std::strcmp(argv[1], "--update") == 0)
         return rnr::update();
     ::testing::InitGoogleTest(&argc, argv);

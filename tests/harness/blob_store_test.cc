@@ -1,6 +1,6 @@
 /**
  * @file
- * BlobStore tests: the machinery the result, trace and snapshot stores
+ * BlobStore tests: the machinery the result and trace stores
  * share.  Publish/hit, quarantine, hash-collision-as-miss, the model
  * epoch, gc, and single-flight across threads and across processes (a
  * fork()ed owner that publishes late, and one that is SIGKILLed before

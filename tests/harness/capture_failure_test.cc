@@ -144,13 +144,12 @@ lowerFileSizeLimit(const Check &check)
     return was;
 }
 
-/** Only the trace store may write files: no result cache, no input
- *  snapshots, no observability output. */
+/** Only the trace store may write files: no result cache and no
+ *  observability output. */
 void
 storeOnlyEnvironment(const std::string &root)
 {
     setenv("RNR_CACHE", "0", 1);
-    setenv("RNR_CKPT", "0", 1);
     unsetenv("RNR_OBS");
     setenv("RNR_TRACE_DIR", root.c_str(), 1);
     TraceStore::instance().resetForTest();

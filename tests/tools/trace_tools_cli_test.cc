@@ -64,10 +64,9 @@ runTool(const std::string &args, const std::string &extra_env = "")
     return r;
 }
 
-const char *const kModes[] = {"capture",  "convert",   "simulate",
-                              "stats",    "corpus",    "ckpt",
-                              "gc",       "inspect",   "rnr-trace",
-                              "attrib",   "report",    "help"};
+const char *const kModes[] = {"capture", "convert", "simulate",  "stats",
+                              "corpus",  "gc",      "inspect",   "rnr-trace",
+                              "attrib",  "report",  "sweep",     "help"};
 
 TEST(TraceToolsCli, HelpListsEveryMode)
 {
@@ -118,8 +117,6 @@ TEST(TraceToolsCli, KnownModeWithWrongArityExitsTwo)
     EXPECT_EQ(runTool("convert").exit_code, 2);      // needs 2 args
     EXPECT_EQ(runTool("stats").exit_code, 2);        // needs a file
     EXPECT_EQ(runTool("capture onlyone").exit_code, 2);
-    EXPECT_EQ(runTool("ckpt").exit_code, 2);         // needs a subcommand
-    EXPECT_EQ(runTool("ckpt inspect").exit_code, 2); // needs a file
     EXPECT_EQ(runTool("gc --max-bytes").exit_code, 2); // needs a count
 }
 
@@ -176,13 +173,13 @@ TEST(TraceToolsCli, SweepUnknownPrefetcherExitsTwoWithOneLine)
     EXPECT_NE(r.output.find("bogus"), std::string::npos) << r.output;
 }
 
-/** Writes a minimal valid (or checksum-broken) snapshot to @p path. */
+/** One result-store blob at @p path, bit-flipped when @p corrupt. */
 void
-writeTestSnapshot(const std::string &path, bool corrupt)
+writeTestBlob(const std::string &path, bool corrupt)
 {
-    const std::string payload = "tiny snapshot payload";
+    const std::string payload = "tiny result payload";
     std::vector<std::uint8_t> blob = rnr::BlobStore::encode(
-        "input:graph:urand:g1", payload.data(), payload.size());
+        "pagerank:urand:none", payload.data(), payload.size());
     if (corrupt)
         blob[blob.size() / 2] ^= 0x01;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -190,68 +187,37 @@ writeTestSnapshot(const std::string &path, bool corrupt)
               static_cast<std::streamsize>(blob.size()));
 }
 
-TEST(TraceToolsCli, CkptInspectDecodesSnapshotHeader)
-{
-    const std::string path =
-        ::testing::TempDir() + "trace_tools_cli_inspect.ckpt";
-    writeTestSnapshot(path, /*corrupt=*/false);
-
-    const CliResult r = runTool("ckpt inspect " + path);
-    EXPECT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("rnr blob"), std::string::npos) << r.output;
-    EXPECT_NE(r.output.find("|input:graph:urand:g1"), std::string::npos);
-    EXPECT_NE(r.output.find("payload: 21 bytes"), std::string::npos);
-    // The printed checksum is the real field, not a zeroed one.
-    EXPECT_NE(r.output.find("checksum 0x"), std::string::npos);
-    EXPECT_EQ(r.output.find("checksum 0x0000000000000000"),
-              std::string::npos);
-
-    // A corrupt snapshot is a typed one-liner + exit 1.
-    writeTestSnapshot(path, /*corrupt=*/true);
-    const CliResult bad = runTool("ckpt inspect " + path);
-    EXPECT_EQ(bad.exit_code, 1) << bad.output;
-    EXPECT_NE(bad.output.find("cannot inspect"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TraceToolsCli, CkptListAndGcSweepTheStore)
+TEST(TraceToolsCli, GcSweepsBothStores)
 {
     namespace fs = std::filesystem;
-    const std::string dir =
-        ::testing::TempDir() + "trace_tools_cli_ckpt_store";
+    const std::string dir = ::testing::TempDir() + "trace_tools_cli_gc";
     fs::remove_all(dir);
-    fs::create_directories(dir + "/ckpt");
-    // gc sweeps every store: point all three into the scratch tree.
-    const std::string env = "RNR_CKPT_DIR=" + dir + "/ckpt RNR_TRACE_DIR=" +
-                            dir + "/traces RNR_CACHE_FILE=" + dir +
-                            "/results";
+    fs::create_directories(dir + "/results");
+    fs::create_directories(dir + "/traces");
+    // gc sweeps every store: point both into the scratch tree.
+    const std::string env = "RNR_TRACE_DIR=" + dir +
+                            "/traces RNR_CACHE_FILE=" + dir + "/results";
 
-    writeTestSnapshot(dir + "/ckpt/good.ckpt", /*corrupt=*/false);
-    writeTestSnapshot(dir + "/ckpt/bad.ckpt", /*corrupt=*/true);
+    writeTestBlob(dir + "/results/good.result", /*corrupt=*/false);
+    writeTestBlob(dir + "/results/bad.result", /*corrupt=*/true);
     { // a stale publish temp file (crashed before its rename)
-        std::ofstream out(dir + "/ckpt/old.ckpt.tmp.999");
+        std::ofstream out(dir + "/results/.tmp.0123456789abcdef.999");
         out << "partial";
     }
 
-    const CliResult list = runTool("ckpt list", env);
-    EXPECT_EQ(list.exit_code, 0) << list.output;
-    EXPECT_NE(list.output.find("2 snapshots"), std::string::npos)
-        << list.output;
-    EXPECT_NE(list.output.find("CORRUPT"), std::string::npos);
-
     const CliResult gc = runTool("gc", env);
     EXPECT_EQ(gc.exit_code, 0) << gc.output;
-    EXPECT_NE(gc.output.find("snapshots gc at " + dir +
-                             "/ckpt: removed 1 corrupt, 1 stale"),
+    EXPECT_NE(gc.output.find("results gc at " + dir +
+                             "/results: removed 1 corrupt, 1 stale"),
               std::string::npos)
         << gc.output;
-    EXPECT_TRUE(fs::exists(dir + "/ckpt/good.ckpt"));
-    EXPECT_FALSE(fs::exists(dir + "/ckpt/bad.ckpt"));
-    EXPECT_FALSE(fs::exists(dir + "/ckpt/old.ckpt.tmp.999"));
-
-    const CliResult after = runTool("ckpt list", env);
-    EXPECT_NE(after.output.find("1 snapshot"), std::string::npos)
-        << after.output;
+    EXPECT_NE(gc.output.find("traces gc at " + dir +
+                             "/traces: removed 0 corrupt, 0 stale"),
+              std::string::npos)
+        << gc.output;
+    EXPECT_TRUE(fs::exists(dir + "/results/good.result"));
+    EXPECT_FALSE(fs::exists(dir + "/results/bad.result"));
+    EXPECT_FALSE(fs::exists(dir + "/results/.tmp.0123456789abcdef.999"));
     fs::remove_all(dir);
 }
 
