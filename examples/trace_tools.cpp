@@ -7,8 +7,7 @@
  *       Emits one compressed (v2) .rnrt file per core for the given
  *       algorithm iteration (0 = the record iteration with RnR setup
  *       calls).  Each core's records stream into its file a block at
- *       a time, so no iteration is held in memory.  Pass --v1 for the
- *       uncompressed legacy format (written from whole buffers).
+ *       a time, so no iteration is held in memory.
  *       Files are named <prefix>.c<K>.rnrt, which is exactly the layout
  *       `trace_tools simulate <prefix>` consumes.
  *
@@ -22,9 +21,9 @@
  *       and prints the per-iteration counters.
  *
  *   trace_tools stats <file.rnrt>
- *       Decode-free summary from the v2 footer (or a single streaming
- *       pass for v1 files) plus the compression ratio against the
- *       uncompressed v1 encoding.
+ *       Decode-free summary from the footer plus the compression ratio
+ *       against the raw records (32 B each), the "raw" that capture
+ *       and corpus print.
  *
  *   trace_tools corpus
  *       Lists the trace store's entries ($RNR_TRACE_DIR).
@@ -38,6 +37,7 @@
  *   trace_tools inspect <file.rnrt>
  *       Prints a full decode: record counts, instruction count,
  *       access-site histogram and the embedded RnR control calls.
+ *       The file streams through one decoded block at a time.
  *
  *   trace_tools rnr-trace [app] [input] [trace.json]
  *       Simulates a small RnR run (default pagerank/urand) with event
@@ -97,7 +97,7 @@
 #include "trace/trace_io.h"
 #include "tracestore/champsim_import.h"
 #include "tracestore/trace_codec.h"
-#include "tracestore/trace_file.h"
+#include "tracestore/trace_reader.h"
 #include "tracestore/trace_store.h"
 #include "tracestore/trace_writer.h"
 #include "workloads/trace_replay.h"
@@ -106,13 +106,6 @@ using namespace rnr;
 
 namespace {
 
-/** Bytes the uncompressed v1 encoding of @p records would occupy. */
-std::uint64_t
-v1FileBytes(std::uint64_t records)
-{
-    return 24 + records * 28; // header + packed records
-}
-
 /** Drops every record: the iterations before the captured one. */
 struct DiscardSink final : TraceSink {
     void write(const TraceRecord *, std::size_t) override {}
@@ -120,7 +113,7 @@ struct DiscardSink final : TraceSink {
 
 int
 capture(const std::string &app, const std::string &input, unsigned iter,
-        const std::string &prefix, bool v1)
+        const std::string &prefix)
 {
     ExperimentConfig cfg;
     cfg.app = app;
@@ -136,34 +129,19 @@ capture(const std::string &app, const std::string &input, unsigned iter,
     std::vector<std::string> paths;
     for (unsigned c = 0; c < cores; ++c)
         paths.push_back(prefix + ".c" + std::to_string(c) + ".rnrt");
-    // v2 streams each core's records into its file a block at a time;
-    // the v1 format puts the record count first, so it is written from
-    // whole buffers.
-    std::vector<TraceFileStats> stats(cores);
+    // Each core's records stream into its file a block at a time.
+    std::vector<TraceFileWriter> writers(cores);
+    std::vector<TraceSink *> sinks;
     std::vector<TraceIoResult> written(cores);
-    if (v1) {
-        std::vector<TraceBuffer> bufs;
-        wl->emitIteration(iter, false, bufs);
-        for (unsigned c = 0; c < cores; ++c) {
-            written[c] = writeTraceFile(paths[c], bufs[c]);
-            stats[c].records = bufs[c].size();
-            stats[c].instructions = bufs[c].instructions();
-            stats[c].raw_bytes = bufs[c].memoryBytes();
-        }
-    } else {
-        std::vector<TraceFileWriter> writers(cores);
-        std::vector<TraceSink *> sinks;
-        for (unsigned c = 0; c < cores; ++c) {
-            written[c] = writers[c].open(paths[c]);
-            sinks.push_back(&writers[c]);
-        }
-        wl->emitIteration(iter, false, sinks);
-        for (unsigned c = 0; c < cores; ++c) {
-            const TraceIoResult closed = writers[c].close();
-            if (written[c])
-                written[c] = closed;
-            stats[c] = writers[c].stats();
-        }
+    for (unsigned c = 0; c < cores; ++c) {
+        written[c] = writers[c].open(paths[c]);
+        sinks.push_back(&writers[c]);
+    }
+    wl->emitIteration(iter, false, sinks);
+    for (unsigned c = 0; c < cores; ++c) {
+        const TraceIoResult closed = writers[c].close();
+        if (written[c])
+            written[c] = closed;
     }
     for (unsigned c = 0; c < cores; ++c) {
         if (!written[c]) {
@@ -171,13 +149,14 @@ capture(const std::string &app, const std::string &input, unsigned iter,
                          paths[c].c_str(), written[c].message().c_str());
             return 1;
         }
+        const TraceFileStats &st = writers[c].stats();
         const std::uint64_t disk = traceFileSizeBytes(paths[c]);
         std::printf("wrote %s (%llu records, %llu instructions, "
                     "%.1f KiB in memory -> %.1f KiB on disk)\n",
                     paths[c].c_str(),
-                    static_cast<unsigned long long>(stats[c].records),
-                    static_cast<unsigned long long>(stats[c].instructions),
-                    static_cast<double>(stats[c].raw_bytes) / 1024.0,
+                    static_cast<unsigned long long>(st.records),
+                    static_cast<unsigned long long>(st.instructions),
+                    static_cast<double>(st.raw_bytes) / 1024.0,
                     static_cast<double>(disk) / 1024.0);
     }
     return 0;
@@ -256,21 +235,14 @@ simulate(const std::string &input, const std::string &prefetcher,
 int
 stats(const std::string &path)
 {
-    std::uint32_t version = 0;
-    if (TraceIoResult r = probeTraceFileVersion(path, version); !r) {
-        std::fprintf(stderr, "cannot probe %s: %s\n", path.c_str(),
-                     r.message().c_str());
-        return 1;
-    }
     TraceFileStats s;
-    if (TraceIoResult r = readAnyTraceFileStats(path, s); !r) {
+    if (TraceIoResult r = readTraceFileV2Stats(path, s); !r) {
         std::fprintf(stderr, "cannot summarise %s: %s\n", path.c_str(),
                      r.message().c_str());
         return 1;
     }
     const std::uint64_t disk = traceFileSizeBytes(path);
-    const std::uint64_t v1 = v1FileBytes(s.records);
-    std::printf("%s: format v%u\n", path.c_str(), version);
+    std::printf("%s: format v%u\n", path.c_str(), kTraceFormatVersionV2);
     std::printf("  records=%llu loads=%llu stores=%llu controls=%llu "
                 "instructions=%llu\n",
                 static_cast<unsigned long long>(s.records),
@@ -281,11 +253,11 @@ stats(const std::string &path)
     std::printf("  address span: 0x%llx .. 0x%llx\n",
                 static_cast<unsigned long long>(s.min_addr),
                 static_cast<unsigned long long>(s.max_addr));
-    std::printf("  on disk: %llu bytes; uncompressed v1 equivalent: "
-                "%llu bytes (%.2fx)\n",
+    std::printf("  on disk: %llu bytes; raw records: %llu bytes (%.2fx)\n",
                 static_cast<unsigned long long>(disk),
-                static_cast<unsigned long long>(v1),
-                disk ? static_cast<double>(v1) / static_cast<double>(disk)
+                static_cast<unsigned long long>(s.raw_bytes),
+                disk ? static_cast<double>(s.raw_bytes) /
+                           static_cast<double>(disk)
                      : 0.0);
     return 0;
 }
@@ -373,33 +345,52 @@ opName(RnrOp op)
 int
 inspect(const std::string &path)
 {
-    TraceBuffer buf;
-    if (TraceIoResult r = readAnyTraceFile(path, buf); !r) {
+    StreamingTraceReader reader;
+    TraceIoResult r = reader.open(path);
+    // Counts and sites accumulate one decoded block at a time; only the
+    // few control records are kept, to print after the counts.
+    std::uint64_t records = 0, loads = 0, stores = 0, instrs = 0;
+    std::vector<TraceRecord> controls;
+    std::map<std::uint32_t, std::uint64_t> sites;
+    std::size_t n = 0;
+    while (const TraceRecord *run = r ? reader.takeBlock(n) : nullptr) {
+        records += n;
+        for (std::size_t i = 0; i < n; ++i) {
+            const TraceRecord &rec = run[i];
+            instrs += rec.gap;
+            if (rec.kind == RecordKind::Control) {
+                controls.push_back(rec);
+                continue;
+            }
+            ++instrs;
+            ++sites[rec.pc];
+            if (rec.kind == RecordKind::Load)
+                ++loads;
+            else
+                ++stores;
+        }
+    }
+    if (r && reader.error())
+        r = reader.errorResult();
+    if (!r) {
         std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
                      r.message().c_str());
         return 1;
     }
-    std::printf("%s: %zu records\n", path.c_str(), buf.size());
-    std::printf("  loads=%llu stores=%llu controls=%llu instrs=%llu\n",
-                static_cast<unsigned long long>(buf.loads()),
-                static_cast<unsigned long long>(buf.stores()),
-                static_cast<unsigned long long>(buf.controls()),
-                static_cast<unsigned long long>(buf.instructions()));
-
-    std::map<std::uint32_t, std::uint64_t> sites;
-    for (const TraceRecord &r : buf.records()) {
-        if (r.kind == RecordKind::Control) {
-            std::printf("  control: %s(0x%llx, %llu)\n", opName(r.ctrl),
-                        static_cast<unsigned long long>(r.addr),
-                        static_cast<unsigned long long>(r.aux));
-        } else {
-            ++sites[r.pc];
-        }
-    }
+    std::printf("%s: %llu records\n", path.c_str(),
+                static_cast<unsigned long long>(records));
+    std::printf("  loads=%llu stores=%llu controls=%zu instrs=%llu\n",
+                static_cast<unsigned long long>(loads),
+                static_cast<unsigned long long>(stores), controls.size(),
+                static_cast<unsigned long long>(instrs));
+    for (const TraceRecord &c : controls)
+        std::printf("  control: %s(0x%llx, %llu)\n", opName(c.ctrl),
+                    static_cast<unsigned long long>(c.addr),
+                    static_cast<unsigned long long>(c.aux));
     std::printf("  access sites:\n");
-    for (const auto &[pc, n] : sites)
+    for (const auto &[pc, count] : sites)
         std::printf("    pc %u: %llu accesses\n", pc,
-                    static_cast<unsigned long long>(n));
+                    static_cast<unsigned long long>(count));
     return 0;
 }
 
@@ -651,7 +642,7 @@ struct ModeHelp {
 };
 
 constexpr ModeHelp kModes[] = {
-    {"capture", "<app> <input> <iter> <prefix> [--v1]",
+    {"capture", "<app> <input> <iter> <prefix>",
      "record one algorithm iteration as per-core .rnrt trace files"},
     {"convert", "<champsim.trace> <out.rnrt>",
      "import a raw ChampSim instruction trace as a v2 trace file"},
@@ -761,21 +752,9 @@ main(int argc, char **argv)
             return printUsage(stderr, argv[0]);
         }
     }
-    if (argc >= 6 && std::strcmp(argv[1], "capture") == 0) {
-        bool v1 = false;
-        std::vector<std::string> pos;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--v1") == 0)
-                v1 = true;
-            else
-                pos.emplace_back(argv[i]);
-        }
-        if (pos.size() >= 4)
-            return capture(pos[0], pos[1],
-                           static_cast<unsigned>(std::atoi(
-                               pos[2].c_str())),
-                           pos[3], v1);
-    }
+    if (argc >= 6 && std::strcmp(argv[1], "capture") == 0)
+        return capture(argv[2], argv[3],
+                       static_cast<unsigned>(std::atoi(argv[4])), argv[5]);
     if (argc >= 4 && std::strcmp(argv[1], "convert") == 0)
         return convert(argv[2], argv[3]);
     if (argc >= 3 && std::strcmp(argv[1], "simulate") == 0) {

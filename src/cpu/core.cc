@@ -23,15 +23,6 @@ CoreModel::CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms)
 }
 
 void
-CoreModel::setTrace(const TraceBuffer *trace)
-{
-    buffer_source_ = BufferSource(trace);
-    src_ = trace ? &buffer_source_ : nullptr;
-    run_ = nullptr;
-    run_pos_ = run_len_ = 0;
-}
-
-void
 CoreModel::setSource(TraceSource *src)
 {
     src_ = src;

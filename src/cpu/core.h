@@ -29,7 +29,6 @@
 #include "sim/probes.h"
 #include "sim/ring.h"
 #include "sim/stats.h"
-#include "trace/trace_buffer.h"
 #include "trace/trace_source.h"
 
 namespace rnr {
@@ -40,15 +39,11 @@ class CoreModel
   public:
     CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms);
 
-    /** Points the core at a materialised trace (wrapped in an internal
-     *  BufferSource); position resets, the clock does not. */
-    void setTrace(const TraceBuffer *trace);
-
     /**
-     * Points the core at a streaming record source (caller-owned, must
-     * outlive the run).  This is the replay path: a compressed trace
-     * file feeds the core block-by-block with one decoded block
-     * resident instead of the whole iteration.
+     * Points the core at its record source (caller-owned, must outlive
+     * the run); position resets, the clock does not.  A compressed
+     * trace file or segment feeds the core block by block with one
+     * decoded block resident; a BufferSource feeds it from memory.
      */
     void setSource(TraceSource *src);
 
@@ -119,7 +114,6 @@ class CoreModel
     FastDiv retire_div_; ///< Divides by cfg_.retire_width.
     MemorySystem *ms_;
     TraceSource *src_ = nullptr;
-    BufferSource buffer_source_; ///< Backs setTrace(); src_ points here.
     Probes probes_;
 
     /** Staged run: a view into the source's storage,

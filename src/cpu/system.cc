@@ -14,12 +14,12 @@ System::System(const MachineConfig &cfg) : cfg_(cfg), mem_(cfg)
 IterationResult
 System::run(const std::vector<const TraceBuffer *> &traces)
 {
-    assert(traces.size() == cores_.size());
-    // setTrace wraps each buffer in the core's own BufferSource, so the
-    // feed outlives this call (tests poke core(i).done() afterwards).
-    for (unsigned c = 0; c < cores_.size(); ++c)
-        cores_[c]->setTrace(traces[c]);
-    return drive();
+    buffer_sources_ =
+        std::vector<BufferSource>(traces.begin(), traces.end());
+    std::vector<TraceSource *> sources;
+    for (BufferSource &s : buffer_sources_)
+        sources.push_back(&s);
+    return runStreaming(sources);
 }
 
 IterationResult

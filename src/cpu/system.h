@@ -44,24 +44,25 @@ class System
     unsigned coreCount() const { return static_cast<unsigned>(cores_.size()); }
 
     /**
-     * Runs one SPMD iteration: every core consumes its buffer; cores are
-     * interleaved by local time; a barrier closes the iteration (all
-     * cores sync to the max finish time, like the paper's master/worker
-     * join).  @p traces must have one entry per core (may be empty).
-     */
-    IterationResult run(const std::vector<const TraceBuffer *> &traces);
-
-    /**
-     * Streaming variant: every core pulls from its TraceSource (one per
-     * core, caller-owned, alive for the duration of the call).  This is
-     * how every runner cell is simulated, from compressed trace files
-     * or in-memory segments, without materialising an iteration's
-     * records per core.  (Named rather
-     * than overloaded: a braced list of TraceBuffer pointers would
-     * otherwise match both signatures via vector's iterator-pair
-     * constructor.)
+     * Runs one SPMD iteration: every core pulls from its TraceSource
+     * (one per core, caller-owned, alive for the duration of the call);
+     * cores are interleaved by local time; a barrier closes the
+     * iteration (all cores sync to the max finish time, like the
+     * paper's master/worker join).  This is how every runner cell is
+     * simulated, from compressed trace files or in-memory segments,
+     * without materialising an iteration's records per core.
      */
     IterationResult runStreaming(const std::vector<TraceSource *> &sources);
+
+    /**
+     * runStreaming() over one buffer per core (an entry may be null or
+     * empty), each wrapped in a BufferSource this System keeps, so the
+     * feeds outlive the call (tests poke core(i).done() afterwards).
+     * (Named apart from runStreaming: a braced list of TraceBuffer
+     * pointers would otherwise match both signatures via vector's
+     * iterator-pair constructor.)
+     */
+    IterationResult run(const std::vector<const TraceBuffer *> &traces);
 
     /**
      * Hands @p p to the memory hierarchy, its prefetchers and the cores
@@ -78,12 +79,13 @@ class System
     }
 
   private:
-    /** Shared interleaving driver; feeds were set by the run() overload. */
+    /** The interleaving driver over the feeds runStreaming() set. */
     IterationResult drive();
 
     MachineConfig cfg_;
     MemorySystem mem_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
+    std::vector<BufferSource> buffer_sources_; ///< run()'s feeds.
 };
 
 } // namespace rnr

@@ -39,27 +39,6 @@ class TraceBuffer final : public TraceSink
             count(recs[i]);
     }
 
-    /**
-     * Bulk append: @p fill(std::vector<TraceRecord> &) appends records
-     * straight onto the record store (a block decoder writes into it
-     * with no staging copy), then the counters take one pass over what
-     * it added.  When @p fill returns false its partial append is
-     * dropped and false is returned.
-     */
-    template <typename Fill>
-    bool
-    appendWith(Fill &&fill)
-    {
-        const std::size_t first = records_.size();
-        if (!fill(records_)) {
-            records_.resize(first);
-            return false;
-        }
-        for (std::size_t i = first; i < records_.size(); ++i)
-            count(records_[i]);
-        return true;
-    }
-
     void
     clear()
     {

@@ -1,32 +1,26 @@
 /**
  * @file
- * Streaming record feed for the core model.
+ * Record feed for the core model.
  *
- * CoreModel historically consumed a fully materialised TraceBuffer; a
- * multi-million-record iteration therefore had to be resident in memory
- * per core before simulation could start.  TraceSource abstracts the
- * feed so a core can equally pull records from an in-memory buffer
- * (BufferSource, System::run()) or block-by-block from compressed v2
- * bytes — a trace file (tracestore/trace_reader.h: store capture and
- * replay, tracefile cells) or an in-memory segment
- * (tracestore/trace_segment.h: store-off cells) — with only one decoded
- * block resident per core.
+ * A core pulls its records from a TraceSource: an in-memory buffer
+ * (BufferSource, System::run() and tests) or, on every runner cell,
+ * compressed v2 blocks decoded one at a time by FramedBlockSource
+ * (tracestore/trace_reader.h) from a trace file or from a store-off
+ * cell's in-memory segment (tracestore/trace_segment.h).  Only one
+ * decoded block is resident per core.
  *
- * The contract is single-pass: done() may be called repeatedly (and may
- * refill an internal block on the way); take() requires !done() and
- * consumes exactly one record.
+ * The core model (cpu/core.h) pulls whole runs via takeBlock(): the
+ * source hands back a pointer into its own storage and marks that run
+ * consumed.  The contract is single-pass.
  *
- * The core model (cpu/core.h) pulls whole runs instead via
- * takeBlock(): the source hands back a pointer into its own storage
- * (zero-copy for BufferSource and StreamingTraceReader) and marks that
- * run consumed.  take() and takeBlock() may be interleaved freely; both
- * drain the same underlying position.
+ * done() and take() consume one record at a time.  Nothing in the
+ * simulator calls them; they remain for callers outside it that wrap
+ * a source record by record.
  */
 #ifndef RNR_TRACE_TRACE_SOURCE_H
 #define RNR_TRACE_TRACE_SOURCE_H
 
 #include <cstddef>
-#include <vector>
 
 #include "trace/trace_buffer.h"
 
@@ -36,10 +30,6 @@ namespace rnr {
 class TraceSource
 {
   public:
-    /** Run length the default takeBlock() stages at a time (128 KiB of
-     *  records). */
-    static constexpr std::size_t kMaxBlockRecords = kDefaultBlockRecords;
-
     virtual ~TraceSource() = default;
 
     /** True when the stream is exhausted.  May refill internally. */
@@ -52,23 +42,10 @@ class TraceSource
      * Consumes a run of records at once: returns a pointer to @p n
      * consecutive records (valid until the next call on this source)
      * and advances past them, or nullptr with n = 0 at end of stream.
-     * Overrides return views into their own storage; this fallback
-     * adapts any per-record source by staging up to kMaxBlockRecords
-     * into an internal buffer, so custom test sources keep working
-     * under the batched kernel unchanged.
+     * take() and takeBlock() may be interleaved; both drain the same
+     * position.
      */
-    virtual const TraceRecord *
-    takeBlock(std::size_t &n)
-    {
-        staged_.clear();
-        while (staged_.size() < kMaxBlockRecords && !done())
-            staged_.push_back(take());
-        n = staged_.size();
-        return n ? staged_.data() : nullptr;
-    }
-
-  private:
-    std::vector<TraceRecord> staged_; ///< Backs the fallback takeBlock().
+    virtual const TraceRecord *takeBlock(std::size_t &n) = 0;
 };
 
 /** TraceSource over a caller-owned, fully materialised buffer. */

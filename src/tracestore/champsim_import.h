@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <string>
 
+#include "trace/trace_buffer.h"
 #include "trace/trace_io.h"
 
 namespace rnr {

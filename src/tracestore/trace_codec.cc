@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
+#include <system_error>
 #include <vector>
 
 #include "sim/flat_map.h"
@@ -237,26 +239,6 @@ readV2FileHeader(std::istream &in, std::uint32_t &block_records)
 }
 
 TraceIoResult
-probeTraceFileVersion(const std::string &path, std::uint32_t &version)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return TraceIoResult::fail(TraceIoStatus::OpenFailed, path, errno);
-    char magic[8];
-    in.read(magic, sizeof(magic));
-    if (!in)
-        return TraceIoResult::fail(TraceIoStatus::Truncated,
-                                   "file shorter than the 8-byte magic");
-    if (std::memcmp(magic, kTraceFileMagic, sizeof(kTraceFileMagic)) != 0)
-        return TraceIoResult::fail(TraceIoStatus::BadMagic,
-                                   "expected RNRTRACE");
-    if (!get(in, version))
-        return TraceIoResult::fail(TraceIoStatus::Truncated,
-                                   "missing version field");
-    return TraceIoResult::ok();
-}
-
-TraceIoResult
 readTraceFileV2Stats(const std::string &path, TraceFileStats &stats,
                      std::vector<TraceBlockIndexEntry> *index)
 {
@@ -324,6 +306,14 @@ readTraceFileV2Stats(const std::string &path, TraceFileStats &stats,
     if (index)
         *index = std::move(idx);
     return TraceIoResult::ok();
+}
+
+std::uint64_t
+traceFileSizeBytes(const std::string &path)
+{
+    std::error_code ec;
+    const std::uintmax_t n = std::filesystem::file_size(path, ec);
+    return ec ? 0 : static_cast<std::uint64_t>(n);
 }
 
 } // namespace rnr

@@ -3,10 +3,11 @@
  * v2 trace codec: per-field delta + varint encoding in fixed-size
  * indexed blocks, with a stats footer.
  *
- * The v1 format (trace/trace_io.h) spends 28 bytes per record on fields
- * that are almost entirely redundant: successive records from one
- * access site stride by one element, instruction gaps are tiny, and
- * aux is zero outside control records.  v2 exploits all three:
+ * The format stores each record in a handful of bytes instead of a
+ * TraceRecord's 32, because its fields are almost entirely redundant:
+ * successive records from one access site stride by one element,
+ * instruction gaps are tiny, and aux is zero outside control records.
+ * It exploits all three:
  *
  *  - addresses are delta-encoded *per access site* (keyed by the
  *    record's pc), so each of the workload's interleaved streams
@@ -22,13 +23,18 @@
  * per-kind record counts, so `trace_tools stats` and the store's
  * corpus report summarise a file without decoding any payload.
  *
+ * A framed block (u32 payload_bytes | u32 record_count | payload) is
+ * the unit of both a file's body and a store-off cell's in-memory
+ * segment (tracestore/trace_segment.h); FramedBlockSource
+ * (tracestore/trace_reader.h) is the one decoder of either.
+ *
  * File layout (little-endian):
  *   8B magic "RNRTRACE" | u32 version=2 | u32 block_records
  *   per block:  u32 payload_bytes | u32 record_count | payload
  *   terminator: u32 0 | u32 0
  *   footer:     u64 block_count
  *               per block: u64 offset | u32 payload_bytes | u32 records
- *               TraceFileStats (9 x u64)
+ *               TraceFileStats (8 x u64)
  *               u64 footer_offset | 8B footer magic "RNRTFTR1"
  */
 #ifndef RNR_TRACESTORE_TRACE_CODEC_H
@@ -39,8 +45,8 @@
 #include <string>
 #include <vector>
 
+#include "trace/trace_buffer.h"
 #include "trace/trace_io.h"
-#include "trace/trace_sink.h"
 
 namespace rnr {
 
@@ -51,9 +57,9 @@ constexpr std::uint32_t kTraceFormatVersionV2 = 2;
 constexpr char kTraceFooterMagic[8] = {'R', 'N', 'R', 'T',
                                        'F', 'T', 'R', '1'};
 
-/** Fewest bytes a v2 record encodes to: the tag, gap, pc delta and
+/** Fewest bytes a record encodes to: the tag, gap, pc delta and
  *  address each take at least one.  file bytes / this bounds the record
- *  count of any v1 or v2 file whatever its footer claims. */
+ *  count of any trace file whatever its footer claims. */
 constexpr std::uint64_t kMinEncodedRecordBytes = 4;
 
 /** Per-kind summary carried by the v2 footer (decode-free). */
@@ -116,19 +122,15 @@ TraceIoResult readTraceFileV2Stats(
 
 /**
  * Validates the leading magic + version of an open stream positioned
- * at 0 and leaves it positioned after the v2 header.  On success fills
- * @p block_records.  Shared by the stats reader and the streaming
- * reader.
+ * at 0 and leaves it positioned after the header.  On success fills
+ * @p block_records.  The one header parser: the stats reader and
+ * StreamingTraceReader::open() both call it.
  */
 TraceIoResult readV2FileHeader(std::istream &in,
                                std::uint32_t &block_records);
 
-/**
- * Peeks the format version of @p path (1, 2, ...).  Fails with
- * BadMagic/Truncated/OpenFailed for non-trace files.
- */
-TraceIoResult probeTraceFileVersion(const std::string &path,
-                                    std::uint32_t &version);
+/** Bytes @p path occupies on disk; 0 when it cannot be stat'ed. */
+std::uint64_t traceFileSizeBytes(const std::string &path);
 
 } // namespace rnr
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
 
 namespace rnr {
 
@@ -16,70 +15,34 @@ SegmentSink::write(const TraceRecord *recs, std::size_t n)
             bytes_);
 }
 
-bool
-SegmentSource::fail(TraceIoStatus status, std::string detail)
+SegmentSource::SegmentSource(std::vector<std::uint8_t> bytes)
+    : FramedBlockSource("segment", kDefaultBlockRecords),
+      bytes_(std::move(bytes))
 {
-    error_ = true;
-    offset_ = bytes_.size();
-    block_.clear(); // a partial decode must not be handed out
-    error_result_ = TraceIoResult::fail(status, "in-memory segment: " +
-                                                    std::move(detail));
-    return false;
+    where_ = "in-memory segment";
 }
 
 bool
-SegmentSource::refill()
+SegmentSource::nextFrame(Frame &f)
 {
-    block_.clear();
-    pos_ = 0;
     const std::size_t left = bytes_.size() - offset_;
     if (left == 0)
         return false;
     if (left < 8)
         return fail(TraceIoStatus::Truncated, "block header ended early");
-    std::uint32_t payload_bytes = 0, record_count = 0;
-    std::memcpy(&payload_bytes, bytes_.data() + offset_, 4);
-    std::memcpy(&record_count, bytes_.data() + offset_ + 4, 4);
-    if (record_count == 0 || record_count > kDefaultBlockRecords)
-        return fail(TraceIoStatus::CorruptBlock,
-                    "implausible record count " +
-                        std::to_string(record_count));
-    if (payload_bytes > left - 8)
-        return fail(TraceIoStatus::Truncated,
-                    "payload of " + std::to_string(payload_bytes) +
-                        " bytes overruns the segment");
-    if (!decodeBlock(bytes_.data() + offset_ + 8, payload_bytes,
-                     record_count, block_))
-        return fail(TraceIoStatus::CorruptBlock,
-                    "payload of " + std::to_string(payload_bytes) +
-                        " bytes failed to decode");
-    offset_ += 8 + payload_bytes;
+    std::memcpy(&f.payload_bytes, bytes_.data() + offset_, 4);
+    std::memcpy(&f.record_count, bytes_.data() + offset_ + 4, 4);
+    offset_ += 8;
+    f.bytes_left = left - 8;
     return true;
 }
 
-bool
-SegmentSource::done()
+const std::uint8_t *
+SegmentSource::payload(std::uint32_t payload_bytes)
 {
-    return pos_ >= block_.size() && !refill();
-}
-
-TraceRecord
-SegmentSource::take()
-{
-    return block_[pos_++];
-}
-
-const TraceRecord *
-SegmentSource::takeBlock(std::size_t &n)
-{
-    if (pos_ >= block_.size() && !refill()) {
-        n = 0;
-        return nullptr;
-    }
-    const TraceRecord *run = block_.data() + pos_;
-    n = block_.size() - pos_;
-    pos_ = block_.size();
-    return run;
+    const std::uint8_t *p = bytes_.data() + offset_;
+    offset_ += payload_bytes;
+    return p;
 }
 
 } // namespace rnr

@@ -12,10 +12,12 @@
  * its segments and one decoded block per core are resident.
  *
  * A segment has no header, terminator or footer: it ends where its
- * bytes end.  SegmentSource validates every frame as StreamingTraceReader
- * does (record count within a block, payload inside the segment, payload
- * decoding to exactly its records) and reports a bad one through
- * error()/errorResult(), never by reading past the bytes.
+ * bytes end.  SegmentSource is a FramedBlockSource
+ * (tracestore/trace_reader.h), so it checks every frame with the same
+ * code as StreamingTraceReader (record count within a block, payload
+ * inside the segment, payload decoding to exactly its records) and
+ * reports a bad one through error()/errorResult(), never by reading
+ * past the bytes.
  */
 #ifndef RNR_TRACESTORE_TRACE_SEGMENT_H
 #define RNR_TRACESTORE_TRACE_SEGMENT_H
@@ -24,8 +26,7 @@
 #include <vector>
 
 #include "trace/trace_sink.h"
-#include "trace/trace_source.h"
-#include "tracestore/trace_codec.h"
+#include "tracestore/trace_reader.h"
 
 namespace rnr {
 
@@ -42,39 +43,18 @@ class SegmentSink final : public TraceSink
     std::vector<std::uint8_t> bytes_;
 };
 
-/** Block-at-a-time TraceSource over a segment. */
-class SegmentSource final : public TraceSource
+/** FramedBlockSource over a segment. */
+class SegmentSource final : public FramedBlockSource
 {
   public:
-    explicit SegmentSource(std::vector<std::uint8_t> bytes)
-        : bytes_(std::move(bytes))
-    {
-    }
-
-    bool done() override;
-    TraceRecord take() override;
-
-    /** Zero-copy: the rest of the decoded block is one run. */
-    const TraceRecord *takeBlock(std::size_t &n) override;
-
-    /** Set when a frame failed to decode; the stream ends there. */
-    bool error() const { return error_; }
-
-    /** Details of the failure (valid when error()). */
-    const TraceIoResult &errorResult() const { return error_result_; }
+    explicit SegmentSource(std::vector<std::uint8_t> bytes);
 
   private:
-    /** Decodes the next frame into block_; false at the end or on a bad
-     *  frame. */
-    bool refill();
-    bool fail(TraceIoStatus status, std::string detail);
+    bool nextFrame(Frame &f) override;
+    const std::uint8_t *payload(std::uint32_t payload_bytes) override;
 
     std::vector<std::uint8_t> bytes_;
-    std::size_t offset_ = 0; ///< Next frame in bytes_.
-    std::vector<TraceRecord> block_;
-    std::size_t pos_ = 0;
-    bool error_ = false;
-    TraceIoResult error_result_;
+    std::size_t offset_ = 0; ///< Next unread byte of bytes_.
 };
 
 } // namespace rnr

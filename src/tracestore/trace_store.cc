@@ -6,8 +6,6 @@
 #include <sstream>
 #include <system_error>
 
-#include "tracestore/trace_file.h"
-
 namespace fs = std::filesystem;
 
 namespace rnr {
@@ -124,7 +122,7 @@ TraceStore::openEntry(const std::string &wkey, Entry &out)
             for (unsigned c = 0; c < e.cores; ++c) {
                 TraceFileStats stats;
                 const std::string path = e.tracePath(it, c);
-                if (TraceIoResult r = readAnyTraceFileStats(path, stats); !r)
+                if (TraceIoResult r = readTraceFileV2Stats(path, stats); !r)
                     return path + ": " + r.message();
                 records += stats.records;
             }

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "tracestore/trace_file.h"
-
 namespace rnr {
 
 namespace {
@@ -56,7 +54,7 @@ TraceFileWorkload::TraceFileWorkload(std::string input, WorkloadOptions opts)
     for (unsigned c = 0; c < opts_.cores; ++c) {
         TraceFileStats stats;
         const std::string path = corePath(c);
-        if (TraceIoResult r = readAnyTraceFileStats(path, stats); !r)
+        if (TraceIoResult r = readTraceFileV2Stats(path, stats); !r)
             throw std::runtime_error(path + ": " + r.message());
         // The footer sizes a drained buffer; the file's bytes cap it, so
         // a footer that lies cannot drive the allocation.
@@ -149,40 +147,36 @@ TraceFileWorkload::emit(unsigned iter, bool is_last)
     }
 }
 
+void
+TraceFileStream::advance()
+{
+    ++part_;
+    buffer_ = BufferSource(part_ == kPrologue   ? &prologue_
+                           : part_ == kEpilogue ? &epilogue_
+                                                : nullptr);
+}
+
 bool
 TraceFileStream::done()
 {
-    for (; part_ != kEnd; ++part_, pos_ = 0) {
-        const TraceBuffer *buf = bufferPart();
-        if (buf ? pos_ < buf->size() : !reader_.done())
+    for (; part_ != kEnd; advance())
+        if (!part().done())
             return false;
-    }
     return true;
 }
 
 TraceRecord
 TraceFileStream::take()
 {
-    if (const TraceBuffer *buf = bufferPart())
-        return buf->records()[pos_++];
-    return reader_.take();
+    return part().take();
 }
 
 const TraceRecord *
 TraceFileStream::takeBlock(std::size_t &n)
 {
-    for (; part_ != kEnd; ++part_, pos_ = 0) {
-        if (const TraceBuffer *buf = bufferPart()) {
-            if (pos_ < buf->size()) {
-                const TraceRecord *run = buf->records().data() + pos_;
-                n = buf->size() - pos_;
-                pos_ = buf->size();
-                return run;
-            }
-        } else if (const TraceRecord *run = reader_.takeBlock(n)) {
+    for (; part_ != kEnd; advance())
+        if (const TraceRecord *run = part().takeBlock(n))
             return run;
-        }
-    }
     n = 0;
     return nullptr;
 }

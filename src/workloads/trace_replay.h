@@ -4,7 +4,7 @@
  * the in-process SPMD kernels.
  *
  * This is the consumer end of `trace_tools convert`: a ChampSim trace
- * imported to our format (or any v1/v2 trace file) becomes a runnable
+ * imported to our format (or any trace file) becomes a runnable
  * workload — app "tracefile", input = the file path (single core) or a
  * prefix with `<prefix>.c<K>.rnrt` per-core files.  Every "iteration"
  * replays the same file, which matches how record-and-replay is
@@ -56,22 +56,25 @@ class TraceFileStream final : public TraceSource
   private:
     friend class TraceFileWorkload;
 
-    enum Part : unsigned { kPrologue, kFile, kEpilogue, kEnd };
+    enum Part : unsigned { kStart, kPrologue, kFile, kEpilogue, kEnd };
 
-    /** The prologue or epilogue while it is the current part. */
-    const TraceBuffer *
-    bufferPart() const
+    /** The source of the part being drained. */
+    TraceSource &
+    part()
     {
-        return part_ == kPrologue   ? &prologue_
-               : part_ == kEpilogue ? &epilogue_
-                                    : nullptr;
+        return part_ == kFile ? static_cast<TraceSource &>(reader_)
+                              : buffer_;
     }
 
-    unsigned part_ = kPrologue; ///< The part being drained.
-    std::size_t pos_ = 0;       ///< Next record of a buffer part.
+    /** Moves on to the next part.  A buffer part is attached here, on
+     *  the first drain, so a stream may move until then. */
+    void advance();
+
+    unsigned part_ = kStart;
     TraceBuffer prologue_;
     StreamingTraceReader reader_;
     TraceBuffer epilogue_;
+    BufferSource buffer_; ///< Drains prologue_, then epilogue_.
 };
 
 class TraceFileWorkload : public Workload

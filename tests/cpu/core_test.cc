@@ -23,11 +23,12 @@ struct CoreFixture : ::testing::Test {
     MemorySystem ms;
     CoreModel core;
     TraceBuffer trace;
+    BufferSource source{&trace};
 };
 
 TEST_F(CoreFixture, EmptyTraceIsDone)
 {
-    core.setTrace(&trace);
+    core.setSource(&source);
     EXPECT_TRUE(core.done());
     EXPECT_EQ(core.time(), 0u);
 }
@@ -36,7 +37,7 @@ TEST_F(CoreFixture, GapAdvancesIssueClockAtIssueWidth)
 {
     TraceRecord r = TraceRecord::load(0x1000, 1, /*gap=*/39);
     trace.push(r);
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.stepRun(1);
     // 39 gap instructions + 1 load = 40 instructions at 4-wide = 10 cyc.
     EXPECT_EQ(core.time(), 10u);
@@ -49,7 +50,7 @@ TEST_F(CoreFixture, LoadsOverlapInsideTheWindow)
     // before the first completes.
     trace.push(TraceRecord::load(0x10000, 1, 0));
     trace.push(TraceRecord::load(0x20000, 2, 0));
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.stepRun(1);
     const Tick t_after_first = core.time();
     core.stepRun(1);
@@ -64,7 +65,7 @@ TEST_F(CoreFixture, LsqFullStallsIssue)
     for (int i = 0; i < 8; ++i)
         trace.push(TraceRecord::load(Addr(0x100000) + Addr(i) * 0x10000,
                                      1, 0));
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.runToCompletion();
     EXPECT_GT(core.stats().get("lsq_stall_cycles"), 0u);
 }
@@ -76,7 +77,7 @@ TEST_F(CoreFixture, RobFullStallsOnLongLatencyHead)
     trace.push(TraceRecord::load(0x90000, 1, 0));
     for (int i = 0; i < 10; ++i)
         trace.push(TraceRecord::load(0x90000, 1, /*gap=*/14));
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.runToCompletion();
     EXPECT_GT(core.stats().get("rob_stall_cycles") +
                   core.stats().get("lsq_stall_cycles"),
@@ -87,7 +88,7 @@ TEST_F(CoreFixture, StoresDoNotBlockRetirement)
 {
     trace.push(TraceRecord::store(0x50000, 1, 0));
     trace.push(TraceRecord::load(0x50040, 2, 0));
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.stepRun(1);
     // The store completed immediately from the core's perspective.
     EXPECT_LE(core.time(), 2u);
@@ -110,7 +111,7 @@ TEST_F(CoreFixture, ControlRecordsReachThePrefetcher)
 
     trace.push(TraceRecord::control(RnrOp::Start));
     trace.push(TraceRecord::control(RnrOp::EndState));
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.runToCompletion();
     EXPECT_EQ(probe.controls, 2);
     EXPECT_EQ(core.stats().get("control_records"), 2u);
@@ -119,7 +120,7 @@ TEST_F(CoreFixture, ControlRecordsReachThePrefetcher)
 TEST_F(CoreFixture, SyncToAdvancesClockMonotonically)
 {
     trace.push(TraceRecord::load(0x1000, 1, 3));
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.runToCompletion();
     const Tick t = core.finishTime();
     core.syncTo(t + 100);
@@ -131,7 +132,7 @@ TEST_F(CoreFixture, SyncToAdvancesClockMonotonically)
 TEST_F(CoreFixture, FinishTimeCoversOutstandingLoads)
 {
     trace.push(TraceRecord::load(0x70000, 1, 0));
-    core.setTrace(&trace);
+    core.setSource(&source);
     core.stepRun(1);
     EXPECT_GE(core.finishTime(), core.time());
     EXPECT_GT(core.finishTime(), 10u); // DRAM latency outstanding
@@ -157,7 +158,8 @@ TEST(CoreIssueMath, OddIssueWidthMatchesPlainDivision)
             trace.push(r);
             slots += r.gap + 2;
         }
-        core.setTrace(&trace);
+        BufferSource source(&trace);
+        core.setSource(&source);
         core.runToCompletion();
         EXPECT_EQ(core.time(), slots / width) << width;
         EXPECT_EQ(core.instructionsRetired(), slots) << width;

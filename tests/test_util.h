@@ -6,6 +6,7 @@
 #define RNR_TESTS_TEST_UTIL_H
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cpu/system.h"
@@ -13,6 +14,7 @@
 #include "prefetch/factory.h"
 #include "sim/config.h"
 #include "trace/trace_buffer.h"
+#include "tracestore/trace_reader.h"
 #include "workloads/workload.h"
 
 namespace rnr::test {
@@ -46,6 +48,21 @@ runWorkload(System &sys, Workload &wl, unsigned iterations)
         out.push_back(sys.run(ptrs));
     }
     return out;
+}
+
+/** Reads the trace file @p path onto the end of @p buf, draining a
+ *  StreamingTraceReader block by block.  Returns why the file is bad;
+ *  on a mid-stream error the blocks before it stay in @p buf. */
+inline TraceIoResult
+readTraceFile(const std::string &path, TraceBuffer &buf)
+{
+    StreamingTraceReader reader;
+    if (TraceIoResult r = reader.open(path); !r)
+        return r;
+    std::size_t n = 0;
+    while (const TraceRecord *run = reader.takeBlock(n))
+        buf.write(run, n);
+    return reader.error() ? reader.errorResult() : TraceIoResult::ok();
 }
 
 /** Builds per-core prefetchers of @p kind and attaches them to @p sys.

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
 #include "trace/trace_io.h"
-#include "tracestore/trace_file.h"
+#include "tracestore/trace_codec.h"
 
 namespace rnr {
 namespace {
@@ -26,10 +27,10 @@ TEST_F(TraceIoFixture, RoundTripPreservesEveryField)
     original.push(TraceRecord::control(RnrOp::Replay));
 
     const std::string path = tmpPath("roundtrip.rnrt");
-    ASSERT_TRUE(writeTraceFile(path, original));
+    ASSERT_TRUE(writeTraceFileV2(path, original));
 
     TraceBuffer loaded;
-    ASSERT_TRUE(readAnyTraceFile(path, loaded));
+    ASSERT_TRUE(test::readTraceFile(path, loaded));
     ASSERT_EQ(loaded.size(), original.size());
     EXPECT_EQ(loaded.loads(), original.loads());
     EXPECT_EQ(loaded.stores(), original.stores());
@@ -52,8 +53,8 @@ TEST_F(TraceIoFixture, EmptyTraceRoundTrips)
 {
     TraceBuffer empty, loaded;
     const std::string path = tmpPath("empty.rnrt");
-    ASSERT_TRUE(writeTraceFile(path, empty));
-    ASSERT_TRUE(readAnyTraceFile(path, loaded));
+    ASSERT_TRUE(writeTraceFileV2(path, empty));
+    ASSERT_TRUE(test::readTraceFile(path, loaded));
     EXPECT_TRUE(loaded.empty());
     std::remove(path.c_str());
 }
@@ -61,7 +62,9 @@ TEST_F(TraceIoFixture, EmptyTraceRoundTrips)
 TEST_F(TraceIoFixture, MissingFileFails)
 {
     TraceBuffer buf;
-    EXPECT_FALSE(readAnyTraceFile(tmpPath("does-not-exist.rnrt"), buf));
+    const TraceIoResult r =
+        test::readTraceFile(tmpPath("does-not-exist.rnrt"), buf);
+    EXPECT_EQ(r.status, TraceIoStatus::OpenFailed);
 }
 
 TEST_F(TraceIoFixture, BadMagicRejected)
@@ -72,7 +75,7 @@ TEST_F(TraceIoFixture, BadMagicRejected)
         out << "NOTATRACEFILE_____________";
     }
     TraceBuffer buf;
-    EXPECT_FALSE(readAnyTraceFile(path, buf));
+    EXPECT_EQ(test::readTraceFile(path, buf).status, TraceIoStatus::BadMagic);
     std::remove(path.c_str());
 }
 
@@ -82,18 +85,19 @@ TEST_F(TraceIoFixture, TruncatedFileRejected)
     for (int i = 0; i < 10; ++i)
         original.push(TraceRecord::load(Addr(i) * 64, 1, 1));
     const std::string path = tmpPath("trunc.rnrt");
-    ASSERT_TRUE(writeTraceFile(path, original));
-    // Chop the file mid-record.
+    ASSERT_TRUE(writeTraceFileV2(path, original));
+    // Chop the file mid-block: 16 header + 8 block header + 5 bytes.
     {
         std::ifstream in(path, std::ios::binary);
         std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() - 13));
+        out.write(bytes.data(), 29);
     }
     TraceBuffer buf;
-    EXPECT_FALSE(readAnyTraceFile(path, buf));
+    EXPECT_EQ(test::readTraceFile(path, buf).status,
+              TraceIoStatus::Truncated);
+    EXPECT_TRUE(buf.empty());
     std::remove(path.c_str());
 }
 

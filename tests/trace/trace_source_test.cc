@@ -1,13 +1,10 @@
 /**
  * @file
  * TraceSource block API tests: the batched kernel pulls whole runs via
- * takeBlock(), so its contract — zero-copy views for BufferSource, a
- * staging fallback for arbitrary per-record sources, and free
- * interleaving with take() — is what keeps custom sources working
- * unchanged under the default kernel.
+ * takeBlock(), so BufferSource must hand out zero-copy views that
+ * interleave freely with take().
  */
 #include <cstddef>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,75 +68,6 @@ TEST(BufferSourceBlockTest, EmptyAndDetachedBuffersYieldNoRun)
     n = 7;
     EXPECT_EQ(src.takeBlock(n), nullptr);
     EXPECT_EQ(n, 0u);
-}
-
-/** Per-record-only source: exercises the default takeBlock() fallback
- *  exactly the way a hand-written test source would. */
-class CountingSource final : public TraceSource
-{
-  public:
-    explicit CountingSource(std::size_t n) : remaining_(n) {}
-
-    bool done() override { return remaining_ == 0; }
-
-    TraceRecord
-    take() override
-    {
-        --remaining_;
-        ++taken_;
-        return TraceRecord::load(0x2000 + Addr(taken_) * 64,
-                                 static_cast<std::uint32_t>(taken_), 0);
-    }
-
-    std::size_t taken() const { return taken_; }
-
-  private:
-    std::size_t remaining_;
-    std::size_t taken_ = 0;
-};
-
-TEST(TraceSourceFallbackTest, StagesUpToMaxBlockRecordsPerCall)
-{
-    CountingSource src(TraceSource::kMaxBlockRecords + 904);
-
-    std::size_t n = 0;
-    const TraceRecord *run = src.takeBlock(n);
-    ASSERT_NE(run, nullptr);
-    EXPECT_EQ(n, TraceSource::kMaxBlockRecords);
-    // The staged records are the source's records, in order.
-    EXPECT_EQ(run[0].pc, 1u);
-    EXPECT_EQ(run[n - 1].pc, TraceSource::kMaxBlockRecords);
-
-    run = src.takeBlock(n);
-    ASSERT_NE(run, nullptr);
-    EXPECT_EQ(n, 904u);
-    EXPECT_EQ(run[0].pc, TraceSource::kMaxBlockRecords + 1);
-
-    EXPECT_EQ(src.takeBlock(n), nullptr);
-    EXPECT_EQ(n, 0u);
-    EXPECT_TRUE(src.done());
-}
-
-TEST(TraceSourceFallbackTest, ShortStreamsYieldOnePartialBlock)
-{
-    CountingSource src(5);
-    std::size_t n = 0;
-    const TraceRecord *run = src.takeBlock(n);
-    ASSERT_NE(run, nullptr);
-    EXPECT_EQ(n, 5u);
-    EXPECT_EQ(src.takeBlock(n), nullptr);
-}
-
-TEST(TraceSourceFallbackTest, InterleavesWithPerRecordTake)
-{
-    CountingSource src(10);
-    const TraceRecord r = src.take();
-    EXPECT_EQ(r.pc, 1u);
-    std::size_t n = 0;
-    const TraceRecord *run = src.takeBlock(n);
-    ASSERT_NE(run, nullptr);
-    EXPECT_EQ(n, 9u);
-    EXPECT_EQ(run[0].pc, 2u);
 }
 
 } // namespace

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "test_util.h"
 #include "tracestore/champsim_import.h"
 #include "tracestore/trace_codec.h"
-#include "tracestore/trace_file.h"
 
 namespace rnr {
 namespace {
@@ -223,13 +223,13 @@ TEST(ChampSimImport, FixtureConvertsToV2AndReadsBack)
     ASSERT_TRUE(bool(writeTraceFileV2(dst, buf)));
 
     TraceFileStats stats;
-    ASSERT_TRUE(bool(readAnyTraceFileStats(dst, stats)));
+    ASSERT_TRUE(bool(readTraceFileV2Stats(dst, stats)));
     EXPECT_EQ(stats.records, buf.size());
     EXPECT_EQ(stats.loads, buf.loads());
     EXPECT_EQ(stats.stores, buf.stores());
 
     TraceBuffer back;
-    ASSERT_TRUE(bool(readAnyTraceFile(dst, back)));
+    ASSERT_TRUE(bool(test::readTraceFile(dst, back)));
     ASSERT_EQ(back.size(), buf.size());
     for (std::size_t i = 0; i < back.size(); ++i) {
         EXPECT_EQ(back.records()[i].addr, buf.records()[i].addr);

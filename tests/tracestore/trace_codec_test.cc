@@ -2,10 +2,9 @@
  * @file
  * v2 codec tests: randomized round-trips (including control markers and
  * pathological address deltas), block-boundary sizes, the decode-free
- * stats footer, corruption/truncation reporting, crafted footers, v1
- * backward compatibility through the version-dispatching readers, the
- * in-place bulk ingest the tracefile workload sizes from the footer,
- * and the per-core streams it replays from.
+ * stats footer, corruption/truncation reporting (a retired version-1
+ * file included), crafted footers, the tracefile workload's ingest
+ * sized from the footer, and the per-core streams it replays from.
  */
 #include <gtest/gtest.h>
 
@@ -18,9 +17,9 @@
 
 #include "ckpt/serde.h"
 #include "sim/rng.h"
+#include "test_util.h"
 #include "trace/trace_io.h"
 #include "tracestore/trace_codec.h"
-#include "tracestore/trace_file.h"
 #include "tracestore/trace_reader.h"
 #include "workloads/trace_replay.h"
 
@@ -118,7 +117,7 @@ TEST(TraceCodec, FileRoundTripsAcrossBlockBoundaries)
         const TraceBuffer buf = fuzzTrace(7 + n, n);
         ASSERT_TRUE(writeTraceFileV2(path, buf));
         TraceBuffer out;
-        ASSERT_TRUE(readAnyTraceFile(path, out)) << "n=" << n;
+        ASSERT_TRUE(test::readTraceFile(path, out)) << "n=" << n;
         expectSameRecords(buf, out);
         std::remove(path.c_str());
     }
@@ -130,7 +129,7 @@ TEST(TraceCodec, SmallBlockSizesDecodeIndependently)
     const TraceBuffer buf = fuzzTrace(99, 1000);
     ASSERT_TRUE(writeTraceFileV2(path, buf, 17)); // awkward block size
     TraceBuffer out;
-    ASSERT_TRUE(readAnyTraceFile(path, out));
+    ASSERT_TRUE(test::readTraceFile(path, out));
     expectSameRecords(buf, out);
     std::remove(path.c_str());
 }
@@ -172,7 +171,8 @@ TEST(TraceCodec, StatsFooterMatchesWithoutDecoding)
 TEST(TraceCodec, CompressesSequentialTracesAtLeast3x)
 {
     // The acceptance bar: workload-shaped traces (a few interleaved
-    // streams, small gaps) must compress >= 3x against v1.
+    // streams, small gaps) must compress >= 3x against the retired
+    // uncompressed format: a 24-byte header and 28 bytes a record.
     TraceBuffer buf;
     for (std::size_t i = 0; i < 50000; ++i) {
         buf.push(TraceRecord::load(0x10000000 + i * 4, 1, 3));
@@ -181,40 +181,14 @@ TEST(TraceCodec, CompressesSequentialTracesAtLeast3x)
             0x30000000 + (i * 2654435761ull & 0xfffff), 3, 2));
         buf.push(TraceRecord::store(0x40000000 + i * 8, 4, 0));
     }
-    const std::string v1 = tmpPath("codec_ratio_v1.rnrt");
     const std::string v2 = tmpPath("codec_ratio_v2.rnrt");
-    ASSERT_TRUE(writeTraceFile(v1, buf));
     ASSERT_TRUE(writeTraceFileV2(v2, buf));
-    const std::uint64_t v1_bytes = traceFileSizeBytes(v1);
+    const std::uint64_t v1_bytes = 24 + 28 * std::uint64_t{buf.size()};
     const std::uint64_t v2_bytes = traceFileSizeBytes(v2);
     ASSERT_GT(v2_bytes, 0u);
     EXPECT_GE(v1_bytes, 3 * v2_bytes)
         << "v1=" << v1_bytes << " v2=" << v2_bytes;
-    std::remove(v1.c_str());
     std::remove(v2.c_str());
-}
-
-TEST(TraceCodec, V1FilesReadBackThroughDispatchingReader)
-{
-    const std::string path = tmpPath("codec_v1_compat.rnrt");
-    const TraceBuffer buf = fuzzTrace(11, 2000);
-    ASSERT_TRUE(writeTraceFile(path, buf)); // v1 writer
-
-    std::uint32_t version = 0;
-    ASSERT_TRUE(probeTraceFileVersion(path, version));
-    EXPECT_EQ(version, kTraceFormatVersion);
-
-    TraceBuffer out;
-    ASSERT_TRUE(readAnyTraceFile(path, out));
-    expectSameRecords(buf, out);
-
-    // v1 stats take the streaming path but report the same shape.
-    TraceFileStats stats;
-    ASSERT_TRUE(readAnyTraceFileStats(path, stats));
-    EXPECT_EQ(stats.records, buf.size());
-    EXPECT_EQ(stats.loads, buf.loads());
-    EXPECT_EQ(stats.controls, buf.controls());
-    std::remove(path.c_str());
 }
 
 TEST(TraceCodec, ReadersReportWhyAFileIsBad)
@@ -226,7 +200,7 @@ TEST(TraceCodec, ReadersReportWhyAFileIsBad)
         out << "definitely not a trace";
     }
     TraceBuffer buf;
-    TraceIoResult r = readAnyTraceFile(path, buf);
+    TraceIoResult r = test::readTraceFile(path, buf);
     EXPECT_EQ(r.status, TraceIoStatus::BadMagic);
     EXPECT_NE(r.message().find("bad magic"), std::string::npos)
         << r.message();
@@ -238,9 +212,29 @@ TEST(TraceCodec, ReadersReportWhyAFileIsBad)
         out.write(reinterpret_cast<const char *>(&version), 4);
         out.write(reinterpret_cast<const char *>(&extra), 4);
     }
-    r = readAnyTraceFile(path, buf);
+    r = test::readTraceFile(path, buf);
     EXPECT_EQ(r.status, TraceIoStatus::BadVersion);
     EXPECT_NE(r.message().find("99"), std::string::npos) << r.message();
+
+    { // A header of the retired uncompressed version 1: u32 reserved,
+      // u64 record count, then one 28-byte record.
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write("RNRTRACE", 8);
+        const std::uint32_t version = 1, reserved = 0;
+        const std::uint64_t records = 1;
+        out.write(reinterpret_cast<const char *>(&version), 4);
+        out.write(reinterpret_cast<const char *>(&reserved), 4);
+        out.write(reinterpret_cast<const char *>(&records), 8);
+        out.write(std::string(28, '\0').data(), 28);
+    }
+    StreamingTraceReader reader;
+    r = reader.open(path);
+    EXPECT_EQ(r.status, TraceIoStatus::BadVersion);
+    EXPECT_EQ(r.detail, "version 1");
+    TraceFileStats v1_stats;
+    r = readTraceFileV2Stats(path, v1_stats);
+    EXPECT_EQ(r.status, TraceIoStatus::BadVersion);
+    EXPECT_EQ(r.detail, "version 1");
 
     // Truncated v2 payload: write a valid file then chop its tail.
     const TraceBuffer full = fuzzTrace(3, 6000);
@@ -248,7 +242,7 @@ TEST(TraceCodec, ReadersReportWhyAFileIsBad)
     const std::uint64_t size = traceFileSizeBytes(path);
     std::filesystem::resize_file(path, size / 2);
     buf.clear();
-    r = readAnyTraceFile(path, buf);
+    r = test::readTraceFile(path, buf);
     EXPECT_FALSE(r);
     EXPECT_TRUE(r.status == TraceIoStatus::Truncated ||
                 r.status == TraceIoStatus::CorruptBlock)
@@ -261,7 +255,7 @@ TEST(TraceCodec, ReadersReportWhyAFileIsBad)
 
     // Missing file: errno-carrying open failure.
     std::remove(path.c_str());
-    r = readAnyTraceFile(path, buf);
+    r = test::readTraceFile(path, buf);
     EXPECT_EQ(r.status, TraceIoStatus::OpenFailed);
     EXPECT_NE(r.sys_errno, 0);
 }
@@ -284,7 +278,7 @@ TEST(TraceCodec, CorruptPayloadIsDetectedOrHarmless)
         f.write(&c, 1);
     }
     TraceBuffer out;
-    const TraceIoResult r = readAnyTraceFile(path, out);
+    const TraceIoResult r = test::readTraceFile(path, out);
     // A flipped byte either breaks the varint structure (caught) or
     // alters decoded values; structure corruption must never crash.
     if (!r) {
@@ -358,8 +352,6 @@ TEST(TraceCodec, HugeFooterBlockCountFailsTypedWithoutThrowing)
         TraceIoResult r;
         EXPECT_NO_THROW(r = readTraceFileV2Stats(path, stats)) << count;
         EXPECT_EQ(r.status, TraceIoStatus::BadFooter) << count;
-        EXPECT_NO_THROW(r = readAnyTraceFileStats(path, stats)) << count;
-        EXPECT_EQ(r.status, TraceIoStatus::BadFooter) << count;
     }
     std::remove(path.c_str());
 }
@@ -379,7 +371,7 @@ TEST(TraceCodec, LyingFooterRecordCountCannotInflateTheIngestReserve)
     patchFile(path, footer + 8 + 12, std::uint32_t{0xffffffff});
     patchFile(path, footer + 8 + 16 * blocks, claimed);
     TraceFileStats stats;
-    ASSERT_TRUE(readAnyTraceFileStats(path, stats));
+    ASSERT_TRUE(readTraceFileV2Stats(path, stats));
     ASSERT_EQ(stats.records, claimed);
 
     // The block headers still tell the truth: a valid parse, with the
@@ -395,7 +387,7 @@ TEST(TraceCodec, LyingFooterRecordCountCannotInflateTheIngestReserve)
     // A block header that lies as well is a typed decode error.
     patchFile(path, 16 + 4, std::uint32_t{0xffffffff});
     TraceBuffer buf;
-    const TraceIoResult r = readAnyTraceFile(path, buf);
+    const TraceIoResult r = test::readTraceFile(path, buf);
     EXPECT_EQ(r.status, TraceIoStatus::CorruptBlock) << r.message();
     EXPECT_THROW(wl.emitIteration(1, true, bufs), std::runtime_error);
     std::remove(path.c_str());
@@ -442,8 +434,8 @@ TEST(TraceCodec, EncodedBytesAreUnchanged)
         ASSERT_EQ(back[i].addr, wide.records()[i].addr) << i;
 }
 
-/** The per-record ingest readAnyTraceFile ran before blocks decoded in
- *  place: the reference the bulk path must match. */
+/** The file's records read one take() at a time: the reference the
+ *  block-at-a-time ingest must match. */
 TraceIoResult
 perRecordIngest(const std::string &path, TraceBuffer &buf)
 {
@@ -457,26 +449,37 @@ perRecordIngest(const std::string &path, TraceBuffer &buf)
 
 TEST(TraceIngest, BulkIngestMatchesThePerRecordLoop)
 {
+    // The tracefile workload's emitIteration(.., bufs) hands the buffer
+    // each decoded block in one write(), between the control records
+    // it injects: init, AddrBase.set, enable and start before the
+    // file, disable, end-state and RnR.end after it.
     const std::string path = tmpPath("ingest_bulk.rnrt");
+    WorkloadOptions opts;
+    opts.cores = 1;
     for (std::uint32_t block : {17u, kDefaultBlockRecords}) {
-        for (std::size_t n : {std::size_t{0}, std::size_t{1},
-                              std::size_t{4096}, std::size_t{10001}}) {
-            const TraceBuffer trace = fuzzTrace(n + block, n);
-            for (bool v1 : {false, true}) {
-                ASSERT_TRUE(v1 ? writeTraceFile(path, trace)
-                               : writeTraceFileV2(path, trace, block));
-                // Both append after a record already in the buffer.
-                TraceBuffer bulk, loop;
-                bulk.push(TraceRecord::control(RnrOp::Replay));
-                loop.push(TraceRecord::control(RnrOp::Replay));
-                ASSERT_TRUE(readAnyTraceFile(path, bulk));
-                ASSERT_TRUE(perRecordIngest(path, loop));
-                expectSameRecords(loop, bulk);
-                EXPECT_EQ(bulk.loads(), loop.loads());
-                EXPECT_EQ(bulk.stores(), loop.stores());
-                EXPECT_EQ(bulk.controls(), loop.controls());
-                EXPECT_EQ(bulk.instructions(), loop.instructions());
-            }
+        for (std::size_t n : {std::size_t{100}, std::size_t{4096},
+                              std::size_t{10001}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "block=" << block << " n=" << n);
+            ASSERT_TRUE(
+                writeTraceFileV2(path, fuzzTrace(n + block, n), block));
+            TraceFileWorkload wl(path, opts);
+            std::vector<TraceBuffer> bufs(1);
+            wl.emitIteration(0, /*is_last=*/true, bufs);
+            const TraceBuffer &bulk = bufs[0];
+            ASSERT_EQ(bulk.size(), n + 7);
+
+            TraceBuffer loop;
+            for (std::size_t i = 0; i < 4; ++i)
+                loop.push(bulk.records()[i]);
+            ASSERT_TRUE(perRecordIngest(path, loop));
+            for (std::size_t i = n + 4; i < n + 7; ++i)
+                loop.push(bulk.records()[i]);
+            expectSameRecords(loop, bulk);
+            EXPECT_EQ(bulk.loads(), loop.loads());
+            EXPECT_EQ(bulk.stores(), loop.stores());
+            EXPECT_EQ(bulk.controls(), loop.controls());
+            EXPECT_EQ(bulk.instructions(), loop.instructions());
         }
     }
     std::remove(path.c_str());
@@ -520,31 +523,23 @@ drain(TraceSource &s, bool by_block)
 
 TEST(TraceIngest, StreamYieldsExactlyTheEmittedBuffer)
 {
-    // Three per-core files of 0, 1 and 10001 records, as v1 and as v2
-    // in two block sizes.  Three workloads walk iterations 0 (record),
+    // Three per-core files of 0, 1 and 10001 records, in two block
+    // sizes.  Three workloads walk iterations 0 (record),
     // 1 (replay) and 2 (replay + teardown) in step: one materialises,
     // the others drain openIteration()'s streams record by record and
     // run by run.  Every iteration must yield the same records.
     const std::string prefix = tmpPath("ingest_stream");
     const std::size_t sizes[] = {0, 1, 10001};
-    struct Format {
-        bool v1;
-        std::uint32_t block;
-    };
-    for (const Format f : {Format{true, kDefaultBlockRecords},
-                           Format{false, 17},
-                           Format{false, kDefaultBlockRecords}}) {
+    for (const std::uint32_t block : {17u, kDefaultBlockRecords}) {
         for (unsigned c = 0; c < 3; ++c) {
             const std::string path =
                 prefix + ".c" + std::to_string(c) + ".rnrt";
             const TraceBuffer trace = fuzzTrace(90 + c, sizes[c]);
-            ASSERT_TRUE(f.v1 ? writeTraceFile(path, trace)
-                             : writeTraceFileV2(path, trace, f.block));
+            ASSERT_TRUE(writeTraceFileV2(path, trace, block));
         }
         for (std::uint32_t window : {0u, 64u}) {
             SCOPED_TRACE(::testing::Message()
-                         << "v1=" << f.v1 << " block=" << f.block
-                         << " window=" << window);
+                         << "block=" << block << " window=" << window);
             WorkloadOptions opts;
             opts.cores = 3;
             opts.window_size = window;

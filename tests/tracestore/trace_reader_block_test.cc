@@ -2,9 +2,8 @@
  * @file
  * StreamingTraceReader::takeBlock() tests: the batched kernel streams a
  * v2 file run-by-run, so each run must be a zero-copy view of the
- * decoded block, runs must tile the file exactly (block boundaries
- * included), and v1 files must stream the same way through the
- * format-transparent reader.
+ * decoded block, and runs must tile the file exactly (block boundaries
+ * included).
  */
 #include <cstddef>
 #include <filesystem>
@@ -13,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/trace_io.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_reader.h"
 
@@ -140,28 +138,6 @@ TEST_F(TraceReaderBlockTest, TakeAndTakeBlockInterleaveAcrossRefills)
     for (std::size_t i = 0; i < got.size(); ++i)
         expectSameRecord(got[i], expect.records()[i], i);
     EXPECT_EQ(reader.recordsDelivered(), expect.size());
-}
-
-TEST_F(TraceReaderBlockTest, V1FilesStreamInChunkedRuns)
-{
-    const TraceBuffer expect = makeTrace(300);
-    const std::string path = dir_ + "/t.v1";
-    ASSERT_TRUE(bool(writeTraceFile(path, expect)));
-
-    StreamingTraceReader reader;
-    ASSERT_TRUE(bool(reader.open(path)));
-
-    std::vector<TraceRecord> got;
-    for (;;) {
-        std::size_t n = 0;
-        const TraceRecord *run = reader.takeBlock(n);
-        if (!run)
-            break;
-        got.insert(got.end(), run, run + n);
-    }
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        expectSameRecord(got[i], expect.records()[i], i);
 }
 
 TEST_F(TraceReaderBlockTest, EmptyTraceYieldsNoRuns)

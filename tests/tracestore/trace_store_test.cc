@@ -23,8 +23,8 @@
 
 #include "forked_child.h"
 #include "sim/rng.h"
+#include "test_util.h"
 #include "trace/trace_buffer.h"
-#include "tracestore/trace_file.h"
 #include "tracestore/trace_store.h"
 
 namespace rnr {
@@ -139,7 +139,7 @@ TEST_F(TraceStoreTest, CaptureThenHitRoundTrips)
         for (unsigned c = 0; c < 2; ++c) {
             TraceBuffer expect = makeTrace(1 + it * 131 + c, 500);
             TraceBuffer got;
-            ASSERT_TRUE(bool(readAnyTraceFile(entry.tracePath(it, c), got)));
+            ASSERT_TRUE(bool(test::readTraceFile(entry.tracePath(it, c), got)));
             ASSERT_EQ(got.size(), expect.size());
             for (std::size_t i = 0; i < got.size(); ++i) {
                 EXPECT_EQ(got.records()[i].addr, expect.records()[i].addr);
