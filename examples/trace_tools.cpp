@@ -39,26 +39,15 @@
  *       access-site histogram and the embedded RnR control calls.
  *       The file streams through one decoded block at a time.
  *
- *   trace_tools rnr-trace [app] [input] [trace.json]
- *       Simulates a small RnR run (default pagerank/urand) with event
- *       tracing enabled, prints the per-window replay diagnostics
- *       report and writes a Perfetto-loadable Chrome trace JSON.
- *       Honours --trace-buf <n> (ring capacity) anywhere in the args.
- *
- *   trace_tools attrib [app] [input] [prefetcher]
- *       Simulates one cell (default pagerank/urand/rnr) with
- *       prefetch-quality attribution on and prints the rnr-attrib-v1
- *       JSON blob (per-site and per-region outcome tables, pollution
- *       accounting, Fig 11 per-window splits) on stdout.  Exits 0 when
- *       the attribution totals reconcile exactly with the iteration
- *       counters, 1 on a mismatch.  Honours --iterations/--cores.
- *
- *   trace_tools report [app] [input] [out-prefix]
- *       Simulates the no-prefetch baseline and RnR for one workload
- *       with telemetry sampling on and writes <prefix>.json
- *       (rnr-report-v2) plus a self-contained <prefix>.html dashboard
- *       (harness/report.h).  Prefix defaults to "rnr_report";
- *       honours --sample-cycles/--iterations/--cores.
+ *   trace_tools explain [app] [input] [prefetcher]
+ *       Simulates one cell (default pagerank/urand/rnr) with the event
+ *       trace, telemetry and attribution attached, plus its
+ *       no-prefetcher baseline, and prints one rnr-explain-v1 JSON
+ *       document on stdout (harness/explain.h): the cell and baseline
+ *       counters, derived metrics, per-window replay table, attribution
+ *       and telemetry.  Exits 1 when the attribution or window totals
+ *       fail to reconcile with the iteration counters, 2 on bad usage
+ *       or an unknown prefetcher.  Honours --iterations/--cores.
  *
  *   trace_tools sweep [--app a] [--input i] [--prefetchers p,...]
  *       Runs one workload under each listed prefetcher (default
@@ -86,8 +75,7 @@
 
 #include <algorithm>
 
-#include "harness/metrics.h"
-#include "harness/report.h"
+#include "harness/explain.h"
 #include "harness/result_cache.h"
 #include "harness/runner.h"
 #include "harness/sweep.h"
@@ -395,107 +383,8 @@ inspect(const std::string &path)
 }
 
 int
-rnrTrace(const std::string &app, const std::string &input,
-         const std::string &json_out, std::size_t ring_capacity)
-{
-    ExperimentConfig cfg;
-    cfg.app = app;
-    cfg.input = input;
-    cfg.prefetcher = PrefetcherKind::Rnr;
-
-    std::printf("simulating %s with event tracing...\n",
-                cfg.key().c_str());
-    TraceCollector tr(cfg.cores, ring_capacity);
-    const ExperimentResult res =
-        runExperimentUncached(cfg, {.trace = &tr});
-
-    const ReplayDiagnostics diag = buildReplayDiagnostics(tr);
-    std::printf("\nper-window replay diagnostics (all iterations):\n%s",
-                formatReplayDiagnostics(diag).c_str());
-
-    // Cross-check the report against the iteration-level Fig 11
-    // counters; the emit sites are shared, so this must be exact.
-    std::uint64_t ontime = 0, early = 0, late = 0, oow = 0;
-    for (const IterStats &it : res.iterations) {
-        ontime += it.rnr_ontime;
-        early += it.rnr_early;
-        late += it.rnr_late;
-        oow += it.rnr_out_of_window;
-    }
-    std::printf("\niteration rnr_* counters: ontime=%llu early=%llu "
-                "late=%llu out-of-window=%llu\n",
-                static_cast<unsigned long long>(ontime),
-                static_cast<unsigned long long>(early),
-                static_cast<unsigned long long>(late),
-                static_cast<unsigned long long>(oow));
-    std::printf("events: %llu collected, %llu lost to ring wrap, "
-                "%u tracks\n",
-                static_cast<unsigned long long>(tr.eventsTotal()),
-                static_cast<unsigned long long>(tr.eventsOverwritten()),
-                tr.trackCount());
-
-    if (!json_out.empty()) {
-        if (!writeChromeTrace(json_out, tr)) {
-            std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-            return 1;
-        }
-        std::printf("wrote %s (open in ui.perfetto.dev or "
-                    "chrome://tracing)\n",
-                    json_out.c_str());
-    }
-
-    const bool reconciled = diag.total.ontime == ontime &&
-                            diag.total.early == early &&
-                            diag.total.late == late &&
-                            diag.total.out_of_window == oow;
-    std::printf("report/counter reconciliation: %s\n",
-                reconciled ? "exact" : "MISMATCH");
-    return reconciled ? 0 : 1;
-}
-
-int
-report(const std::string &app, const std::string &input,
-       const std::string &prefix, Tick sample_cycles, unsigned iterations,
-       unsigned cores)
-{
-    ExperimentConfig base;
-    base.app = app;
-    base.input = input;
-    base.prefetcher = PrefetcherKind::None;
-    if (iterations)
-        base.iterations = iterations;
-    if (cores)
-        base.cores = cores;
-    ExperimentConfig rnr_cfg = base;
-    rnr_cfg.prefetcher = PrefetcherKind::Rnr;
-
-    std::printf("building report for %s/%s (baseline + rnr)...\n",
-                app.c_str(), input.c_str());
-    const SweepReport rep = buildSweepReport(
-        {base, rnr_cfg}, app + "/" + input, sample_cycles);
-
-    if (!writeReport(prefix, rep)) {
-        std::fprintf(stderr, "failed to write %s.{json,html}\n",
-                     prefix.c_str());
-        return 1;
-    }
-    std::size_t series = 0, hists = 0;
-    for (const ReportCell &c : rep.cells)
-        if (c.result.telemetry) {
-            series += c.result.telemetry->series.size();
-            hists += c.result.telemetry->histograms.size();
-        }
-    std::printf("wrote %s.json and %s.html (%zu cells, %zu series, "
-                "%zu histograms, sampled every %llu cycles)\n",
-                prefix.c_str(), prefix.c_str(), rep.cells.size(), series,
-                hists,
-                static_cast<unsigned long long>(rep.sample_cycles));
-    return 0;
-}
-
-int
-attribCmd(const std::string &app, const std::string &input,
-          const std::string &pf_name, unsigned iterations, unsigned cores)
+explain(const std::string &app, const std::string &input,
+        const std::string &pf_name, unsigned iterations, unsigned cores)
 {
     ExperimentConfig cfg;
     cfg.app = app;
@@ -503,7 +392,7 @@ attribCmd(const std::string &app, const std::string &input,
     try {
         cfg.prefetcher = prefetcherKindFromString(pf_name);
     } catch (const std::exception &e) {
-        std::fprintf(stderr, "attrib: %s\n", e.what());
+        std::fprintf(stderr, "explain: %s\n", e.what());
         return 2;
     }
     if (iterations)
@@ -511,41 +400,32 @@ attribCmd(const std::string &app, const std::string &input,
     if (cores)
         cfg.cores = cores;
 
-    std::fprintf(stderr, "simulating %s with attribution...\n",
-                 cfg.key().c_str());
+    std::fprintf(stderr, "explaining %s...\n", cfg.key().c_str());
+    TraceCollector tr(cfg.cores);
+    TelemetrySampler tm;
     AttribCollector at;
-    const ExperimentResult res =
-        runExperimentUncached(cfg, {.attrib = &at});
-    const AttribBlob &ab = *res.attrib;
+    ExperimentResult res, base;
+    const bool has_base = cfg.prefetcher != PrefetcherKind::None;
+    try {
+        res = runExperimentUncached(
+            cfg, {.trace = &tr, .telemetry = &tm, .attrib = &at});
+        if (has_base)
+            base = runBaseline(cfg);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "explain: %s\n", e.what());
+        return 1;
+    }
 
-    // The stdout contract: exactly one line, the rnr-attrib-v1 object
-    // (tests/tools/trace_tools_cli_test.cc parses it).  Flush before
-    // the stderr verdict so a merged 2>&1 capture can't interleave the
-    // verdict into the middle of the (pipe-buffered) JSON line.
-    std::printf("%s\n", attribJson(ab).c_str());
+    // stdout is exactly the document; flush it before the stderr
+    // verdict so a merged 2>&1 capture cannot interleave the two.
+    std::fputs(explainJson(res, has_base ? &base : nullptr, &tr).c_str(),
+               stdout);
     std::fflush(stdout);
 
-    // Cross-check against the iteration-level counters; the hooks sit
-    // on the exact counter-bump lines, so this must be exact.
-    std::uint64_t issued = 0, useful = 0, merged = 0;
-    std::uint64_t ontime = 0, early = 0, late = 0, oow = 0;
-    for (const IterStats &it : res.iterations) {
-        issued += it.pf_issued;
-        useful += it.pf_useful;
-        merged += it.pf_late_merged;
-        ontime += it.rnr_ontime;
-        early += it.rnr_early;
-        late += it.rnr_late;
-        oow += it.rnr_out_of_window;
-    }
-    const bool reconciled =
-        ab.totals.issued == issued && ab.totals.useful == useful &&
-        ab.totals.late_merged == merged && ab.rnr_ontime == ontime &&
-        ab.rnr_early == early && ab.rnr_late == late &&
-        ab.rnr_out_of_window == oow;
-    std::fprintf(stderr, "attrib/counter reconciliation: %s\n",
-                 reconciled ? "exact" : "MISMATCH");
-    return reconciled ? 0 : 1;
+    const std::string bad = explainMismatch(res, &tr);
+    std::fprintf(stderr, "explain: counter reconciliation: %s\n",
+                 bad.empty() ? "exact" : ("MISMATCH: " + bad).c_str());
+    return bad.empty() ? 0 : 1;
 }
 
 // ---- sweep: an ad-hoc batch through SweepRunner ----
@@ -656,15 +536,11 @@ constexpr ModeHelp kModes[] = {
      "drop corrupt, stale and over-cap entries from both stores"},
     {"inspect", "<file.rnrt>",
      "full decode: record counts, access sites, RnR control calls"},
-    {"rnr-trace", "[app] [input] [trace.json] [--trace-buf <events>]",
-     "traced RnR run: replay diagnostics + Chrome trace JSON"},
-    {"attrib", "[app] [input] [prefetcher] [--iterations <n>] "
-               "[--cores <n>]",
-     "attributed run: rnr-attrib-v1 JSON (per-site/per-region tables, "
-     "pollution); exits 1 on counter mismatch"},
-    {"report", "[app] [input] [out-prefix] [--sample-cycles <n>] "
-               "[--iterations <n>] [--cores <n>]",
-     "telemetry report: <prefix>.json + self-contained <prefix>.html"},
+    {"explain", "[app] [input] [prefetcher] [--iterations <n>] "
+                "[--cores <n>]",
+     "one cell explained: rnr-explain-v1 JSON (counters, metrics, "
+     "replay windows, attribution, telemetry); exits 1 on counter "
+     "mismatch"},
     {"sweep", "[--app <a>] [--input <i>] [--prefetchers <p,...>] "
               "[--iterations <n>] [--cores <n>] [--json <path>] "
               "[--label <l>]",
@@ -773,26 +649,7 @@ main(int argc, char **argv)
         return gcMain(argc, argv);
     if (argc >= 3 && std::strcmp(argv[1], "inspect") == 0)
         return inspect(argv[2]);
-    if (argc >= 2 && std::strcmp(argv[1], "rnr-trace") == 0) {
-        std::string app = "pagerank", input = "urand";
-        std::string out = "rnr_trace.json";
-        std::size_t buf = 0;
-        std::vector<std::string> pos;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--trace-buf") == 0 && i + 1 < argc)
-                buf = static_cast<std::size_t>(std::atoll(argv[++i]));
-            else
-                pos.emplace_back(argv[i]);
-        }
-        if (pos.size() > 0)
-            app = pos[0];
-        if (pos.size() > 1)
-            input = pos[1];
-        if (pos.size() > 2)
-            out = pos[2];
-        return rnrTrace(app, input, out, buf);
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "attrib") == 0) {
+    if (argc >= 2 && std::strcmp(argv[1], "explain") == 0) {
         std::string app = "pagerank", input = "urand", pf = "rnr";
         unsigned iterations = 0, cores = 0;
         std::vector<std::string> pos;
@@ -809,7 +666,7 @@ main(int argc, char **argv)
         }
         if (pos.size() > 3 ||
             (!pos.empty() && pos.back().rfind("--", 0) == 0)) {
-            const ModeHelp *m = findMode("attrib");
+            const ModeHelp *m = findMode("explain");
             std::fprintf(stderr, "usage: %s %s %s\n", argv[0], m->name,
                          m->usage);
             return 2;
@@ -820,37 +677,7 @@ main(int argc, char **argv)
             input = pos[1];
         if (pos.size() > 2)
             pf = pos[2];
-        return attribCmd(app, input, pf, iterations, cores);
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "report") == 0) {
-        std::string app = "pagerank", input = "urand";
-        std::string prefix = "rnr_report";
-        Tick sample_cycles = 0;
-        unsigned iterations = 0, cores = 0;
-        std::vector<std::string> pos;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--sample-cycles") == 0 &&
-                i + 1 < argc)
-                sample_cycles =
-                    static_cast<Tick>(std::atoll(argv[++i]));
-            else if (std::strcmp(argv[i], "--iterations") == 0 &&
-                     i + 1 < argc)
-                iterations =
-                    static_cast<unsigned>(std::atoi(argv[++i]));
-            else if (std::strcmp(argv[i], "--cores") == 0 &&
-                     i + 1 < argc)
-                cores = static_cast<unsigned>(std::atoi(argv[++i]));
-            else
-                pos.emplace_back(argv[i]);
-        }
-        if (pos.size() > 0)
-            app = pos[0];
-        if (pos.size() > 1)
-            input = pos[1];
-        if (pos.size() > 2)
-            prefix = pos[2];
-        return report(app, input, prefix, sample_cycles, iterations,
-                      cores);
+        return explain(app, input, pf, iterations, cores);
     }
     // A known mode with the wrong arity falls through to here.
     return printUsage(stderr, argv[0]);

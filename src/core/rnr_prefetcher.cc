@@ -402,7 +402,7 @@ RnrPrefetcher::sweepOutOfWindow(Tick now)
             continue;
         ++ctr_.pf_out_of_window;
         if (at_)
-            at_->onRnrClass(RnrTimeliness::OutOfWindow, e.window);
+            at_->onRnrClass(RnrTimeliness::OutOfWindow);
         emitRnr(TraceEventType::PfOutOfWindow, now, 0, e.window, e.block);
         pf_status_.erase(e.block);
         pf_filter_.remove(e.block);
@@ -510,19 +510,19 @@ RnrPrefetcher::handleReplayAccess(const L2AccessInfo &info)
         if (rec.status == PfStatus::Evicted) {
             ++ctr_.pf_early;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::Early, rec.window);
+                at_->onRnrClass(RnrTimeliness::Early);
             emitRnr(TraceEventType::PfEarly, info.now, 0, rec.window,
                     info.block);
         } else if (rec.fill_time > info.now) {
             ++ctr_.pf_late;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::Late, rec.window);
+                at_->onRnrClass(RnrTimeliness::Late);
             emitRnr(TraceEventType::PfLate, info.now, 0, rec.window,
                     info.block);
         } else {
             ++ctr_.pf_ontime;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::OnTime, rec.window);
+                at_->onRnrClass(RnrTimeliness::OnTime);
             emitRnr(TraceEventType::PfOntime, info.now, 0, rec.window,
                     info.block);
         }

@@ -2,13 +2,14 @@
  * @file
  * Minimal JSON reader for the harness's own file formats.
  *
- * The repository writes all of its JSON by hand (sweep exports, reports,
- * Chrome traces) but until now never read any back.  The sweep loader
- * (rnr-sweep-v1/v2), the report tooling and the bench-regression gate
- * (`micro_hotpath compare`) all need to, so this header provides a tiny
- * DOM parser — no dependencies, a few hundred lines, tolerant of the
- * subset of JSON those writers emit plus anything a conforming producer
- * (google-benchmark, python json.dump) generates.
+ * The repository writes all of its JSON by hand (sweep exports, explain
+ * documents, Chrome traces) but until now never read any back.  The
+ * sweep loader (rnr-sweep-v1/v2), the explain tests and the
+ * bench-regression gate (`micro_hotpath compare`) all need to, so this
+ * header provides a tiny DOM parser — no dependencies, a few hundred
+ * lines, tolerant of the subset of JSON those writers emit plus
+ * anything a conforming producer (google-benchmark, python json.dump)
+ * generates.
  *
  * Design notes:
  *  - Numbers are kept as raw token text and converted lazily (asDouble /

@@ -3,8 +3,8 @@
  * Minimal JSON writing helpers shared by every hand-rolled emitter.
  *
  * The repository writes its JSON by hand so each format's field order
- * stays documented at the call site (sweep exports, run reports, Chrome
- * traces, metrics).  What must NOT be hand-rolled per
+ * stays documented at the call site (sweep exports, explain documents,
+ * Chrome traces, metrics).  What must NOT be hand-rolled per
  * site is string escaping: three emitters grew three disagreeing
  * escapers (one complete, one partial, one absent), which is exactly
  * the kind of drift that corrupts a file the first time a path with a

@@ -1,7 +1,6 @@
 #include "harness/runner.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -11,10 +10,9 @@
 
 #include "ckpt/input_fork.h"
 #include "cpu/system.h"
+#include "harness/explain.h"
 #include "harness/json_write.h"
-#include "harness/report.h"
 #include "harness/result_cache.h"
-#include "harness/sweep.h"
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
@@ -394,7 +392,6 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
         probes.attrib = own_at.get();
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
     // The tracefile app already replays from disk; storing it again
     // would only duplicate the file.
     ExperimentResult r = cfg.app == "tracefile" ? runTraceFile(cfg, probes)
@@ -407,29 +404,13 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
     if (probes.attrib)
         r.attrib = std::make_shared<AttribBlob>(probes.attrib->harvest());
 
-    // Output, for the probes built here only: a caller-owned one is the
-    // caller's to read.
-    if (own_tr) {
+    // Output, only when this call built a probe: a run whose probes are
+    // all the caller's is the caller's to read.
+    if (own_tr)
         writeObsFile(obs.out + ".trace.json", chromeTraceJson(*own_tr));
-        writeObsFile(obs.out + ".windows.txt",
-                     "replay windows of " + cfg.key() + ":\n" +
-                         formatReplayDiagnostics(
-                             buildReplayDiagnostics(*own_tr)));
-    }
-    if (own_tm || own_at) {
-        SweepReport rep;
-        rep.label = cfg.key();
-        if (r.telemetry)
-            rep.sample_cycles = r.telemetry->sample_cycles;
-        ReportCell cell;
-        cell.result = r;
-        cell.wall_sec = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-        cell.peak_rss_bytes = hostPeakRssBytes();
-        rep.cells.push_back(std::move(cell));
-        writeObsFile(obs.out + ".report.json", reportJson(rep));
-    }
+    if (own_tr || own_tm || own_at)
+        writeObsFile(obs.out + ".explain.json",
+                     explainJson(r, nullptr, probes.trace));
     return r;
 }
 

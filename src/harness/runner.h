@@ -73,14 +73,14 @@ ObsSwitch obsSwitch();
  * collector's harvest lands on the result (ExperimentResult::telemetry
  * / ::attrib).
  *
- * What the probes built here saw is written under the RNR_OBS_OUT
- * prefix: `<prefix>.trace.json` (Chrome trace) and
- * `<prefix>.windows.txt` (per-window replay report) for a trace,
- * `<prefix>.report.json` (one rnr-report-v2 cell, harness/report.h)
- * for telemetry or attribution.  A caller-owned probe is the caller's
- * to read.  Parallel cells share the one prefix; each file is written
- * atomically and the last writer wins, so observe single cells, not
- * whole sweeps.
+ * When this call built a probe, what the run's probes saw is written
+ * under the RNR_OBS_OUT prefix: `<prefix>.trace.json` (Chrome trace)
+ * when it built the event trace, and `<prefix>.explain.json` (the
+ * rnr-explain-v1 document of harness/explain.h, without a baseline and
+ * with null for a probe that is off) when it built any.  A run whose
+ * probes are all the caller's writes nothing.  Parallel cells share
+ * the one prefix; each file is written atomically and the last writer
+ * wins, so observe single cells, not whole sweeps.
  */
 ExperimentResult runExperimentUncached(const ExperimentConfig &cfg,
                                        const Probes &probes = {});

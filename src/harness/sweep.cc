@@ -81,44 +81,6 @@ formatSweepEta(std::size_t done, std::size_t total, std::size_t simulated,
 
 namespace {
 
-/** Serialises one result as a JSON object (no external JSON dep). */
-void
-appendResultJson(std::ostringstream &os, const ExperimentResult &r,
-                 const char *indent)
-{
-    const ExperimentConfig &c = r.config;
-    os << indent << "{\n";
-    os << indent << "  \"key\": \"" << jsonEscape(c.key()) << "\",\n";
-    os << indent << "  \"config\": {\"app\": \"" << jsonEscape(c.app)
-       << "\", \"input\": \"" << jsonEscape(c.input)
-       << "\", \"prefetcher\": \"" << toString(c.prefetcher)
-       << "\", \"control\": \""
-       << replayControlName(c.control) << "\", \"window_size\": "
-       << c.window_size << ", \"iterations\": " << c.iterations
-       << ", \"cores\": " << c.cores << ", \"ideal_llc\": "
-       << (c.ideal_llc ? "true" : "false") << "},\n";
-    os << indent << "  \"input_bytes\": " << r.input_bytes
-       << ", \"target_bytes\": " << r.target_bytes
-       << ", \"seq_table_bytes\": " << r.seq_table_bytes
-       << ", \"div_table_bytes\": " << r.div_table_bytes << ",\n";
-    os << indent << "  \"iterations\": [\n";
-    for (std::size_t i = 0; i < r.iterations.size(); ++i) {
-        const IterStats &it = r.iterations[i];
-        os << indent << "    {";
-        // Keys and order come from the IterStats X-macro, so the JSON
-        // schema follows the struct automatically.
-        const char *sep = "";
-#define RNR_JSON_FIELD(type, name)                                          \
-        os << sep << "\"" #name "\": " << it.name;                          \
-        sep = ", ";
-        RNR_ITER_STAT_FIELDS(RNR_JSON_FIELD)
-#undef RNR_JSON_FIELD
-        os << "}" << (i + 1 < r.iterations.size() ? "," : "") << "\n";
-    }
-    os << indent << "  ]\n";
-    os << indent << "}";
-}
-
 /** Throttled stderr reporter; all methods are called under one mutex. */
 class ProgressReporter
 {
@@ -341,6 +303,43 @@ runSweep(const std::vector<ExperimentConfig> &cfgs, SweepOptions opts)
     return runner.run();
 }
 
+void
+appendResultJson(std::ostream &os, const ExperimentResult &r,
+                 const char *indent)
+{
+    const ExperimentConfig &c = r.config;
+    os << "{\n";
+    os << indent << "  \"key\": \"" << jsonEscape(c.key()) << "\",\n";
+    os << indent << "  \"config\": {\"app\": \"" << jsonEscape(c.app)
+       << "\", \"input\": \"" << jsonEscape(c.input)
+       << "\", \"prefetcher\": \"" << toString(c.prefetcher)
+       << "\", \"control\": \""
+       << replayControlName(c.control) << "\", \"window_size\": "
+       << c.window_size << ", \"iterations\": " << c.iterations
+       << ", \"cores\": " << c.cores << ", \"ideal_llc\": "
+       << (c.ideal_llc ? "true" : "false") << "},\n";
+    os << indent << "  \"input_bytes\": " << r.input_bytes
+       << ", \"target_bytes\": " << r.target_bytes
+       << ", \"seq_table_bytes\": " << r.seq_table_bytes
+       << ", \"div_table_bytes\": " << r.div_table_bytes << ",\n";
+    os << indent << "  \"iterations\": [\n";
+    for (std::size_t i = 0; i < r.iterations.size(); ++i) {
+        const IterStats &it = r.iterations[i];
+        os << indent << "    {";
+        // Keys and order come from the IterStats X-macro, so the JSON
+        // schema follows the struct automatically.
+        const char *sep = "";
+#define RNR_JSON_FIELD(type, name)                                          \
+        os << sep << "\"" #name "\": " << it.name;                          \
+        sep = ", ";
+        RNR_ITER_STAT_FIELDS(RNR_JSON_FIELD)
+#undef RNR_JSON_FIELD
+        os << "}" << (i + 1 < r.iterations.size() ? "," : "") << "\n";
+    }
+    os << indent << "  ]\n";
+    os << indent << "}";
+}
+
 bool
 writeResultsJson(const std::string &path,
                  const std::vector<ExperimentResult> &results,
@@ -357,6 +356,7 @@ writeResultsJson(const std::string &path,
     }
     os << "  \"cells\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
+        os << "    ";
         appendResultJson(os, results[i], "    ");
         os << (i + 1 < results.size() ? "," : "") << "\n";
     }

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,15 @@ bool writeResultsJson(const std::string &path,
                       const std::vector<ExperimentResult> &results,
                       const std::string &label = "sweep",
                       const SweepHostInfo *host = nullptr);
+
+/**
+ * Appends @p r as one JSON object, the cell of an rnr-sweep export:
+ * key, config, footprint fields and per-iteration counters.  The
+ * opening brace goes where the stream stands; the lines after it are
+ * indented by @p indent, which the closing brace also gets.
+ */
+void appendResultJson(std::ostream &os, const ExperimentResult &r,
+                      const char *indent);
 
 /**
  * Loads a sweep export written by writeResultsJson() — schema

@@ -130,17 +130,9 @@ AttribCollector::onDemandMiss(unsigned core, Addr block)
 }
 
 void
-AttribCollector::onRnrClass(RnrTimeliness cls, std::uint64_t window)
+AttribCollector::onRnrClass(RnrTimeliness cls)
 {
-    const auto c = static_cast<unsigned>(cls);
-    ++rnr_class_[c];
-    if (window < kMaxWindows) {
-        if (windows_.size() <= window)
-            windows_.resize(window + 1);
-        ++windows_[window][c];
-    } else {
-        ++window_overflow_[c];
-    }
+    ++rnr_class_[static_cast<unsigned>(cls)];
 }
 
 AttribBlob
@@ -172,13 +164,6 @@ AttribCollector::harvest() const
     b.region_other = region_other_;
     b.regions_tracked = regions_tracked_;
 
-    b.windows.reserve(windows_.size());
-    for (std::size_t w = 0; w < windows_.size(); ++w)
-        b.windows.push_back({w, windows_[w][0], windows_[w][1],
-                             windows_[w][2], windows_[w][3]});
-    b.window_overflow = {0, window_overflow_[0], window_overflow_[1],
-                         window_overflow_[2], window_overflow_[3]};
-
     b.totals = totals_;
     b.rnr_ontime = rnr_class_[0];
     b.rnr_early = rnr_class_[1];
@@ -207,26 +192,13 @@ appendStats(std::ostringstream &os, const AttribSiteStats &s)
        << ", \"pollution\": " << jsonU64(s.pollution) << "}";
 }
 
-void
-appendWindow(std::ostringstream &os, const AttribBlob::WindowRow &w,
-             bool with_index)
-{
-    os << "{";
-    if (with_index)
-        os << "\"window\": " << jsonU64(w.window) << ", ";
-    os << "\"ontime\": " << jsonU64(w.ontime)
-       << ", \"early\": " << jsonU64(w.early)
-       << ", \"late\": " << jsonU64(w.late)
-       << ", \"out_of_window\": " << jsonU64(w.out_of_window) << "}";
-}
-
 } // namespace
 
 std::string
 attribJson(const AttribBlob &blob)
 {
     std::ostringstream os;
-    os << "{\"schema\": \"rnr-attrib-v1\", \"totals\": ";
+    os << "{\"schema\": \"rnr-attrib-v2\", \"totals\": ";
     appendStats(os, blob.totals);
     os << ", \"rnr\": {\"ontime\": " << jsonU64(blob.rnr_ontime)
        << ", \"early\": " << jsonU64(blob.rnr_early)
@@ -260,14 +232,6 @@ attribJson(const AttribBlob &blob)
     os << "], \"regions_tracked\": " << jsonU64(blob.regions_tracked)
        << ", \"region_other\": ";
     appendStats(os, blob.region_other);
-    os << ", \"windows\": [";
-    for (std::size_t i = 0; i < blob.windows.size(); ++i) {
-        if (i > 0)
-            os << ", ";
-        appendWindow(os, blob.windows[i], true);
-    }
-    os << "], \"window_overflow\": ";
-    appendWindow(os, blob.window_overflow, false);
     os << "}";
     return os.str();
 }

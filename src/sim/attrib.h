@@ -49,7 +49,6 @@
 #ifndef RNR_SIM_ATTRIB_H
 #define RNR_SIM_ATTRIB_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -139,13 +138,6 @@ struct AttribBlob {
         Addr region = 0; ///< 4 KiB region number (vaddr >> 12).
         AttribSiteStats stats;
     };
-    struct WindowRow {
-        std::uint64_t window = 0;
-        std::uint64_t ontime = 0;
-        std::uint64_t early = 0;
-        std::uint64_t late = 0;
-        std::uint64_t out_of_window = 0;
-    };
 
     /** Top-K sites, sorted by descending total() (ties: ascending
      *  site id).  Folded activity lands in site_other. */
@@ -160,11 +152,6 @@ struct AttribBlob {
     std::vector<RegionRow> regions;
     AttribSiteStats region_other;
     std::uint64_t regions_tracked = 0;
-
-    /** Per-replay-window Fig 11 splits for the RnR lane, dense from
-     *  window 0; windows past the cap fold into window_overflow. */
-    std::vector<WindowRow> windows;
-    WindowRow window_overflow;
 
     /** Exact run totals; reconcile with IterStats (summed over
      *  iterations): issued == pf_issued, useful == pf_useful,
@@ -186,7 +173,7 @@ struct AttribBlob {
 
 /**
  * The per-simulation attribution sink.  Owned by whoever runs the
- * simulation (the runner, the report generator, a test); components
+ * simulation (the runner, `trace_tools explain`, a test); components
  * receive it on the probe bus via System::attach() — null pointer =
  * attribution off, the usual one-branch discipline.
  *
@@ -200,7 +187,6 @@ class AttribCollector
   public:
     static constexpr std::size_t kDefaultSiteTopK = 64;
     static constexpr std::size_t kDefaultRegionTopK = 128;
-    static constexpr std::size_t kMaxWindows = 4096;
     /** Victim-filter entries per core (direct-mapped, power of two). */
     static constexpr std::size_t kVictimFilterEntries = 256;
 
@@ -225,8 +211,9 @@ class AttribCollector
      *  block hits the victim filter (entry consumed). */
     void onDemandMiss(unsigned core, Addr block);
 
-    /** Co-located with the four rnr_* classification bumps. */
-    void onRnrClass(RnrTimeliness cls, std::uint64_t window);
+    /** Co-located with the four rnr_* classification bumps (their
+     *  per-window split is the event trace's window table). */
+    void onRnrClass(RnrTimeliness cls);
 
     /** Detaches everything recorded so far into a blob. */
     AttribBlob harvest() const;
@@ -258,9 +245,6 @@ class AttribCollector
     AttribSiteStats region_other_;
     std::uint64_t regions_tracked_ = 0;
 
-    std::vector<std::array<std::uint64_t, 4>> windows_;
-    std::array<std::uint64_t, 4> window_overflow_{};
-
     AttribSiteStats totals_;
     std::uint64_t rnr_class_[4] = {};
 
@@ -272,7 +256,7 @@ class AttribCollector
 
 // ---- Expositions ----
 
-/** @p blob as an rnr-attrib-v1 JSON object (one line, no \n). */
+/** @p blob as an rnr-attrib-v2 JSON object (one line, no \n). */
 std::string attribJson(const AttribBlob &blob);
 
 } // namespace rnr

@@ -1,6 +1,6 @@
 /**
  * @file
- * The log2-bucketed histogram core behind the per-simulation telemetry
+ * The log2-bucketed histogram behind the per-simulation telemetry
  * histograms (sim/timeseries.h).  Single-writer: one histogram belongs
  * to one simulation, so its cells are plain uint64_t.
  *
@@ -48,8 +48,9 @@ high(unsigned i)
 
 } // namespace log2b
 
-/** Histogram core; rnr::Log2Histogram adds the bucket-edge names. */
-class BasicLog2Histogram
+/** Power-of-two-bucket histogram for latency distributions; the
+ *  bucket edges are log2b::low() and log2b::high(). */
+class Log2Histogram
 {
   public:
     static constexpr unsigned kBuckets = log2b::kBuckets;

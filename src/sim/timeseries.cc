@@ -48,12 +48,6 @@ TelemetrySampler::addRate(std::string name, Probe probe,
     return ts;
 }
 
-TimeSeries &
-TelemetrySampler::addGauge(std::string name, const Gauge &g)
-{
-    return addSeries(std::move(name), [&g] { return g.value(); });
-}
-
 Log2Histogram &
 TelemetrySampler::histogram(const std::string &name)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Time-series telemetry: periodic counter sampling into fixed-capacity
- * auto-downsampling series, plus Gauge and power-of-two latency
- * histogram primitives.
+ * auto-downsampling series, plus power-of-two latency histograms
+ * (sim/log2_hist.h).
  *
  * Where the event-tracing layer (sim/trace_event.h) answers "what
  * happened at tick T" at per-event granularity — too heavy to keep on
@@ -17,7 +17,7 @@
  *
  *  1. **Observation only.**  Probes are read, never written; a sampled
  *     run produces bit-identical IterStats to an unsampled run (pinned
- *     by tests/harness/report_test.cc).
+ *     by tests/harness/explain_test.cc).
  *  2. **Free when off.**  Components hold the probe bus (sim/probes.h),
  *     whose telemetry pointer is null unless sampling was requested
  *     (RNR_OBS=telemetry or a caller-owned sampler); the hot-path cost
@@ -116,38 +116,6 @@ class TimeSeries
     std::vector<TelemetrySample> pts_;
 };
 
-/**
- * An instantaneous level a component maintains explicitly (queue depth,
- * buffer fill) when no accessor exists to probe it lazily.  Plain cell:
- * the writer pays one store; the sampler reads it at sample time.
- */
-class Gauge
-{
-  public:
-    void set(std::uint64_t v) { value_ = v; }
-    void add(std::uint64_t d) { value_ += d; }
-    /** Saturating decrement (a gauge level never goes negative). */
-    void sub(std::uint64_t d) { value_ -= value_ < d ? value_ : d; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/**
- * Power-of-two-bucket histogram for latency distributions.  Bucketing
- * and recording live in the core (sim/log2_hist.h); this façade adds
- * the bucket-edge names this layer's consumers use.
- */
-class Log2Histogram : public BasicLog2Histogram
-{
-  public:
-    /** Smallest value bucket @p i can hold. */
-    static std::uint64_t bucketLow(unsigned i) { return log2b::low(i); }
-    /** Largest value bucket @p i can hold. */
-    static std::uint64_t bucketHigh(unsigned i) { return log2b::high(i); }
-};
-
 /** Detached copy of one series, as carried by ExperimentResult. */
 struct TelemetrySeriesBlob {
     std::string name;
@@ -182,7 +150,7 @@ constexpr Tick kDefaultSampleCycles = 8192;
 
 /**
  * The per-simulation telemetry sink.  Owned by whoever runs the
- * simulation (the runner, the report generator, a test); components
+ * simulation (the runner, `trace_tools explain`, a test); components
  * receive it on the probe bus via System::attach() and register their
  * probes/histograms at attach time, so the harness never needs
  * per-component wiring knowledge.
@@ -214,9 +182,6 @@ class TelemetrySampler
      *  retired-instruction counter into a milli-IPC series. */
     TimeSeries &addRate(std::string name, Probe probe,
                         std::uint64_t scale = 1000);
-    /** Registers @p g's level (caller keeps ownership; must outlive
-     *  the sampler's last sample()). */
-    TimeSeries &addGauge(std::string name, const Gauge &g);
     /** Registers @p c's running value (sim/counter.h handle). */
     template <typename CounterT>
     TimeSeries &

@@ -1,7 +1,5 @@
 #include "sim/trace_event.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
 
 #include "harness/json_write.h"
@@ -140,34 +138,6 @@ buildReplayDiagnostics(const TraceCollector &tr)
     return d;
 }
 
-std::string
-formatReplayDiagnostics(const ReplayDiagnostics &diag)
-{
-    std::ostringstream os;
-    char line[192];
-    std::snprintf(line, sizeof(line),
-                  "%8s %10s %10s %6s %7s %10s %8s %8s %8s\n", "window",
-                  "demands", "issued", "pace", "stalls", "ontime",
-                  "early", "late", "out-of-w");
-    os << line;
-    const auto row = [&](const char *label, const WindowDiag &w) {
-        std::snprintf(line, sizeof(line),
-                      "%8s %10" PRIu64 " %10" PRIu64 " %6" PRIu64
-                      " %7" PRIu64 " %10" PRIu64 " %8" PRIu64 " %8" PRIu64
-                      " %8" PRIu64 "\n",
-                      label, w.demands, w.issued, w.pace, w.refill_stalls,
-                      w.ontime, w.early, w.late, w.out_of_window);
-        os << line;
-    };
-    for (const WindowDiag &w : diag.windows) {
-        char label[16];
-        std::snprintf(label, sizeof(label), "%" PRIu32, w.window);
-        row(label, w);
-    }
-    row("total", diag.total);
-    return os.str();
-}
-
 namespace {
 
 const char *
@@ -252,12 +222,6 @@ chromeTraceJson(const TraceCollector &tr)
        << ", \"events_overwritten\": " << tr.eventsOverwritten()
        << ", \"cores\": " << tr.cores() << "}\n}\n";
     return os.str();
-}
-
-bool
-writeChromeTrace(const std::string &path, const TraceCollector &tr)
-{
-    return writeFileAtomic(path, chromeTraceJson(tr));
 }
 
 } // namespace rnr

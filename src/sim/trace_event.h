@@ -29,7 +29,7 @@
  *
  * Tracks: one per simulated core (tid 0..N-1, core-side events), one
  * shared "mem" track (tid N, LLC + DRAM), one "rnr" track (tid N+1,
- * the record/replay lifecycle).  writeChromeTrace() emits Chrome
+ * the record/replay lifecycle).  chromeTraceJson() emits Chrome
  * trace-event JSON ({"traceEvents": [...]}) that loads directly into
  * Perfetto (ui.perfetto.dev) or chrome://tracing; timestamps are core
  * cycles written into the "ts" microsecond field (1 cycle == 1 "us" on
@@ -168,7 +168,7 @@ struct WindowDiag {
 /**
  * The per-simulation event sink: one ring per track plus the window
  * aggregate table.  Owned by whoever runs the simulation (the runner,
- * the rnr-trace tool, a test); components receive it on the probe bus
+ * `trace_tools explain`, a test); components receive it on the probe bus
  * via System::attach() and must not outlive it.
  */
 class TraceCollector
@@ -252,16 +252,9 @@ struct ReplayDiagnostics {
 /** Builds the per-window report from @p tr's aggregate table. */
 ReplayDiagnostics buildReplayDiagnostics(const TraceCollector &tr);
 
-/** Renders the report as an aligned text table (ends with a newline). */
-std::string formatReplayDiagnostics(const ReplayDiagnostics &diag);
-
 /** Serialises the rings as Chrome trace-event JSON (Perfetto-loadable):
  *  {"traceEvents": [...]} with per-track thread_name metadata. */
 std::string chromeTraceJson(const TraceCollector &tr);
-
-/** Writes chromeTraceJson() to @p path atomically (temp + rename).
- *  @return false on I/O failure. */
-bool writeChromeTrace(const std::string &path, const TraceCollector &tr);
 
 } // namespace rnr
 

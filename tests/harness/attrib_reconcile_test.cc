@@ -70,19 +70,6 @@ struct AttribReconcileFixture : ::testing::Test {
                   sum(r, &IterStats::rnr_out_of_window))
             << cfg.key();
 
-        // The per-window Fig 11 splits partition the class totals.
-        AttribBlob::WindowRow w = b.window_overflow;
-        for (const auto &row : b.windows) {
-            w.ontime += row.ontime;
-            w.early += row.early;
-            w.late += row.late;
-            w.out_of_window += row.out_of_window;
-        }
-        EXPECT_EQ(w.ontime, b.rnr_ontime) << cfg.key();
-        EXPECT_EQ(w.early, b.rnr_early) << cfg.key();
-        EXPECT_EQ(w.late, b.rnr_late) << cfg.key();
-        EXPECT_EQ(w.out_of_window, b.rnr_out_of_window) << cfg.key();
-
         // The capped tables plus their fold buckets re-sum to the
         // totals on every outcome axis.
         for (auto field : {&AttribSiteStats::issued,

@@ -1,8 +1,7 @@
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <initializer_list>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,6 +13,8 @@
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
 #include "sim/trace_event.h"
+#include "trace/trace_buffer.h"
+#include "tracestore/trace_codec.h"
 
 namespace rnr {
 namespace {
@@ -261,36 +262,75 @@ TEST_F(RunnerFixture, ObsSwitchWritesEveryProbeItBuiltUnderThePrefix)
                 break;
         return p;
     };
-    JsonValue trace, report;
+    JsonValue trace, explain;
     std::string error;
     ASSERT_TRUE(parseJsonFile(prefix + ".trace.json", trace, &error))
         << error;
     const JsonValue *events = at(trace, {"otherData", "events_total"});
     ASSERT_NE(events, nullptr);
     EXPECT_GT(events->asU64(), 0u);
-    ASSERT_TRUE(parseJsonFile(prefix + ".report.json", report, &error))
+    ASSERT_TRUE(parseJsonFile(prefix + ".explain.json", explain, &error))
         << error;
-    ASSERT_NE(at(report, {"schema"}), nullptr);
-    EXPECT_EQ(at(report, {"schema"})->text, "rnr-report-v2");
-    const JsonValue *cells = at(report, {"cells"});
-    ASSERT_TRUE(cells && cells->items.size() == 1);
-    const JsonValue &cell = cells->items[0];
-    ASSERT_NE(at(cell, {"key"}), nullptr);
-    EXPECT_EQ(at(cell, {"key"})->text, cfg.key());
-    const JsonValue *series = at(cell, {"telemetry", "series"});
+    ASSERT_NE(at(explain, {"schema"}), nullptr);
+    EXPECT_EQ(at(explain, {"schema"})->text, "rnr-explain-v1");
+    ASSERT_NE(at(explain, {"cell", "key"}), nullptr);
+    EXPECT_EQ(at(explain, {"cell", "key"})->text, cfg.key());
+    ASSERT_NE(explain.find("baseline"), nullptr);
+    EXPECT_TRUE(explain.find("baseline")->isNull());
+    const JsonValue *series = at(explain, {"telemetry", "series"});
     ASSERT_NE(series, nullptr);
     EXPECT_FALSE(series->items.empty());
-    const JsonValue *issued = at(cell, {"attrib", "totals", "issued"});
+    const JsonValue *issued = at(explain, {"attrib", "totals", "issued"});
     ASSERT_NE(issued, nullptr);
     EXPECT_EQ(issued->asU64(), r.attrib->totals.issued);
     EXPECT_GT(issued->asU64(), 0u);
-    std::ifstream windows(prefix + ".windows.txt");
-    std::stringstream text;
-    text << windows.rdbuf();
-    EXPECT_NE(text.str().find(cfg.key()), std::string::npos);
-    EXPECT_NE(text.str().find("window"), std::string::npos);
-    for (const char *ext : {".trace.json", ".windows.txt", ".report.json"})
+    const JsonValue *rows = at(explain, {"windows", "rows"});
+    ASSERT_NE(rows, nullptr);
+    EXPECT_FALSE(rows->items.empty());
+    for (const char *ext : {".trace.json", ".explain.json"})
         std::remove((prefix + ext).c_str());
+}
+
+TEST_F(RunnerFixture, ObsExplainEscapesATracefilePathWithQuotes)
+{
+    // A tracefile cell's input is a path, and a path may hold `"` and
+    // `\`; the document must still parse and give the path back.
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "obs \"q\" \\ dir";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = dir + "/tiny.rnrt";
+    TraceBuffer buf;
+    for (unsigned i = 0; i < 512; ++i)
+        buf.push(TraceRecord::load(0x100000 + 64 * (i % 128), 7, 2));
+    ASSERT_TRUE(bool(writeTraceFileV2(path, buf)));
+
+    const std::string prefix = ::testing::TempDir() + "runner_obs_quoted";
+    setenv("RNR_OBS", "telemetry,attrib", 1);
+    setenv("RNR_OBS_OUT", prefix.c_str(), 1);
+    ExperimentConfig cfg;
+    cfg.app = "tracefile";
+    cfg.input = path;
+    cfg.cores = 1;
+    cfg.iterations = 2;
+    cfg.prefetcher = PrefetcherKind::Rnr;
+    runExperimentUncached(cfg);
+    unsetenv("RNR_OBS");
+    unsetenv("RNR_OBS_OUT");
+
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(parseJsonFile(prefix + ".explain.json", doc, &error))
+        << error;
+    const JsonValue *input = doc.find("cell");
+    if (input)
+        input = input->find("config");
+    if (input)
+        input = input->find("input");
+    ASSERT_NE(input, nullptr);
+    EXPECT_EQ(input->text, path);
+    std::remove((prefix + ".explain.json").c_str());
+    fs::remove_all(dir);
 }
 
 TEST_F(RunnerFixture, TypedDeltaMatchesHandComputedStringDelta)

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the attribution collector (sim/attrib.h): the site-id
  * grammar, the exact-totals-despite-folding invariant, deterministic
- * top-K eviction, the recently-evicted-victim pollution filter, the
- * replay-window cap, harvest ordering, and the rnr-attrib-v1 JSON
- * surface.  Simulation-level reconciliation against real IterStats
+ * top-K eviction, the recently-evicted-victim pollution filter,
+ * harvest ordering, and the rnr-attrib-v2 JSON surface.  Simulation-level reconciliation against real IterStats
  * lives in tests/harness/attrib_reconcile_test.cc.
  */
 #include <cstdlib>
@@ -127,34 +126,6 @@ TEST(AttribCollector, PollutionFilterMissesAndCollisions)
     EXPECT_EQ(b.sites[0].site, 2u);
 }
 
-TEST(AttribCollector, WindowsPastTheCapFoldIntoOverflow)
-{
-    AttribCollector at;
-    at.onRnrClass(RnrTimeliness::OnTime, 0);
-    at.onRnrClass(RnrTimeliness::Early, 2);
-    at.onRnrClass(RnrTimeliness::Late, 2);
-    at.onRnrClass(RnrTimeliness::OutOfWindow,
-                  AttribCollector::kMaxWindows); // past the cap
-    at.onRnrClass(RnrTimeliness::Late, AttribCollector::kMaxWindows + 7);
-
-    const AttribBlob b = at.harvest();
-    ASSERT_EQ(b.windows.size(), 3u); // dense 0..2
-    EXPECT_EQ(b.windows[0].ontime, 1u);
-    EXPECT_EQ(b.windows[1].ontime + b.windows[1].early +
-                  b.windows[1].late + b.windows[1].out_of_window,
-              0u);
-    EXPECT_EQ(b.windows[2].early, 1u);
-    EXPECT_EQ(b.windows[2].late, 1u);
-    EXPECT_EQ(b.window_overflow.out_of_window, 1u);
-    EXPECT_EQ(b.window_overflow.late, 1u);
-
-    // Class totals include the overflowed windows.
-    EXPECT_EQ(b.rnr_ontime, 1u);
-    EXPECT_EQ(b.rnr_early, 1u);
-    EXPECT_EQ(b.rnr_late, 2u);
-    EXPECT_EQ(b.rnr_out_of_window, 1u);
-}
-
 TEST(AttribCollector, HarvestOrdersSitesByActivityAndRegionsByAddress)
 {
     AttribCollector at;
@@ -181,10 +152,10 @@ TEST(AttribJson, CarriesSchemaTagAndExactCounts)
 {
     AttribCollector at;
     at.onIssued(attribRnrSite(1), 4);
-    at.onRnrClass(RnrTimeliness::OnTime, 0);
+    at.onRnrClass(RnrTimeliness::OnTime);
     const std::string js = attribJson(at.harvest());
 
-    EXPECT_NE(js.find("\"schema\": \"rnr-attrib-v1\""), std::string::npos);
+    EXPECT_NE(js.find("\"schema\": \"rnr-attrib-v2\""), std::string::npos);
     EXPECT_NE(js.find("\"totals\": {\"issued\": 1"), std::string::npos);
     EXPECT_NE(js.find("\"site\": 2147483649, \"rnr\": true"),
               std::string::npos);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the log2-bucketing core (sim/log2_hist.h) under
- * rnr::Log2Histogram.  The façade's own behaviour stays covered by
- * sim/timeseries_test.cc; this file pins down the bucket math itself.
+ * Tests for the log2 bucket math and the plain-cell histogram
+ * (sim/log2_hist.h); the sampler's use of it is covered by
+ * sim/timeseries_test.cc.
  */
 #include <cstdint>
 
@@ -40,9 +40,9 @@ TEST(Log2Buckets, TopBucketSaturates)
     EXPECT_LT(log2b::index(max), log2b::kBuckets);
 }
 
-TEST(BasicLog2Histogram, PlainCells)
+TEST(Log2HistogramTest, PlainCells)
 {
-    BasicLog2Histogram h;
+    Log2Histogram h;
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.maxBucket(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);

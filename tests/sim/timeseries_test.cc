@@ -73,31 +73,17 @@ TEST(TimeSeriesTest, CapacityClampedToTwo)
     EXPECT_LE(s.points().size(), 2u);
 }
 
-// ---- Gauge ----
-
-TEST(GaugeTest, SubSaturatesAtZero)
-{
-    Gauge g;
-    g.set(5);
-    g.sub(3);
-    EXPECT_EQ(g.value(), 2u);
-    g.sub(10);
-    EXPECT_EQ(g.value(), 0u);
-    g.add(7);
-    EXPECT_EQ(g.value(), 7u);
-}
-
 // ---- Log2Histogram ----
 
 TEST(Log2HistogramTest, BucketBoundaries)
 {
     // bucket 0 = {0}, bucket i = [2^(i-1), 2^i).
-    EXPECT_EQ(Log2Histogram::bucketLow(0), 0u);
-    EXPECT_EQ(Log2Histogram::bucketHigh(0), 0u);
-    EXPECT_EQ(Log2Histogram::bucketLow(1), 1u);
-    EXPECT_EQ(Log2Histogram::bucketHigh(1), 1u);
-    EXPECT_EQ(Log2Histogram::bucketLow(5), 16u);
-    EXPECT_EQ(Log2Histogram::bucketHigh(5), 31u);
+    EXPECT_EQ(log2b::low(0), 0u);
+    EXPECT_EQ(log2b::high(0), 0u);
+    EXPECT_EQ(log2b::low(1), 1u);
+    EXPECT_EQ(log2b::high(1), 1u);
+    EXPECT_EQ(log2b::low(5), 16u);
+    EXPECT_EQ(log2b::high(5), 31u);
 }
 
 TEST(Log2HistogramTest, RecordsIntoBitWidthBucket)

@@ -11,11 +11,10 @@
  *  - `help --markdown` emits the registry-generated mode table and the
  *    copy embedded in README.md matches it byte-for-byte (README path
  *    injected as RNR_README_PATH);
- *  - `report` writes a parseable rnr-report-v2 JSON plus an HTML page
- *    with inline SVG (the full telemetry pipeline, out of process);
- *  - `attrib` prints exactly one rnr-attrib-v1 JSON line on stdout and
- *    exits 0 only when the attribution totals reconciled with the
- *    IterStats counters;
+ *  - `explain` prints exactly one rnr-explain-v1 document on stdout
+ *    and exits 0 when the attribution and window totals reconciled
+ *    with the IterStats counters; bad usage and an unknown prefetcher
+ *    exit 2;
  *  - `sweep` with an unknown prefetcher prints one line and exits 2.
  */
 #include <cstdio>
@@ -29,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/blob_store.h"
+#include "harness/json_parse.h"
 
 #ifndef RNR_TRACE_TOOLS_BIN
 #error "RNR_TRACE_TOOLS_BIN must point at the trace_tools binary"
@@ -38,18 +38,21 @@ namespace {
 
 struct CliResult {
     int exit_code = -1;
-    std::string output; ///< stdout + stderr, interleaved.
+    std::string output; ///< stdout, plus stderr interleaved if asked.
 };
 
 /** Runs @p args under the trace_tools binary with quiet harness env;
- *  @p extra_env prepends additional VAR=value pairs. */
+ *  @p extra_env prepends additional VAR=value pairs.  Without
+ *  @p with_stderr only stdout is captured (stderr is dropped). */
 CliResult
-runTool(const std::string &args, const std::string &extra_env = "")
+runTool(const std::string &args, const std::string &extra_env = "",
+        bool with_stderr = true)
 {
     const std::string cmd =
         "RNR_CACHE=0 RNR_TRACE_STORE=0 RNR_PROGRESS=0 " + extra_env +
         (extra_env.empty() ? "" : " ") +
-        std::string(RNR_TRACE_TOOLS_BIN) + " " + args + " 2>&1";
+        std::string(RNR_TRACE_TOOLS_BIN) + " " + args +
+        (with_stderr ? " 2>&1" : " 2>/dev/null");
     CliResult r;
     std::FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
@@ -64,9 +67,9 @@ runTool(const std::string &args, const std::string &extra_env = "")
     return r;
 }
 
-const char *const kModes[] = {"capture", "convert", "simulate",  "stats",
-                              "corpus",  "gc",      "inspect",   "rnr-trace",
-                              "attrib",  "report",  "sweep",     "help"};
+const char *const kModes[] = {"capture", "convert", "simulate", "stats",
+                              "corpus",  "gc",      "inspect",  "explain",
+                              "sweep",   "help"};
 
 TEST(TraceToolsCli, HelpListsEveryMode)
 {
@@ -221,86 +224,44 @@ TEST(TraceToolsCli, GcSweepsBothStores)
     fs::remove_all(dir);
 }
 
-TEST(TraceToolsCli, ReportModeWritesJsonAndHtml)
+TEST(TraceToolsCli, ExplainModeEmitsOneReconciledDocument)
 {
-    const std::string prefix =
-        ::testing::TempDir() + "trace_tools_cli_report";
-    std::remove((prefix + ".json").c_str());
-    std::remove((prefix + ".html").c_str());
-
     const CliResult r = runTool(
-        "report pagerank urand " + prefix +
-        " --sample-cycles 4096 --iterations 2 --cores 2");
+        "explain pagerank urand rnr --iterations 2 --cores 2", "", false);
     ASSERT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("wrote"), std::string::npos);
 
-    std::ifstream json(prefix + ".json");
-    ASSERT_TRUE(json.good()) << prefix << ".json missing";
-    std::stringstream jbuf;
-    jbuf << json.rdbuf();
-    const std::string jbody = jbuf.str();
-    EXPECT_NE(jbody.find("rnr-report-v2"), std::string::npos);
-    EXPECT_NE(jbody.find("n_pace"), std::string::npos);
-    EXPECT_NE(jbody.find("seq_buffer_bytes"), std::string::npos);
-    EXPECT_NE(jbody.find("rnr-attrib-v1"), std::string::npos);
-
-    std::ifstream html(prefix + ".html");
-    ASSERT_TRUE(html.good()) << prefix << ".html missing";
-    std::stringstream hbuf;
-    hbuf << html.rdbuf();
-    EXPECT_NE(hbuf.str().find("<svg"), std::string::npos);
-    EXPECT_NE(hbuf.str().find("class=\"attrib-sites\""),
-              std::string::npos);
-    EXPECT_NE(hbuf.str().find("class=\"heatmap\""), std::string::npos);
-
-    std::remove((prefix + ".json").c_str());
-    std::remove((prefix + ".html").c_str());
+    // stdout is one document and nothing else.
+    rnr::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(rnr::parseJson(r.output, doc, &error))
+        << error << "\n" << r.output;
+    ASSERT_NE(doc.find("schema"), nullptr);
+    EXPECT_EQ(doc.find("schema")->text, "rnr-explain-v1");
+    for (const char *part : {"cell", "baseline", "metrics", "windows",
+                             "attrib", "telemetry"}) {
+        ASSERT_NE(doc.find(part), nullptr) << part;
+        EXPECT_FALSE(doc.find(part)->isNull()) << part;
+    }
+    EXPECT_NE(doc.find("metrics")->find("speedup"), nullptr);
+    EXPECT_FALSE(doc.find("windows")->find("rows")->items.empty());
 }
 
-TEST(TraceToolsCli, AttribModeEmitsOneReconciledJsonLine)
+TEST(TraceToolsCli, ExplainModeWrongArityExitsTwo)
 {
-    // stdout is the machine-readable surface (one rnr-attrib-v1 line);
-    // the human-facing reconciliation verdict goes to stderr.  runTool
-    // merges the two streams, so split on lines and find the JSON one.
-    const CliResult r =
-        runTool("attrib pagerank amazon rnr --iterations 2 --cores 2");
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("attrib/counter reconciliation: exact"),
-              std::string::npos)
-        << r.output;
-
-    std::istringstream lines(r.output);
-    std::string line, json;
-    std::size_t json_lines = 0;
-    while (std::getline(lines, line)) {
-        if (line.rfind("{\"schema\": \"rnr-attrib-v1\"", 0) == 0) {
-            json = line;
-            ++json_lines;
-        }
-    }
-    ASSERT_EQ(json_lines, 1u) << r.output;
-
-    // Golden schema: every top-level key of the rnr-attrib-v1 object,
-    // in emission order.
-    std::size_t pos = 0;
-    for (const char *key :
-         {"\"schema\"", "\"totals\"", "\"rnr\"", "\"pollution_filter\"",
-          "\"sites\"", "\"sites_tracked\"", "\"site_other\"",
-          "\"regions\"", "\"regions_tracked\"", "\"region_other\"",
-          "\"windows\"", "\"window_overflow\""}) {
-        const std::size_t at = json.find(key, pos);
-        ASSERT_NE(at, std::string::npos) << key << " in " << json;
-        pos = at;
-    }
-    // An RnR run attributes its replay lane: lane sites carry bit 31.
-    EXPECT_NE(json.find("\"rnr\": true"), std::string::npos) << json;
-}
-
-TEST(TraceToolsCli, AttribModeWrongArityExitsTwo)
-{
-    EXPECT_EQ(runTool("attrib pagerank amazon rnr --iterations").exit_code,
+    EXPECT_EQ(runTool("explain pagerank amazon rnr --iterations").exit_code,
               2);
-    EXPECT_EQ(runTool("attrib pagerank amazon nosuchpf").exit_code, 2);
+    EXPECT_EQ(runTool("explain pagerank amazon rnr extra").exit_code, 2);
+}
+
+TEST(TraceToolsCli, ExplainUnknownPrefetcherExitsTwoWithOneLine)
+{
+    const CliResult r = runTool("explain pagerank amazon nosuchpf");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    ASSERT_FALSE(r.output.empty());
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1)
+        << "expected exactly one line:\n"
+        << r.output;
+    EXPECT_NE(r.output.find("nosuchpf"), std::string::npos) << r.output;
 }
 
 } // namespace
