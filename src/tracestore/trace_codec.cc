@@ -1,11 +1,13 @@
 #include "tracestore/trace_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <system_error>
 #include <vector>
 
@@ -101,38 +103,85 @@ freshDeltaState()
     return st;
 }
 
+/** Appends the frame of the @p n records, less its first @p skip
+ *  bytes, to @p out, through this thread's frame buffer (never
+ *  zero-filled).  @p out grows in powers of two, as push_back grows it,
+ *  so a segment reuses the chunks the previous one freed. */
+void
+appendFrame(const TraceRecord *recs, std::size_t n,
+            std::vector<std::uint8_t> &out, std::size_t skip)
+{
+    thread_local std::unique_ptr<std::uint8_t[]> frame;
+    thread_local std::size_t room = 0;
+    if (room < 8 + n * kMaxEncodedRecordBytes) {
+        room = 8 + n * kMaxEncodedRecordBytes;
+        frame = std::make_unique_for_overwrite<std::uint8_t[]>(room);
+    }
+    BlockTally unused;
+    const std::size_t len = encodeFramedBlock(recs, n, frame.get(), unused);
+    out.reserve(std::bit_ceil(out.size() + len - skip));
+    out.insert(out.end(), frame.get() + skip, frame.get() + len);
+}
+
 } // namespace
+
+std::size_t
+encodeFramedBlock(const TraceRecord *recs, std::size_t n, std::uint8_t *out,
+                  BlockTally &tally)
+{
+    DeltaState &st = freshDeltaState();
+    BlockTally t = tally; // a local: a byte store may alias anything
+    std::uint8_t *p = out + 8;
+    for (std::size_t i = 0; i < n; ++i) {
+        const TraceRecord r = recs[i];
+        std::uint8_t tag = static_cast<std::uint8_t>(r.kind) & kKindMask;
+        if (r.aux != 0)
+            tag |= kAuxFlag;
+        *p++ = tag;
+        if (r.kind == RecordKind::Control)
+            *p++ = static_cast<std::uint8_t>(r.ctrl);
+        p = putVarint(p, r.gap);
+        p = putVarint(p, zigzag(static_cast<std::int64_t>(r.pc) -
+                                static_cast<std::int64_t>(st.prev_pc)));
+        st.prev_pc = r.pc;
+        t.gaps += r.gap;
+        if (r.kind == RecordKind::Control) {
+            // Control payloads are region bases/sizes, unrelated to the
+            // access stream: store the address verbatim.
+            p = putVarint(p, r.addr);
+        } else {
+            std::uint64_t base = 0;
+            std::uint64_t &last = st.site(r.pc, base);
+            p = putVarint(p, zigzag(static_cast<std::int64_t>(r.addr - base)));
+            last = st.last_mem_addr = r.addr;
+            t.loads += r.kind == RecordKind::Load;
+            t.stores += r.kind == RecordKind::Store;
+            t.min_addr = std::min(t.min_addr, r.addr);
+            t.max_addr = std::max(t.max_addr, r.addr);
+        }
+        if (r.aux != 0)
+            p = putVarint(p, r.aux);
+    }
+    tally = t;
+    const std::uint32_t payload_bytes = static_cast<std::uint32_t>(p - out - 8);
+    const std::uint32_t record_count = static_cast<std::uint32_t>(n);
+    std::memcpy(out, &payload_bytes, 4);
+    std::memcpy(out + 4, &record_count, 4);
+    return static_cast<std::size_t>(p - out);
+}
+
+void
+encodeFramedBlock(const TraceRecord *recs, std::size_t n,
+                  std::vector<std::uint8_t> &out)
+{
+    appendFrame(recs, n, out, 0);
+}
 
 void
 encodeBlock(const TraceRecord *recs, std::size_t n,
             std::vector<std::uint8_t> &out)
 {
-    DeltaState &st = freshDeltaState();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = recs[i];
-        std::uint8_t tag = static_cast<std::uint8_t>(r.kind) & kKindMask;
-        if (r.aux != 0)
-            tag |= kAuxFlag;
-        out.push_back(tag);
-        if (r.kind == RecordKind::Control)
-            out.push_back(static_cast<std::uint8_t>(r.ctrl));
-        putVarint(out, r.gap);
-        putVarint(out, zigzag(static_cast<std::int64_t>(r.pc) -
-                              static_cast<std::int64_t>(st.prev_pc)));
-        st.prev_pc = r.pc;
-        if (r.kind == RecordKind::Control) {
-            // Control payloads are region bases/sizes, unrelated to the
-            // access stream: store the address verbatim.
-            putVarint(out, r.addr);
-        } else {
-            std::uint64_t base = 0;
-            std::uint64_t &last = st.site(r.pc, base);
-            putVarint(out, zigzag(static_cast<std::int64_t>(r.addr - base)));
-            last = st.last_mem_addr = r.addr;
-        }
-        if (r.aux != 0)
-            putVarint(out, r.aux);
-    }
+    appendFrame(recs, n, out, 8);
 }
 
 bool
@@ -186,20 +235,6 @@ decodeBlock(const std::uint8_t *payload, std::size_t payload_bytes,
         out.push_back(r);
     }
     return p == end; // trailing garbage = corrupt
-}
-
-void
-encodeFramedBlock(const TraceRecord *recs, std::size_t n,
-                  std::vector<std::uint8_t> &out)
-{
-    const std::size_t at = out.size();
-    out.resize(at + 8);
-    encodeBlock(recs, n, out);
-    const std::uint32_t payload_bytes =
-        static_cast<std::uint32_t>(out.size() - at - 8);
-    const std::uint32_t record_count = static_cast<std::uint32_t>(n);
-    std::memcpy(out.data() + at, &payload_bytes, 4);
-    std::memcpy(out.data() + at + 4, &record_count, 4);
 }
 
 TraceIoResult

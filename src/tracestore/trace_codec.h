@@ -62,6 +62,12 @@ constexpr char kTraceFooterMagic[8] = {'R', 'N', 'R', 'T',
  *  count of any trace file whatever its footer claims. */
 constexpr std::uint64_t kMinEncodedRecordBytes = 4;
 
+/** Most bytes a record encodes to: a control record's tag, ctrl byte,
+ *  5-byte gap and pc delta and 10-byte address and aux (a memory record
+ *  has no ctrl byte).  So n records frame into at most 8 + n * this. */
+constexpr std::size_t kMaxEncodedRecordBytes = 32;
+static_assert(kMaxEncodedRecordBytes == sizeof(TraceRecord));
+
 /** Per-kind summary carried by the v2 footer (decode-free). */
 struct TraceFileStats {
     std::uint64_t records = 0;
@@ -81,21 +87,30 @@ struct TraceBlockIndexEntry {
     std::uint32_t record_count = 0;
 };
 
-/**
- * Encodes @p n records into @p out (appended).  Delta state starts
- * fresh, so the result is a self-contained block payload.
- */
-void encodeBlock(const TraceRecord *recs, std::size_t n,
-                 std::vector<std::uint8_t> &out);
+/** What the footer counts, tallied by the encoder as it goes. */
+struct BlockTally {
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t gaps = 0;   ///< Over every record.
+    Addr min_addr = ~Addr{0}; ///< Over load/store records.
+    Addr max_addr = 0;
+};
 
-/**
- * Appends one framed block to @p out: u32 payload_bytes, u32
- * record_count, then encodeBlock() of the @p n records.  The unit both
- * a v2 file (TraceFileWriter) and an in-memory segment (SegmentSink)
- * are made of.
- */
+/** Writes the framed block a v2 file or segment is made of at @p out,
+ *  which must have room for 8 + n * kMaxEncodedRecordBytes bytes: u32
+ *  payload_bytes, u32 record_count, then the @p n records' payload,
+ *  whose delta state starts fresh.  Adds the records to @p tally and
+ *  returns the frame's length. */
+std::size_t encodeFramedBlock(const TraceRecord *recs, std::size_t n,
+                              std::uint8_t *out, BlockTally &tally);
+
+/** Appends encodeFramedBlock() of the @p n records to @p out. */
 void encodeFramedBlock(const TraceRecord *recs, std::size_t n,
                        std::vector<std::uint8_t> &out);
+
+/** Appends the @p n records' payload (the frame less its header). */
+void encodeBlock(const TraceRecord *recs, std::size_t n,
+                 std::vector<std::uint8_t> &out);
 
 /**
  * Decodes a block payload of exactly @p expected_records records into

@@ -7,7 +7,9 @@ namespace rnr {
 
 TraceFileWriter::TraceFileWriter(std::uint32_t block_records)
     : block_records_(block_records != 0 ? block_records
-                                        : kDefaultBlockRecords)
+                                        : kDefaultBlockRecords),
+      frame_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          8 + std::size_t{block_records_} * kMaxEncodedRecordBytes))
 {
 }
 
@@ -63,39 +65,24 @@ TraceFileWriter::write(const TraceRecord *recs, std::size_t n)
 void
 TraceFileWriter::writeBlock(const TraceRecord *recs, std::size_t n)
 {
-    frame_.clear();
-    encodeFramedBlock(recs, n, frame_);
+    const std::size_t len = encodeFramedBlock(recs, n, frame_.get(), tally_);
     TraceBlockIndexEntry e;
     e.offset = bytes_;
-    e.payload_bytes = static_cast<std::uint32_t>(frame_.size() - 8);
+    e.payload_bytes = static_cast<std::uint32_t>(len - 8);
     e.record_count = static_cast<std::uint32_t>(n);
     index_.push_back(e);
-    put(frame_.data(), frame_.size());
+    put(frame_.get(), len);
 
-    // Footer stats, summed in locals: stats_ could alias the records.
-    std::uint64_t loads = 0, stores = 0, gaps = 0;
-    Addr lo = ~Addr{0}, hi = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = recs[i];
-        gaps += r.gap;
-        if (r.kind == RecordKind::Control)
-            continue;
-        loads += r.kind == RecordKind::Load;
-        stores += r.kind == RecordKind::Store;
-        lo = std::min(lo, r.addr);
-        hi = std::max(hi, r.addr);
-    }
-    const std::uint64_t mem = loads + stores;
+    const std::uint64_t mem = tally_.loads + tally_.stores;
     stats_.records += n;
-    stats_.loads += loads;
-    stats_.stores += stores;
-    stats_.controls += n - mem;
-    stats_.instructions += gaps + mem;
+    stats_.loads = tally_.loads;
+    stats_.stores = tally_.stores;
+    stats_.controls = stats_.records - mem;
+    stats_.instructions = tally_.gaps + mem;
     stats_.raw_bytes = stats_.records * sizeof(TraceRecord);
-    if (mem != 0) {
-        stats_.min_addr = have_mem_ ? std::min(stats_.min_addr, lo) : lo;
-        stats_.max_addr = have_mem_ ? std::max(stats_.max_addr, hi) : hi;
-        have_mem_ = true;
+    if (mem != 0) { // else the footer's address span stays 0
+        stats_.min_addr = tally_.min_addr;
+        stats_.max_addr = tally_.max_addr;
     }
 }
 

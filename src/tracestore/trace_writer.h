@@ -80,9 +80,9 @@ class TraceFileWriter final : public TraceSink
     std::uint32_t block_records_;
     bool discard_ = false;
     std::vector<TraceBlockIndexEntry> index_;
-    std::vector<std::uint8_t> frame_; ///< The block being written.
+    std::unique_ptr<std::uint8_t[]> frame_; ///< One worst-case block.
+    BlockTally tally_; ///< Of every block so far.
     TraceFileStats stats_;
-    bool have_mem_ = false;
     std::uint64_t bytes_ = 0;
     TraceIoResult status_;
 };

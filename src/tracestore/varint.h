@@ -5,27 +5,29 @@
  * Trace fields are overwhelmingly small once delta-encoded (instruction
  * gaps of a few, per-site address strides of one element), so a
  * byte-oriented varint beats fixed-width fields by 4-6x.  Kept
- * header-only and allocation-free: the encoder appends to a byte vector
- * the caller owns, the decoder walks a [begin, end) range and reports
- * overruns instead of reading past the block.
+ * header-only and allocation-free: the encoder writes through a cursor
+ * into a buffer the caller sized for the worst case, the decoder walks a
+ * [begin, end) range and reports overruns instead of reading past the
+ * block.
  */
 #ifndef RNR_TRACESTORE_VARINT_H
 #define RNR_TRACESTORE_VARINT_H
 
 #include <cstdint>
-#include <vector>
 
 namespace rnr {
 
-/** Appends @p v to @p out as a little-endian base-128 varint. */
-inline void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+/** Writes @p v at @p p as a little-endian base-128 varint (at most 10
+ *  bytes); returns one past its last byte. */
+inline std::uint8_t *
+putVarint(std::uint8_t *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+        *p++ = static_cast<std::uint8_t>(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(static_cast<std::uint8_t>(v));
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
 }
 
 /**

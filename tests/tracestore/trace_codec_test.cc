@@ -21,6 +21,7 @@
 #include "trace/trace_io.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_reader.h"
+#include "tracestore/trace_segment.h"
 #include "workloads/trace_replay.h"
 
 namespace rnr {
@@ -432,6 +433,112 @@ TEST(TraceCodec, EncodedBytesAreUnchanged)
                             back));
     for (std::size_t i = 0; i < back.size(); ++i)
         ASSERT_EQ(back[i].addr, wide.records()[i].addr) << i;
+}
+
+/** A block of records that each encode to as many bytes as their kind
+ *  allows: every control op with a full gap, address and aux, and loads
+ *  with a full gap and aux.  Kinds come as control, load, load, control
+ *  and the pc swings between 0 and 0xffffffff on every record, so every
+ *  pc delta takes 5 bytes and each kind sees both pcs; load addresses
+ *  cycle through 0, ~0 and 1 << 63, whose deltas take up to 10. */
+std::vector<TraceRecord>
+worstCaseBlock(std::size_t n)
+{
+    constexpr unsigned kOps = static_cast<unsigned>(RnrOp::Free) + 1;
+    const Addr addrs[] = {0, ~0ull, 1ull << 63};
+    std::vector<TraceRecord> recs;
+    for (std::size_t i = 0, ops = 0, loads = 0; i < n; ++i) {
+        TraceRecord r;
+        if (i % 4 == 0 || i % 4 == 3) {
+            r = TraceRecord::control(static_cast<RnrOp>(ops++ % kOps),
+                                     ~0ull, ~0ull);
+        } else {
+            r = TraceRecord::load(addrs[loads++ % 3], 0, 0);
+            r.aux = ~0ull;
+        }
+        r.pc = i % 2 == 0 ? 0xffffffffu : 0; // prev pc starts at 0
+        r.gap = 0xffffffffu;
+        recs.push_back(r);
+    }
+    return recs;
+}
+
+TEST(TraceCodec, WorstCaseRecordsFitTheEncoderBound)
+{
+    const std::size_t n = kDefaultBlockRecords;
+    const std::vector<TraceRecord> recs = worstCaseBlock(n);
+
+    // Exactly the encoder's bound, so a write past it is a heap overflow
+    // under ASan.
+    std::vector<std::uint8_t> frame(8 + n * kMaxEncodedRecordBytes);
+    BlockTally tally;
+    const std::size_t len =
+        encodeFramedBlock(recs.data(), n, frame.data(), tally);
+    ASSERT_LE(len, frame.size());
+    EXPECT_EQ(tally.loads, n / 2);
+    EXPECT_EQ(tally.min_addr, 0u);
+    EXPECT_EQ(tally.max_addr, ~0ull);
+
+    // A record's bytes follow from the records before it, so a prefix
+    // of the block encodes to a prefix of its payload and each record's
+    // size is the difference of two prefixes.
+    std::vector<std::uint8_t> prefix(8 + n * kMaxEncodedRecordBytes);
+    std::size_t before = 8, longest_load = 0;
+    for (std::size_t k = 1; k <= n; ++k) {
+        const std::size_t at =
+            encodeFramedBlock(recs.data(), k, prefix.data(), tally);
+        const std::size_t bytes = at - before;
+        before = at;
+        ASSERT_LE(bytes, kMaxEncodedRecordBytes) << "record " << k - 1;
+        if (recs[k - 1].kind == RecordKind::Control)
+            ASSERT_EQ(bytes, kMaxEncodedRecordBytes) << "record " << k - 1;
+        else
+            longest_load = std::max(longest_load, bytes);
+    }
+    EXPECT_EQ(before, len);
+    EXPECT_EQ(longest_load, kMaxEncodedRecordBytes - 1); // no ctrl byte
+
+    std::vector<TraceRecord> back;
+    ASSERT_TRUE(decodeBlock(frame.data() + 8, len - 8, n, back));
+    TraceBuffer want, got;
+    for (std::size_t i = 0; i < n; ++i) {
+        want.push(recs[i]);
+        got.push(back[i]);
+    }
+    expectSameRecords(want, got);
+}
+
+TEST(TraceCodec, FramedBlocksAppendToANonEmptySegment)
+{
+    // A store-off segment grows one encodeFramedBlock() at a time; each
+    // append must equal that block framed on its own.
+    const TraceBuffer buf = fuzzTrace(11, 3 * kDefaultBlockRecords + 100);
+    const TraceRecord *recs = buf.records().data();
+    std::vector<std::uint8_t> segment = {0xab};
+    std::vector<std::uint8_t> expected = {0xab};
+    for (std::size_t first = 0; first < buf.size();
+         first += kDefaultBlockRecords) {
+        const std::size_t n =
+            std::min<std::size_t>(kDefaultBlockRecords, buf.size() - first);
+        encodeFramedBlock(recs + first, n, segment);
+
+        std::vector<std::uint8_t> alone(8 + n * kMaxEncodedRecordBytes);
+        BlockTally tally;
+        alone.resize(
+            encodeFramedBlock(recs + first, n, alone.data(), tally));
+        std::vector<std::uint8_t> payload;
+        encodeBlock(recs + first, n, payload);
+        ASSERT_EQ(alone.size(), payload.size() + 8);
+        ASSERT_TRUE(
+            std::equal(payload.begin(), payload.end(), alone.begin() + 8));
+        expected.insert(expected.end(), alone.begin(), alone.end());
+    }
+    EXPECT_EQ(segment, expected);
+
+    SegmentSink sink;
+    sink.write(recs, buf.size());
+    EXPECT_TRUE(std::equal(expected.begin() + 1, expected.end(),
+                           sink.release().begin()));
 }
 
 /** The file's records read one take() at a time: the reference the
