@@ -238,8 +238,11 @@ printColumnHeads(const std::vector<std::string> &heads)
  * Extracts benchmark-name -> items_per_second from @p doc.  Understands
  * two shapes:
  *  - google-benchmark --benchmark_out: {"benchmarks": [{"name": ...,
- *    "items_per_second": ...}, ...]} (aggregate entries like
- *    "name/mean" are taken verbatim; callers compare like with like);
+ *    "items_per_second": ...}, ...]}.  With --benchmark_repetitions a
+ *    row's rate is its "median" aggregate (the entry whose
+ *    aggregate_name is "median", filed under its run_name), not
+ *    whichever repetition came last; other aggregate entries
+ *    ("name_mean", ...) are taken verbatim;
  *  - the committed trajectory file (rnr-hotpath-v1): {"results":
  *    {"<name>": {"after": {"items_per_second": ...}}}} — "after" is the
  *    file's accepted state, which is what a gate compares against.
@@ -249,12 +252,20 @@ loadBenchRates(const JsonValue &doc)
 {
     std::map<std::string, double> out;
     if (const JsonValue *benches = doc.find("benchmarks")) {
+        std::map<std::string, double> medians;
         for (const JsonValue &b : benches->items) {
             const JsonValue *name = b.find("name");
             const JsonValue *rate = b.find("items_per_second");
-            if (name && rate && rate->asDouble() > 0)
-                out[name->text] = rate->asDouble();
+            if (!name || !rate || rate->asDouble() <= 0)
+                continue;
+            out[name->text] = rate->asDouble();
+            const JsonValue *agg = b.find("aggregate_name");
+            const JsonValue *run = b.find("run_name");
+            if (agg && run && agg->text == "median")
+                medians[run->text] = rate->asDouble();
         }
+        for (const auto &[run, rate] : medians)
+            out[run] = rate;
     } else if (const JsonValue *results = doc.find("results")) {
         for (const auto &m : results->members) {
             const JsonValue *after = m.second.find("after");

@@ -40,14 +40,14 @@
  *       The file streams through one decoded block at a time.
  *
  *   trace_tools explain [app] [input] [prefetcher]
- *       Simulates one cell (default pagerank/urand/rnr) with the event
- *       trace, telemetry and attribution attached, plus its
- *       no-prefetcher baseline, and prints one rnr-explain-v1 JSON
- *       document on stdout (harness/explain.h): the cell and baseline
- *       counters, derived metrics, per-window replay table, attribution
- *       and telemetry.  Exits 1 when the attribution or window totals
- *       fail to reconcile with the iteration counters, 2 on bad usage
- *       or an unknown prefetcher.  Honours --iterations/--cores.
+ *       Simulates one cell (default pagerank/urand/rnr) with telemetry
+ *       and attribution attached, plus its no-prefetcher baseline, and
+ *       prints one rnr-explain-v2 JSON document on stdout
+ *       (harness/explain.h): the cell and baseline counters, derived
+ *       metrics, per-window replay table, attribution and telemetry.
+ *       Exits 1 when the attribution or window totals fail to
+ *       reconcile with the iteration counters, 2 on bad usage or an
+ *       unknown prefetcher.  Honours --iterations/--cores.
  *
  *   trace_tools sweep [--app a] [--input i] [--prefetchers p,...]
  *       Runs one workload under each listed prefetcher (default
@@ -81,7 +81,6 @@
 #include "harness/sweep.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
-#include "sim/trace_event.h"
 #include "trace/trace_io.h"
 #include "tracestore/champsim_import.h"
 #include "tracestore/trace_codec.h"
@@ -401,14 +400,12 @@ explain(const std::string &app, const std::string &input,
         cfg.cores = cores;
 
     std::fprintf(stderr, "explaining %s...\n", cfg.key().c_str());
-    TraceCollector tr(cfg.cores);
     TelemetrySampler tm;
     AttribCollector at;
     ExperimentResult res, base;
     const bool has_base = cfg.prefetcher != PrefetcherKind::None;
     try {
-        res = runExperimentUncached(
-            cfg, {.trace = &tr, .telemetry = &tm, .attrib = &at});
+        res = runExperimentUncached(cfg, {.telemetry = &tm, .attrib = &at});
         if (has_base)
             base = runBaseline(cfg);
     } catch (const std::exception &e) {
@@ -418,11 +415,10 @@ explain(const std::string &app, const std::string &input,
 
     // stdout is exactly the document; flush it before the stderr
     // verdict so a merged 2>&1 capture cannot interleave the two.
-    std::fputs(explainJson(res, has_base ? &base : nullptr, &tr).c_str(),
-               stdout);
+    std::fputs(explainJson(res, has_base ? &base : nullptr).c_str(), stdout);
     std::fflush(stdout);
 
-    const std::string bad = explainMismatch(res, &tr);
+    const std::string bad = explainMismatch(res);
     std::fprintf(stderr, "explain: counter reconciliation: %s\n",
                  bad.empty() ? "exact" : ("MISMATCH: " + bad).c_str());
     return bad.empty() ? 0 : 1;
@@ -538,7 +534,7 @@ constexpr ModeHelp kModes[] = {
      "full decode: record counts, access sites, RnR control calls"},
     {"explain", "[app] [input] [prefetcher] [--iterations <n>] "
                 "[--cores <n>]",
-     "one cell explained: rnr-explain-v1 JSON (counters, metrics, "
+     "one cell explained: rnr-explain-v2 JSON (counters, metrics, "
      "replay windows, attribution, telemetry); exits 1 on counter "
      "mismatch"},
     {"sweep", "[--app <a>] [--input <i>] [--prefetchers <p,...>] "

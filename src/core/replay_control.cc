@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/attrib.h"
+
 namespace rnr {
 
 ReplayController::ReplayController(ReplayControlMode mode,
@@ -13,19 +15,15 @@ ReplayController::ReplayController(ReplayControlMode mode,
 
 void
 ReplayController::beginReplay(const std::vector<std::uint64_t> *division,
-                              std::uint64_t total_entries, Tick now)
+                              std::uint64_t total_entries)
 {
     division_ = division;
     total_entries_ = total_entries;
     cur_window_ = 0;
     reads_since_issue_ = 0;
     recomputePace();
-    if (TraceCollector *tr = probes_.trace) {
-        tr->emit(track_, TraceEventType::PaceRecompute, now, 0, pace_, 0,
-                 core_);
-        tr->emit(track_, TraceEventType::WindowOpen, now, 0, pace_, 0,
-                 core_);
-    }
+    if (probes_.attrib)
+        probes_.attrib->onWindowPace(cur_window_, pace_);
 }
 
 std::uint64_t
@@ -91,7 +89,7 @@ ReplayController::initialBurst() const
 
 std::uint64_t
 ReplayController::onStructRead(std::uint64_t cur_struct_read,
-                               std::uint64_t issued_so_far, Tick now)
+                               std::uint64_t issued_so_far)
 {
     if (mode_ == ReplayControlMode::None) {
         // Uncontrolled: a fixed burst on every read, no budget.
@@ -103,18 +101,11 @@ ReplayController::onStructRead(std::uint64_t cur_struct_read,
     // Advance through completed windows.
     while (cur_struct_read >= divisionAt(cur_window_) &&
            divisionAt(cur_window_) != kTickMax) {
-        if (probes_.trace)
-            probes_.trace->emit(track_, TraceEventType::WindowClose, now, 0,
-                                0, cur_window_, core_);
         ++cur_window_;
         reads_since_issue_ = 0;
         recomputePace();
-        if (TraceCollector *tr = probes_.trace) {
-            tr->emit(track_, TraceEventType::PaceRecompute, now, 0, pace_,
-                     cur_window_, core_);
-            tr->emit(track_, TraceEventType::WindowOpen, now, 0, pace_,
-                     cur_window_, core_);
-        }
+        if (probes_.attrib)
+            probes_.attrib->onWindowPace(cur_window_, pace_);
     }
 
     const std::uint64_t allowed = budget(cur_window_);

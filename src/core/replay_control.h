@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "sim/probes.h"
-#include "sim/trace_event.h"
 #include "sim/types.h"
 
 namespace rnr {
@@ -66,10 +65,9 @@ class ReplayController
      * Arms the controller for a replay pass.
      * @param division cumulative struct-read counts at window ends.
      * @param total_entries sequence length to replay.
-     * @param now current tick, used only to timestamp trace events.
      */
     void beginReplay(const std::vector<std::uint64_t> *division,
-                     std::uint64_t total_entries, Tick now = 0);
+                     std::uint64_t total_entries);
 
     /** Adopts the architectural window-size register (set by RnR.init()
      *  or WindowSize.set()); must be called before beginReplay. */
@@ -82,10 +80,9 @@ class ReplayController
      * Notes one demand read of the target structure and returns how many
      * additional sequence entries the prefetcher should issue now.
      * @param issued_so_far entries the caller has already issued.
-     * @param now current tick, used only to timestamp trace events.
      */
     std::uint64_t onStructRead(std::uint64_t cur_struct_read,
-                               std::uint64_t issued_so_far, Tick now = 0);
+                               std::uint64_t issued_so_far);
 
     /** Entries the caller may issue immediately at replay start. */
     std::uint64_t initialBurst() const;
@@ -97,16 +94,9 @@ class ReplayController
 
     ReplayControlMode mode() const { return mode_; }
 
-    /** Routes window-open/close and pace-recompute events to @p p's
-     *  trace on @p track (the shared "rnr" track), tagged with
-     *  @p core. */
-    void
-    attach(const Probes &p, std::uint16_t track, std::uint16_t core)
-    {
-        probes_ = p;
-        track_ = track;
-        core_ = core;
-    }
+    /** Reports each window's N_pace, set when the window opens, to
+     *  @p p's attribution (its replay-window table). */
+    void attach(const Probes &p) { probes_ = p; }
 
     /** Re-points the division-table reference after a state load (the
      *  raw pointer cannot travel through an archive); the owning
@@ -151,8 +141,6 @@ class ReplayController
     std::uint64_t pace_ = 1;
     std::uint64_t reads_since_issue_ = 0;
     Probes probes_;
-    std::uint16_t track_ = 0;
-    std::uint16_t core_ = 0;
 };
 
 } // namespace rnr

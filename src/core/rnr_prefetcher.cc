@@ -35,15 +35,6 @@ RnrPrefetcher::RnrPrefetcher(Options opts)
 }
 
 void
-RnrPrefetcher::setTrace(TraceCollector *tr, std::uint16_t track)
-{
-    Prefetcher::setTrace(tr, track);
-    tr_rnr_track_ = tr ? tr->rnrTrack() : 0;
-    controller_.attach({.trace = tr}, tr_rnr_track_,
-                       static_cast<std::uint16_t>(core_));
-}
-
-void
 RnrPrefetcher::setTelemetry(TelemetrySampler *tm, unsigned core)
 {
     if (!tm)
@@ -124,18 +115,7 @@ RnrPrefetcher::onControl(const TraceRecord &rec, Tick now)
         arch_ = RnrArchState{};
         arch_.seq_table_base = rec.addr;
         arch_.div_table_base = rec.aux;
-        if (opts_.window_size) {
-            arch_.window_size = opts_.window_size;
-        } else {
-            // The double-buffered windows must leave L2 room for the
-            // demand streams flowing through alongside the target
-            // structure, so the default is a quarter of the L2 per
-            // window (half the L2 for both buffers together).  Fig 14
-            // shows a wide flat optimum, so this sits in the same
-            // regime as the paper's half-L2 default.
-            arch_.window_size = static_cast<std::uint32_t>(
-                ms_->config().l2.size_bytes / kBlockSize / 4);
-        }
+        arch_.window_size = defaultWindowSize();
         seq_store_.clear();
         div_store_.clear();
         ++ctr_.init_calls;
@@ -163,12 +143,15 @@ RnrPrefetcher::onControl(const TraceRecord &rec, Tick now)
         break;
 
       case RnrOp::WindowSizeSet:
-        arch_.window_size = static_cast<std::uint32_t>(rec.addr);
+        // A window holds at least one entry and fits the register; a
+        // size outside that (only a hand-made trace file has one)
+        // leaves the register as it was.
+        if (rec.addr != 0 && rec.addr <= UINT32_MAX)
+            arch_.window_size = static_cast<std::uint32_t>(rec.addr);
         break;
 
       case RnrOp::Start:
         startRecording();
-        emitRnr(TraceEventType::RecordStart, now);
         break;
 
       case RnrOp::Replay:
@@ -201,8 +184,6 @@ RnrPrefetcher::onControl(const TraceRecord &rec, Tick now)
       case RnrOp::EndState:
         if (arch_.state == RnrState::Record)
             finishRecording(now);
-        else if (arch_.state == RnrState::Replay)
-            emitRnr(TraceEventType::ReplayStop, now);
         arch_.state = RnrState::Idle;
         break;
 
@@ -216,9 +197,27 @@ RnrPrefetcher::onControl(const TraceRecord &rec, Tick now)
     }
 }
 
+std::uint32_t
+RnrPrefetcher::defaultWindowSize() const
+{
+    if (opts_.window_size)
+        return opts_.window_size;
+    // The double-buffered windows must leave L2 room for the demand
+    // streams flowing through alongside the target structure, so the
+    // default is a quarter of the L2 per window (half the L2 for both
+    // buffers together).  Fig 14 shows a wide flat optimum, so this
+    // sits in the same regime as the paper's half-L2 default.
+    return static_cast<std::uint32_t>(ms_->config().l2.size_bytes /
+                                      kBlockSize / 4);
+}
+
 void
 RnrPrefetcher::startRecording()
 {
+    // A Start with no Init since the last Free (or ever) finds the
+    // register cleared; record with the Init default, never with 0.
+    if (arch_.window_size == 0)
+        arch_.window_size = defaultWindowSize();
     arch_.state = RnrState::Record;
     internal_ = RnrInternalState{};
     seq_store_.clear();
@@ -245,7 +244,6 @@ RnrPrefetcher::finishRecording(Tick now)
         ms_->metadataWrite(arch_.seq_table_base +
                                seq_flushed_ * kSeqEntryBytes,
                            seq_pending, now);
-        emitRnr(TraceEventType::SeqTableWrite, now, seq_pending);
     }
     seq_flushed_ = seq_store_.size();
     const std::uint64_t div_pending =
@@ -254,7 +252,6 @@ RnrPrefetcher::finishRecording(Tick now)
         ms_->metadataWrite(arch_.div_table_base +
                                div_flushed_ * kDivEntryBytes,
                            div_pending, now);
-        emitRnr(TraceEventType::DivTableWrite, now, div_pending);
     }
     div_flushed_ = div_store_.size();
 
@@ -262,7 +259,6 @@ RnrPrefetcher::finishRecording(Tick now)
                                                 seq_store_.size());
     peak_div_entries_ = std::max<std::uint64_t>(peak_div_entries_,
                                                 div_store_.size());
-    emitRnr(TraceEventType::RecordStop, now, seq_store_.size());
 }
 
 void
@@ -279,9 +275,10 @@ RnrPrefetcher::startReplay(Tick now)
     pf_status_.clear();
     pf_filter_.clear();
     pf_issued_.clear();
+    if (arch_.window_size == 0)
+        arch_.window_size = defaultWindowSize();
     controller_.setWindowSize(arch_.window_size);
-    emitRnr(TraceEventType::ReplayStart, now, seq_store_.size());
-    controller_.beginReplay(&div_store_, seq_store_.size(), now);
+    controller_.beginReplay(&div_store_, seq_store_.size());
     ++ctr_.replay_passes;
 
     // Prime the double buffers: two sequence buffers + one division
@@ -290,12 +287,8 @@ RnrPrefetcher::startReplay(Tick now)
         ms_->metadataRead(arch_.seq_table_base, 2 * kMetaBufferBytes, now);
     const Tick div_done =
         ms_->metadataRead(arch_.div_table_base, kMetaBufferBytes, now);
-    emitRnr(TraceEventType::MetaRefill, now, 2 * kMetaBufferBytes, 0,
-            arch_.seq_table_base);
-    emitRnr(TraceEventType::MetaRefill, now, kMetaBufferBytes, 0,
-            arch_.div_table_base);
-    if (const Tick done = std::max(seq_done, div_done); done > now)
-        emitRnr(TraceEventType::MetaRefillStall, now, done - now, 0);
+    if (at_ && std::max(seq_done, div_done) > now)
+        at_->onRefillStall(0);
     seq_streamed_ = std::min<std::uint64_t>(
         seq_store_.size(), 2 * kMetaBufferBytes / kSeqEntryBytes);
     div_streamed_ = std::min<std::uint64_t>(
@@ -331,17 +324,11 @@ RnrPrefetcher::issueEntries(std::uint64_t n, Tick now)
                                       seq_streamed_ * kSeqEntryBytes,
                                   kMetaBufferBytes, now);
             seq_streamed_ += kMetaBufferBytes / kSeqEntryBytes;
-            if (tr_) {
-                const auto w = static_cast<std::uint32_t>(
-                    issue_cursor_ / arch_.window_size);
-                emitRnr(TraceEventType::MetaRefill, now, kMetaBufferBytes,
-                        w);
-                // A refill completing after `now` means the replay
-                // engine outran the metadata stream.
-                if (done > now)
-                    emitRnr(TraceEventType::MetaRefillStall, now,
-                            done - now, w);
-            }
+            // A refill completing after `now` means the replay engine
+            // outran the metadata stream.
+            if (at_ && done > now)
+                at_->onRefillStall(static_cast<std::uint32_t>(
+                    issue_cursor_ / arch_.window_size));
         }
 
         const SeqEntry entry = seq_store_[issue_cursor_];
@@ -362,8 +349,8 @@ RnrPrefetcher::issueEntries(std::uint64_t n, Tick now)
             notePfIssue(blockNumber(vaddr),
                         {PfStatus::Pending, window, res.fill_time});
             ++internal_.prefetch_count;
-            if (tr_)
-                tr_->countWindowIssue(window);
+            if (at_)
+                at_->onWindowIssue(window);
         }
         ++issue_cursor_;
         --n;
@@ -386,7 +373,7 @@ RnrPrefetcher::notePfIssue(Addr block, const PfRecord &rec)
 }
 
 void
-RnrPrefetcher::sweepOutOfWindow(Tick now)
+RnrPrefetcher::sweepOutOfWindow()
 {
     // A prefetch targeted at window w should be consumed while the
     // program is inside window w; once the current window is past it,
@@ -402,8 +389,7 @@ RnrPrefetcher::sweepOutOfWindow(Tick now)
             continue;
         ++ctr_.pf_out_of_window;
         if (at_)
-            at_->onRnrClass(RnrTimeliness::OutOfWindow);
-        emitRnr(TraceEventType::PfOutOfWindow, now, 0, e.window, e.block);
+            at_->onRnrClass(RnrTimeliness::OutOfWindow, e.window);
         pf_status_.erase(e.block);
         pf_filter_.remove(e.block);
     }
@@ -471,8 +457,6 @@ RnrPrefetcher::handleRecordAccess(const L2AccessInfo &info)
                                    div_flushed_ * kDivEntryBytes,
                                kMetaBufferBytes, info.now);
             div_flushed_ = div_store_.size();
-            emitRnr(TraceEventType::DivTableWrite, info.now,
-                    kMetaBufferBytes);
         }
     }
 
@@ -490,8 +474,6 @@ RnrPrefetcher::handleRecordAccess(const L2AccessInfo &info)
         }
         ms_->metadataWrite(wb, kMetaBufferBytes, info.now);
         seq_flushed_ = seq_store_.size();
-        emitRnr(TraceEventType::SeqTableWrite, info.now, kMetaBufferBytes,
-                0, wb);
     }
 }
 
@@ -510,33 +492,26 @@ RnrPrefetcher::handleReplayAccess(const L2AccessInfo &info)
         if (rec.status == PfStatus::Evicted) {
             ++ctr_.pf_early;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::Early);
-            emitRnr(TraceEventType::PfEarly, info.now, 0, rec.window,
-                    info.block);
+                at_->onRnrClass(RnrTimeliness::Early, rec.window);
         } else if (rec.fill_time > info.now) {
             ++ctr_.pf_late;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::Late);
-            emitRnr(TraceEventType::PfLate, info.now, 0, rec.window,
-                    info.block);
+                at_->onRnrClass(RnrTimeliness::Late, rec.window);
         } else {
             ++ctr_.pf_ontime;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::OnTime);
-            emitRnr(TraceEventType::PfOntime, info.now, 0, rec.window,
-                    info.block);
+                at_->onRnrClass(RnrTimeliness::OnTime, rec.window);
         }
     }
 
     const std::uint64_t n =
-        controller_.onStructRead(internal_.cur_struct_read, issue_cursor_,
-                                 info.now);
+        controller_.onStructRead(internal_.cur_struct_read, issue_cursor_);
     internal_.cur_window = controller_.currentWindow();
     internal_.prefetch_pace =
         static_cast<std::uint32_t>(controller_.pace());
-    sweepOutOfWindow(info.now);
-    if (tr_)
-        tr_->countWindowDemand(controller_.currentWindow());
+    sweepOutOfWindow();
+    if (at_)
+        at_->onWindowDemand(controller_.currentWindow());
     if (n > 0)
         issueEntries(n, info.now);
 }

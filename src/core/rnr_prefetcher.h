@@ -76,18 +76,21 @@ class RnrPrefetcher : public Prefetcher
     void onControl(const TraceRecord &rec, Tick now) override;
     bool inTargetRegion(Addr vaddr) const override;
     std::string name() const override { return "rnr"; }
-    /** Also routes lifecycle events to the shared "rnr" track and arms
-     *  the replay controller's window/pace events. */
-    void setTrace(TraceCollector *tr, std::uint16_t track) override;
 
     /** Registers the replay-lane series: N_pace over time plus the
      *  Sequence/Division-Table staging-buffer fill levels (bytes). */
     void setTelemetry(TelemetrySampler *tm, unsigned core) override;
 
-    /** Keeps the collector for the Fig 11 per-window classification
-     *  hooks; replay prefetches themselves carry attribRnrSite(core)
-     *  as their site id (sim/attrib.h). */
-    void setAttrib(AttribCollector *at) override { at_ = at; }
+    /** Keeps the collector for the Fig 11 classification and the
+     *  replay-window table, and hands it to the replay controller for
+     *  each window's pace; replay prefetches themselves carry
+     *  attribRnrSite(core) as their site id (sim/attrib.h). */
+    void
+    setAttrib(AttribCollector *at) override
+    {
+        at_ = at;
+        controller_.attach({.attrib = at});
+    }
 
     /** Bytes of sequence metadata currently resident in the staging /
      *  double buffers: staged-but-unflushed entries while recording,
@@ -229,21 +232,14 @@ class RnrPrefetcher : public Prefetcher
     /** Flushes staged metadata at the end of a recording pass. */
     void finishRecording(Tick now);
 
+    /** The window size Init sets: the option, or a quarter of the L2. */
+    std::uint32_t defaultWindowSize() const;
+
     void startRecording();
     void startReplay(Tick now);
 
     /** Retires classification records older than the active windows. */
-    void sweepOutOfWindow(Tick now);
-
-    /** Emits onto the shared "rnr" lifecycle track (no-op when off). */
-    void
-    emitRnr(TraceEventType type, Tick now, std::uint64_t arg = 0,
-            std::uint32_t window = 0, Addr addr = 0)
-    {
-        if (tr_)
-            tr_->emit(tr_rnr_track_, type, now, addr, arg, window,
-                      static_cast<std::uint16_t>(core_));
-    }
+    void sweepOutOfWindow();
 
     Options opts_;
     Counters ctr_; ///< Handles into the base-class stats_.
@@ -281,8 +277,7 @@ class RnrPrefetcher : public Prefetcher
     std::uint64_t peak_seq_entries_ = 0;
     std::uint64_t peak_div_entries_ = 0;
 
-    std::uint16_t tr_rnr_track_ = 0; ///< Cached TraceCollector::rnrTrack().
-    AttribCollector *at_ = nullptr;  ///< Null unless attribution is on.
+    AttribCollector *at_ = nullptr; ///< Null unless attribution is on.
 };
 
 } // namespace rnr

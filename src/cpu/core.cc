@@ -140,12 +140,6 @@ CoreModel::execute(const TraceRecord &rec)
         instrs_ += 2;
         ms_->control(id_, rec, issue_clock_);
         ++c_control_records_;
-        if (probes_.trace)
-            probes_.trace->emit(static_cast<std::uint16_t>(id_),
-                                TraceEventType::ControlRecord, issue_clock_,
-                                rec.addr,
-                                static_cast<std::uint64_t>(rec.ctrl), 0,
-                                static_cast<std::uint16_t>(id_));
         return;
     }
 

@@ -48,11 +48,11 @@ class CoreModel
     void setSource(TraceSource *src);
 
     /**
-     * Routes this core's ControlRecord events to @p p's trace, registers
-     * its milli-IPC rate series with @p p's sampler and makes stepRun()
-     * offer the local clock to that sampler — the cores collectively
-     * drive the whole machine's sampling, since System::drive()
-     * interleaves them in local-time order.  Probes{} detaches.
+     * Registers this core's milli-IPC rate series with @p p's sampler
+     * and makes stepRun() offer the local clock to that sampler — the
+     * cores collectively drive the whole machine's sampling, since
+     * System::drive() interleaves them in local-time order.  Probes{}
+     * detaches.
      */
     void attach(const Probes &p);
 

@@ -7,7 +7,6 @@
 #include "harness/sweep.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
-#include "sim/trace_event.h"
 
 namespace rnr {
 
@@ -52,9 +51,9 @@ appendWindow(std::ostringstream &os, const WindowDiag &w, bool row)
 }
 
 void
-appendWindows(std::ostringstream &os, const TraceCollector &tr)
+appendWindows(std::ostringstream &os, const AttribBlob &blob)
 {
-    const ReplayDiagnostics d = buildReplayDiagnostics(tr);
+    const ReplayDiagnostics d = buildReplayDiagnostics(blob);
     os << "{\n    \"rows\": [";
     for (std::size_t i = 0; i < d.windows.size(); ++i) {
         os << (i ? ",\n      " : "\n      ");
@@ -62,9 +61,7 @@ appendWindows(std::ostringstream &os, const TraceCollector &tr)
     }
     os << (d.windows.empty() ? "" : "\n    ") << "],\n    \"total\": ";
     appendWindow(os, d.total, false);
-    os << ",\n    \"events_total\": " << tr.eventsTotal()
-       << ", \"events_overwritten\": " << tr.eventsOverwritten()
-       << "\n  }";
+    os << "\n  }";
 }
 
 void
@@ -99,11 +96,10 @@ appendTelemetry(std::ostringstream &os, const TelemetryBlob &tb)
 } // namespace
 
 std::string
-explainJson(const ExperimentResult &cell, const ExperimentResult *baseline,
-            const TraceCollector *trace)
+explainJson(const ExperimentResult &cell, const ExperimentResult *baseline)
 {
     std::ostringstream os;
-    os << "{\n  \"schema\": \"rnr-explain-v1\",\n  \"cell\": ";
+    os << "{\n  \"schema\": \"rnr-explain-v2\",\n  \"cell\": ";
     appendResultJson(os, cell, "  ");
     os << ",\n  \"baseline\": ";
     if (baseline)
@@ -113,8 +109,8 @@ explainJson(const ExperimentResult &cell, const ExperimentResult *baseline,
     os << ",\n  \"metrics\": ";
     appendMetrics(os, cell, baseline);
     os << ",\n  \"windows\": ";
-    if (trace)
-        appendWindows(os, *trace);
+    if (cell.attrib)
+        appendWindows(os, *cell.attrib);
     else
         os << "null";
     os << ",\n  \"attrib\": "
@@ -129,7 +125,7 @@ explainJson(const ExperimentResult &cell, const ExperimentResult *baseline,
 }
 
 std::string
-explainMismatch(const ExperimentResult &cell, const TraceCollector *trace)
+explainMismatch(const ExperimentResult &cell)
 {
     const auto sum = [&cell](std::uint64_t IterStats::*field) {
         std::uint64_t s = 0;
@@ -156,9 +152,7 @@ explainMismatch(const ExperimentResult &cell, const TraceCollector *trace)
         check("attrib late", a->rnr_late, sum(&IterStats::rnr_late));
         check("attrib out_of_window", a->rnr_out_of_window,
               sum(&IterStats::rnr_out_of_window));
-    }
-    if (trace) {
-        const WindowDiag t = buildReplayDiagnostics(*trace).total;
+        const WindowDiag t = buildReplayDiagnostics(*a).total;
         check("windows ontime", t.ontime, sum(&IterStats::rnr_ontime));
         check("windows early", t.early, sum(&IterStats::rnr_early));
         check("windows late", t.late, sum(&IterStats::rnr_late));

@@ -1,6 +1,6 @@
 /**
  * @file
- * One cell, explained: the "rnr-explain-v1" document that answers "why
+ * One cell, explained: the "rnr-explain-v2" document that answers "why
  * this number?" for any cell a bench prints.
  *
  * The document has six parts:
@@ -12,13 +12,14 @@
  *    always, plus `speedup`, `coverage`, `traffic_overhead` and
  *    `record_overhead` when there is a baseline (harness/metrics.h);
  *  - `windows`: the touched rows of the per-window replay table
- *    (buildReplayDiagnostics, the Fig 11 splits per Division-Table
- *    window) with their `total`, plus the event counts of the trace
- *    rings, or null without an event trace;
+ *    (buildReplayDiagnostics over the attribution blob: demands,
+ *    issues, pace, refill stalls and the Fig 11 splits per
+ *    Division-Table window) with their `total`, or null without
+ *    attribution;
  *  - `attrib`: the rnr-attrib-v2 object (sim/attrib.h), or null;
  *  - `telemetry`: the sampled series and histograms, or null.
  *
- * `trace_tools explain` prints it with all three probes attached and a
+ * `trace_tools explain` prints it with both probes attached and a
  * baseline; RNR_OBS writes it as `<prefix>.explain.json` with whatever
  * probes the switch turned on and no baseline (harness/runner.h).
  *
@@ -33,16 +34,13 @@
 
 namespace rnr {
 
-class TraceCollector;
-
 /**
- * The rnr-explain-v1 document for @p cell.  @p baseline (the matching
- * no-prefetcher result) and @p trace (the collector the cell ran with)
- * may be null; so may the cell's own telemetry and attribution blobs.
+ * The rnr-explain-v2 document for @p cell.  @p baseline (the matching
+ * no-prefetcher result) may be null; so may the cell's own telemetry
+ * and attribution blobs.
  */
 std::string explainJson(const ExperimentResult &cell,
-                        const ExperimentResult *baseline,
-                        const TraceCollector *trace);
+                        const ExperimentResult *baseline);
 
 /**
  * The two reconciliations an explained cell must pass, because every
@@ -52,11 +50,11 @@ std::string explainJson(const ExperimentResult &cell,
  *    RnR classes) equal the IterStats sums over the iterations;
  *  - the per-window table's Fig 11 totals equal the rnr_* sums.
  *
- * A probe the cell ran without is not checked.  Returns "" when both
- * hold, otherwise one line naming what disagreed.
+ * Both come from the attribution blob; a cell without one is not
+ * checked.  Returns "" when both hold, otherwise one line naming what
+ * disagreed.
  */
-std::string explainMismatch(const ExperimentResult &cell,
-                            const TraceCollector *trace);
+std::string explainMismatch(const ExperimentResult &cell);
 
 } // namespace rnr
 

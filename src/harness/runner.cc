@@ -16,7 +16,6 @@
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
-#include "sim/trace_event.h"
 #include "tracestore/trace_reader.h"
 #include "tracestore/trace_segment.h"
 #include "tracestore/trace_store.h"
@@ -349,9 +348,7 @@ obsSwitch()
     std::string unknown;
     std::istringstream in(list);
     for (std::string tok; std::getline(in, tok, ',');) {
-        if (tok == "trace")
-            obs.trace = true;
-        else if (tok == "telemetry")
+        if (tok == "telemetry")
             obs.telemetry = true;
         else if (tok == "attrib")
             obs.attrib = true;
@@ -364,7 +361,7 @@ obsSwitch()
     if (warned.insert(list).second)
         std::fprintf(stderr,
                      "rnr: warning: RNR_OBS: ignoring unknown %s (known: "
-                     "trace, telemetry, attrib)\n",
+                     "telemetry, attrib)\n",
                      unknown.c_str());
     return obs;
 }
@@ -376,11 +373,6 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
     // built here when RNR_OBS names it.
     const ObsSwitch obs = obsSwitch();
     Probes probes = given;
-    std::unique_ptr<TraceCollector> own_tr;
-    if (!probes.trace && obs.trace) {
-        own_tr = std::make_unique<TraceCollector>(cfg.cores);
-        probes.trace = own_tr.get();
-    }
     std::unique_ptr<TelemetrySampler> own_tm;
     if (!probes.telemetry && obs.telemetry) {
         own_tm = std::make_unique<TelemetrySampler>();
@@ -406,11 +398,8 @@ runExperimentUncached(const ExperimentConfig &cfg, const Probes &given)
 
     // Output, only when this call built a probe: a run whose probes are
     // all the caller's is the caller's to read.
-    if (own_tr)
-        writeObsFile(obs.out + ".trace.json", chromeTraceJson(*own_tr));
-    if (own_tr || own_tm || own_at)
-        writeObsFile(obs.out + ".explain.json",
-                     explainJson(r, nullptr, probes.trace));
+    if (own_tm || own_at)
+        writeObsFile(obs.out + ".explain.json", explainJson(r, nullptr));
     return r;
 }
 

@@ -43,12 +43,11 @@ std::unique_ptr<Workload> makeWorkload(const ExperimentConfig &cfg);
 
 /**
  * What the one observability switch asks every simulated run to carry:
- * RNR_OBS is a comma-separated list of `trace`, `telemetry` and
- * `attrib` (unset or empty = all off), RNR_OBS_OUT the prefix the
- * runner writes their output under.
+ * RNR_OBS is a comma-separated list of `telemetry` and `attrib` (unset
+ * or empty = all off), RNR_OBS_OUT the prefix the runner writes their
+ * output under.
  */
 struct ObsSwitch {
-    bool trace = false;
     bool telemetry = false;
     bool attrib = false;
     std::string out = "rnr_obs"; ///< RNR_OBS_OUT when set and non-empty.
@@ -65,7 +64,7 @@ ObsSwitch obsSwitch();
  * Every probe in @p probes (sim/probes.h) is attached as given; a null
  * one is built here when RNR_OBS names it (obsSwitch()).  None of them
  * changes the returned counters (tests/harness/runner_test.cc asserts
- * bit-equality with all three attached).  The probes are reset at the
+ * bit-equality with both attached).  The probes are reset at the
  * start of every attempt — a capture that fails and reruns without the
  * store, a corrupt replay that recaptures — so they hold the attempt
  * that produced the result and nothing else, and they are detached
@@ -74,13 +73,12 @@ ObsSwitch obsSwitch();
  * / ::attrib).
  *
  * When this call built a probe, what the run's probes saw is written
- * under the RNR_OBS_OUT prefix: `<prefix>.trace.json` (Chrome trace)
- * when it built the event trace, and `<prefix>.explain.json` (the
- * rnr-explain-v1 document of harness/explain.h, without a baseline and
- * with null for a probe that is off) when it built any.  A run whose
- * probes are all the caller's writes nothing.  Parallel cells share
- * the one prefix; each file is written atomically and the last writer
- * wins, so observe single cells, not whole sweeps.
+ * to `<prefix>.explain.json` under the RNR_OBS_OUT prefix: the
+ * rnr-explain-v2 document of harness/explain.h, without a baseline and
+ * with null for a probe that is off.  A run whose probes are all the
+ * caller's writes nothing.  Parallel cells share the one prefix; the
+ * file is written atomically and the last writer wins, so observe
+ * single cells, not whole sweeps.
  */
 ExperimentResult runExperimentUncached(const ExperimentConfig &cfg,
                                        const Probes &probes = {});

@@ -66,23 +66,16 @@ Cache::reset()
 }
 
 void
-Cache::attach(const Probes &p, std::uint16_t track, std::uint8_t level)
+Cache::attach(const Probes &p, std::uint16_t core)
 {
     probes_ = p;
-    track_ = track;
-    level_ = level;
-    mshr_.attach(p, track, false);
-    pq_.attach(p, track, true);
+    core_ = core;
 }
 
 void
-Cache::probeMiss(Addr block, Tick now)
+Cache::probeMiss(Addr block)
 {
-    if (probes_.attrib)
-        probes_.attrib->onDemandMiss(track_, block);
-    if (probes_.trace)
-        probes_.trace->emit(track_, TraceEventType::CacheMiss, now, block,
-                            level_);
+    probes_.attrib->onDemandMiss(core_, block);
 }
 
 std::size_t

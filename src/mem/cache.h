@@ -21,7 +21,6 @@
 #include "sim/config.h"
 #include "sim/probes.h"
 #include "sim/stats.h"
-#include "sim/trace_event.h"
 #include "sim/types.h"
 
 namespace rnr {
@@ -124,8 +123,8 @@ class Cache
             return &line;
         }
         ++ctr_.misses;
-        if (probes_.attrib || probes_.trace)
-            probeMiss(block, now);
+        if (probes_.attrib)
+            probeMiss(block);
         return nullptr;
     }
 
@@ -211,7 +210,7 @@ class Cache
                 // A prefetch displaced a line the demand stream owned
                 // (demand-filled, or a prefetch that proved useful):
                 // remember the victim so a re-miss charges pollution.
-                probes_.attrib->onPrefetchEvictsDemand(track_, site,
+                probes_.attrib->onPrefetchEvictsDemand(core_, site,
                                                        ev.block);
             }
         }
@@ -225,10 +224,6 @@ class Cache
         stamps[v] = ++lru_clock_;
         victim->rrpv = 2; // SRRIP insertion: "long" re-reference interval
         ++(prefetched ? ctr_.fills_prefetch : ctr_.fills_demand);
-        if (probes_.trace)
-            probes_.trace->emit(track_, TraceEventType::CacheFill,
-                                fill_time, block,
-                                level_ + (prefetched ? 4u : 0u));
         return ev;
     }
 
@@ -245,14 +240,11 @@ class Cache
     void reset();
 
     /**
-     * Routes this level's miss/fill events (and both MSHR files') to
-     * @p p's trace on @p track, tagged with @p level (0 = L1, 1 = L2,
-     * 2 = LLC), and its useful hits, unused evictions and pollution-
-     * filter traffic to @p p's attribution as core @p track (a private
-     * level's track is its core's).  A null probe is off; Probes{}
-     * detaches.
+     * Routes this level's useful hits, unused evictions and pollution-
+     * filter traffic to @p p's attribution as core @p core.  A null
+     * probe is off; Probes{} detaches.
      */
-    void attach(const Probes &p, std::uint16_t track, std::uint8_t level);
+    void attach(const Probes &p, std::uint16_t core);
 
     /** Number of valid lines (tests and occupancy probes). */
     std::size_t residentCount() const;
@@ -291,9 +283,9 @@ class Cache
         return hit;
     }
 
-    /** access()'s miss probes, out of line: they are cold, and inline
-     *  they push access() past what the compiler inlines. */
-    void probeMiss(Addr block, Tick now);
+    /** access()'s miss probe, out of line: it is cold, and inline it
+     *  pushes access() past what the compiler inlines. */
+    void probeMiss(Addr block);
 
     /** SRRIP's victim in a full set: the first way with rrpv >= 3; if
      *  there is none, every way ages by 3 - max rrpv and the first way
@@ -329,8 +321,7 @@ class Cache
     StatGroup stats_;
     CacheCounters ctr_; ///< Handles into stats_; keep declared after it.
     Probes probes_;
-    std::uint16_t track_ = 0;
-    std::uint8_t level_ = 0;
+    std::uint16_t core_ = 0; ///< Attribution's victim-filter owner.
 };
 
 } // namespace rnr

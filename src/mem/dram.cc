@@ -131,12 +131,6 @@ Dram::read(Addr addr, Tick now, ReqOrigin origin)
     ctr_.read_bank_wait += start - now;
     ctr_.read_channel_wait += burst_start - (start + access);
     ctr_.read_latency_max.maxWith(done - arrival);
-    if (TraceCollector *tr = probes_.trace) {
-        tr->emit(track_, TraceEventType::DramEnqueue, arrival, addr,
-                 static_cast<std::uint64_t>(origin));
-        tr->emit(track_, TraceEventType::DramDequeue, done, addr,
-                 done - arrival);
-    }
     return done;
 }
 

@@ -20,9 +20,7 @@
 
 #include "sim/config.h"
 #include "sim/fast_div.h"
-#include "sim/probes.h"
 #include "sim/stats.h"
-#include "sim/trace_event.h"
 #include "sim/types.h"
 
 namespace rnr {
@@ -79,15 +77,6 @@ class Dram
     /** Clears timing state but keeps statistics (between iterations). */
     void resetTiming();
 
-    /** Routes DramEnqueue/DramDequeue events to @p p's trace on
-     *  @p track. */
-    void
-    attach(const Probes &p, std::uint16_t track)
-    {
-        probes_ = p;
-        track_ = track;
-    }
-
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
     const DramCounters &ctr() const { return ctr_; }
@@ -143,8 +132,6 @@ class Dram
     std::deque<PendingWrite> write_queue_;
     StatGroup stats_;
     DramCounters ctr_; ///< Handles into stats_; keep declared after it.
-    Probes probes_;
-    std::uint16_t track_ = 0;
 };
 
 } // namespace rnr

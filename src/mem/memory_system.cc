@@ -41,7 +41,6 @@ void
 MemorySystem::attachPrefetcher(unsigned core)
 {
     Prefetcher *pf = prefetchers_[core];
-    pf->setTrace(probes_.trace, static_cast<std::uint16_t>(core));
     pf->setTelemetry(probes_.telemetry, core);
     pf->setAttrib(probes_.attrib);
 }
@@ -53,16 +52,9 @@ MemorySystem::attach(const Probes &p)
     // Attribution hooks the private L2s only: their counters are the
     // ones SystemCounters folds into IterStats (pf_issued / pf_useful /
     // pf_late_merged), which is what makes the attrib totals reconcile
-    // exactly.  The L1s and the LLC see the trace alone.
-    const Probes trace_only{.trace = p.trace};
-    const std::uint16_t mem_track = p.trace ? p.trace->memTrack() : 0;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        const auto track = static_cast<std::uint16_t>(c);
-        l1d_[c]->attach(trace_only, track, 0);
-        l2_[c]->attach(p, track, 1);
-    }
-    llc_->attach(trace_only, mem_track, 2);
-    dram_.attach(trace_only, mem_track);
+    // exactly.
+    for (unsigned c = 0; c < cfg_.cores; ++c)
+        l2_[c]->attach(p, static_cast<std::uint16_t>(c));
 
     TelemetrySampler *tm = p.telemetry;
     h_miss_latency_ = tm ? &tm->histogram("l2.demand_miss_latency") : nullptr;
@@ -169,9 +161,6 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         if (is_write)
             l1.markDirty(block, t); // will be resident once filled
         ++l1.ctr().mshr_merges;
-        if (probes_.trace)
-            probes_.trace->emit(static_cast<std::uint16_t>(core),
-                                TraceEventType::MshrMerge, t, block, 0);
         return res;
     }
     if (l1.mshr().full()) {
@@ -209,9 +198,6 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         fill = std::max(t2, e->fill) + l2.config().latency;
         info.merged = true;
         ++l2.ctr().mshr_merges;
-        if (probes_.trace)
-            probes_.trace->emit(static_cast<std::uint16_t>(core),
-                                TraceEventType::MshrMerge, t2, block, 1);
         if (target) {
             ++l2.ctr().target_accesses;
             ++l2.ctr().target_merges;
@@ -223,10 +209,6 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         info.merged = true;
         info.merged_into_prefetch = pe->prefetch;
         ++l2.ctr().mshr_merges;
-        if (probes_.trace)
-            probes_.trace->emit(static_cast<std::uint16_t>(core),
-                                TraceEventType::MshrMerge, t2, block,
-                                pe->prefetch ? 5 : 1);
         if (pe->prefetch) {
             ++l2.ctr().demand_merged_into_prefetch;
             if (probes_.attrib)
@@ -283,17 +265,11 @@ MemorySystem::issueIntoL2(unsigned core, Cache &l2, Addr block, Tick now,
         l2.prefetchQueue().find(block)) {
         out.redundant = true;
         ++l2.ctr().prefetch_redundant;
-        if (probes_.trace)
-            probes_.trace->emit(static_cast<std::uint16_t>(core),
-                                TraceEventType::PrefetchDrop, now, block, 0);
         return out;
     }
     if (l2.prefetchQueue().full()) {
         out.mshr_full = true;
         ++l2.ctr().prefetch_mshr_full;
-        if (probes_.trace)
-            probes_.trace->emit(static_cast<std::uint16_t>(core),
-                                TraceEventType::PrefetchDrop, now, block, 1);
         return out;
     }
 
@@ -307,13 +283,6 @@ MemorySystem::issueIntoL2(unsigned core, Cache &l2, Addr block, Tick now,
     ++l2.ctr().prefetches_issued;
     if (probes_.attrib)
         probes_.attrib->onIssued(site, block);
-    if (TraceCollector *tr = probes_.trace) {
-        const auto track = static_cast<std::uint16_t>(core);
-        tr->emit(track, TraceEventType::PrefetchIssue, now, block,
-                 fill - now);
-        tr->emit(track, TraceEventType::PrefetchFill, fill, block,
-                 fill - now);
-    }
 
     out.issued = true;
     out.fill_time = fill;

@@ -98,17 +98,14 @@ class MemorySystem
     void resetTiming();
 
     /**
-     * Hands @p p to the hierarchy (Probes{} detaches).  The trace goes
-     * to every cache level, both MSHR files of each, the DRAM model and
-     * the prefetchers; core-private structures use the core's track,
-     * LLC + DRAM share the "mem" track.  The sampler gets per-core L2
-     * MSHR occupancy and prefetch-queue depth, DRAM read/write-queue
-     * depth and the L2 demand-miss and prefetch-to-fill latency
-     * histograms, and the prefetchers register their own series.
-     * Attribution goes to each private L2, to the issue and late-merge
-     * hooks here and to the prefetchers (RnR reports its Fig 11
-     * classification).  Prefetchers installed later (setPrefetcher)
-     * get the same probes.
+     * Hands @p p to the hierarchy (Probes{} detaches).  The sampler
+     * gets per-core L2 MSHR occupancy and prefetch-queue depth, DRAM
+     * read/write-queue depth and the L2 demand-miss and prefetch-to-
+     * fill latency histograms, and the prefetchers register their own
+     * series.  Attribution goes to each private L2, to the issue and
+     * late-merge hooks here and to the prefetchers (RnR reports its
+     * Fig 11 classification and replay-window table).  Prefetchers
+     * installed later (setPrefetcher) get the same probes.
      */
     void attach(const Probes &p);
 

@@ -41,8 +41,6 @@
 #include <vector>
 
 #include "sim/counting_filter.h"
-#include "sim/probes.h"
-#include "sim/trace_event.h"
 #include "sim/types.h"
 
 namespace rnr {
@@ -62,17 +60,6 @@ class Mshr
         : capacity_(capacity), slots_(std::bit_ceil(capacity + 1u)),
           mask_(slots_.size() - 1)
     {
-    }
-
-    /** Routes MshrAlloc events to @p p's trace on @p track;
-     *  @p prefetch_file tags events from the prefetch-queue file
-     *  (event arg = 1). */
-    void
-    attach(const Probes &p, std::uint16_t track, bool prefetch_file)
-    {
-        probes_ = p;
-        track_ = track;
-        pq_ = prefetch_file;
     }
 
     /** Drops entries whose fill completed at or before @p now. */
@@ -158,9 +145,6 @@ class Mshr
         ++size_;
         filter_.add(block);
         next_fill_ = std::min(next_fill_, fill);
-        if (probes_.trace)
-            probes_.trace->emit(track_, TraceEventType::MshrAlloc, fill,
-                                block, pq_ ? 1 : 0);
     }
 
     void
@@ -182,9 +166,6 @@ class Mshr
     Tick next_fill_ = kTickMax; ///< Min outstanding fill; kTickMax = none.
     using Filter = CountingFilter<9>;
     Filter filter_; ///< Presence filter over the live entries' blocks.
-    Probes probes_;
-    std::uint16_t track_ = 0;
-    bool pq_ = false;
 };
 
 } // namespace rnr

@@ -63,14 +63,6 @@ class CombinedPrefetcher : public Prefetcher
     std::string name() const override { return "rnr-combined"; }
 
     void
-    setTrace(TraceCollector *tr, std::uint16_t track) override
-    {
-        Prefetcher::setTrace(tr, track);
-        rnr_->setTrace(tr, track);
-        stream_->setTrace(tr, track);
-    }
-
-    void
     setTelemetry(TelemetrySampler *tm, unsigned core) override
     {
         rnr_->setTelemetry(tm, core);

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "sim/stats.h"
-#include "sim/trace_event.h"
 #include "sim/types.h"
 #include "trace/record.h"
 
@@ -25,6 +24,7 @@ namespace rnr {
 class AttribCollector;
 class MemorySystem;
 class TelemetrySampler;
+class TraceCollector;
 class Workload;
 
 /** Everything the L2 tells its prefetcher about one demand access. */
@@ -122,28 +122,21 @@ class Prefetcher
     virtual std::string name() const = 0;
 
     /**
-     * Routes this prefetcher's events to @p tr (null = tracing off).
-     * Events from per-core internals go to track @p track (the core's);
-     * RnR overrides this to also emit onto the shared "rnr" track.
-     * Composites (CombinedPrefetcher) forward to their children.  This
-     * and the next two setters are how the probe bus (sim/probes.h)
-     * reaches a prefetcher: MemorySystem::attach() and setPrefetcher()
-     * call all three.
+     * Does nothing, and nothing in the simulator calls it: the event
+     * trace it once armed is gone.  It stays only because the end-to-
+     * end benchmark's TimedPrefetcher (perfbench/traced.cc) overrides
+     * it; ROADMAP item 6, the next benchmark change, removes it.
      */
-    virtual void
-    setTrace(TraceCollector *tr, std::uint16_t track)
-    {
-        tr_ = tr;
-        tr_track_ = track;
-    }
+    virtual void setTrace(TraceCollector *, std::uint16_t) {}
 
     /**
      * Lets a prefetcher register time-series probes with @p tm (null =
      * sampling off; sim/timeseries.h).  The default registers nothing:
      * baseline prefetchers are covered by the memory system's queue
      * probes.  RnR overrides this to expose its replay lane (N_pace,
-     * metadata buffer fill).  Called by MemorySystem::attach() and
-     * setPrefetcher(), like setTrace.
+     * metadata buffer fill).  This and setAttrib are how the probe bus
+     * (sim/probes.h) reaches a prefetcher: MemorySystem::attach() and
+     * setPrefetcher() call both.
      */
     virtual void
     setTelemetry(TelemetrySampler *tm, unsigned core)
@@ -157,8 +150,9 @@ class Prefetcher
      * sim/attrib.h).  The default needs nothing: site ids flow through
      * the issuePrefetch() site argument, not through the collector.
      * RnR overrides this to report its Fig 11 timeliness classification
-     * per replay window; composites forward to their children.  Called
-     * by MemorySystem::attach() and setPrefetcher(), like setTrace.
+     * and its replay-window table; composites forward to their
+     * children.  Called by MemorySystem::attach() and setPrefetcher(),
+     * like setTelemetry.
      */
     virtual void setAttrib(AttribCollector *at) { (void)at; }
 
@@ -183,8 +177,6 @@ class Prefetcher
 
     MemorySystem *ms_ = nullptr;
     unsigned core_ = 0;
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    std::uint16_t tr_track_ = 0;
     StatGroup stats_{"prefetcher"};
     // Handles for the per-issue outcome counters, declared once here;
     // attach() only rename()s the group, so they stay valid.

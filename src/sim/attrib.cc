@@ -129,10 +129,29 @@ AttribCollector::onDemandMiss(unsigned core, Addr block)
     account(e.site, block, &AttribSiteStats::pollution);
 }
 
+WindowDiag &
+AttribCollector::windowRow(std::uint32_t window)
+{
+    if (window >= windows_.size()) {
+        const auto first = static_cast<std::uint32_t>(windows_.size());
+        windows_.resize(window + 1);
+        for (std::uint32_t w = first; w <= window; ++w)
+            windows_[w].window = w;
+    }
+    return windows_[window];
+}
+
 void
-AttribCollector::onRnrClass(RnrTimeliness cls)
+AttribCollector::onRnrClass(RnrTimeliness cls, std::uint32_t window)
 {
     ++rnr_class_[static_cast<unsigned>(cls)];
+    WindowDiag &w = windowRow(window);
+    switch (cls) {
+      case RnrTimeliness::OnTime: ++w.ontime; break;
+      case RnrTimeliness::Early: ++w.early; break;
+      case RnrTimeliness::Late: ++w.late; break;
+      case RnrTimeliness::OutOfWindow: ++w.out_of_window; break;
+    }
 }
 
 AttribBlob
@@ -171,6 +190,14 @@ AttribCollector::harvest() const
     b.rnr_out_of_window = rnr_class_[3];
     b.pollution_filter_inserts = filter_inserts_;
     b.pollution_filter_hits = filter_hits_;
+
+    for (const WindowDiag &w : windows_) {
+        const bool touched = w.demands || w.issued || w.refill_stalls ||
+                             w.ontime || w.early || w.late ||
+                             w.out_of_window || w.pace;
+        if (touched)
+            b.windows.push_back(w);
+    }
     return b;
 }
 
@@ -234,6 +261,23 @@ attribJson(const AttribBlob &blob)
     appendStats(os, blob.region_other);
     os << "}";
     return os.str();
+}
+
+ReplayDiagnostics
+buildReplayDiagnostics(const AttribBlob &blob)
+{
+    ReplayDiagnostics d;
+    d.windows = blob.windows;
+    for (const WindowDiag &w : blob.windows) {
+        d.total.demands += w.demands;
+        d.total.issued += w.issued;
+        d.total.refill_stalls += w.refill_stalls;
+        d.total.ontime += w.ontime;
+        d.total.early += w.early;
+        d.total.late += w.late;
+        d.total.out_of_window += w.out_of_window;
+    }
+    return d;
 }
 
 } // namespace rnr

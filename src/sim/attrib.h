@@ -1,7 +1,8 @@
 /**
  * @file
  * Prefetch-quality attribution: per-site and per-region accounting of
- * where prefetches help and where they hurt.
+ * where prefetches help and where they hurt, and RnR's per-window
+ * replay table.
  *
  * The IterStats counters (pf_issued / pf_useful / pf_late_merged /
  * rnr_*) say *how much* a prefetcher helps; this layer says *where*.
@@ -28,7 +29,15 @@
  * like its hardware inspirations it undercounts (collisions overwrite)
  * but never fabricates.
  *
- * Design constraints, matching sim/trace_event.h and sim/timeseries.h:
+ * The replay-window table is the drill-down of Fig 10 and Fig 11 from
+ * per-iteration to per-Division-Table-window granularity: per window,
+ * the target-structure reads, the replay prefetches issued, the last
+ * N_pace, the metadata refills that arrived late and the four Fig 11
+ * classes, each bumped on the line that bumps its RnR counter or
+ * changes the controller's window.  Rows accumulate across replay
+ * passes (iterations) and cores.
+ *
+ * Design constraints, matching sim/timeseries.h:
  *
  *  1. **Observation only.**  An attributed run's IterStats are
  *     bit-identical to an unattributed run's (test-enforced).
@@ -125,6 +134,22 @@ enum class RnrTimeliness : unsigned {
     OutOfWindow = 3,
 };
 
+/** One Division-Table window's replay counts. */
+struct WindowDiag {
+    std::uint32_t window = 0;
+    std::uint64_t demands = 0;       ///< Target-structure reads observed.
+    std::uint64_t issued = 0;        ///< RnR replay prefetches issued.
+    std::uint64_t pace = 0;          ///< Last N_pace active in the window.
+    std::uint64_t refill_stalls = 0; ///< Metadata refills that arrived late.
+    std::uint64_t ontime = 0;        ///< Fig 11 classification, attributed
+    std::uint64_t early = 0;         ///< to the prefetch's recorded window.
+    std::uint64_t late = 0;
+    std::uint64_t out_of_window = 0;
+
+    friend bool operator==(const WindowDiag &,
+                           const WindowDiag &) = default;
+};
+
 /**
  * Everything one attributed run produced, detached from the collector
  * so it can ride on ExperimentResult past the simulation's lifetime.
@@ -167,6 +192,9 @@ struct AttribBlob {
     /** Victim-filter traffic (hits == totals.pollution). */
     std::uint64_t pollution_filter_inserts = 0;
     std::uint64_t pollution_filter_hits = 0;
+
+    /** The replay-window rows a replay touched, by ascending window. */
+    std::vector<WindowDiag> windows;
 };
 
 // ---- The collector ----
@@ -211,9 +239,32 @@ class AttribCollector
      *  block hits the victim filter (entry consumed). */
     void onDemandMiss(unsigned core, Addr block);
 
-    /** Co-located with the four rnr_* classification bumps (their
-     *  per-window split is the event trace's window table). */
-    void onRnrClass(RnrTimeliness cls);
+    /** Co-located with the four rnr_* classification bumps; the
+     *  class also counts in @p window's row (the prefetch's recorded
+     *  window). */
+    void onRnrClass(RnrTimeliness cls, std::uint32_t window);
+
+    // Replay-window table hooks (RnrPrefetcher, ReplayController).
+    /** A target-structure read while the program is in @p window. */
+    void onWindowDemand(std::uint32_t window)
+    {
+        ++windowRow(window).demands;
+    }
+    /** A replay prefetch of @p window's entries went out. */
+    void onWindowIssue(std::uint32_t window)
+    {
+        ++windowRow(window).issued;
+    }
+    /** The controller opened @p window, or recomputed its N_pace. */
+    void onWindowPace(std::uint32_t window, std::uint64_t pace)
+    {
+        windowRow(window).pace = pace;
+    }
+    /** A metadata refill for @p window completed after it was due. */
+    void onRefillStall(std::uint32_t window)
+    {
+        ++windowRow(window).refill_stalls;
+    }
 
     /** Detaches everything recorded so far into a blob. */
     AttribBlob harvest() const;
@@ -231,6 +282,7 @@ class AttribCollector
 
     AttribSiteStats &siteRow(std::uint32_t site);
     AttribSiteStats &regionRow(Addr region);
+    WindowDiag &windowRow(std::uint32_t window);
     void account(std::uint32_t site, Addr block,
                  std::uint64_t AttribSiteStats::*field);
 
@@ -252,12 +304,27 @@ class AttribCollector
     std::vector<std::vector<VictimEnt>> victims_;
     std::uint64_t filter_inserts_ = 0;
     std::uint64_t filter_hits_ = 0;
+
+    /** Dense window table (index == window id); rows a replay never
+     *  touched stay zero and harvest() skips them. */
+    std::vector<WindowDiag> windows_;
 };
 
 // ---- Expositions ----
 
-/** @p blob as an rnr-attrib-v2 JSON object (one line, no \n). */
+/** @p blob as an rnr-attrib-v2 JSON object (one line, no \n).  The
+ *  replay-window rows are left out: explain (harness/explain.h)
+ *  prints them as their own part. */
 std::string attribJson(const AttribBlob &blob);
+
+/** The replay report: the touched windows plus column totals. */
+struct ReplayDiagnostics {
+    std::vector<WindowDiag> windows;
+    WindowDiag total; ///< Column sums (total.window/pace are meaningless).
+};
+
+/** Builds the per-window report from @p blob's window rows. */
+ReplayDiagnostics buildReplayDiagnostics(const AttribBlob &blob);
 
 } // namespace rnr
 

@@ -4,16 +4,15 @@
  * auto-downsampling series, plus power-of-two latency histograms
  * (sim/log2_hist.h).
  *
- * Where the event-tracing layer (sim/trace_event.h) answers "what
- * happened at tick T" at per-event granularity — too heavy to keep on
- * for every sweep cell — this layer answers "how did X evolve over the
- * run" at a fixed sampling period, cheap enough to enable per cell.
- * The sampled signals are the paper's time-varying quantities: window-
- * by-window pace control N_pace, metadata buffer fill, MSHR/DRAM queue
- * occupancy, and the latency distributions behind the Fig 11
- * timeliness story.
+ * Where attribution (sim/attrib.h) answers "where did the prefetches
+ * help or hurt" in run totals and per-window rows, this layer answers
+ * "how did X evolve over the run" at a fixed sampling period, cheap
+ * enough to enable per cell.  The sampled signals are the paper's
+ * time-varying quantities: window-by-window pace control N_pace,
+ * metadata buffer fill, MSHR/DRAM queue occupancy, and the latency
+ * distributions behind the Fig 11 timeliness story.
  *
- * Design constraints, matching trace_event.h:
+ * Design constraints, matching sim/attrib.h:
  *
  *  1. **Observation only.**  Probes are read, never written; a sampled
  *     run produces bit-identical IterStats to an unsampled run (pinned

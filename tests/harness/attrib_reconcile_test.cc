@@ -2,10 +2,10 @@
  * @file
  * End-to-end attribution guarantees through runExperimentUncached():
  *
- *  1. **Exact reconciliation** — AttribBlob::totals and the rnr_*
- *     class counts equal the IterStats counters summed over iterations
- *     for every prefetcher family (the tables may fold, the totals may
- *     not drift).
+ *  1. **Exact reconciliation** — AttribBlob::totals, the rnr_* class
+ *     counts and the replay-window table's class columns equal the
+ *     IterStats counters summed over iterations for every prefetcher
+ *     family (the tables may fold, the totals may not drift).
  *  2. **Observation only** — enabling attribution leaves every
  *     IterStats field bit-identical.
  *
@@ -42,7 +42,8 @@ struct AttribReconcileFixture : ::testing::Test {
         return s;
     }
 
-    static void
+    /** @return the attributed run's blob (empty on a failed run). */
+    static AttribBlob
     expectExactReconciliation(
         const ExperimentConfig &cfg,
         std::size_t site_top_k = AttribCollector::kDefaultSiteTopK,
@@ -51,7 +52,9 @@ struct AttribReconcileFixture : ::testing::Test {
         AttribCollector at(site_top_k, region_top_k);
         const ExperimentResult r =
             runExperimentUncached(cfg, {.attrib = &at});
-        ASSERT_NE(r.attrib, nullptr) << cfg.key();
+        EXPECT_NE(r.attrib, nullptr) << cfg.key();
+        if (!r.attrib)
+            return {};
         const AttribBlob &b = *r.attrib;
 
         EXPECT_EQ(b.totals.issued, sum(r, &IterStats::pf_issued))
@@ -69,6 +72,13 @@ struct AttribReconcileFixture : ::testing::Test {
         EXPECT_EQ(b.rnr_out_of_window,
                   sum(r, &IterStats::rnr_out_of_window))
             << cfg.key();
+
+        // Every classified replay prefetch lands in a window row.
+        const WindowDiag t = buildReplayDiagnostics(b).total;
+        EXPECT_EQ(t.ontime, b.rnr_ontime) << cfg.key();
+        EXPECT_EQ(t.early, b.rnr_early) << cfg.key();
+        EXPECT_EQ(t.late, b.rnr_late) << cfg.key();
+        EXPECT_EQ(t.out_of_window, b.rnr_out_of_window) << cfg.key();
 
         // The capped tables plus their fold buckets re-sum to the
         // totals on every outcome axis.
@@ -90,6 +100,7 @@ struct AttribReconcileFixture : ::testing::Test {
             << cfg.key();
         EXPECT_GE(b.sites_tracked, b.sites.size()) << cfg.key();
         EXPECT_GE(b.regions_tracked, b.regions.size()) << cfg.key();
+        return b;
     }
 
     /** Attribution on vs. off: IterStats must be bit-identical. */
@@ -123,7 +134,21 @@ TEST_F(AttribReconcileFixture, RnrReconcilesExactly)
     cfg.input = "amazon";
     cfg.iterations = 2;
     cfg.prefetcher = PrefetcherKind::Rnr;
-    expectExactReconciliation(cfg);
+    const AttribBlob b = expectExactReconciliation(cfg);
+
+    // The replay classified prefetches, and the window table's other
+    // columns were fed too.
+    const ReplayDiagnostics d = buildReplayDiagnostics(b);
+    EXPECT_GT(d.total.ontime + d.total.early + d.total.late +
+                  d.total.out_of_window,
+              0u);
+    EXPECT_GT(d.total.demands, 0u);
+    EXPECT_GT(d.total.issued, 0u);
+    ASSERT_FALSE(d.windows.empty());
+    bool paced = false;
+    for (const WindowDiag &w : d.windows)
+        paced = paced || w.pace > 0;
+    EXPECT_TRUE(paced);
 }
 
 TEST_F(AttribReconcileFixture, StreamReconcilesExactly)

@@ -6,7 +6,7 @@
  * publishes normally.
  *
  * The same holds for the probes such a cell carries: they end up
- * holding the rerun's events, series and attribution and nothing of the
+ * holding the rerun's series and attribution and nothing of the
  * aborted capture, as do probes reused across two runs.
  *
  * The writes are made to fail for real: a forked child lowers
@@ -32,7 +32,6 @@
 #include "harness/runner.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
-#include "sim/trace_event.h"
 #include "tracestore/trace_store.h"
 
 namespace rnr {
@@ -71,24 +70,17 @@ countNamed(const std::string &root, const std::string &prefix)
 
 using Check = std::function<void(bool, const char *)>;
 
-/** All three instruments of one run. */
+/** Both instruments of one run. */
 struct Instruments {
-    TraceCollector trace;
     TelemetrySampler telemetry{512};
     AttribCollector attrib;
 
-    explicit Instruments(unsigned cores) : trace(cores) {}
-
-    Probes
-    probes()
-    {
-        return {.trace = &trace, .telemetry = &telemetry, .attrib = &attrib};
-    }
+    Probes probes() { return {.telemetry = &telemetry, .attrib = &attrib}; }
 };
 
 /** Checks that @p got holds what the clean run @p want does: unique
- *  series names, the same series, samples, events and attribution
- *  totals. */
+ *  series names, the same series and samples, the same attribution
+ *  totals and the same replay-window table. */
 void
 checkSameHarvest(const Check &check, Instruments &got, Instruments &want)
 {
@@ -105,8 +97,6 @@ checkSameHarvest(const Check &check, Instruments &got, Instruments &want)
     check(names == want_names, "probes: the clean run's series");
     check(g.samples_taken == w.samples_taken,
           "probes: the clean run's samples_taken");
-    check(got.trace.eventsTotal() == want.trace.eventsTotal(),
-          "probes: the clean run's eventsTotal()");
     const AttribBlob ga = got.attrib.harvest();
     const AttribBlob wa = want.attrib.harvest();
     check(ga.totals.issued == wa.totals.issued &&
@@ -115,6 +105,7 @@ checkSameHarvest(const Check &check, Instruments &got, Instruments &want)
               ga.totals.evicted_unused == wa.totals.evicted_unused &&
               ga.totals.pollution == wa.totals.pollution,
           "probes: the clean run's attribution totals");
+    check(ga.windows == wa.windows, "probes: the clean run's window table");
 }
 
 ExperimentConfig
@@ -231,12 +222,12 @@ probeResetChild(const std::string &root, const Check &check)
     const ExperimentConfig cfg = failingCell();
 
     setenv("RNR_TRACE_STORE", "0", 1);
-    Instruments clean(cfg.cores);
+    Instruments clean;
     runExperimentUncached(cfg, clean.probes());
     unsetenv("RNR_TRACE_STORE");
 
     lowerFileSizeLimit(check);
-    Instruments rerun(cfg.cores);
+    Instruments rerun;
     const ExperimentResult r = runExperimentUncached(cfg, rerun.probes());
     check(TraceStore::instance().captures() == 0,
           "failed capture: nothing captured");
@@ -270,10 +261,10 @@ TEST(ProbeResetTest, ReusedProbesHoldOnlyTheLastRun)
     ExperimentConfig second = first;
     second.prefetcher = PrefetcherKind::Stream;
 
-    Instruments clean(second.cores);
+    Instruments clean;
     runExperimentUncached(second, clean.probes());
 
-    Instruments reused(first.cores);
+    Instruments reused;
     runExperimentUncached(first, reused.probes());
     runExperimentUncached(second, reused.probes());
 

@@ -6,7 +6,7 @@
  *    (the "observation only" guarantee);
  *  - the harvested blob carries the RnR replay-lane series (n_pace,
  *    metadata-buffer fill) plus the memory-system occupancy series;
- *  - explainJson emits a parseable rnr-explain-v1 document with every
+ *  - explainJson emits a parseable rnr-explain-v2 document with every
  *    part of the cell (null for what the cell ran without);
  *  - explainMismatch passes a probed run and names each counter a
  *    probe disagrees with.
@@ -24,7 +24,6 @@
 #include "harness/runner.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
-#include "sim/trace_event.h"
 
 namespace rnr {
 namespace {
@@ -136,20 +135,18 @@ struct ExplainFixture : ReportFixture {};
 TEST_F(ExplainFixture, DocumentCarriesEveryPartOfTheCell)
 {
     const ExperimentConfig cfg = rnrConfig();
-    TraceCollector tr(cfg.cores);
     TelemetrySampler tm;
     AttribCollector atc;
-    const ExperimentResult r = runExperimentUncached(
-        cfg, {.trace = &tr, .telemetry = &tm, .attrib = &atc});
+    const ExperimentResult r =
+        runExperimentUncached(cfg, {.telemetry = &tm, .attrib = &atc});
     const ExperimentResult base = runBaseline(cfg);
-    EXPECT_EQ(explainMismatch(r, &tr), "");
+    EXPECT_EQ(explainMismatch(r), "");
 
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(parseJson(explainJson(r, &base, &tr), doc, &error))
-        << error;
+    ASSERT_TRUE(parseJson(explainJson(r, &base), doc, &error)) << error;
     ASSERT_NE(at(doc, {"schema"}), nullptr);
-    EXPECT_EQ(at(doc, {"schema"})->text, "rnr-explain-v1");
+    EXPECT_EQ(at(doc, {"schema"})->text, "rnr-explain-v2");
     ASSERT_NE(at(doc, {"cell", "key"}), nullptr);
     EXPECT_EQ(at(doc, {"cell", "key"})->text, cfg.key());
     ASSERT_NE(at(doc, {"cell", "iterations"}), nullptr);
@@ -180,7 +177,8 @@ TEST_F(ExplainFixture, DocumentCarriesEveryPartOfTheCell)
                     it.rnr_out_of_window;
     EXPECT_EQ(classified, counters);
     EXPECT_GT(classified, 0u);
-    EXPECT_GT(at(doc, {"windows", "events_total"})->asU64(), 0u);
+    EXPECT_EQ(rows->items.size(), r.attrib->windows.size());
+    EXPECT_EQ(at(doc, {"windows", "events_total"}), nullptr);
 
     ASSERT_NE(at(doc, {"attrib", "schema"}), nullptr);
     EXPECT_EQ(at(doc, {"attrib", "schema"})->text, "rnr-attrib-v2");
@@ -197,12 +195,11 @@ TEST_F(ExplainFixture, CellWithoutProbesOrBaselineHasNullParts)
     ExperimentResult r;
     r.config = rnrConfig();
     r.iterations.resize(2);
-    EXPECT_EQ(explainMismatch(r, nullptr), "");
+    EXPECT_EQ(explainMismatch(r), "");
 
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(parseJson(explainJson(r, nullptr, nullptr), doc, &error))
-        << error;
+    ASSERT_TRUE(parseJson(explainJson(r, nullptr), doc, &error)) << error;
     for (const char *part : {"baseline", "windows", "attrib", "telemetry"}) {
         ASSERT_NE(doc.find(part), nullptr) << part;
         EXPECT_TRUE(doc.find(part)->isNull()) << part;
@@ -217,24 +214,30 @@ TEST_F(ExplainFixture, MismatchNamesEveryProbeThatDisagrees)
     r.iterations.resize(1);
     r.iterations[0].rnr_late = 1;
 
-    // The window table saw the late prefetch in window 3; attribution
-    // saw an issue the counters never did, and missed the late one.
-    TraceCollector tr(1);
-    tr.emit(tr.rnrTrack(), TraceEventType::PfLate, 10, 0, 0, 3);
-    EXPECT_EQ(explainMismatch(r, &tr), "");
-
+    // The blob saw the late prefetch, in window 3: both agree.
     auto blob = std::make_shared<AttribBlob>();
-    blob->totals.issued = 1;
+    blob->rnr_late = 1;
+    WindowDiag w3;
+    w3.window = 3;
+    w3.late = 1;
+    blob->windows.push_back(w3);
     r.attrib = blob;
-    const std::string bad = explainMismatch(r, &tr);
+    EXPECT_EQ(explainMismatch(r), "");
+
+    // Now attribution also saw an issue the counters never did, and
+    // missed the late one its window row still holds.
+    blob->totals.issued = 1;
+    blob->rnr_late = 0;
+    const std::string bad = explainMismatch(r);
     EXPECT_NE(bad.find("attrib issued 1 != counters 0"), std::string::npos)
         << bad;
     EXPECT_NE(bad.find("attrib late 0 != counters 1"), std::string::npos)
         << bad;
     EXPECT_EQ(bad.find("windows"), std::string::npos) << bad;
 
+    // The counters lose the late prefetch; the window row keeps it.
     r.iterations[0].rnr_late = 0;
-    EXPECT_NE(explainMismatch(r, &tr).find("windows late 1 != counters 0"),
+    EXPECT_NE(explainMismatch(r).find("windows late 1 != counters 0"),
               std::string::npos);
 }
 } // namespace

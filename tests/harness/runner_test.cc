@@ -3,6 +3,8 @@
 #include <filesystem>
 #include <initializer_list>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,6 @@
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
 #include "sim/timeseries.h"
-#include "sim/trace_event.h"
 #include "trace/trace_buffer.h"
 #include "tracestore/trace_codec.h"
 
@@ -147,7 +148,7 @@ TEST_F(RunnerFixture, RnrRunRecordsMetadata)
     EXPECT_GT(r.steady().pf_issued, 0u);
 }
 
-TEST_F(RunnerFixture, AllThreeProbesAtOnceLeaveCountersBitIdentical)
+TEST_F(RunnerFixture, BothProbesAtOnceLeaveCountersBitIdentical)
 {
     // The plain run must build no probe of its own from the environment.
     unsetenv("RNR_OBS");
@@ -159,11 +160,10 @@ TEST_F(RunnerFixture, AllThreeProbesAtOnceLeaveCountersBitIdentical)
     cfg.prefetcher = PrefetcherKind::Rnr;
     const ExperimentResult plain = runExperimentUncached(cfg);
 
-    TraceCollector tr(cfg.cores, 4096);
     TelemetrySampler tm(512);
     AttribCollector at;
-    const ExperimentResult probed = runExperimentUncached(
-        cfg, {.trace = &tr, .telemetry = &tm, .attrib = &at});
+    const ExperimentResult probed =
+        runExperimentUncached(cfg, {.telemetry = &tm, .attrib = &at});
 
     ASSERT_EQ(plain.iterations.size(), probed.iterations.size());
     for (std::size_t i = 0; i < plain.iterations.size(); ++i) {
@@ -177,14 +177,13 @@ TEST_F(RunnerFixture, AllThreeProbesAtOnceLeaveCountersBitIdentical)
     EXPECT_EQ(plain.div_table_bytes, probed.div_table_bytes);
 
     // Each instrument harvested something; the plain run carries none.
-    EXPECT_GT(tr.eventsTotal(), 0u);
-    EXPECT_FALSE(buildReplayDiagnostics(tr).windows.empty());
     ASSERT_NE(probed.telemetry, nullptr);
     EXPECT_GT(probed.telemetry->samples_taken, 0u);
     EXPECT_FALSE(probed.telemetry->series.empty());
     ASSERT_NE(probed.attrib, nullptr);
     EXPECT_GT(probed.attrib->totals.issued, 0u);
     EXPECT_FALSE(probed.attrib->sites.empty());
+    EXPECT_FALSE(probed.attrib->windows.empty());
     EXPECT_EQ(plain.telemetry, nullptr);
     EXPECT_EQ(plain.attrib, nullptr);
 }
@@ -198,48 +197,54 @@ TEST(ObsSwitchTest, EmptyIsOffEachTokenTurnsOnItsProbeUnknownWarnsOnce)
         else
             unsetenv("RNR_OBS");
         const ObsSwitch o = obsSwitch();
-        EXPECT_FALSE(o.trace || o.telemetry || o.attrib)
-            << (off ? off : "(unset)");
+        EXPECT_FALSE(o.telemetry || o.attrib) << (off ? off : "(unset)");
         EXPECT_EQ(o.out, "rnr_obs");
     }
 
-    setenv("RNR_OBS", "trace", 1);
-    ObsSwitch o = obsSwitch();
-    EXPECT_TRUE(o.trace && !o.telemetry && !o.attrib);
     setenv("RNR_OBS", "telemetry", 1);
-    o = obsSwitch();
-    EXPECT_TRUE(!o.trace && o.telemetry && !o.attrib);
+    ObsSwitch o = obsSwitch();
+    EXPECT_TRUE(o.telemetry && !o.attrib);
     setenv("RNR_OBS", "attrib", 1);
     o = obsSwitch();
-    EXPECT_TRUE(!o.trace && !o.telemetry && o.attrib);
-    setenv("RNR_OBS", "attrib,trace,telemetry", 1);
+    EXPECT_TRUE(!o.telemetry && o.attrib);
+    setenv("RNR_OBS", "attrib,telemetry", 1);
     setenv("RNR_OBS_OUT", "some/prefix", 1);
     o = obsSwitch();
-    EXPECT_TRUE(o.trace && o.telemetry && o.attrib);
+    EXPECT_TRUE(o.telemetry && o.attrib);
     EXPECT_EQ(o.out, "some/prefix");
     unsetenv("RNR_OBS_OUT");
 
     // An unknown token is ignored, with one warning however often the
-    // same value is parsed (a sweep parses it once per cell).
-    setenv("RNR_OBS", "telemetry,tracing", 1);
-    ::testing::internal::CaptureStderr();
-    o = obsSwitch();
-    obsSwitch();
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    unsetenv("RNR_OBS");
-    EXPECT_TRUE(!o.trace && o.telemetry && !o.attrib);
-    std::size_t warnings = 0;
-    for (std::size_t at = err.find("rnr: warning:");
-         at != std::string::npos; at = err.find("rnr: warning:", at + 1))
-        ++warnings;
-    EXPECT_EQ(warnings, 1u) << err;
-    EXPECT_NE(err.find("tracing"), std::string::npos) << err;
+    // same value is parsed (a sweep parses it once per cell).  `trace`
+    // is one: the event trace is gone.
+    const std::pair<const char *, const char *> cases[] = {
+        {"telemetry,tracing", "tracing"}, {"trace,telemetry", "trace"}};
+    for (const auto &[bad, token] : cases) {
+        setenv("RNR_OBS", bad, 1);
+        ::testing::internal::CaptureStderr();
+        o = obsSwitch();
+        obsSwitch();
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        unsetenv("RNR_OBS");
+        EXPECT_TRUE(o.telemetry && !o.attrib) << bad;
+        std::size_t warnings = 0;
+        for (std::size_t at = err.find("rnr: warning:");
+             at != std::string::npos;
+             at = err.find("rnr: warning:", at + 1))
+            ++warnings;
+        EXPECT_EQ(warnings, 1u) << err;
+        EXPECT_NE(err.find(std::string("ignoring unknown ") + token + " "),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("(known: telemetry, attrib)"), std::string::npos)
+            << err;
+    }
 }
 
 TEST_F(RunnerFixture, ObsSwitchWritesEveryProbeItBuiltUnderThePrefix)
 {
     const std::string prefix = ::testing::TempDir() + "runner_obs";
-    setenv("RNR_OBS", "trace,telemetry,attrib", 1);
+    setenv("RNR_OBS", "telemetry,attrib", 1);
     setenv("RNR_OBS_OUT", prefix.c_str(), 1);
     ExperimentConfig cfg;
     cfg.app = "pagerank";
@@ -262,17 +267,12 @@ TEST_F(RunnerFixture, ObsSwitchWritesEveryProbeItBuiltUnderThePrefix)
                 break;
         return p;
     };
-    JsonValue trace, explain;
+    JsonValue explain;
     std::string error;
-    ASSERT_TRUE(parseJsonFile(prefix + ".trace.json", trace, &error))
-        << error;
-    const JsonValue *events = at(trace, {"otherData", "events_total"});
-    ASSERT_NE(events, nullptr);
-    EXPECT_GT(events->asU64(), 0u);
     ASSERT_TRUE(parseJsonFile(prefix + ".explain.json", explain, &error))
         << error;
     ASSERT_NE(at(explain, {"schema"}), nullptr);
-    EXPECT_EQ(at(explain, {"schema"})->text, "rnr-explain-v1");
+    EXPECT_EQ(at(explain, {"schema"})->text, "rnr-explain-v2");
     ASSERT_NE(at(explain, {"cell", "key"}), nullptr);
     EXPECT_EQ(at(explain, {"cell", "key"})->text, cfg.key());
     ASSERT_NE(explain.find("baseline"), nullptr);
@@ -287,8 +287,48 @@ TEST_F(RunnerFixture, ObsSwitchWritesEveryProbeItBuiltUnderThePrefix)
     const JsonValue *rows = at(explain, {"windows", "rows"});
     ASSERT_NE(rows, nullptr);
     EXPECT_FALSE(rows->items.empty());
-    for (const char *ext : {".trace.json", ".explain.json"})
-        std::remove((prefix + ext).c_str());
+    std::remove((prefix + ".explain.json").c_str());
+}
+
+TEST_F(RunnerFixture, ObsAttribAloneWritesTheWindowTableAndNoEventTrace)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "runner_obs_attrib";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string prefix = dir + "/obs";
+    setenv("RNR_OBS", "attrib", 1);
+    setenv("RNR_OBS_OUT", prefix.c_str(), 1);
+    ExperimentConfig cfg;
+    cfg.app = "pagerank";
+    cfg.input = "amazon";
+    cfg.iterations = 2;
+    cfg.cores = 1;
+    cfg.prefetcher = PrefetcherKind::Rnr;
+    const ExperimentResult r = runExperimentUncached(cfg);
+    unsetenv("RNR_OBS");
+    unsetenv("RNR_OBS_OUT");
+
+    EXPECT_EQ(r.telemetry, nullptr);
+    ASSERT_NE(r.attrib, nullptr);
+    // The explain document is the one file written.
+    std::vector<std::string> written;
+    for (const auto &e : fs::directory_iterator(dir))
+        written.push_back(e.path().filename().string());
+    EXPECT_EQ(written, std::vector<std::string>{"obs.explain.json"});
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJsonFile(prefix + ".explain.json", doc, &error))
+        << error;
+    ASSERT_NE(doc.find("telemetry"), nullptr);
+    EXPECT_TRUE(doc.find("telemetry")->isNull());
+    const JsonValue *windows = doc.find("windows");
+    ASSERT_NE(windows, nullptr);
+    const JsonValue *rows = windows->find("rows");
+    ASSERT_NE(rows, nullptr);
+    EXPECT_FALSE(rows->items.empty());
+    EXPECT_EQ(rows->items.size(), r.attrib->windows.size());
+    fs::remove_all(dir);
 }
 
 TEST_F(RunnerFixture, ObsExplainEscapesATracefilePathWithQuotes)

@@ -34,7 +34,7 @@ TEST(AttribCacheHooks, UsefulChargedOnceToTheFillingSite)
 {
     AttribCollector at;
     Cache c(directMapped());
-    c.attach({.attrib = &at}, /*track=*/0, /*level=*/1);
+    c.attach({.attrib = &at}, /*core=*/0);
     c.insert(9, 0, /*prefetched=*/true, false, /*site=*/0x400u);
     c.access(9, 10);
     c.access(9, 20); // second hit: already referenced, no charge
@@ -50,7 +50,7 @@ TEST(AttribCacheHooks, UnusedPrefetchVictimChargedNotRemembered)
 {
     AttribCollector at;
     Cache c(directMapped());
-    c.attach({.attrib = &at}, /*track=*/0, /*level=*/1);
+    c.attach({.attrib = &at}, /*core=*/0);
     const unsigned sets = c.config().sets();
     c.insert(3, 0, /*prefetched=*/true, false, /*site=*/0x100u);
     // A second prefetch displaces the never-referenced first one.
@@ -77,7 +77,7 @@ TEST(AttribCacheHooks, DemandVictimReMissChargesPollution)
 {
     AttribCollector at;
     Cache c(directMapped());
-    c.attach({.attrib = &at}, /*track=*/0, /*level=*/1);
+    c.attach({.attrib = &at}, /*core=*/0);
     const unsigned sets = c.config().sets();
     c.insert(8, 0, /*prefetched=*/false, false); // demand-owned line
     c.insert(8 + sets, 5, /*prefetched=*/true, false, /*site=*/0x7abcu);
@@ -96,7 +96,7 @@ TEST(AttribCacheHooks, ReferencedPrefetchVictimAlsoCountsAsDemandOwned)
 {
     AttribCollector at;
     Cache c(directMapped());
-    c.attach({.attrib = &at}, /*track=*/0, /*level=*/1);
+    c.attach({.attrib = &at}, /*core=*/0);
     const unsigned sets = c.config().sets();
     c.insert(2, 0, /*prefetched=*/true, false, /*site=*/0x111u);
     c.access(2, 10); // referenced: the demand stream owns it now
@@ -128,7 +128,7 @@ TEST(AttribCacheHooks, AttachedCollectorDoesNotPerturbCacheCounters)
     Cache plain(directMapped());
     Cache observed(directMapped());
     AttribCollector at;
-    observed.attach({.attrib = &at}, /*track=*/0, /*level=*/1);
+    observed.attach({.attrib = &at}, /*core=*/0);
     drive(plain);
     drive(observed);
     for (const char *name :

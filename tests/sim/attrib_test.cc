@@ -3,8 +3,9 @@
  * Unit tests for the attribution collector (sim/attrib.h): the site-id
  * grammar, the exact-totals-despite-folding invariant, deterministic
  * top-K eviction, the recently-evicted-victim pollution filter,
- * harvest ordering, and the rnr-attrib-v2 JSON surface.  Simulation-level reconciliation against real IterStats
- * lives in tests/harness/attrib_reconcile_test.cc.
+ * harvest ordering, the replay-window table, and the rnr-attrib-v2
+ * JSON surface.  Simulation-level reconciliation against real
+ * IterStats lives in tests/harness/attrib_reconcile_test.cc.
  */
 #include <cstdlib>
 #include <string>
@@ -152,7 +153,7 @@ TEST(AttribJson, CarriesSchemaTagAndExactCounts)
 {
     AttribCollector at;
     at.onIssued(attribRnrSite(1), 4);
-    at.onRnrClass(RnrTimeliness::OnTime);
+    at.onRnrClass(RnrTimeliness::OnTime, 0);
     const std::string js = attribJson(at.harvest());
 
     EXPECT_NE(js.find("\"schema\": \"rnr-attrib-v2\""), std::string::npos);
@@ -161,6 +162,84 @@ TEST(AttribJson, CarriesSchemaTagAndExactCounts)
               std::string::npos);
     EXPECT_NE(js.find("\"rnr\": {\"ontime\": 1"), std::string::npos);
     EXPECT_EQ(js.find('\n'), std::string::npos); // one line, no newline
+}
+
+// ---- The replay-window table ----
+
+TEST(AttribWindows, ReportSkipsUntouchedWindowsAndSumsTotals)
+{
+    AttribCollector at;
+    // Touch windows 0, 2 and 4; leave 1 and 3 untouched (dense rows).
+    at.onRnrClass(RnrTimeliness::OnTime, 0);
+    at.onRnrClass(RnrTimeliness::OnTime, 0);
+    at.onWindowIssue(0);
+    at.onWindowDemand(2);
+    at.onWindowDemand(2);
+    at.onRnrClass(RnrTimeliness::OutOfWindow, 2);
+    at.onRnrClass(RnrTimeliness::Early, 4);
+    at.onRnrClass(RnrTimeliness::Late, 4);
+    at.onWindowDemand(4);
+    at.onRefillStall(4);
+
+    const AttribBlob b = at.harvest();
+    ASSERT_EQ(b.windows.size(), 3u);
+    EXPECT_EQ(b.windows[0].window, 0u);
+    EXPECT_EQ(b.windows[1].window, 2u);
+    EXPECT_EQ(b.windows[2].window, 4u);
+    EXPECT_EQ(b.windows[0].ontime, 2u);
+    EXPECT_EQ(b.windows[1].demands, 2u);
+    EXPECT_EQ(b.windows[1].out_of_window, 1u);
+    EXPECT_EQ(b.windows[2].early, 1u);
+    EXPECT_EQ(b.windows[2].late, 1u);
+    // Each class also counts in the run total.
+    EXPECT_EQ(b.rnr_ontime, 2u);
+    EXPECT_EQ(b.rnr_early, 1u);
+    EXPECT_EQ(b.rnr_late, 1u);
+    EXPECT_EQ(b.rnr_out_of_window, 1u);
+
+    const ReplayDiagnostics d = buildReplayDiagnostics(b);
+    EXPECT_EQ(d.windows, b.windows);
+    EXPECT_EQ(d.total.ontime, 2u);
+    EXPECT_EQ(d.total.early, 1u);
+    EXPECT_EQ(d.total.late, 1u);
+    EXPECT_EQ(d.total.out_of_window, 1u);
+    EXPECT_EQ(d.total.demands, 3u);
+    EXPECT_EQ(d.total.issued, 1u);
+    EXPECT_EQ(d.total.refill_stalls, 1u);
+}
+
+TEST(AttribWindows, PaceIsTheLastValueSetInAWindow)
+{
+    AttribCollector at;
+    at.onWindowPace(2, 7);
+    at.onWindowPace(2, 4); // a recompute (a later replay pass)
+    at.onWindowPace(5, 9);
+
+    const AttribBlob b = at.harvest();
+    ASSERT_EQ(b.windows.size(), 2u);
+    EXPECT_EQ(b.windows[0].window, 2u);
+    EXPECT_EQ(b.windows[0].pace, 4u);
+    EXPECT_EQ(b.windows[1].pace, 9u);
+    // A pace alone touches a row but adds nothing to the totals.
+    const ReplayDiagnostics d = buildReplayDiagnostics(b);
+    EXPECT_EQ(d.total.demands + d.total.issued + d.total.ontime, 0u);
+}
+
+TEST(AttribWindows, ResetEmptiesTheTable)
+{
+    AttribCollector at;
+    at.onWindowDemand(6);
+    at.onWindowPace(6, 3);
+    at.onRnrClass(RnrTimeliness::Late, 6);
+    ASSERT_EQ(at.harvest().windows.size(), 1u);
+
+    at.reset();
+    const AttribBlob b = at.harvest();
+    EXPECT_TRUE(b.windows.empty());
+    EXPECT_EQ(b.rnr_late, 0u);
+    at.onWindowIssue(1);
+    ASSERT_EQ(at.harvest().windows.size(), 1u);
+    EXPECT_EQ(at.harvest().windows[0].window, 1u);
 }
 
 } // namespace

@@ -11,11 +11,14 @@
  *  - `help --markdown` emits the registry-generated mode table and the
  *    copy embedded in README.md matches it byte-for-byte (README path
  *    injected as RNR_README_PATH);
- *  - `explain` prints exactly one rnr-explain-v1 document on stdout
+ *  - `explain` prints exactly one rnr-explain-v2 document on stdout
  *    and exits 0 when the attribution and window totals reconciled
  *    with the IterStats counters; bad usage and an unknown prefetcher
  *    exit 2;
- *  - `sweep` with an unknown prefetcher prints one line and exits 2.
+ *  - `sweep` with an unknown prefetcher prints one line and exits 2;
+ *  - `simulate` runs RnR through a trace file whose own control records
+ *    would leave the window size 0 (WindowSize.set(0), a size that
+ *    does not fit 32 bits, or a Start after Free with no Init).
  */
 #include <cstdio>
 #include <cstdlib>
@@ -23,12 +26,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/blob_store.h"
 #include "harness/json_parse.h"
+#include "trace/trace_buffer.h"
+#include "tracestore/trace_codec.h"
 
 #ifndef RNR_TRACE_TOOLS_BIN
 #error "RNR_TRACE_TOOLS_BIN must point at the trace_tools binary"
@@ -236,7 +242,7 @@ TEST(TraceToolsCli, ExplainModeEmitsOneReconciledDocument)
     ASSERT_TRUE(rnr::parseJson(r.output, doc, &error))
         << error << "\n" << r.output;
     ASSERT_NE(doc.find("schema"), nullptr);
-    EXPECT_EQ(doc.find("schema")->text, "rnr-explain-v1");
+    EXPECT_EQ(doc.find("schema")->text, "rnr-explain-v2");
     for (const char *part : {"cell", "baseline", "metrics", "windows",
                              "attrib", "telemetry"}) {
         ASSERT_NE(doc.find(part), nullptr) << part;
@@ -262,6 +268,58 @@ TEST(TraceToolsCli, ExplainUnknownPrefetcherExitsTwoWithOneLine)
         << "expected exactly one line:\n"
         << r.output;
     EXPECT_NE(r.output.find("nosuchpf"), std::string::npos) << r.output;
+}
+
+/**
+ * A one-core trace file: @p controls, then loads scattered over 4 MiB
+ * (far past the L2, so RnR records misses).  The workload wraps the
+ * file in Init, AddrBase.set, AddrEnable and Start (a replay from the
+ * second iteration on), so @p controls act on a recording RnR.
+ */
+std::string
+writeControlFile(const std::string &name,
+                 const std::vector<rnr::TraceRecord> &controls)
+{
+    constexpr rnr::Addr kBase = 0x10000000;
+    rnr::TraceBuffer buf;
+    for (const rnr::TraceRecord &c : controls)
+        buf.push(c);
+    for (std::uint64_t i = 0; i < 50000; ++i)
+        buf.push(rnr::TraceRecord::load(kBase + 64 * ((i * 7919) % 65536),
+                                        7, 3));
+    const std::string path = ::testing::TempDir() + name;
+    EXPECT_TRUE(bool(rnr::writeTraceFileV2(path, buf))) << path;
+    return path;
+}
+
+TEST(TraceToolsCli, SimulateNeverRecordsWithAZeroWindowSize)
+{
+    using rnr::RnrOp;
+    using rnr::TraceRecord;
+    constexpr rnr::Addr kBase = 0x10000000;
+    const std::pair<const char *, std::vector<TraceRecord>> files[] = {
+        {"cli_window_zero.rnrt",
+         {TraceRecord::control(RnrOp::WindowSizeSet, 0)}},
+        {"cli_window_wraps.rnrt",
+         {TraceRecord::control(RnrOp::WindowSizeSet, rnr::Addr{1} << 32)}},
+        {"cli_start_after_free.rnrt",
+         {TraceRecord::control(RnrOp::Free),
+          TraceRecord::control(RnrOp::AddrBaseSet, kBase, 4 << 20),
+          TraceRecord::control(RnrOp::AddrEnable, kBase),
+          TraceRecord::control(RnrOp::Start)}},
+    };
+    for (const auto &[name, controls] : files) {
+        const std::string path = writeControlFile(name, controls);
+        for (const char *pf : {"rnr", "none"}) {
+            const CliResult r =
+                runTool("simulate " + path + " " + pf + " 2");
+            EXPECT_EQ(r.exit_code, 0) << name << " " << pf << "\n"
+                                      << r.output;
+            EXPECT_NE(r.output.find("iter 1:"), std::string::npos)
+                << name << " " << pf << "\n" << r.output;
+        }
+        std::filesystem::remove(path);
+    }
 }
 
 } // namespace
