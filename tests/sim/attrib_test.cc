@@ -165,8 +165,37 @@ TEST(AttribJson, CarriesSchemaTagAndExactCounts)
 }
 
 // ---- The replay-window table ----
+//
+// TraceCollectorTest cases keep the names they had when the event
+// trace's collector kept this table.
 
-TEST(AttribWindows, ReportSkipsUntouchedWindowsAndSumsTotals)
+TEST(TraceCollectorTest, AggregateOnlyHooksBypassTheRings)
+{
+    // The demand, issue, pace and refill-stall hooks fill only the
+    // window row: no prefetch outcome or class total moves.
+    AttribCollector at;
+    at.onWindowDemand(2);
+    at.onWindowDemand(2);
+    at.onWindowIssue(2);
+    at.onWindowPace(2, 5);
+    at.onRefillStall(2);
+
+    const AttribBlob b = at.harvest();
+    ASSERT_EQ(b.windows.size(), 1u);
+    EXPECT_EQ(b.windows[0].window, 2u);
+    EXPECT_EQ(b.windows[0].demands, 2u);
+    EXPECT_EQ(b.windows[0].issued, 1u);
+    EXPECT_EQ(b.windows[0].pace, 5u);
+    EXPECT_EQ(b.windows[0].refill_stalls, 1u);
+    EXPECT_EQ(b.totals.issued, 0u);
+    EXPECT_EQ(b.rnr_ontime + b.rnr_early + b.rnr_late +
+                  b.rnr_out_of_window,
+              0u);
+    EXPECT_TRUE(b.sites.empty());
+    EXPECT_TRUE(b.regions.empty());
+}
+
+TEST(TraceCollectorTest, ReportSkipsUntouchedWindowsAndSumsTotals)
 {
     AttribCollector at;
     // Touch windows 0, 2 and 4; leave 1 and 3 untouched (dense rows).
